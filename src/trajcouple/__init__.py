@@ -30,8 +30,6 @@ from .losses import (
     LossBreakdown,
     LossConfig,
     TermStats,
-    huber,
-    huber_gradient,
     loss_cam,
     loss_cons,
     loss_selfsup,
@@ -39,12 +37,8 @@ from .losses import (
     total_loss,
 )
 from .pointmap import (
-    PixelLocation,
     PointMapGrid,
-    init_query,
     read_pointmap,
-    sample,
-    sample_with_grad,
     write_pointmap,
 )
 from .pose import (

@@ -13,7 +13,7 @@ import numpy as np
 
 from .grad import GRIDS, POSES, TRACKS, ParamLayout, finite_diff_check
 from .losses import CouplingProblem, LossConfig, pose_stacks, transform_samples
-from .pointmap import bilinear_gather
+from .pointmap import BilinearSampler
 from .pose import PoseTangent, exp_map
 
 # (term, block) pairs with a live (non-detached) dependency; only these are
@@ -110,18 +110,18 @@ def _residual_norms(problem, store):
     ii, tt = np.nonzero(valid)
     out = []
     if ii.size:
-        x, y = problem.query_pixels[ii, tt, 0], problem.query_pixels[ii, tt, 1]
-        p_tilde, _, _, _ = bilinear_gather(grid_stack, tt, x, y)
+        q = problem.query_pixels
+        p_tilde = BilinearSampler(grid_stack.shape, tt, q[ii, tt, 0], q[ii, tt, 1]).gather(grid_stack)
         out.append(np.linalg.norm(track_pts[ii, tt] - p_tilde, axis=1))
         stacks = pose_stacks(problem.base_rel_poses, tangents)
         yv, _ = transform_samples(stacks, tt, track_pts[ii, tt])
         if problem.targets is not None:
             out.append(np.linalg.norm(yv - problem.targets[ii, tt], axis=1))
         yv2, _ = transform_samples(stacks, tt, p_tilde)
-        ax, ay = problem.query_pixels[ii, problem.anchor, 0], problem.query_pixels[ii, problem.anchor, 1]
-        p_x, _, _, _ = bilinear_gather(
-            grid_stack, np.full(ii.shape, problem.anchor, dtype=np.int64), ax, ay
-        )
+        anchor = problem.anchor
+        p_x = BilinearSampler(
+            grid_stack.shape, np.full(ii.shape, anchor), q[ii, anchor, 0], q[ii, anchor, 1]
+        ).gather(grid_stack)
         out.append(np.linalg.norm(yv2 - p_x, axis=1))
     return np.concatenate(out) if out else np.zeros(0)
 

@@ -7,10 +7,10 @@ The optimization state lives in three named flat blocks:
 * ``poses``  — per-frame 6-vector tangents ``(omega, upsilon)`` relative to
   held base poses
 
-Losses accumulate analytic partial derivatives into a Tape; every
-accumulation carries a RoutingMask that says which blocks the emitting
+Losses scatter analytic partial derivatives into a Tape; every
+scatter carries a RoutingMask that says which blocks the emitting
 term is allowed to update.  Stop-gradient boundaries are therefore
-structural: a blocked accumulation is a no-op, so a detached factor can
+structural: a blocked scatter is a no-op, so a detached factor can
 never leak gradient into its block.
 """
 
@@ -119,21 +119,17 @@ class Tape:
         except KeyError:
             raise UnknownBlock(f"unknown block {name!r}")
 
-    def accumulate(self, block, index, partial, routing: RoutingMask):
-        """Add a single partial derivative iff routing admits the block."""
-        g = self.grad(block)
-        if not routing.admits(block):
-            return
-        if not 0 <= index < g.size:
-            raise IndexOutOfRange(f"index {index} outside block {block!r} ({g.size})")
-        g[index] += partial
-
     def scatter(self, block, indices, partials, routing: RoutingMask):
-        """Vectorized accumulate with repeated-index support (np.add.at)."""
+        """Add partials at flat indices iff routing admits the block.
+
+        Repeated indices accumulate, in the order given (np.add.at).
+        """
         g = self.grad(block)
         if not routing.admits(block):
             return
-        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        indices = np.asarray(indices).reshape(-1)
+        if indices.dtype.kind not in "iu":
+            indices = indices.astype(np.int64)
         partials = np.asarray(partials, dtype=np.float64).reshape(-1)
         if indices.size == 0:
             return
@@ -188,8 +184,8 @@ class ParamLayout:
 
 def vector_indices(base):
     """Expand base indices of 3-vectors into per-component flat indices."""
-    base = np.asarray(base, dtype=np.int64)
-    return (base[..., None] + np.arange(3)).reshape(-1)
+    base = np.asarray(base)
+    return (base[..., None] + np.arange(3, dtype=base.dtype)).reshape(-1)
 
 
 def finite_diff_check(

@@ -20,13 +20,18 @@ Pose gradients are taken w.r.t. per-frame tangents ``(omega, upsilon)``
 around held base poses, with the transform acting as
 ``x -> exp_so3(omega) @ (base @ x) + upsilon``; the chain rule through
 ``omega`` uses the SO(3) left Jacobian and is exact at any tangent value.
+
+A CouplingProblem compiles its sample geometry (valid samples, their
+bilinear footprints, anchor references) on first use; every term then
+runs through one shared pass per evaluation, driven by one term table.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +49,7 @@ from .grad import (
     Tape,
     vector_indices,
 )
-from .pointmap import PointMapGrid, bilinear_gather
+from .pointmap import BilinearSampler, PointMapGrid
 from .pose import Pose, PoseTangent, compose, exp_map, so3_exp, so3_left_jacobian
 from .tracks import TrackSet
 
@@ -52,35 +57,15 @@ DEFAULT_DELTA = 0.05
 DEFAULT_MIN_WEIGHT = 1e-3
 
 
-def huber(residual, delta):
-    """Huber penalty of a 3-vector residual: 0.5||r||^2 inside delta, linear outside."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    r = np.asarray(residual, dtype=np.float64).reshape(-1)
-    nrm = float(np.linalg.norm(r))
-    if nrm <= delta:
-        return 0.5 * nrm * nrm
-    return delta * (nrm - 0.5 * delta)
-
-
-def huber_gradient(residual, delta):
-    """Gradient of the Huber penalty w.r.t. the residual vector."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    r = np.asarray(residual, dtype=np.float64).reshape(-1)
-    nrm = float(np.linalg.norm(r))
-    if nrm <= delta:
-        return r.copy()
-    return (delta / nrm) * r
-
-
-def _huber_batch(res, delta):
-    """Vectorized Huber values and gradients for (M, 3) residuals."""
+def _huber_batch(res, delta, grad=True):
+    """Vectorized Huber values, gradients (None unless grad) and norms of (M, 3) residuals."""
     norms = np.linalg.norm(res, axis=1)
     quad = norms <= delta
     vals = np.where(quad, 0.5 * norms * norms, delta * (norms - 0.5 * delta))
+    if not grad:
+        return vals, None, norms
     scale = np.where(quad, 1.0, delta / np.maximum(norms, 1e-300))
-    return vals, res * scale[:, None]
+    return vals, res * scale[:, None], norms
 
 
 @dataclass
@@ -119,9 +104,10 @@ def transform_samples(stacks: PoseStacks, frames, pts):
     """
     frames = np.asarray(frames, dtype=np.int64)
     pts = np.asarray(pts, dtype=np.float64)
-    z = np.einsum("mij,mj->mi", stacks.r_base[frames], pts) + stacks.t_base[frames]
-    a = np.einsum("mij,mj->mi", stacks.exp_rot[frames], z)
-    return a + stacks.upsilon[frames], a
+    z = np.einsum("mij,mj->mi", np.take(stacks.r_base, frames, axis=0), pts)
+    z += np.take(stacks.t_base, frames, axis=0)
+    a = np.einsum("mij,mj->mi", np.take(stacks.exp_rot, frames, axis=0), z)
+    return a + np.take(stacks.upsilon, frames, axis=0), a
 
 
 def current_rel_poses(base_poses: Sequence[Pose], tangents=None):
@@ -145,7 +131,7 @@ def _scatter_pose_grads(tape, layout, stacks, frames, a_sel, gvec, routing):
     ups_idx = (pose_base[:, None] + np.arange(3, 6)).reshape(-1)
     tape.scatter(POSES, ups_idx, gvec.reshape(-1), routing)
     cross = np.cross(a_sel, gvec)
-    gw = np.einsum("mji,mj->mi", stacks.left_jac[frames], cross)
+    gw = np.einsum("mji,mj->mi", np.take(stacks.left_jac, frames, axis=0), cross)
     om_idx = (pose_base[:, None] + np.arange(3)).reshape(-1)
     tape.scatter(POSES, om_idx, gw.reshape(-1), routing)
 
@@ -162,13 +148,9 @@ class TermStats:
     residual_max: float
 
 
-def _empty_stats(name, n_skipped):
-    return TermStats(name, 0.0, 0, n_skipped, 0.0, 0.0)
-
-
 def _stats(name, value, norms, n_skipped):
-    if norms.size == 0:
-        return _empty_stats(name, n_skipped)
+    if norms is None or norms.size == 0:
+        return TermStats(name, 0.0, 0, int(n_skipped), 0.0, 0.0)
     return TermStats(
         name, float(value), int(norms.size), int(n_skipped),
         float(norms.mean()), float(norms.max()),
@@ -183,161 +165,269 @@ def _grid_stack(grids):
     )
 
 
-def _default_layout(track_pts, grids):
-    n, t = track_pts.shape[:2]
-    return ParamLayout(n, t, grids.shape[1], grids.shape[2])
+# ---------------------------------------------------------------------------
+# Compiled sample geometry and the per-evaluation pass.
+
+@dataclass
+class _Geometry:
+    """Sample geometry of a problem: pixels, visibility, anchor and min_weight."""
+
+    tt: np.ndarray  # (M,) frame of each valid sample, row-major over (i, t)
+    flat: np.ndarray  # (M,) i * T + t, the sample's row in (N*T, 3) views
+    w: np.ndarray  # (M,) visibility weights
+    sampler: BilinearSampler  # footprints of the valid samples
+    n_skipped: int
+    anchor_ref: np.ndarray  # (M,) position of the track's anchor sample, -1 if not valid
+    a_pos: np.ndarray  # (Ma,) positions the anchor term may use (before static gating)
+    a_w: np.ndarray  # (Ma,) their weights vis[i, t] * vis[i, anchor]
 
 
-def _cons_core(
-    track_pts, grids, query_pixels, visibility, delta,
-    *, weight=1.0, min_weight=DEFAULT_MIN_WEIGHT, tape=None, layout=None,
-    parts=("pointmap", "track"),
-):
-    parts = set(parts)
-    valid = visibility >= min_weight
-    ii, tt = np.nonzero(valid)
-    n_skipped = int(valid.size - ii.size)
-    if ii.size == 0:
-        return _empty_stats("cons", n_skipped)
-    if layout is None:
-        layout = _default_layout(track_pts, grids)
-
-    x = query_pixels[ii, tt, 0]
-    y = query_pixels[ii, tt, 1]
-    p_tilde, rows, cols, wts = bilinear_gather(grids, tt, x, y)
-    p_hat = track_pts[ii, tt]
-    r = p_hat - p_tilde
-    vals, g = _huber_batch(r, delta)
-    w = visibility[ii, tt]
-    half = float(np.sum(w * vals))
-
-    value = 0.0
-    coeff = (weight * w)[:, None] * g  # (M, 3)
-    if "pointmap" in parts:
-        value += half
-        if tape is not None:
-            partials = -wts[:, :, None] * coeff[:, None, :]
-            gidx = layout.grid_base(tt[:, None], rows, cols)
-            idx = (gidx[:, :, None] + np.arange(3)).reshape(-1)
-            tape.scatter(GRIDS, idx, partials.reshape(-1), ROUTE_GRIDS)
-    if "track" in parts:
-        value += half
-        if tape is not None:
-            idx = vector_indices(layout.track_base(ii, tt))
-            tape.scatter(TRACKS, idx, coeff.reshape(-1), ROUTE_TRACKS)
-
-    return _stats("cons", value, np.linalg.norm(r, axis=1), n_skipped)
-
-
-def _cam_core(
-    track_pts, grids, query_pixels, visibility, static_mask, targets,
-    base_poses, pose_tangents, delta,
-    *, weight=1.0, min_weight=DEFAULT_MIN_WEIGHT, tape=None, layout=None,
-    parts=("pose", "track"), pose_target="gt", anchor=0,
-):
-    parts = set(parts)
-    if pose_target not in ("gt", "anchor_sample"):
-        raise ValueError(f"unknown pose_target {pose_target!r}")
-    need_targets = "track" in parts or ("pose" in parts and pose_target == "gt")
-    if need_targets and targets is None:
-        raise MissingTargets("camera consistency in supervised mode needs anchor targets")
-    if static_mask is None:
-        raise ValueError("camera consistency needs a static mask (use all-ones to disable gating)")
-
-    valid = visibility >= min_weight
-    ii, tt = np.nonzero(valid)
-    n_skipped = int(valid.size - ii.size)
-    if ii.size == 0:
-        return _empty_stats("cam", n_skipped)
-    if layout is None:
-        layout = _default_layout(track_pts, grids)
-
-    stacks = pose_stacks(base_poses, pose_tangents)
-    p_hat = track_pts[ii, tt]
-    yv, a = transform_samples(stacks, tt, p_hat)
-    w = visibility[ii, tt]
-
-    value = 0.0
-    norms = np.zeros(0)
-    if targets is not None:
-        r_all = yv - targets[ii, tt]
-        norms = np.linalg.norm(r_all, axis=1)
-
-    if "track" in parts:
-        vals, g = _huber_batch(r_all, delta)
-        value += float(np.sum(w * vals))
-        if tape is not None:
-            coeff = (weight * w)[:, None] * g
-            gp = np.einsum("mji,mj->mi", stacks.r_cur[tt], coeff)
-            idx = vector_indices(layout.track_base(ii, tt))
-            tape.scatter(TRACKS, idx, gp.reshape(-1), ROUTE_TRACKS)
-
-    if "pose" in parts:
-        sel = static_mask[ii, tt].astype(bool)
-        if pose_target == "gt":
-            tgt = targets[ii, tt]
-        else:
-            avis = visibility[ii, anchor] >= min_weight
-            sel = sel & avis
-            ax = query_pixels[ii, anchor, 0]
-            ay = query_pixels[ii, anchor, 1]
-            tgt, _, _, _ = bilinear_gather(
-                grids, np.full(ii.shape, anchor, dtype=np.int64), ax, ay
-            )
-        if np.any(sel):
-            r1 = yv[sel] - tgt[sel]
-            vals1, g1 = _huber_batch(r1, delta)
-            value += float(np.sum(w[sel] * vals1))
-            if norms.size == 0:
-                norms = np.linalg.norm(r1, axis=1)
-            if tape is not None:
-                gvec = (weight * w[sel])[:, None] * g1
-                _scatter_pose_grads(tape, layout, stacks, tt[sel], a[sel], gvec, ROUTE_POSES)
-
-    return _stats("cam", value, norms, n_skipped)
-
-
-def _anchor_core(
-    grids, query_pixels, visibility, static_mask, base_poses, pose_tangents, delta,
-    *, weight=1.0, min_weight=DEFAULT_MIN_WEIGHT, tape=None, layout=None, anchor=0,
-):
-    if static_mask is None:
-        raise ValueError("anchor consistency needs a static mask")
+def _compile(layout: ParamLayout, query_pixels, visibility, anchor, min_weight):
+    visibility = np.asarray(visibility, dtype=np.float64)
     n, t = visibility.shape
-    w_eff = visibility * visibility[:, anchor : anchor + 1]
-    valid = (w_eff >= min_weight) & static_mask.astype(bool)
-    valid[:, anchor] = False  # reprojecting the anchor onto itself is vacuous
-    ii, tt = np.nonzero(valid)
-    n_skipped = int(n * (t - 1) - ii.size)
-    if ii.size == 0:
-        return _empty_stats("anchor", n_skipped)
-    if layout is None:
-        layout = ParamLayout(n, t, grids.shape[1], grids.shape[2])
+    if not 0 <= anchor < t:
+        raise ValueError(f"anchor frame {anchor} outside [0, {t})")
+    ii, tt = np.nonzero(visibility >= min_weight)
+    flat = ii * t + tt
+    q = np.take(np.asarray(query_pixels, dtype=np.float64).reshape(-1, 2), flat, axis=0)
+    sampler = BilinearSampler(layout.grids_shape(), tt, q[:, 0], q[:, 1])
+    position = np.full(n * t, -1, dtype=np.int64)
+    position[flat] = np.arange(flat.size)
+    anchor_ref = position[ii * t + anchor]
+    w = visibility[ii, tt]
+    # visibility lies in [0, 1], so an admitted pair has both samples valid
+    w_eff = w * visibility[ii, anchor]
+    a_pos = np.flatnonzero((w_eff >= min_weight) & (tt != anchor) & (anchor_ref >= 0))
+    return _Geometry(
+        tt, flat, w, sampler, int(visibility.size - flat.size),
+        anchor_ref, a_pos, w_eff[a_pos],
+    )
 
-    stacks = pose_stacks(base_poses, pose_tangents)
-    x = query_pixels[ii, tt, 0]
-    y = query_pixels[ii, tt, 1]
-    p_t, _, _, _ = bilinear_gather(grids, tt, x, y)  # detached side
-    ax = query_pixels[ii, anchor, 0]
-    ay = query_pixels[ii, anchor, 1]
-    anchor_frames = np.full(ii.shape, anchor, dtype=np.int64)
-    p_x, rows_x, cols_x, wts_x = bilinear_gather(grids, anchor_frames, ax, ay)
 
-    yv, a = transform_samples(stacks, tt, p_t)
-    r = yv - p_x
-    vals, g = _huber_batch(r, delta)
-    w = w_eff[ii, tt]
-    value = float(np.sum(w * vals))
+def _rows(arr, flat):
+    """Per-sample 3-vectors of an (N, T, 3) array at flat (i * T + t) rows."""
+    return np.take(np.asarray(arr, dtype=np.float64).reshape(-1, 3), flat, axis=0)
 
-    if tape is not None:
-        gvec = (weight * w)[:, None] * g
-        _scatter_pose_grads(tape, layout, stacks, tt, a, gvec, ROUTE_POSES_AND_GRIDS)
-        partials = -wts_x[:, :, None] * gvec[:, None, :]
-        gidx = layout.grid_base(anchor_frames[:, None], rows_x, cols_x)
-        idx = (gidx[:, :, None] + np.arange(3)).reshape(-1)
-        tape.scatter(GRIDS, idx, partials.reshape(-1), ROUTE_POSES_AND_GRIDS)
 
-    return _stats("anchor", value, np.linalg.norm(r, axis=1), n_skipped)
+class _Pass:
+    """One evaluation: parameter views, the tape, and intermediates shared by terms."""
+
+    def __init__(self, problem, track_pts, grid_stack, tangents, tape):
+        self.problem = problem
+        self.cfg = problem.config
+        self.geo = problem.geometry()
+        self.track_pts = track_pts
+        self.grid_stack = grid_stack
+        self.tangents = tangents
+        self.tape = tape
+        self.grad = tape is not None  # value-only passes skip the Huber gradients
+
+    def huber(self, res):
+        return _huber_batch(res, self.cfg.delta, self.grad)
+
+    def gate(self, flat, what):
+        """Static mask at flat (i * T + t) sample rows; all admitted when ungated.
+
+        Read on every pass, so a reassigned static_mask takes effect at once.
+        """
+        if not self.cfg.gate_static:
+            return np.ones(flat.shape, dtype=bool)
+        mask = self.problem.static_mask
+        if mask is None:
+            raise ValueError(f"{what} needs a static mask (use all-ones to disable gating)")
+        return np.take(np.asarray(mask, dtype=bool).reshape(-1), flat)
+
+    @cached_property
+    def targets(self):
+        if self.problem.targets is None:
+            raise MissingTargets("camera consistency in supervised mode needs anchor targets")
+        return _rows(self.problem.targets, self.geo.flat)
+
+    @cached_property
+    def stacks(self):
+        return pose_stacks(self.problem.base_rel_poses, self.tangents)
+
+    @cached_property
+    def samples(self):
+        """The pointmaps sampled at every valid sample (S @ grids)."""
+        return self.geo.sampler.gather(self.grid_stack)
+
+    @cached_property
+    def tracked(self):
+        return _rows(self.track_pts, self.geo.flat)
+
+    @cached_property
+    def cons(self):
+        vals, g, norms = self.huber(self.tracked - self.samples)
+        coeff = (self.cfg.weight_cons * self.geo.w)[:, None] * g if self.grad else None
+        return float(np.sum(self.geo.w * vals)), coeff, norms
+
+    @cached_property
+    def moved(self):
+        """Track points through the current relative poses: (y, a)."""
+        return transform_samples(self.stacks, self.geo.tt, self.tracked)
+
+    @cached_property
+    def cam_track(self):
+        vals, g, norms = self.huber(self.moved[0] - self.targets)
+        return float(np.sum(self.geo.w * vals)), g, norms
+
+    @cached_property
+    def cam_pose(self):
+        """Pose half: (value, gated positions, gvec, norms)."""
+        target = self.cfg.pose_target
+        if target not in ("gt", "anchor_sample"):
+            raise ValueError(f"unknown pose_target {target!r}")
+        sel = self.gate(self.geo.flat, "camera consistency")
+        if target == "anchor_sample":
+            sel &= self.geo.anchor_ref >= 0
+        pos = np.flatnonzero(sel)
+        if pos.size == 0:
+            return 0.0, pos, None, None
+        if target == "gt":
+            tgt = self.targets[sel]
+        else:
+            tgt = self.samples[self.geo.anchor_ref[pos]]
+        vals, g, norms = self.huber(self.moved[0][sel] - tgt)
+        w = self.geo.w[sel]
+        gvec = (self.cfg.weight_cam * w)[:, None] * g if self.grad else None
+        return float(np.sum(w * vals)), pos, gvec, norms
+
+    @cached_property
+    def anchor(self):
+        """Anchor term: (value, positions, a, gvec, norms)."""
+        geo = self.geo
+        sel = self.gate(geo.flat[geo.a_pos], "anchor consistency")
+        pos = geo.a_pos[sel]
+        yv, a = transform_samples(self.stacks, geo.tt[pos], self.samples[pos])
+        vals, g, norms = self.huber(yv - self.samples[geo.anchor_ref[pos]])
+        w = geo.a_w[sel]
+        gvec = (self.cfg.weight_anchor * w)[:, None] * g if self.grad else None
+        return float(np.sum(w * vals)), pos, a, gvec, norms
+
+
+# Sub-terms: each returns its unweighted value and, with a tape, adds its
+# routed partials.  The tape expects the standard layout of the problem.
+
+def _cons_pointmap(ps: _Pass):
+    value, coeff, _ = ps.cons
+    if ps.tape is not None:
+        ps.tape.scatter(GRIDS, *ps.geo.sampler.adjoint(-coeff), ROUTE_GRIDS)
+    return value
+
+
+def _cons_track(ps: _Pass):
+    value, coeff, _ = ps.cons
+    if ps.tape is not None:
+        idx = vector_indices(ps.geo.flat * 3)
+        ps.tape.scatter(TRACKS, idx, coeff.reshape(-1), ROUTE_TRACKS)
+    return value
+
+
+def _cam_track(ps: _Pass):
+    value, g, _ = ps.cam_track
+    if ps.tape is not None:
+        coeff = (ps.cfg.weight_cam * ps.geo.w)[:, None] * g
+        gp = np.einsum("mji,mj->mi", np.take(ps.stacks.r_cur, ps.geo.tt, axis=0), coeff)
+        idx = vector_indices(ps.geo.flat * 3)
+        ps.tape.scatter(TRACKS, idx, gp.reshape(-1), ROUTE_TRACKS)
+    return value
+
+
+def _cam_pose(ps: _Pass):
+    value, pos, gvec, _ = ps.cam_pose
+    if ps.tape is not None and pos.size:
+        _scatter_pose_grads(
+            ps.tape, ps.problem.layout, ps.stacks, ps.geo.tt[pos], ps.moved[1][pos],
+            gvec, ROUTE_POSES,
+        )
+    return value
+
+
+def _anchor(ps: _Pass):
+    value, pos, a, gvec, _ = ps.anchor
+    if ps.tape is not None and pos.size:
+        route = ROUTE_POSES_AND_GRIDS
+        _scatter_pose_grads(ps.tape, ps.problem.layout, ps.stacks, ps.geo.tt[pos], a, gvec, route)
+        index = ps.geo.anchor_ref[pos]
+        ps.tape.scatter(GRIDS, *ps.geo.sampler.adjoint(-gvec, index), route)
+    return value
+
+
+def _cons_stats(ps: _Pass):
+    return ps.cons[2], ps.geo.n_skipped
+
+
+def _cam_stats(ps: _Pass):
+    norms = ps.cam_track[2] if ps.problem.targets is not None else ps.cam_pose[3]
+    return norms, ps.geo.n_skipped
+
+
+def _anchor_stats(ps: _Pass):
+    layout = ps.problem.layout
+    return ps.anchor[4], layout.n_tracks * (layout.n_frames - 1) - ps.anchor[1].size
+
+
+TERMS = {
+    "cons_pointmap": _cons_pointmap,
+    "cons_track": _cons_track,
+    "cam_pose": _cam_pose,
+    "cam_track": _cam_track,
+    "anchor": _anchor,
+}
+
+
+class _Group(NamedTuple):
+    """One LossBreakdown slot: its config toggle and weight, sub-terms, statistics."""
+
+    slot: str
+    toggle: str
+    weight: str
+    terms: tuple
+    stats: Callable
+
+
+# The term table that drives every evaluation.
+GROUPS = (
+    _Group("cons", "use_cons", "weight_cons", ("cons_pointmap", "cons_track"), _cons_stats),
+    _Group("cam", "use_cam", "weight_cam", ("cam_pose", "cam_track"), _cam_stats),
+    _Group("anchor", "use_anchor", "weight_anchor", ("anchor",), _anchor_stats),
+)
+
+
+def _run_group(ps: _Pass, group: _Group, terms) -> TermStats:
+    value = 0.0
+    for term in terms:
+        value += TERMS[term](ps)
+    return _stats(group.slot, value, *group.stats(ps))
+
+
+def _reprojection_mask(
+    geo, shape, grid_stack, base_poses, tangents, tau, scale_quantile=0.4, scale_factor=3.0
+):
+    n, t = shape
+    if geo.flat.size == 0:
+        return np.zeros((n, t), dtype=bool)
+    stacks = pose_stacks(base_poses, tangents)
+    repro, _ = transform_samples(stacks, geo.tt, geo.sampler.gather(grid_stack))
+
+    repro_full = np.full((n * t, 3), np.nan)
+    repro_full[geo.flat] = repro
+    repro_full = repro_full.reshape(n, t, 3)
+    with np.errstate(all="ignore"):
+        ref = np.nanmedian(repro_full, axis=1)
+        dev = np.linalg.norm(repro_full - ref[:, None, :], axis=2)
+
+    mask = np.zeros((n, t), dtype=bool)
+    for frame in range(t):
+        col = dev[:, frame]
+        finite = np.isfinite(col)
+        if not np.any(finite):
+            continue
+        scale = float(np.quantile(col[finite], scale_quantile))
+        tau_eff = max(tau, scale_factor * scale)
+        mask[finite, frame] = col[finite] < tau_eff
+    return mask
 
 
 def selfsup_static_mask(
@@ -358,96 +448,10 @@ def selfsup_static_mask(
     grids = _grid_stack(grids)
     visibility = np.asarray(visibility, dtype=np.float64)
     n, t = visibility.shape
-    valid = visibility >= min_weight
-    ii, tt = np.nonzero(valid)
-    if ii.size == 0:
-        return np.zeros((n, t), dtype=bool)
-
-    stacks = pose_stacks(base_poses, pose_tangents)
-    x = query_pixels[ii, tt, 0]
-    y = query_pixels[ii, tt, 1]
-    p_t, _, _, _ = bilinear_gather(grids, tt, x, y)
-    repro, _ = transform_samples(stacks, tt, p_t)
-
-    repro_full = np.full((n, t, 3), np.nan)
-    repro_full[ii, tt] = repro
-    with np.errstate(all="ignore"):
-        ref = np.nanmedian(repro_full, axis=1)
-        dev = np.linalg.norm(repro_full - ref[:, None, :], axis=2)
-
-    mask = np.zeros((n, t), dtype=bool)
-    for frame in range(t):
-        col = dev[:, frame]
-        finite = np.isfinite(col)
-        if not np.any(finite):
-            continue
-        scale = float(np.quantile(col[finite], scale_quantile))
-        tau_eff = max(tau, scale_factor * scale)
-        mask[finite, frame] = col[finite] < tau_eff
-    return mask
-
-
-# ---------------------------------------------------------------------------
-# Public term entry points on domain objects.
-
-def _unpack(tracks: TrackSet, grids):
-    return tracks.points, _grid_stack(grids)
-
-
-def loss_cons(
-    tracks: TrackSet, grids, delta=DEFAULT_DELTA, tape: Optional[Tape] = None,
-    *, weight=1.0, min_weight=DEFAULT_MIN_WEIGHT, layout=None,
-    parts=("pointmap", "track"),
-) -> TermStats:
-    """Bidirectional track-pointmap consistency; accumulates routed gradients."""
-    pts, stack = _unpack(tracks, grids)
-    return _cons_core(
-        pts, stack, tracks.query_pixels, tracks.visibility, delta,
-        weight=weight, min_weight=min_weight, tape=tape, layout=layout, parts=parts,
-    )
-
-
-def loss_cam(
-    tracks: TrackSet, grids, rel_poses: Sequence[Pose], static_mask, targets,
-    delta=DEFAULT_DELTA, tape: Optional[Tape] = None,
-    *, pose_tangents=None, weight=1.0, min_weight=DEFAULT_MIN_WEIGHT,
-    layout=None, parts=("pose", "track"), pose_target="gt", anchor=0,
-) -> TermStats:
-    """Camera consistency against anchor targets with static-gated pose updates."""
-    pts, stack = _unpack(tracks, grids)
-    return _cam_core(
-        pts, stack, tracks.query_pixels, tracks.visibility, static_mask, targets,
-        rel_poses, pose_tangents, delta,
-        weight=weight, min_weight=min_weight, tape=tape, layout=layout,
-        parts=parts, pose_target=pose_target, anchor=anchor,
-    )
-
-
-def loss_selfsup(
-    tracks: TrackSet, grids, rel_poses: Sequence[Pose], static_mask,
-    tape: Optional[Tape] = None,
-    *, delta=DEFAULT_DELTA, pose_tangents=None, weight_cons=1.0, weight_anchor=1.0,
-    min_weight=DEFAULT_MIN_WEIGHT, layout=None, anchor=0,
-) -> "LossBreakdown":
-    """Self-supervised objective: pseudo-track consistency plus anchor consistency.
-
-    No ground-truth 3D targets are consumed; the only supervision is the
-    tracked pixel locations and tracker visibility carried by ``tracks``.
-    """
-    pts, stack = _unpack(tracks, grids)
-    cons = _cons_core(
-        pts, stack, tracks.query_pixels, tracks.visibility, delta,
-        weight=weight_cons, min_weight=min_weight, tape=tape, layout=layout,
-    )
-    anchor_stats = _anchor_core(
-        stack, tracks.query_pixels, tracks.visibility, static_mask,
-        rel_poses, pose_tangents, delta,
-        weight=weight_anchor, min_weight=min_weight, tape=tape, layout=layout,
-        anchor=anchor,
-    )
-    return LossBreakdown(
-        cons=cons, cam=None, selfsup=anchor_stats,
-        weight_cons=weight_cons, weight_selfsup=weight_anchor,
+    layout = ParamLayout(n, t, grids.shape[1], grids.shape[2])
+    geo = _compile(layout, query_pixels, visibility, anchor, min_weight)
+    return _reprojection_mask(
+        geo, (n, t), grids, base_poses, pose_tangents, tau, scale_quantile, scale_factor
     )
 
 
@@ -550,55 +554,17 @@ class LossBreakdown:
         return out
 
 
-def total_loss(
-    config: LossConfig, tracks: TrackSet, grids, rel_poses: Sequence[Pose],
-    *, static_mask=None, targets=None, pose_tangents=None,
-    tape: Optional[Tape] = None, layout=None, anchor=0,
-) -> LossBreakdown:
-    """Weighted sum of the enabled coupling terms with a full breakdown."""
-    config.validate()
-    pts, stack = _unpack(tracks, grids)
-    q, vis = tracks.query_pixels, tracks.visibility
-    mask = static_mask
-    if mask is not None and not config.gate_static:
-        mask = np.ones_like(np.asarray(mask), dtype=bool)
-
-    cons = cam = anchor_stats = None
-    if config.use_cons:
-        cons = _cons_core(
-            pts, stack, q, vis, config.delta,
-            weight=config.weight_cons, min_weight=config.min_weight,
-            tape=tape, layout=layout,
-        )
-    if config.use_cam:
-        cam = _cam_core(
-            pts, stack, q, vis, mask, targets, rel_poses, pose_tangents,
-            config.delta, weight=config.weight_cam, min_weight=config.min_weight,
-            tape=tape, layout=layout, pose_target=config.pose_target, anchor=anchor,
-        )
-    if config.use_anchor:
-        anchor_stats = _anchor_core(
-            stack, q, vis, mask, rel_poses, pose_tangents, config.delta,
-            weight=config.weight_anchor, min_weight=config.min_weight,
-            tape=tape, layout=layout, anchor=anchor,
-        )
-    return LossBreakdown(
-        cons=cons, cam=cam, selfsup=anchor_stats,
-        weight_cons=config.weight_cons, weight_cam=config.weight_cam,
-        weight_selfsup=config.weight_anchor,
-    )
-
-
-TERM_NAMES = ("cons_pointmap", "cons_track", "cam_pose", "cam_track", "anchor")
-
-
 @dataclass
 class CouplingProblem:
     """Static data of a coupled objective over a ParamStore.
 
     The store carries the free parameters (grids, tracks, pose tangents);
     everything else (pixels, weights, gating, targets, base poses) lives
-    here.  targets is None in self-supervised mode.
+    here.  targets is None in self-supervised mode.  query_pixels,
+    visibility, anchor and config.min_weight are fixed for the problem's
+    lifetime (their geometry is compiled once, on first use); static_mask,
+    targets, base poses and the rest of config may be reassigned between
+    evaluations.
     """
 
     layout: ParamLayout
@@ -609,6 +575,7 @@ class CouplingProblem:
     targets: Optional[np.ndarray]
     config: LossConfig
     anchor: int = 0
+    _geometry: Optional[_Geometry] = field(default=None, init=False, repr=False, compare=False)
 
     def views(self, store: ParamStore):
         return (
@@ -617,95 +584,48 @@ class CouplingProblem:
             store.view(POSES, self.layout.poses_shape()),
         )
 
-    def _mask(self):
-        if self.config.gate_static:
-            return self.static_mask
-        return np.ones_like(self.static_mask, dtype=bool)
+    def geometry(self) -> _Geometry:
+        if self._geometry is None:
+            self._geometry = _compile(
+                self.layout, self.query_pixels, self.visibility, self.anchor,
+                self.config.min_weight,
+            )
+        return self._geometry
 
     def evaluate(self, store: ParamStore, tape: Optional[Tape] = None) -> LossBreakdown:
+        """Enabled terms as a breakdown; without a tape no gradients are formed."""
+        return self._evaluate_views(self.views(store), tape)
+
+    def _evaluate_views(self, views, tape=None, groups=None) -> LossBreakdown:
+        """Evaluate on (tracks, grids, tangents) arrays; ``groups`` maps slot -> sub-terms."""
         cfg = self.config
-        track_pts, grid_stack, tangents = self.views(store)
-        cons = cam = anchor_stats = None
-        if cfg.use_cons:
-            cons = _cons_core(
-                track_pts, grid_stack, self.query_pixels, self.visibility,
-                cfg.delta, weight=cfg.weight_cons, min_weight=cfg.min_weight,
-                tape=tape, layout=self.layout,
-            )
-        if cfg.use_cam:
-            cam = _cam_core(
-                track_pts, grid_stack, self.query_pixels, self.visibility,
-                self._mask(), self.targets, self.base_rel_poses, tangents,
-                cfg.delta, weight=cfg.weight_cam, min_weight=cfg.min_weight,
-                tape=tape, layout=self.layout, pose_target=cfg.pose_target,
-                anchor=self.anchor,
-            )
-        if cfg.use_anchor:
-            anchor_stats = _anchor_core(
-                grid_stack, self.query_pixels, self.visibility, self._mask(),
-                self.base_rel_poses, tangents, cfg.delta,
-                weight=cfg.weight_anchor, min_weight=cfg.min_weight,
-                tape=tape, layout=self.layout, anchor=self.anchor,
-            )
+        if groups is None:
+            groups = {g.slot: g.terms for g in GROUPS if getattr(cfg, g.toggle)}
+        ps = _Pass(self, *views, tape)
+        slots = {g.slot: _run_group(ps, g, groups[g.slot]) for g in GROUPS if g.slot in groups}
         return LossBreakdown(
-            cons=cons, cam=cam, selfsup=anchor_stats,
+            cons=slots.get("cons"), cam=slots.get("cam"), selfsup=slots.get("anchor"),
             weight_cons=cfg.weight_cons, weight_cam=cfg.weight_cam,
             weight_selfsup=cfg.weight_anchor,
         )
 
-    def evaluate_value(self, store: ParamStore, tape: Optional[Tape] = None) -> float:
-        """Total loss as a plain float; matches finite_diff_check's loss_fn shape."""
-        return self.evaluate(store, tape).total
-
     def evaluate_term(self, store: ParamStore, term: str, tape: Optional[Tape] = None) -> float:
-        """One routed sub-term in isolation (for gradient verification)."""
-        cfg = self.config
-        track_pts, grid_stack, tangents = self.views(store)
-        if term in ("cons_pointmap", "cons_track"):
-            part = "pointmap" if term == "cons_pointmap" else "track"
-            stats = _cons_core(
-                track_pts, grid_stack, self.query_pixels, self.visibility,
-                cfg.delta, weight=cfg.weight_cons, min_weight=cfg.min_weight,
-                tape=tape, layout=self.layout, parts=(part,),
-            )
-            return cfg.weight_cons * stats.value
-        if term in ("cam_pose", "cam_track"):
-            part = "pose" if term == "cam_pose" else "track"
-            stats = _cam_core(
-                track_pts, grid_stack, self.query_pixels, self.visibility,
-                self._mask(), self.targets, self.base_rel_poses, tangents,
-                cfg.delta, weight=cfg.weight_cam, min_weight=cfg.min_weight,
-                tape=tape, layout=self.layout, parts=(part,),
-                pose_target=cfg.pose_target, anchor=self.anchor,
-            )
-            return cfg.weight_cam * stats.value
-        if term == "anchor":
-            stats = _anchor_core(
-                grid_stack, self.query_pixels, self.visibility, self._mask(),
-                self.base_rel_poses, tangents, cfg.delta,
-                weight=cfg.weight_anchor, min_weight=cfg.min_weight,
-                tape=tape, layout=self.layout, anchor=self.anchor,
-            )
-            return cfg.weight_anchor * stats.value
-        raise ValueError(f"unknown term {term!r}")
+        """One routed sub-term in isolation, weighted (for gradient verification)."""
+        group = next((g for g in GROUPS if term in g.terms), None)
+        if group is None:
+            raise ValueError(f"unknown term {term!r}")
+        ps = _Pass(self, *self.views(store), tape)
+        return getattr(self.config, group.weight) * TERMS[term](ps)
 
     def active_terms(self):
-        terms = []
-        if self.config.use_cons:
-            terms += ["cons_pointmap", "cons_track"]
-        if self.config.use_cam:
-            terms += ["cam_pose", "cam_track"]
-        if self.config.use_anchor:
-            terms += ["anchor"]
-        return terms
+        return [t for g in GROUPS if getattr(self.config, g.toggle) for t in g.terms]
 
     def refresh_static_mask(self, store: ParamStore):
         """Recompute the provisional static mask from the current state."""
         _, grid_stack, tangents = self.views(store)
-        self.static_mask = selfsup_static_mask(
-            grid_stack, self.query_pixels, self.visibility,
-            self.base_rel_poses, tangents, self.config.tau_static, self.anchor,
-            min_weight=self.config.min_weight,
+        self.static_mask = _reprojection_mask(
+            self.geometry(), self.visibility.shape, grid_stack, self.base_rel_poses,
+            tangents, self.config.tau_static,
         )
 
     def current_poses(self, store: ParamStore):
@@ -720,5 +640,79 @@ class CouplingProblem:
         self.base_rel_poses = current_rel_poses(self.base_rel_poses, tangents)
         tangents.fill(0.0)
 
-    def with_config(self, **overrides) -> "CouplingProblem":
-        return replace(self, config=replace(self.config, **overrides))
+
+# ---------------------------------------------------------------------------
+# Public term entry points on domain objects: thin adapters over the table.
+
+def _adhoc(tracks: TrackSet, grids, rel_poses=(), static_mask=None, targets=None,
+           pose_tangents=None, layout=None, anchor=0, config=None, **overrides):
+    stack = _grid_stack(grids)
+    if layout is None:
+        n, t = tracks.points.shape[:2]
+        layout = ParamLayout(n, t, stack.shape[1], stack.shape[2])
+    config = config if config is not None else LossConfig(**overrides)
+    problem = CouplingProblem(
+        layout, list(rel_poses), tracks.query_pixels, tracks.visibility,
+        static_mask, targets, config, anchor,
+    )
+    return problem, (tracks.points, stack, pose_tangents)
+
+
+def loss_cons(
+    tracks: TrackSet, grids, delta=DEFAULT_DELTA, tape: Optional[Tape] = None,
+    *, weight=1.0, min_weight=DEFAULT_MIN_WEIGHT, layout=None,
+    parts=("pointmap", "track"),
+) -> TermStats:
+    """Bidirectional track-pointmap consistency; accumulates routed gradients."""
+    problem, views = _adhoc(
+        tracks, grids, layout=layout, delta=delta, weight_cons=weight, min_weight=min_weight
+    )
+    groups = {"cons": [f"cons_{p}" for p in parts]}
+    return problem._evaluate_views(views, tape, groups=groups).cons
+
+
+def loss_cam(
+    tracks: TrackSet, grids, rel_poses: Sequence[Pose], static_mask, targets,
+    delta=DEFAULT_DELTA, tape: Optional[Tape] = None,
+    *, pose_tangents=None, weight=1.0, min_weight=DEFAULT_MIN_WEIGHT,
+    layout=None, parts=("pose", "track"), pose_target="gt", anchor=0,
+) -> TermStats:
+    """Camera consistency against anchor targets with static-gated pose updates."""
+    problem, views = _adhoc(
+        tracks, grids, rel_poses, static_mask, targets, pose_tangents, layout, anchor,
+        delta=delta, weight_cam=weight, min_weight=min_weight, pose_target=pose_target,
+    )
+    groups = {"cam": [f"cam_{p}" for p in parts]}
+    return problem._evaluate_views(views, tape, groups=groups).cam
+
+
+def loss_selfsup(
+    tracks: TrackSet, grids, rel_poses: Sequence[Pose], static_mask,
+    tape: Optional[Tape] = None,
+    *, delta=DEFAULT_DELTA, pose_tangents=None, weight_cons=1.0, weight_anchor=1.0,
+    min_weight=DEFAULT_MIN_WEIGHT, layout=None, anchor=0,
+) -> LossBreakdown:
+    """Self-supervised objective: pseudo-track consistency plus anchor consistency.
+
+    No ground-truth 3D targets are consumed; the only supervision is the
+    tracked pixel locations and tracker visibility carried by ``tracks``.
+    """
+    problem, views = _adhoc(
+        tracks, grids, rel_poses, static_mask, None, pose_tangents, layout, anchor,
+        delta=delta, use_cam=False, use_anchor=True, weight_cons=weight_cons,
+        weight_anchor=weight_anchor, min_weight=min_weight,
+    )
+    return problem._evaluate_views(views, tape)
+
+
+def total_loss(
+    config: LossConfig, tracks: TrackSet, grids, rel_poses: Sequence[Pose],
+    *, static_mask=None, targets=None, pose_tangents=None,
+    tape: Optional[Tape] = None, layout=None, anchor=0,
+) -> LossBreakdown:
+    """Weighted sum of the enabled coupling terms with a full breakdown."""
+    problem, views = _adhoc(
+        tracks, grids, rel_poses, static_mask, targets, pose_tangents, layout, anchor,
+        config=config.validate(),
+    )
+    return problem._evaluate_views(views, tape)

@@ -165,8 +165,9 @@ def scene_error_metrics(scene: SyntheticScene, problem: CouplingProblem, store: 
 def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> OptimReport:
     """Refine the store in place under the coupled objective.
 
-    Raises Diverged when, after exhausting the backtracking halvings, the
-    best candidate loss still exceeds ten times the initial loss.
+    Raises Diverged when the initial loss is not finite, or when, after
+    exhausting the backtracking halvings, the last candidate loss is not
+    finite or still exceeds ten times the initial loss.
     """
     cfg.validate()
     problem = build_problem(scene, cfg.loss, mode=cfg.mode)
@@ -190,6 +191,8 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
         bd = problem.evaluate(store, tape)
         loss = bd.total
         if initial_loss is None:
+            if not np.isfinite(loss):
+                raise Diverged(f"initial loss {loss!r} is not finite")
             initial_loss = loss
             initial_metrics["loss"] = loss
 
@@ -225,9 +228,9 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
                 break
             trial *= 0.5
         if not accepted:
-            if cand_loss > 10.0 * initial_loss:
+            if not np.isfinite(cand_loss) or cand_loss > 10.0 * initial_loss:
                 raise Diverged(
-                    f"loss {cand_loss:.6g} above 10x initial {initial_loss:.6g} "
+                    f"loss {cand_loss:.6g} not finite or above 10x initial {initial_loss:.6g} "
                     f"after {cfg.max_backtracks} halvings"
                 )
             termination = "stalled"

@@ -1,4 +1,4 @@
-"""Pixel-aligned pointmap grids with differentiable bilinear sampling.
+"""Pixel-aligned pointmap grids and the bilinear sampling operator.
 
 A grid stores one 3D point per pixel, expressed in the owning frame's
 camera coordinates.  The sampling domain is [0, W-1] x [0, H-1] in
@@ -8,21 +8,13 @@ indices, and anything farther than 1e-9 outside raises OutOfDomain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FileFormatError, OutOfDomain
 
 _DOMAIN_TOL = 1e-9
-
-
-@dataclass
-class PixelLocation:
-    """Continuous pixel coordinates (x right, y down)."""
-
-    x: float
-    y: float
 
 
 @dataclass
@@ -48,13 +40,6 @@ class PointMapGrid:
         return self.points.shape[1]
 
 
-def _as_xy(u):
-    if isinstance(u, PixelLocation):
-        return float(u.x), float(u.y)
-    u = np.asarray(u, dtype=np.float64).reshape(2)
-    return float(u[0]), float(u[1])
-
-
 def check_domain(height, width, x, y):
     """Raise OutOfDomain unless (x, y) lies in the grid domain (with 1e-9 slack)."""
     x = np.asarray(x, dtype=np.float64)
@@ -74,102 +59,64 @@ def check_domain(height, width, x, y):
         )
 
 
-def corner_data(height, width, x, y):
-    """Bilinear corner rows/cols/weights for sample locations.
+def _corner(coord, size):
+    """Lower corner index and fractional offset along one axis."""
+    if size > 1:
+        lo = np.clip(np.floor(coord), 0, size - 2).astype(np.int64)
+        return lo, coord - lo
+    return np.zeros(coord.shape, dtype=np.int64), np.zeros_like(coord)
 
-    x, y may be scalars or equal-shape arrays.  Returns (rows, cols, weights)
-    with a trailing axis of 4 corners ordered (y0,x0), (y0,x1), (y1,x0),
-    (y1,x1).  Weights are non-negative up to the domain slack and sum to 1.
+
+class BilinearSampler:
+    """The bilinear sampling operator S of fixed samples on a (T, H, W, 3) stack.
+
+    Built once from the stack shape ``(T, H, W[, 3])``, per-sample frames
+    and pixel locations (x, y); the domain check runs here.  Each sample
+    keeps the rows of its four corners, ordered (y0,x0), (y0,x1), (y1,x0),
+    (y1,x1), in the
+    ``(T*H*W, 3)`` view of the stack, and their weights (non-negative up
+    to the domain slack, summing to 1).  ``gather`` applies S; ``adjoint``
+    returns the grid-block indices and partials of S^T in per-sample order.
+    This is the single sampling path of the package (generator, losses
+    and static masks), so equal inputs give bitwise equal samples.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    check_domain(height, width, x, y)
 
-    if width > 1:
-        x0 = np.clip(np.floor(x), 0, width - 2).astype(np.int64)
-        fx = x - x0
-    else:
-        x0 = np.zeros(x.shape, dtype=np.int64)
-        fx = np.zeros_like(x)
-    if height > 1:
-        y0 = np.clip(np.floor(y), 0, height - 2).astype(np.int64)
-        fy = y - y0
-    else:
-        y0 = np.zeros(y.shape, dtype=np.int64)
-        fy = np.zeros_like(y)
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
+    def __init__(self, shape, frames, x, y):
+        n_frames, height, width = shape[:3]
+        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        check_domain(height, width, x, y)
+        x0, fx = _corner(x, width)
+        y0, fy = _corner(y, height)
+        x1 = np.minimum(x0 + 1, width - 1)
+        y1 = np.minimum(y0 + 1, height - 1)
+        base = np.asarray(frames, dtype=np.int64).reshape(-1) * height
+        top = (base + y0) * width
+        bottom = (base + y1) * width
+        index = np.int32 if n_frames * height * width * 3 < 2**31 else np.int64
+        self.rows = np.stack([top + x0, top + x1, bottom + x0, bottom + x1], axis=-1).astype(index)
+        self.weights = np.stack(
+            [(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx], axis=-1
+        )
 
-    rows = np.stack([y0, y0, y1, y1], axis=-1)
-    cols = np.stack([x0, x1, x0, x1], axis=-1)
-    weights = np.stack(
-        [(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx], axis=-1
-    )
-    return rows, cols, weights
+    def gather(self, grids):
+        """S @ grids: the (M, 3) samples of a (T, H, W, 3) stack."""
+        corners = np.take(np.asarray(grids, dtype=np.float64).reshape(-1, 3), self.rows, axis=0)
+        return np.einsum("mk,mkc->mc", self.weights, corners)
 
+    def adjoint(self, coeff, index=None):
+        """S^T @ coeff as (flat indices, partials) into the (T*H*W*3,) grid block.
 
-def bilinear_gather(stack, frames, x, y):
-    """Sample a (T, H, W, 3) stack at per-sample frames and pixel locations.
-
-    Returns (values (M, 3), rows (M, 4), cols (M, 4), weights (M, 4)).
-    This is the single code path used for sampling everywhere, so repeated
-    evaluations on identical inputs are bitwise reproducible.
-    """
-    stack = np.asarray(stack, dtype=np.float64)
-    frames = np.asarray(frames, dtype=np.int64)
-    rows, cols, weights = corner_data(stack.shape[1], stack.shape[2], x, y)
-    corners = stack[frames[:, None], rows, cols, :]  # (M, 4, 3)
-    values = np.einsum("mk,mkc->mc", weights, corners)
-    return values, rows, cols, weights
-
-
-def sample(grid: PointMapGrid, u):
-    """Bilinear interpolation of the grid at pixel location u."""
-    x, y = _as_xy(u)
-    values, _, _, _ = bilinear_gather(
-        grid.points[None], np.zeros(1, dtype=np.int64), np.array([x]), np.array([y])
-    )
-    return values[0]
-
-
-@dataclass
-class GridSample:
-    """Sample value with the corner footprint and pixel-location Jacobian."""
-
-    value: np.ndarray
-    rows: np.ndarray  # (4,) corner row indices
-    cols: np.ndarray  # (4,) corner column indices
-    weights: np.ndarray  # (4,) corner weights, sum to 1
-    d_du: np.ndarray = field(default=None)  # (3, 2) d value / d (x, y)
-
-
-def sample_with_grad(grid: PointMapGrid, u) -> GridSample:
-    """Sample plus derivatives w.r.t. the corner grid values and w.r.t. u.
-
-    The derivative w.r.t. a corner point is its bilinear weight (per
-    component); d_du holds the derivative of the value w.r.t. (x, y).
-    """
-    x, y = _as_xy(u)
-    values, rows, cols, weights = bilinear_gather(
-        grid.points[None], np.zeros(1, dtype=np.int64), np.array([x]), np.array([y])
-    )
-    r, c, w = rows[0], cols[0], weights[0]
-    p00 = grid.points[r[0], c[0]]
-    p01 = grid.points[r[1], c[1]]
-    p10 = grid.points[r[2], c[2]]
-    p11 = grid.points[r[3], c[3]]
-    fy = w[2] + w[3]
-    fx = w[1] + w[3]
-    d_dx = (1 - fy) * (p01 - p00) + fy * (p11 - p10)
-    d_dy = (1 - fx) * (p10 - p00) + fx * (p11 - p01)
-    return GridSample(values[0], r, c, w, np.stack([d_dx, d_dy], axis=1))
-
-
-def init_query(grid0: PointMapGrid, q) -> np.ndarray:
-    """3D query initialization: sample the first-frame pointmap at q."""
-    if grid0.frame_index != 0:
-        raise ValueError(f"query initialization needs frame 0, got {grid0.frame_index}")
-    return sample(grid0, q)
+        coeff is (M, 3), one row per sample, or per entry of ``index`` when
+        that selects (or repeats) samples.  Both outputs run sample-major,
+        then corner, then component, so adding the partials at the indices
+        in order accumulates each grid value in per-sample order.
+        """
+        rows, weights = self.rows, self.weights
+        if index is not None:
+            rows, weights = rows[index], weights[index]
+        idx = rows[:, :, None] * 3 + np.arange(3, dtype=rows.dtype)
+        return idx.reshape(-1), (weights[:, :, None] * coeff[:, None, :]).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +143,8 @@ def read_pointmap(path) -> PointMapGrid:
             path, f"expected {expected} bytes for {h}x{w}x3 grid, got {len(raw)}"
         )
     pts = np.frombuffer(raw[24:], dtype="<f8").reshape(h, w, 3).copy()
+    if not np.all(np.isfinite(pts)):
+        raise FileFormatError(path, "pointmap contains non-finite values")
     return PointMapGrid(pts, frame_index=frame)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigInvalid, FileFormatError
 from .grad import GRIDS, TRACKS, ParamLayout, ParamStore
 from .losses import CouplingProblem, LossConfig, pose_stacks, transform_samples
-from .pointmap import PointMapGrid, bilinear_gather, read_pointmap, write_pointmap
+from .pointmap import BilinearSampler, PointMapGrid, read_pointmap, write_pointmap
 from .pose import (
     Pose,
     PoseTangent,
@@ -322,10 +322,9 @@ def generate(config: SceneConfig) -> SyntheticScene:
     # tracks via the shared sampling path; targets via the shared pose chain
     ii = np.repeat(np.arange(n), t_frames)
     tt = np.tile(np.arange(t_frames), n)
-    qx = query_pixels[ii, tt, 0]
-    qy = query_pixels[ii, tt, 1]
-    world_tracks = bilinear_gather(world_stack, tt, qx, qy)[0].reshape(n, t_frames, 3)
-    gt_tracks = bilinear_gather(gt_grids, tt, qx, qy)[0].reshape(n, t_frames, 3)
+    sampler = BilinearSampler(gt_grids.shape, tt, query_pixels[ii, tt, 0], query_pixels[ii, tt, 1])
+    world_tracks = sampler.gather(world_stack).reshape(n, t_frames, 3)
+    gt_tracks = sampler.gather(gt_grids).reshape(n, t_frames, 3)
     stacks = pose_stacks(rel_poses, None)
     targets = transform_samples(stacks, tt, gt_tracks.reshape(-1, 3))[0].reshape(
         n, t_frames, 3

@@ -1,12 +1,144 @@
-"""Independent naive reimplementations used as oracles for the metric suite.
+"""Reference implementations used as test oracles.
 
-Everything here is written as straightforward loops over 4x4 matrices and
-raw arrays, sharing no code with the package beyond numpy/scipy primitives.
+The metric oracles are straightforward loops over 4x4 matrices and raw
+arrays, sharing no code with the package beyond numpy/scipy primitives.
+The sampling, Huber and tape references below are the package's earlier
+per-call formulations, kept to pin the compiled paths bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from trajcouple.pointmap import BilinearSampler, check_domain
+
+
+# ---------------------------------------------------------------------------
+# Bilinear sampling.
+
+@dataclass
+class PixelLocation:
+    """Continuous pixel coordinates (x right, y down)."""
+
+    x: float
+    y: float
+
+
+def _as_xy(u):
+    if isinstance(u, PixelLocation):
+        return float(u.x), float(u.y)
+    u = np.asarray(u, dtype=np.float64).reshape(2)
+    return float(u[0]), float(u[1])
+
+
+def corner_data(height, width, x, y):
+    """Bilinear corner rows/cols/weights, trailing axis of 4 corners
+    ordered (y0,x0), (y0,x1), (y1,x0), (y1,x1)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    check_domain(height, width, x, y)
+    if width > 1:
+        x0 = np.clip(np.floor(x), 0, width - 2).astype(np.int64)
+        fx = x - x0
+    else:
+        x0 = np.zeros(x.shape, dtype=np.int64)
+        fx = np.zeros_like(x)
+    if height > 1:
+        y0 = np.clip(np.floor(y), 0, height - 2).astype(np.int64)
+        fy = y - y0
+    else:
+        y0 = np.zeros(y.shape, dtype=np.int64)
+        fy = np.zeros_like(y)
+    x1 = np.minimum(x0 + 1, width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
+    rows = np.stack([y0, y0, y1, y1], axis=-1)
+    cols = np.stack([x0, x1, x0, x1], axis=-1)
+    weights = np.stack(
+        [(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx], axis=-1
+    )
+    return rows, cols, weights
+
+
+def bilinear_gather(stack, frames, x, y):
+    """Per-call sampling of a (T, H, W, 3) stack by 4-D fancy indexing.
+
+    Returns (values (M, 3), rows (M, 4), cols (M, 4), weights (M, 4)).
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.int64)
+    rows, cols, weights = corner_data(stack.shape[1], stack.shape[2], x, y)
+    corners = stack[frames[:, None], rows, cols, :]
+    return np.einsum("mk,mkc->mc", weights, corners), rows, cols, weights
+
+
+def sample(grid, u):
+    """One bilinear sample of a PointMapGrid through the package's operator."""
+    x, y = _as_xy(u)
+    sampler = BilinearSampler((1,) + grid.points.shape, [0], [x], [y])
+    return sampler.gather(grid.points)[0]
+
+
+@dataclass
+class GridSample:
+    """Sample value with the corner footprint and pixel-location Jacobian."""
+
+    value: np.ndarray
+    rows: np.ndarray  # (4,) corner row indices
+    cols: np.ndarray  # (4,) corner column indices
+    weights: np.ndarray  # (4,) corner weights, sum to 1
+    d_du: np.ndarray  # (3, 2) d value / d (x, y)
+
+
+def sample_with_grad(grid, u):
+    """Reference sample plus its corner weights and d value / d (x, y)."""
+    x, y = _as_xy(u)
+    values, rows, cols, weights = bilinear_gather(grid.points[None], [0], [x], [y])
+    r, c, w = rows[0], cols[0], weights[0]
+    p00, p01, p10, p11 = (grid.points[r[k], c[k]] for k in range(4))
+    fy = w[2] + w[3]
+    fx = w[1] + w[3]
+    d_dx = (1 - fy) * (p01 - p00) + fy * (p11 - p10)
+    d_dy = (1 - fx) * (p10 - p00) + fx * (p11 - p01)
+    return GridSample(values[0], r, c, w, np.stack([d_dx, d_dy], axis=1))
+
+
+def init_query(grid0, q):
+    """3D query initialization: sample the first-frame pointmap at q."""
+    if grid0.frame_index != 0:
+        raise ValueError(f"query initialization needs frame 0, got {grid0.frame_index}")
+    return sample(grid0, q)
+
+
+# ---------------------------------------------------------------------------
+# Scalar Huber penalty and single-entry tape accumulation.
+
+def huber(residual, delta):
+    """Huber penalty of a 3-vector residual: 0.5||r||^2 inside delta, linear outside."""
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    nrm = float(np.linalg.norm(np.asarray(residual, dtype=np.float64).reshape(-1)))
+    if nrm <= delta:
+        return 0.5 * nrm * nrm
+    return delta * (nrm - 0.5 * delta)
+
+
+def huber_gradient(residual, delta):
+    """Gradient of the Huber penalty w.r.t. the residual vector."""
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    r = np.asarray(residual, dtype=np.float64).reshape(-1)
+    nrm = float(np.linalg.norm(r))
+    if nrm <= delta:
+        return r.copy()
+    return (delta / nrm) * r
+
+
+def accumulate(grad, indices, partials):
+    """Add partials at flat indices one entry at a time, in order."""
+    for index, partial in zip(indices, partials):
+        grad[index] += partial
+    return grad
 
 
 def naive_umeyama(src, dst, with_scale=True):

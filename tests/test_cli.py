@@ -85,12 +85,28 @@ class TestGen:
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
+def poison_pointmap(path, value=float("nan")):
+    """Overwrite one float of a .pm file in place (after its 24-byte header)."""
+    with open(path, "r+b") as fh:
+        fh.seek(24 + 8 * 7)
+        fh.write(np.array([value], dtype="<f8").tobytes())
+    return str(path)
+
+
 class TestOptimize:
     def run_gen(self, tmp_path, seeds="5", scene=SMALL_SCENE):
         cfg = write_json(tmp_path / "scene.json", scene)
         out = tmp_path / "scenes"
         assert main(["gen", "--config", cfg, "--out", str(out), "--seeds", seeds]) == 0
         return out
+
+    def test_non_finite_pointmap_exit_3_names_path(self, tmp_path, capsys):
+        scenes = self.run_gen(tmp_path)
+        bad = poison_pointmap(scenes / "seed_0005" / "est" / "pointmaps" / "frame_002.pm")
+        code = main(["optimize", "--scenes", str(scenes), "--ablation", "cons_cam",
+                     "--out", str(tmp_path / "opt")])
+        assert code == 3
+        assert bad in capsys.readouterr().err
 
     def test_ablation_none_keeps_metrics(self, tmp_path):
         scenes = self.run_gen(tmp_path)
@@ -205,6 +221,15 @@ class TestEval:
                      "--metrics", "tracks3d", "--out", str(tmp_path / "e")])
         assert code == 3
         assert "tracks.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_pointmap_exit_3_names_path(self, tmp_path, capsys, value):
+        scene = self.make_dirs(tmp_path)
+        bad = poison_pointmap(scene / "est" / "pointmaps" / "frame_000.pm", value)
+        code = main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                     "--metrics", "pointmap", "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert bad in capsys.readouterr().err
 
     def test_unknown_metric_exit_2(self, tmp_path):
         scene = self.make_dirs(tmp_path)

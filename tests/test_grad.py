@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from trajcouple.errors import IndexOutOfRange, UnknownBlock
 from trajcouple.grad import (
     GRIDS,
@@ -35,14 +36,16 @@ class TestRoutingMask:
 class TestTape:
     def test_blocked_accumulation_is_noop(self):
         tape = Tape(small_store())
-        tape.accumulate(GRIDS, 0, 5.0, RoutingMask(to_tracks=True))
-        assert tape.grad(GRIDS)[0] == 0.0
+        tape.scatter(GRIDS, [0], [5.0], RoutingMask(to_tracks=True))
+        # blocked before any index check: even an out-of-range index is a no-op
+        tape.scatter(GRIDS, [99], [5.0], RoutingMask(to_poses=True))
+        assert tape.max_abs() == 0.0
 
     def test_additivity(self):
         tape = Tape(small_store())
         route = RoutingMask(to_tracks=True)
-        tape.accumulate(TRACKS, 4, 1.0, route)
-        tape.accumulate(TRACKS, 4, 2.0, route)
+        tape.scatter(TRACKS, [4], [1.0], route)
+        tape.scatter(TRACKS, np.array([4], dtype=np.int32), [2.0], route)
         assert tape.grad(TRACKS)[4] == 3.0
 
     def test_scatter_repeated_indices(self):
@@ -50,20 +53,28 @@ class TestTape:
         tape.scatter(POSES, [1, 1, 1], [1.0, 2.0, 4.0], RoutingMask(to_poses=True))
         assert tape.grad(POSES)[1] == 7.0
 
+    def test_scatter_matches_sequential_accumulation_bitwise(self):
+        rng = np.random.default_rng(0)
+        tape = Tape(small_store())
+        idx = rng.integers(0, 12, size=500)
+        partials = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, size=500)
+        tape.scatter(GRIDS, idx, partials, RoutingMask(to_pointmaps=True))
+        assert np.array_equal(tape.grad(GRIDS), oracles.accumulate(np.zeros(12), idx, partials))
+
     def test_reset(self):
         tape = Tape(small_store())
-        tape.accumulate(POSES, 0, 1.0, RoutingMask(to_poses=True))
+        tape.scatter(POSES, [0], [1.0], RoutingMask(to_poses=True))
         tape.reset()
         assert tape.max_abs() == 0.0
 
     def test_errors(self):
         tape = Tape(small_store())
         with pytest.raises(UnknownBlock):
-            tape.accumulate("nope", 0, 1.0, RoutingMask(to_tracks=True))
+            tape.scatter("nope", [0], [1.0], RoutingMask(to_tracks=True))
         with pytest.raises(IndexOutOfRange):
-            tape.accumulate(POSES, 99, 1.0, RoutingMask(to_poses=True))
+            tape.scatter(POSES, [99], [1.0], RoutingMask(to_poses=True))
         with pytest.raises(IndexOutOfRange):
-            tape.scatter(POSES, [0, 99], [1.0, 1.0], RoutingMask(to_poses=True))
+            tape.scatter(POSES, [0, -1], [1.0, 1.0], RoutingMask(to_poses=True))
 
 
 class TestParamStore:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import huber, huber_gradient
 from trajcouple.errors import MissingTargets, OutOfDomain
 from trajcouple.fixtures import random_coupling_fixture
 from trajcouple.grad import GRIDS, POSES, TRACKS, ParamLayout, Tape
@@ -8,8 +9,7 @@ from trajcouple.losses import (
     LossBreakdown,
     LossConfig,
     TermStats,
-    huber,
-    huber_gradient,
+    _huber_batch,
     loss_cam,
     loss_cons,
     loss_selfsup,
@@ -74,6 +74,19 @@ class TestHuber:
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             huber(np.ones(3), 0.0)
+
+    def test_batch_matches_scalar_oracle(self):
+        rng = np.random.default_rng(1)
+        delta = 0.3
+        res = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-3, 1, size=(200, 1))
+        res[:4] = [[0.0, 0.0, 0.0], [delta, 0.0, 0.0], [0.0, -delta, 0.0], [1e-200, 0.0, 0.0]]
+        vals, grads, norms = _huber_batch(res, delta)
+        for k, r in enumerate(res):
+            assert vals[k] == pytest.approx(huber(r, delta), rel=1e-14, abs=1e-300)
+            assert np.allclose(grads[k], huber_gradient(r, delta), rtol=1e-14, atol=0)
+            assert norms[k] == pytest.approx(np.linalg.norm(r), rel=1e-15)
+        value_only, no_grad, _ = _huber_batch(res, delta, grad=False)
+        assert no_grad is None and np.array_equal(value_only, vals)
 
 
 class TestLossCons:
@@ -349,12 +362,12 @@ class TestTotalLoss:
         tracks, grids, tangents = problem.views(store)
         # shrink residuals into the quadratic zone
         x, y = problem.query_pixels[..., 0], problem.query_pixels[..., 1]
-        from trajcouple.pointmap import bilinear_gather
+        from trajcouple.pointmap import BilinearSampler
 
         n, t = problem.visibility.shape
         ii = np.repeat(np.arange(n), t)
         tt = np.tile(np.arange(t), n)
-        vals, _, _, _ = bilinear_gather(grids, tt, x[ii, tt], y[ii, tt])
+        vals = BilinearSampler(grids.shape, tt, x[ii, tt], y[ii, tt]).gather(grids)
         tracks[:] = vals.reshape(n, t, 3) + 1e-3 * np.random.default_rng(0).standard_normal((n, t, 3))
         problem.config.delta = 0.5
         problem.targets[:] = tracks + 1e-3 * np.random.default_rng(1).standard_normal((n, t, 3))
@@ -394,3 +407,45 @@ class TestPoseChainJacobian:
             left = so3_exp(omega + d)
             right = so3_exp(so3_left_jacobian(omega) @ d) @ so3_exp(omega)
             assert np.allclose(left, right, atol=1e-11)
+
+
+class TestCompiledProblem:
+    def test_static_mask_reassignment_changes_gated_terms(self):
+        for selfsup, term in ((False, "cam_pose"), (True, "anchor")):
+            problem, store = random_coupling_fixture(3, selfsup=selfsup)
+            before = problem.evaluate_term(store, term)
+            total = problem.evaluate(store).total
+            problem.static_mask = np.zeros_like(problem.static_mask)
+            assert problem.evaluate_term(store, term) == 0.0 != before
+            assert problem.evaluate(store).total < total
+            problem.static_mask = np.ones_like(problem.static_mask)
+            assert problem.evaluate_term(store, term) > before
+
+    def test_out_of_domain_pixel_raises_at_first_evaluation(self):
+        problem, store = random_coupling_fixture(4)
+        problem.query_pixels = problem.query_pixels.copy()
+        problem.query_pixels[1, 2] = (problem.layout.width + 0.5, 1.0)
+        problem.visibility[1, 2] = 1.0
+        with pytest.raises(OutOfDomain):
+            problem.evaluate(store)
+
+    @pytest.mark.parametrize("selfsup", [False, True])
+    def test_tapeless_pass_matches_taped_breakdown(self, selfsup):
+        problem, store = random_coupling_fixture(5, selfsup=selfsup)
+        taped = problem.evaluate(store, Tape(store))
+        assert problem.evaluate(store).summary() == taped.summary()
+
+    @pytest.mark.parametrize("anchor", [-1, 4])
+    def test_anchor_outside_frames_raises(self, anchor):
+        problem, store = random_coupling_fixture(6, n_frames=4)
+        problem.anchor = anchor
+        with pytest.raises(ValueError, match="anchor frame"):
+            problem.evaluate(store)
+        points, grids, _ = problem.views(store)
+        tracks = TrackSet(points, problem.visibility, problem.query_pixels)
+        with pytest.raises(ValueError, match="anchor frame"):
+            loss_cam(tracks, grids, problem.base_rel_poses, problem.static_mask,
+                     problem.targets, anchor=anchor)
+        with pytest.raises(ValueError, match="anchor frame"):
+            selfsup_static_mask(grids, problem.query_pixels, problem.visibility,
+                                problem.base_rel_poses, None, 0.05, anchor=anchor)

@@ -105,6 +105,22 @@ class TestDivergenceContract:
         with pytest.raises(Diverged):
             optimize(store, scene, cfg)
 
+    def test_non_finite_initial_loss_diverges(self):
+        scene = noisy_scene(seed=6)
+        store = initial_store(scene)
+        store[TRACKS][7] = np.nan
+        with pytest.raises(Diverged, match="not finite"):
+            optimize(store, scene, quick_optim(max_epochs=3))
+
+    def test_non_finite_candidate_loss_diverges(self):
+        # steps overflow the parameters to +-inf, so every candidate loss is nan
+        scene = noisy_scene(seed=6)
+        store = initial_store(scene)
+        cfg = quick_optim(step_poses=1e308, step_tracks=1e308, step_grids=1e308,
+                          max_backtracks=0, max_epochs=3)
+        with np.errstate(all="ignore"), pytest.raises(Diverged, match="nan"):
+            optimize(store, scene, cfg)
+
     def test_stalls_gracefully_when_step_cannot_decrease(self):
         scene = noisy_scene(seed=7)
         store = initial_store(scene)

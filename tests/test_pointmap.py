@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import PixelLocation, bilinear_gather, init_query, sample, sample_with_grad
 from trajcouple.errors import FileFormatError, OutOfDomain
 from trajcouple.pointmap import (
-    PixelLocation,
+    BilinearSampler,
     PointMapGrid,
-    bilinear_gather,
-    init_query,
     read_depth_map,
     read_pointmap,
-    sample,
-    sample_with_grad,
     write_depth_map,
     write_pointmap,
 )
@@ -138,10 +135,81 @@ class TestBilinearGather:
         frames = np.array([0, 2, 1, 2])
         xs = rng.uniform(0, 5, size=4)
         ys = rng.uniform(0, 4, size=4)
-        values, _, _, _ = bilinear_gather(stack, frames, xs, ys)
+        values = BilinearSampler(stack.shape, frames, xs, ys).gather(stack)
         for k in range(4):
             single = sample(PointMapGrid(stack[frames[k]]), (xs[k], ys[k]))
             assert np.array_equal(values[k], single)
+
+
+def random_queries(rng, shape, m):
+    """Frames and pixels covering the interior, the far edges and the corners."""
+    t, h, w = shape
+    frames = rng.integers(0, t, size=m)
+    xs = rng.uniform(0, w - 1, size=m)
+    ys = rng.uniform(0, h - 1, size=m)
+    xs[::4] = w - 1
+    ys[1::4] = h - 1
+    xs[2::8], ys[2::8] = 0.0, 0.0
+    xs[3::5] = np.floor(xs[3::5])  # integer pixels
+    return frames, xs, ys
+
+
+class TestBilinearSampler:
+    @pytest.mark.parametrize("shape", [(3, 7, 9), (2, 5, 1), (2, 1, 6), (1, 1, 1), (4, 2, 2)])
+    def test_gather_bitwise_equals_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.standard_normal(shape + (3,))
+        frames, xs, ys = random_queries(rng, shape, 200)
+        got = BilinearSampler(shape, frames, xs, ys).gather(stack)
+        ref, _, _, _ = bilinear_gather(stack, frames, xs, ys)
+        assert np.array_equal(got, ref)
+
+    def test_subsets_gather_bitwise_equal(self):
+        rng = np.random.default_rng(21)
+        stack = rng.standard_normal((4, 8, 8, 3))
+        frames, xs, ys = random_queries(rng, (4, 8, 8), 301)
+        full = BilinearSampler(stack.shape, frames, xs, ys).gather(stack)
+        pick = rng.permutation(301)[:57]
+        part = BilinearSampler(stack.shape, frames[pick], xs[pick], ys[pick]).gather(stack)
+        assert np.array_equal(part, full[pick])
+
+    @pytest.mark.parametrize("use_index", [False, True])
+    def test_adjoint_identity(self, use_index):
+        rng = np.random.default_rng(22)
+        shape = (3, 6, 5)
+        frames, xs, ys = random_queries(rng, shape, 120)
+        op = BilinearSampler(shape, frames, xs, ys)
+        g = rng.standard_normal(shape + (3,))
+        index = rng.integers(0, 120, size=200) if use_index else None
+        rows = op.gather(g) if index is None else op.gather(g)[index]
+        c = rng.standard_normal(rows.shape)
+        idx, partials = op.adjoint(c, index)
+        st_c = np.zeros(g.size)
+        np.add.at(st_c, idx, partials)
+        lhs = float(np.sum(rows * c))
+        rhs = float(g.reshape(-1) @ st_c)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    def test_adjoint_matches_reference_scatter(self):
+        # the per-sample order of the reference np.add.at scatter is kept bitwise
+        rng = np.random.default_rng(23)
+        shape = (2, 4, 5)
+        frames, xs, ys = random_queries(rng, shape, 90)
+        coeff = rng.standard_normal((90, 3))
+        idx, partials = BilinearSampler(shape, frames, xs, ys).adjoint(coeff)
+        got = np.zeros(int(np.prod(shape)) * 3)
+        np.add.at(got, idx, partials)
+        _, rows, cols, weights = bilinear_gather(np.zeros(shape + (3,)), frames, xs, ys)
+        base = ((frames[:, None] * shape[1] + rows) * shape[2] + cols) * 3
+        ref = np.zeros_like(got)
+        np.add.at(ref, (base[:, :, None] + np.arange(3)).reshape(-1),
+                  (weights[:, :, None] * coeff[:, None, :]).reshape(-1))
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("x,y", [(-0.5, 1.0), (1.0, -0.5), (4.2, 1.0), (1.0, 3.5)])
+    def test_out_of_domain_raises_at_build(self, x, y):
+        with pytest.raises(OutOfDomain):
+            BilinearSampler((2, 4, 5), [0, 1], [1.0, x], [1.0, y])
 
 
 class TestFileIo:
@@ -168,6 +236,17 @@ class TestFileIo:
         back, frame = read_depth_map(path)
         assert frame == 2
         assert np.array_equal(back, depth)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pointmap_non_finite_file_raises_format_error(self, tmp_path, bad):
+        pts = np.zeros((3, 4, 3))
+        pts[2, 1, 0] = bad
+        path = tmp_path / "bad.pm"
+        with open(path, "wb") as fh:
+            fh.write(np.array([3, 4, 0], dtype="<i8").tobytes())
+            fh.write(pts.astype("<f8").tobytes())
+        with pytest.raises(FileFormatError, match="bad.pm"):
+            read_pointmap(path)
 
     def test_non_finite_rejected(self):
         pts = np.zeros((3, 3, 3))

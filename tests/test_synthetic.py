@@ -4,7 +4,7 @@ import pytest
 from trajcouple.errors import ConfigInvalid
 from trajcouple.grad import Tape
 from trajcouple.losses import LossConfig
-from trajcouple.pointmap import bilinear_gather
+from trajcouple.pointmap import BilinearSampler
 from trajcouple.pose import compose, inverse, log_map
 from trajcouple.synthetic import (
     SceneConfig,
@@ -107,10 +107,10 @@ class TestGroundTruthConsistency:
         n, t = scene.visibility.shape
         ii = np.repeat(np.arange(n), t)
         tt = np.tile(np.arange(t), n)
-        vals, _, _, _ = bilinear_gather(
-            scene.gt_grids, tt,
+        vals = BilinearSampler(
+            scene.gt_grids.shape, tt,
             scene.query_pixels[ii, tt, 0], scene.query_pixels[ii, tt, 1],
-        )
+        ).gather(scene.gt_grids)
         err = np.linalg.norm(vals.reshape(n, t, 3) - scene.gt_tracks, axis=2)
         assert err.max() < 1e-3
 
