@@ -9,7 +9,9 @@ WorldTrackSet.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -40,8 +42,8 @@ class TrackSet:
             raise ValueError(
                 f"query_pixels shape {self.query_pixels.shape} != ({n}, {t}, 2)"
             )
-        if np.any(self.visibility < 0.0) or np.any(self.visibility > 1.0):
-            raise ValueError("visibility must lie in [0, 1]")
+        if not np.all((self.visibility >= 0.0) & (self.visibility <= 1.0)):
+            raise ValueError("visibility must be finite and lie in [0, 1]")
         vis = self.visibility >= MIN_VISIBLE_WEIGHT
         if not np.all(np.isfinite(self.points[vis])):
             raise ValueError("visible track points must be finite")
@@ -73,28 +75,44 @@ class WorldTrackSet:
             raise ValueError("world tracks must be finite")
 
 
-def geometric_median(points, max_iter=100, tol=1e-14):
-    """Weiszfeld iteration for the geometric median of a small point set.
+def _geometric_medians(pts, visible, max_iter=100, tol=1e-14):
+    """Weiszfeld geometric median of each (N, T, 3) track's visible frames.
 
-    Unlike the coordinate-wise median, the geometric median commutes with
-    rigid transforms, so displacement norms measured against it are frame
-    independent.
+    A track with no visible frame uses all of its frames.  Unlike the
+    coordinate-wise median, the geometric median commutes with rigid
+    transforms, so displacement norms measured against it are frame
+    independent.  Tracks are batched by visible-frame count k, compacted to
+    (m, k, 3): numpy then reduces each track in the order it reduces a lone
+    (k, 3) subset.  A zero-padded (N, T) batch would round differently,
+    because numpy's pairwise sum groups the weights by position.
     """
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 1:
-        return pts[0].copy()
-    y = pts.mean(axis=0)
-    scale = float(np.max(np.abs(pts - y)))
-    if scale == 0.0:  # all points coincide
-        return y
+    visible = visible | ~visible.any(axis=1, keepdims=True)
+    counts = visible.sum(axis=1)
+    ref = np.empty((pts.shape[0], 3))
+    for k in np.flatnonzero(np.bincount(counts)):
+        rows = np.flatnonzero(counts == k)
+        group = pts[rows][visible[rows]].reshape(rows.size, k, 3)
+        ref[rows] = _weiszfeld(group, max_iter, tol)
+    return ref
+
+
+def _weiszfeld(pts, max_iter, tol):
+    """Geometric medians of (m, k, 3) point sets; each set stops at its own step test."""
+    y = pts.mean(axis=1)
+    scale = np.abs(pts - y[:, None]).max(axis=(1, 2))
+    live = np.flatnonzero(scale > 0.0)  # coincident points keep their mean
+    pts, scale = pts[live], scale[live]
     for _ in range(max_iter):
-        d = np.linalg.norm(pts - y, axis=1)
-        d = np.maximum(d, 1e-15 * scale)
-        w = 1.0 / d
-        y_new = (pts * w[:, None]).sum(axis=0) / w.sum()
-        if np.linalg.norm(y_new - y) <= tol * scale:
-            return y_new
-        y = y_new
+        if live.size == 0:
+            break
+        d = np.linalg.norm(pts - y[live, None], axis=2)
+        w = 1.0 / np.maximum(d, 1e-15 * scale[:, None])
+        y_new = (pts * w[:, :, None]).sum(axis=1) / w.sum(axis=1)[:, None]
+        step = y_new - y[live]
+        y[live] = y_new
+        # matmul rounds like the BLAS dot in np.linalg.norm of one vector; einsum does not
+        moving = ~(np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0]) <= tol * scale)
+        live, pts, scale = live[moving], pts[moving], scale[moving]
     return y
 
 
@@ -127,14 +145,9 @@ def static_mask(
         pts = inverse(anchor_pose).apply(pts.reshape(-1, 3)).reshape(n, t, 3)
 
     if reference == "median":
-        if visibility is None:
-            ref = np.stack([geometric_median(pts[i]) for i in range(n)])
-        else:
-            visibility = np.asarray(visibility, dtype=np.float64)
-            ref = np.empty((n, 3))
-            for i in range(n):
-                vis = visibility[i] >= MIN_VISIBLE_WEIGHT
-                ref[i] = geometric_median(pts[i, vis] if np.any(vis) else pts[i])
+        visible = (np.ones((n, t), dtype=bool) if visibility is None
+                   else np.asarray(visibility, dtype=np.float64) >= MIN_VISIBLE_WEIGHT)
+        ref = _geometric_medians(pts, visible)
     elif reference == "anchor":
         ref = pts[:, anchor]
     else:
@@ -156,124 +169,111 @@ def anchor_targets(gt: WorldTrackSet, c_x: Pose):
 
 
 # ---------------------------------------------------------------------------
-# Track file format (text): first line "N T", then one line per sample:
-#   i t x y z visibility px py
-# Pseudo 2D tracks reuse the format with x = y = z = nan.
+# Row files (text): a header line "N T", then one line "i t v1 ... vk" per
+# sample; each (i, t) appears exactly once, in any order.  Tracks hold
+# "x y z visibility px py" (visibility finite, in [0, 1]; pseudo 2D tracks
+# have x = y = z = nan), targets "x y z" and static masks one 0 or 1.
+
+def _write_rows(path, values, fmt):
+    """Write (N, T, k) values as one "i t v1 ... vk" row per sample, values as fmt."""
+    n, t, k = values.shape
+    row = "%d %d" + f" {fmt}" * k + "\n"
+    samples = product(range(n), range(t))
+    with open(path, "w") as fh:
+        fh.write(f"{n} {t}\n")
+        fh.writelines(row % (*it, *v.tolist()) for it, v in zip(samples, values.reshape(n * t, k)))
+
+
+def _read_rows(path, k, dtype=np.float64, rule=None):
+    """Read a row file with k values per sample; returns (N, T, k) values.
+
+    rule is (ok, message): ok maps the (rows, k) values in file order to one
+    bool per row, and the first row it rejects raises FileFormatError.
+    """
+    with open(path) as fh:
+        for line, head in enumerate(iter(fh.readline, ""), start=1):
+            if head.strip():
+                break
+        else:
+            raise FileFormatError(path, "empty file")
+        try:
+            n, t = map(int, head.split())
+            if n < 0 or t < 0:
+                raise ValueError
+        except ValueError:
+            raise FileFormatError(path, f"bad header {head.strip()!r}", line=line) from None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: counted below
+                body = np.loadtxt(fh, dtype=[("it", np.int64, 2), ("v", dtype, k)],
+                                  comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _bad_row(path, k, dtype, exc) from None
+    if body.shape[0] != n * t:
+        raise FileFormatError(path, f"expected {n * t} rows, got {body.shape[0]}")
+    i, f = body["it"].T
+    flat = np.where((0 <= i) & (i < n) & (0 <= f) & (f < t), i * t + f, n * t)
+    seen = np.zeros(n * t + 1, dtype=bool)
+    seen[flat] = True
+    if not seen[:-1].all():  # as many rows as samples, so a row is outside or repeats
+        first = np.zeros(flat.size, dtype=bool)
+        first[np.unique(flat, return_index=True)[1]] = True
+        r = int(np.argmin(first & (flat < n * t)))
+        raise FileFormatError(path, f"sample ({i[r]}, {f[r]}) out of range or repeated",
+                              line=_body_rows(path)[r][0])
+    if rule is not None and not (ok := rule[0](body["v"])).all():
+        raise FileFormatError(path, rule[1], line=_body_rows(path)[np.argmin(ok)][0])
+    values = np.empty((n * t, k), dtype=dtype)
+    values[flat] = body["v"]
+    return values.reshape(n, t, k)
+
+
+def _body_rows(path):
+    """(line number, fields) of each non-blank line after the header."""
+    with open(path) as fh:
+        return [(no, ln.split()) for no, ln in enumerate(fh, start=1) if ln.strip()][1:]
+
+
+def _bad_row(path, k, dtype, exc):
+    """FileFormatError naming the first line that is not "i t" plus k values."""
+    cast = int if np.dtype(dtype).kind == "i" else float
+    for no, fields in _body_rows(path):
+        try:
+            if len(fields) != 2 + k:
+                raise ValueError
+            int(fields[0]), int(fields[1]), [cast(v) for v in fields[2:]]
+        except ValueError:
+            return FileFormatError(path, f"bad row {' '.join(fields)!r}", line=no)
+    return FileFormatError(path, f"bad rows: {exc}")
+
 
 def write_tracks(path, points, visibility, query_pixels):
-    points = np.asarray(points, dtype=np.float64)
     visibility = np.asarray(visibility, dtype=np.float64)
-    query_pixels = np.asarray(query_pixels, dtype=np.float64)
-    n, t = visibility.shape
-    lines = [f"{n} {t}"]
-    for i in range(n):
-        for f in range(t):
-            x, y, z = (float(v) for v in points[i, f])
-            px, py = (float(v) for v in query_pixels[i, f])
-            lines.append(
-                f"{i} {f} {x!r} {y!r} {z!r} {float(visibility[i, f])!r} {px!r} {py!r}"
-            )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = (np.asarray(points, dtype=np.float64), visibility[..., None],
+               np.asarray(query_pixels, dtype=np.float64))
+    _write_rows(path, np.concatenate(columns, axis=2), "%r")
 
 
 def read_tracks(path):
     """Read a track file; returns (points, visibility, query_pixels)."""
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw:
-        raise FileFormatError(path, "empty track file")
-    head = raw[0].split()
-    if len(head) != 2:
-        raise FileFormatError(path, f"bad header {raw[0]!r}", line=1)
-    try:
-        n, t = int(head[0]), int(head[1])
-    except ValueError:
-        raise FileFormatError(path, f"bad header {raw[0]!r}", line=1)
-    if len(raw) - 1 != n * t:
-        raise FileFormatError(path, f"expected {n * t} rows, got {len(raw) - 1}")
-    points = np.zeros((n, t, 3))
-    visibility = np.zeros((n, t))
-    pixels = np.zeros((n, t, 2))
-    seen = np.zeros((n, t), dtype=bool)
-    for ln_no, ln in enumerate(raw[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 8:
-            raise FileFormatError(path, f"expected 8 fields, got {len(parts)}", line=ln_no)
-        try:
-            i, f = int(parts[0]), int(parts[1])
-            vals = [float(v) for v in parts[2:]]
-        except ValueError:
-            raise FileFormatError(path, f"bad row {ln!r}", line=ln_no)
-        if not (0 <= i < n and 0 <= f < t):
-            raise FileFormatError(path, f"index ({i}, {f}) out of range", line=ln_no)
-        points[i, f] = vals[:3]
-        visibility[i, f] = vals[3]
-        pixels[i, f] = vals[4:6]
-        seen[i, f] = True
-    if not np.all(seen):
-        raise FileFormatError(path, "missing samples in track file")
-    return points, visibility, pixels
+    rows = _read_rows(path, 6, rule=(lambda v: (v[:, 3] >= 0.0) & (v[:, 3] <= 1.0),
+                                     "visibility must be finite and in [0, 1]"))
+    return tuple(map(np.ascontiguousarray, (rows[..., :3], rows[..., 3], rows[..., 4:])))
 
 
 def write_static_mask(path, mask):
-    mask = np.asarray(mask).astype(int)
-    n, t = mask.shape
-    lines = [f"{n} {t}"]
-    for i in range(n):
-        for f in range(t):
-            lines.append(f"{i} {f} {mask[i, f]}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_rows(path, np.asarray(mask).astype(int)[..., None], "%d")
 
 
 def read_static_mask(path):
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw:
-        raise FileFormatError(path, "empty mask file")
-    head = raw[0].split()
-    if len(head) != 2:
-        raise FileFormatError(path, f"bad header {raw[0]!r}", line=1)
-    n, t = int(head[0]), int(head[1])
-    if len(raw) - 1 != n * t:
-        raise FileFormatError(path, f"expected {n * t} rows, got {len(raw) - 1}")
-    mask = np.zeros((n, t), dtype=bool)
-    for ln_no, ln in enumerate(raw[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FileFormatError(path, f"expected 3 fields, got {len(parts)}", line=ln_no)
-        mask[int(parts[0]), int(parts[1])] = bool(int(parts[2]))
-    return mask
+    rows = _read_rows(path, 1, dtype=np.int64,
+                      rule=(lambda v: (v[:, 0] == 0) | (v[:, 0] == 1), "mask values must be 0 or 1"))
+    return rows[..., 0] == 1
 
 
 def write_targets(path, targets):
-    targets = np.asarray(targets, dtype=np.float64)
-    n, t, _ = targets.shape
-    lines = [f"{n} {t}"]
-    for i in range(n):
-        for f in range(t):
-            x, y, z = (float(v) for v in targets[i, f])
-            lines.append(f"{i} {f} {x!r} {y!r} {z!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_rows(path, np.asarray(targets, dtype=np.float64), "%r")
 
 
 def read_targets(path):
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw:
-        raise FileFormatError(path, "empty targets file")
-    head = raw[0].split()
-    if len(head) != 2:
-        raise FileFormatError(path, f"bad header {raw[0]!r}", line=1)
-    n, t = int(head[0]), int(head[1])
-    if len(raw) - 1 != n * t:
-        raise FileFormatError(path, f"expected {n * t} rows, got {len(raw) - 1}")
-    targets = np.zeros((n, t, 3))
-    for ln_no, ln in enumerate(raw[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 5:
-            raise FileFormatError(path, f"expected 5 fields, got {len(parts)}", line=ln_no)
-        targets[int(parts[0]), int(parts[1])] = [float(v) for v in parts[2:]]
-    return targets
+    return _read_rows(path, 3)

@@ -2,8 +2,9 @@
 
 The metric oracles are straightforward loops over 4x4 matrices and raw
 arrays, sharing no code with the package beyond numpy/scipy primitives.
-The sampling, Huber and tape references below are the package's earlier
-per-call formulations, kept to pin the compiled paths bit for bit.
+The sampling, Huber, tape, geometric-median and row-file references below
+are the package's earlier per-call formulations, kept to pin the compiled
+and batched paths bit for bit.
 """
 
 import math
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from trajcouple.pointmap import BilinearSampler, check_domain
+from trajcouple.pose import inverse
+from trajcouple.tracks import MIN_VISIBLE_WEIGHT
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +142,92 @@ def accumulate(grad, indices, partials):
     for index, partial in zip(indices, partials):
         grad[index] += partial
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Static gating: one Weiszfeld loop per track.
+
+def geometric_median(points, max_iter=100, tol=1e-14):
+    """Weiszfeld iteration for the geometric median of a small point set."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if pts.shape[0] == 1:
+        return pts[0].copy()
+    y = pts.mean(axis=0)
+    scale = float(np.max(np.abs(pts - y)))
+    if scale == 0.0:  # all points coincide
+        return y
+    for _ in range(max_iter):
+        d = np.linalg.norm(pts - y, axis=1)
+        d = np.maximum(d, 1e-15 * scale)
+        w = 1.0 / d
+        y_new = (pts * w[:, None]).sum(axis=0) / w.sum()
+        if np.linalg.norm(y_new - y) <= tol * scale:
+            return y_new
+        y = y_new
+    return y
+
+
+def track_medians(pts, visibility=None):
+    """Per-track geometric median over visible frames (all frames if none is)."""
+    ref = np.empty((pts.shape[0], 3))
+    for i in range(pts.shape[0]):
+        vis = (np.ones(pts.shape[1], dtype=bool) if visibility is None
+               else np.asarray(visibility[i], dtype=np.float64) >= MIN_VISIBLE_WEIGHT)
+        ref[i] = geometric_median(pts[i, vis] if np.any(vis) else pts[i])
+    return ref
+
+
+def static_mask(world_points, tau, visibility=None, anchor_pose=None):
+    """Samples within tau of their track's geometric median (median reference)."""
+    pts = np.asarray(world_points, dtype=np.float64)
+    n, t, _ = pts.shape
+    if anchor_pose is not None:
+        pts = inverse(anchor_pose).apply(pts.reshape(-1, 3)).reshape(n, t, 3)
+    ref = track_medians(pts, visibility)
+    return np.linalg.norm(pts - ref[:, None, :], axis=2) < tau
+
+
+# ---------------------------------------------------------------------------
+# Row files written one formatted line per sample.
+
+def write_tracks(path, points, visibility, query_pixels):
+    points = np.asarray(points, dtype=np.float64)
+    visibility = np.asarray(visibility, dtype=np.float64)
+    query_pixels = np.asarray(query_pixels, dtype=np.float64)
+    n, t = visibility.shape
+    lines = [f"{n} {t}"]
+    for i in range(n):
+        for f in range(t):
+            x, y, z = (float(v) for v in points[i, f])
+            px, py = (float(v) for v in query_pixels[i, f])
+            lines.append(
+                f"{i} {f} {x!r} {y!r} {z!r} {float(visibility[i, f])!r} {px!r} {py!r}"
+            )
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_static_mask(path, mask):
+    mask = np.asarray(mask).astype(int)
+    n, t = mask.shape
+    lines = [f"{n} {t}"]
+    for i in range(n):
+        for f in range(t):
+            lines.append(f"{i} {f} {mask[i, f]}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_targets(path, targets):
+    targets = np.asarray(targets, dtype=np.float64)
+    n, t, _ = targets.shape
+    lines = [f"{n} {t}"]
+    for i in range(n):
+        for f in range(t):
+            x, y, z = (float(v) for v in targets[i, f])
+            lines.append(f"{i} {f} {x!r} {y!r} {z!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def naive_umeyama(src, dst, with_scale=True):

@@ -93,6 +93,16 @@ def poison_pointmap(path, value=float("nan")):
     return str(path)
 
 
+def poison_row_file(path, line, field, value):
+    """Set one whitespace-separated field of one line of a text row file."""
+    lines = path.read_text().splitlines()
+    fields = lines[line].split()
+    fields[field] = value
+    lines[line] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestOptimize:
     def run_gen(self, tmp_path, seeds="5", scene=SMALL_SCENE):
         cfg = write_json(tmp_path / "scene.json", scene)
@@ -103,6 +113,20 @@ class TestOptimize:
     def test_non_finite_pointmap_exit_3_names_path(self, tmp_path, capsys):
         scenes = self.run_gen(tmp_path)
         bad = poison_pointmap(scenes / "seed_0005" / "est" / "pointmaps" / "frame_002.pm")
+        code = main(["optimize", "--scenes", str(scenes), "--ablation", "cons_cam",
+                     "--out", str(tmp_path / "opt")])
+        assert code == 3
+        assert bad in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file,line,field,value", [
+        ("tracks.txt", 3, 5, "nan"),  # visibility of one sample
+        ("static_mask.txt", 0, 1, "x"),  # header
+        ("static_mask.txt", 2, 1, "-1"),  # frame index
+        ("targets.txt", 4, 0, "99"),  # track index
+    ])
+    def test_bad_row_file_exit_3_names_path(self, tmp_path, capsys, file, line, field, value):
+        scenes = self.run_gen(tmp_path)
+        bad = poison_row_file(scenes / "seed_0005" / "gt" / file, line, field, value)
         code = main(["optimize", "--scenes", str(scenes), "--ablation", "cons_cam",
                      "--out", str(tmp_path / "opt")])
         assert code == 3
@@ -221,6 +245,15 @@ class TestEval:
                      "--metrics", "tracks3d", "--out", str(tmp_path / "e")])
         assert code == 3
         assert "tracks.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1.5"])
+    def test_bad_visibility_exit_3_names_path(self, tmp_path, capsys, value):
+        scene = self.make_dirs(tmp_path)
+        bad = poison_row_file(scene / "est" / "tracks.txt", 7, 5, value)
+        code = main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                     "--metrics", "tracks3d", "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert bad in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_pointmap_exit_3_names_path(self, tmp_path, capsys, value):

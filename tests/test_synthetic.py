@@ -228,6 +228,17 @@ class TestSceneIo:
             assert np.array_equal(a.matrix(), b.matrix())
         assert back.tau_static == scene.tau_static
 
+    def test_save_load_save_same_bytes(self, tmp_path):
+        scene = generate(small_config(sigma_pointmap=0.01, sigma_pose=0.02,
+                                      occlusion_span=2, n_frames=6))
+        save_scene(scene, tmp_path / "a")
+        save_scene(load_scene(tmp_path / "a"), tmp_path / "b")
+        files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
+                       if p.is_file())
+        assert len(files) == 22  # config, 2 x 6 pointmaps, 4 track, 3 pose, 2 row files
+        for rel in files:
+            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
     def test_loaded_scene_reproduces_loss(self, tmp_path):
         scene = generate(small_config(sigma_pointmap=0.02, sigma_pose=0.03))
         save_scene(scene, tmp_path / "s")

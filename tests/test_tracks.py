@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from trajcouple import tracks
 from trajcouple.errors import FileFormatError
 from trajcouple.pose import Pose, PoseTangent, exp_map, inverse, transform_point
 from trajcouple.tracks import (
@@ -91,6 +95,70 @@ class TestStaticMask:
             static_mask(WorldTrackSet(pts), 5, tau=1.0)
 
 
+KINDS = ("no_visible", "one_visible", "coincident", "round_off", "dynamic", "cloud")
+
+
+def make_track(rng, kind, t):
+    """One (T, 3) track and its (T,) visibility for a named input kind."""
+    base = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 4)
+    vis = (rng.random(t) < 0.7).astype(float) * rng.uniform(0.5, 1.0, t)
+    if kind == "no_visible":
+        vis[:] = rng.uniform(0.0, 1e-4, t) * (rng.random(t) < 0.5)
+    elif kind == "one_visible":
+        vis[:] = 0.0
+        vis[rng.integers(t)] = 1.0
+    if kind == "coincident":
+        pts = np.tile(base, (t, 1))
+    elif kind == "round_off":
+        # a static point seen through round-off: a few ulps of spread
+        ulps = rng.integers(-3, 4, size=(t, 3))
+        pts = base + ulps * np.spacing(base)
+    elif kind == "dynamic":
+        pts = base + np.outer(np.arange(t), rng.standard_normal(3) * 0.1)
+    else:
+        pts = base + rng.standard_normal((t, 3)) * 10.0 ** rng.integers(-8, 1)
+    return pts, vis
+
+
+@st.composite
+def track_sets(draw):
+    t = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    made = [make_track(rng, kind, t) for kind in kinds]
+    return np.stack([p for p, _ in made]), np.stack([v for _, v in made]), rng
+
+
+class TestBatchedMedian:
+    """The batched Weiszfeld pass equals the per-track loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(track_sets(), st.booleans(), st.booleans())
+    def test_matches_per_track_oracle(self, case, with_visibility, in_anchor_frame):
+        pts, vis, rng = case
+        visibility = vis if with_visibility else None
+        visible = (np.ones(vis.shape, dtype=bool) if visibility is None
+                   else visibility >= tracks.MIN_VISIBLE_WEIGHT)
+        assert np.array_equal(tracks._geometric_medians(pts, visible),
+                              oracles.track_medians(pts, visibility))
+        cam = random_pose(rng) if in_anchor_frame else None
+        tau = float(rng.uniform(1e-6, 1.0))
+        assert np.array_equal(
+            static_mask(WorldTrackSet(pts), 0, tau, visibility=visibility, anchor_pose=cam),
+            oracles.static_mask(pts, tau, visibility=visibility, anchor_pose=cam),
+        )
+
+    def test_long_tracks_match(self):
+        # more than 128 visible frames: numpy splits the weight sum recursively
+        rng = np.random.default_rng(12)
+        made = [make_track(rng, kind, 150) for kind in KINDS * 2]
+        pts = np.stack([p for p, _ in made])
+        vis = np.stack([v for _, v in made])
+        visible = vis >= tracks.MIN_VISIBLE_WEIGHT
+        assert np.array_equal(tracks._geometric_medians(pts, visible),
+                              oracles.track_medians(pts, vis))
+
+
 class TestCameraFramePosition:
     def test_identity_camera(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -156,6 +224,11 @@ class TestTrackSetValidation:
                 np.zeros((1, 2, 2)),
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_visibility_rejected(self, value):
+        with pytest.raises(ValueError):
+            TrackSet(np.zeros((1, 2, 3)), np.array([[0.5, value]]), np.zeros((1, 2, 2)))
+
     def test_invisible_nan_points_allowed(self):
         pts = np.zeros((1, 2, 3))
         pts[0, 1] = np.nan
@@ -212,3 +285,113 @@ class TestTrackFileIo:
         targets = rng.standard_normal((3, 4, 3))
         write_targets(tmp_path / "t.txt", targets)
         assert np.array_equal(read_targets(tmp_path / "t.txt"), targets)
+
+
+ROW_FILES = {
+    # name: (writer, reader, values per row, oracle writer)
+    "tracks": (lambda p, v: write_tracks(p, v[..., :3], v[..., 3], v[..., 4:]), read_tracks, 6,
+               lambda p, v: oracles.write_tracks(p, v[..., :3], v[..., 3], v[..., 4:])),
+    "targets": (write_targets, read_targets, 3, oracles.write_targets),
+    "mask": (lambda p, v: write_static_mask(p, v[..., 0]), read_static_mask, 1,
+             lambda p, v: oracles.write_static_mask(p, v[..., 0])),
+}
+
+
+def row_values(name, n=2, t=3, seed=14):
+    rng = np.random.default_rng(seed)
+    if name == "mask":
+        return (rng.random((n, t, 1)) < 0.5).astype(float)
+    values = rng.standard_normal((n, t, ROW_FILES[name][2]))
+    if name == "tracks":
+        values[..., 3] = rng.uniform(0.0, 1.0, (n, t))
+    return values
+
+
+def row_lines(tmp_path, name):
+    writer = ROW_FILES[name][0]
+    path = tmp_path / f"{name}.txt"
+    writer(path, row_values(name))
+    return path, path.read_text().splitlines()
+
+
+def read_as_arrays(name, path):
+    out = ROW_FILES[name][1](path)
+    if name == "tracks":
+        return np.concatenate([out[0], out[1][..., None], out[2]], axis=2)
+    return out[..., None].astype(float) if name == "mask" else out
+
+
+def replace_field(line, index, value):
+    fields = line.split()
+    fields[index] = value
+    return " ".join(fields)
+
+
+# each case edits the lines of a valid 2 x 3 file; expected line number or None
+BAD_ROWS = {
+    "bad_header": (lambda ls: ["2 x"] + ls[1:], 1),
+    "short_header": (lambda ls: ["2"] + ls[1:], 1),
+    "negative_header": (lambda ls: ["-2 -3"] + ls[1:], 1),
+    "negative_index": (lambda ls: ls[:3] + [replace_field(ls[3], 1, "-1")] + ls[4:], 4),
+    "frame_index_high": (lambda ls: ls[:3] + [replace_field(ls[3], 1, "3")] + ls[4:], 4),
+    "track_index_high": (lambda ls: ls[:5] + [replace_field(ls[5], 0, "2")] + ls[6:], 6),
+    "non_integer_index": (lambda ls: ls[:2] + [replace_field(ls[2], 0, "0.0")] + ls[3:], 3),
+    "duplicate": (lambda ls: ls[:4] + [ls[2]] + ls[5:], 5),
+    "missing_row": (lambda ls: ls[:-1], None),
+    "extra_row": (lambda ls: ls + [ls[1]], None),
+    "field_count": (lambda ls: ls[:2] + [ls[2] + " 1"] + ls[3:], 3),
+    "bad_token": (lambda ls: ls[:6] + [replace_field(ls[6], 2, "x")], 7),
+    "empty": (lambda ls: [], None),
+}
+
+
+class TestRowFiles:
+    @pytest.mark.parametrize("name", ROW_FILES)
+    def test_writers_match_per_line_oracle_bytes(self, tmp_path, name):
+        values = row_values(name, n=3, t=4)
+        if name != "mask":
+            special = [np.nan, -0.0, 1e-300, -1.7976931348623157e308, 1e300, 5e-324, 1e16,
+                       -123456789.123456789, np.inf]
+            flat = values.reshape(-1)
+            flat[: len(special)] = special
+        writer, _, _, oracle = ROW_FILES[name]
+        writer(tmp_path / "new.txt", values)
+        oracle(tmp_path / "old.txt", values)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    @pytest.mark.parametrize("name", ROW_FILES)
+    def test_rows_in_any_order_with_blank_lines(self, tmp_path, name):
+        path, lines = row_lines(tmp_path, name)
+        expected = read_as_arrays(name, path)
+        body = lines[1:][::-1]
+        path.write_text("\n" + lines[0] + "\n\n" + "\n  \n".join(body) + "\n\n")
+        assert np.array_equal(read_as_arrays(name, path), expected)
+
+    @pytest.mark.parametrize("case", BAD_ROWS)
+    @pytest.mark.parametrize("name", ROW_FILES)
+    def test_malformed_file_raises_file_format_error(self, tmp_path, name, case):
+        edit, line = BAD_ROWS[case]
+        path, lines = row_lines(tmp_path, name)
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            ROW_FILES[name][1](path)
+        assert err.value.path == str(path)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "1.5"])
+    def test_track_visibility_outside_unit_interval_rejected(self, tmp_path, value):
+        path, lines = row_lines(tmp_path, "tracks")
+        lines[4] = replace_field(lines[4], 5, value)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="visibility") as err:
+            read_tracks(path)
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("value", ["2", "-1", "0.5"])
+    def test_mask_values_other_than_0_1_rejected(self, tmp_path, value):
+        path, lines = row_lines(tmp_path, "mask")
+        lines[2] = replace_field(lines[2], 2, value)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            read_static_mask(path)
+        assert err.value.line == 3
