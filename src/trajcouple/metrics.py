@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateConfiguration, EmptyValidMask
-from .pose import Pose, compose, icp_refine, inverse, rotation_angle, umeyama
+from .pose import Pose, Similarity, _icp, compose, inverse, rotation_angle, umeyama
 
 DEFAULT_TRACK_THRESHOLDS = (0.01, 0.02, 0.04, 0.08, 0.16)
 
@@ -218,20 +218,59 @@ class PointmapResult:
     nc_median: float
 
 
+# A closed-form normal whose longest cross product is below this, with C
+# scaled to unit trace, has a near-repeated smallest eigenvalue (collinear,
+# coincident or isotropic neighbors) and is recomputed with eigh.
+_ILL_CONDITIONED = 1e-4
+
+
 def estimate_normals(cloud, k=16):
     """Unit normals from a local plane fit over k nearest neighbors."""
     cloud = np.asarray(cloud, dtype=np.float64)
-    n = cloud.shape[0]
-    k = min(k, n - 1)
+    return _plane_normals(cloud, cKDTree(cloud), k)
+
+
+def _plane_normals(cloud, tree, k, at=None):
+    """Plane-fit normals of cloud (indexed by tree) at the points cloud[at], or all."""
+    k = min(k, cloud.shape[0] - 1)
     if k < 2:
         raise DegenerateConfiguration("too few points for normal estimation")
-    tree = cKDTree(cloud)
-    _, idx = tree.query(cloud, k=k + 1)
-    neigh = cloud[idx]  # (n, k+1, 3)
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered)
-    _, vecs = np.linalg.eigh(cov)
-    return vecs[:, :, 0]  # eigenvector of the smallest eigenvalue
+    _, idx = tree.query(cloud if at is None else cloud[at], k=k + 1)
+    centered = cloud[idx]  # (n, k+1, 3)
+    centered -= centered.mean(axis=1, keepdims=True)
+    return _smallest_eigenvectors(centered.transpose(0, 2, 1) @ centered)
+
+
+def _smallest_eigenvectors(cov):
+    """Unit eigenvectors of the smallest eigenvalues of symmetric PSD (n, 3, 3) matrices.
+
+    The smallest eigenvalue comes from the trigonometric solution of the
+    characteristic cubic (Smith, CACM 1961); its eigenvector is the longest
+    cross product of two rows of C - lambda I.  Rows whose longest cross
+    product is tiny go through np.linalg.eigh.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = cov / np.trace(cov, axis1=1, axis2=2)[:, None, None]  # nan where trace == 0
+        a, b, c = unit[:, 0, 0], unit[:, 1, 1], unit[:, 2, 2]
+        d, e, f = unit[:, 0, 1], unit[:, 0, 2], unit[:, 1, 2]
+        aq, bq, cq = a - 1.0 / 3.0, b - 1.0 / 3.0, c - 1.0 / 3.0
+        p2 = (aq * aq + bq * bq + cq * cq + 2.0 * (d * d + e * e + f * f)) / 6.0
+        p = np.sqrt(p2)
+        det = aq * (bq * cq - f * f) - d * (d * cq - f * e) + e * (d * f - bq * e)
+        r = np.clip(det / (2.0 * p2 * p), -1.0, 1.0)  # nan where p == 0
+    lam = 1.0 / 3.0 + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+    rows = unit - lam[:, None, None] * np.eye(3)
+    cross = np.cross(rows[:, [0, 0, 1]], rows[:, [1, 2, 2]])  # (n, 3 pairs, 3)
+    norm2 = np.einsum("npi,npi->np", cross, cross)
+    row, pick = np.arange(len(cov)), np.argmax(norm2, axis=1)
+    best, best_norm2 = cross[row, pick], norm2[row, pick]
+    good = best_norm2 > _ILL_CONDITIONED**2  # false on nan
+    normals = np.empty_like(best)
+    normals[good] = best[good] / np.sqrt(best_norm2[good])[:, None]
+    bad = ~good
+    if bad.any():
+        normals[bad] = np.linalg.eigh(cov[bad])[1][:, :, 0]
+    return normals
 
 
 def pointmap_metrics(
@@ -245,33 +284,37 @@ def pointmap_metrics(
     ICP.  Accuracy is the nearest-neighbor distance pred -> gt, completion
     the reverse, and normal consistency the absolute cosine between local
     plane-fit normals of matched pred -> gt pairs.
+
+    Each cloud gets one KD-tree, shared by ICP, the nearest-neighbor
+    queries and the normal fits; ICP's final matches serve as the accuracy
+    matches when it stops on its residual test, and ground-truth normals are
+    fitted only at matched points.
     """
     pred = np.asarray(pred, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
     if pred.shape[0] < 3 or gt.shape[0] < 3:
         raise DegenerateConfiguration("point clouds need at least 3 points")
+    gt_tree = cKDTree(gt)
+    sim = matches = None
     if align:
         if pred.shape[0] != gt.shape[0]:
             raise DegenerateConfiguration(
                 "similarity alignment needs index-paired clouds of equal size"
             )
         sim = umeyama(pred, gt, with_scale=True)
-        if use_icp:
-            sim = icp_refine(pred, gt, sim)
+    if use_icp:
+        sim, matches = _icp(pred, gt_tree, Similarity.identity() if sim is None else sim)
+    if sim is not None:
         pred = sim.apply(pred)
-    elif use_icp:
-        from .pose import Similarity
 
-        pred = icp_refine(pred, gt, Similarity.identity()).apply(pred)
-
-    gt_tree = cKDTree(gt)
+    acc_d, acc_idx = gt_tree.query(pred) if matches is None else matches
     pred_tree = cKDTree(pred)
-    acc_d, acc_idx = gt_tree.query(pred)
     comp_d, _ = pred_tree.query(gt)
 
-    normals_pred = estimate_normals(pred, k_normals)
-    normals_gt = estimate_normals(gt, k_normals)
-    cosines = np.abs(np.sum(normals_pred * normals_gt[acc_idx], axis=1))
+    normals_pred = _plane_normals(pred, pred_tree, k_normals)
+    matched, slot = np.unique(acc_idx, return_inverse=True)
+    normals_gt = _plane_normals(gt, gt_tree, k_normals, at=matched)
+    cosines = np.abs(np.sum(normals_pred * normals_gt[slot], axis=1))
 
     return PointmapResult(
         float(np.mean(acc_d)), float(np.median(acc_d)),

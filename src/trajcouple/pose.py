@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateConfiguration, FileFormatError, LogNearPi
 
@@ -25,6 +26,10 @@ REORTHO_PERIOD = 64
 
 # Below this angle the Rodrigues terms switch to their Taylor expansions.
 _SMALL_ANGLE = 1e-8
+
+# ICP stops after this many iterations or when the mean residual changes by less than ICP_TOL.
+ICP_MAX_ITER = 20
+ICP_TOL = 1e-6
 
 
 def so3_hat(w):
@@ -309,7 +314,7 @@ def umeyama(src, dst, with_scale=True) -> Similarity:
     return Similarity(s, R, t)
 
 
-def icp_refine(src, dst, init: Similarity, max_iter=20, tol=1e-6) -> Similarity:
+def icp_refine(src, dst, init: Similarity, max_iter=ICP_MAX_ITER, tol=ICP_TOL) -> Similarity:
     """Point-to-point ICP refinement of a similarity alignment.
 
     Keeps the scale from the initial alignment fixed and refines the rigid
@@ -317,11 +322,18 @@ def icp_refine(src, dst, init: Similarity, max_iter=20, tol=1e-6) -> Similarity:
     dst points and solves the rigid Kabsch update.  Stops after max_iter
     iterations or when the mean residual changes by less than tol.
     """
-    from scipy.spatial import cKDTree
-
-    src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
-    tree = cKDTree(dst)
+    return _icp(src, cKDTree(dst), init, max_iter, tol)[0]
+
+
+def _icp(src, tree, init: Similarity, max_iter=ICP_MAX_ITER, tol=ICP_TOL):
+    """The ICP loop of icp_refine against a prebuilt KD-tree of dst.
+
+    Returns (sim, matches).  matches is the nearest-neighbor query
+    (dists, idx) of sim.apply(src) when the loop stopped on the residual
+    test, and None when it ran out of iterations.
+    """
+    src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     sim = Similarity(init.scale, init.rotation.copy(), init.translation.copy())
     prev = None
     for _ in range(max_iter):
@@ -329,9 +341,9 @@ def icp_refine(src, dst, init: Similarity, max_iter=20, tol=1e-6) -> Similarity:
         dists, idx = tree.query(cur)
         mean_res = float(np.mean(dists))
         if prev is not None and abs(prev - mean_res) < tol:
-            break
+            return sim, (dists, idx)
         prev = mean_res
-        matched = dst[idx]
+        matched = tree.data[idx]
         mu_c = cur.mean(axis=0)
         mu_m = matched.mean(axis=0)
         H = (matched - mu_m).T @ (cur - mu_c)
@@ -342,7 +354,7 @@ def icp_refine(src, dst, init: Similarity, max_iter=20, tol=1e-6) -> Similarity:
         R = U @ Sfix @ Vt
         t = mu_m - R @ mu_c
         sim = Similarity(1.0, R, t).compose(sim)
-    return sim
+    return sim, None
 
 
 def write_poses(path, poses):
@@ -356,25 +368,34 @@ def write_poses(path, poses):
 
 
 def read_poses(path):
-    """Read poses written by write_poses."""
+    """Read poses written by write_poses.
+
+    A line that is not an integer index plus 12 finite numbers, or whose
+    rotation is not orthonormal, raises FileFormatError naming that line.
+    """
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
+        raw = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not raw:
         raise FileFormatError(path, "empty pose file")
     try:
-        count = int(raw[0])
+        count = int(raw[0][1])
     except ValueError:
-        raise FileFormatError(path, f"bad count line {raw[0]!r}", line=1)
+        raise FileFormatError(path, f"bad count line {raw[0][1]!r}", line=raw[0][0])
     if len(raw) - 1 != count:
         raise FileFormatError(path, f"expected {count} pose lines, got {len(raw) - 1}")
     poses = []
-    for ln_no, ln in enumerate(raw[1:], start=2):
+    for ln_no, ln in raw[1:]:
         parts = ln.split()
         if len(parts) != 13:
             raise FileFormatError(path, f"expected 13 fields, got {len(parts)}", line=ln_no)
-        vals = np.array([float(v) for v in parts[1:]])
-        R = vals[:9].reshape(3, 3)
-        p = Pose(R, vals[9:])
+        try:
+            int(parts[0])
+            vals = np.array([float(v) for v in parts[1:]])
+        except ValueError:
+            raise FileFormatError(path, f"bad pose row {ln!r}", line=ln_no) from None
+        if not np.all(np.isfinite(vals)):
+            raise FileFormatError(path, "pose values must be finite", line=ln_no)
+        p = Pose(vals[:9].reshape(3, 3), vals[9:])
         if not p.is_orthonormal(tol=1e-6):
             raise FileFormatError(path, "rotation not orthonormal", line=ln_no)
         poses.append(p)

@@ -276,4 +276,5 @@ def write_targets(path, targets):
 
 
 def read_targets(path):
-    return _read_rows(path, 3)
+    return _read_rows(path, 3, rule=(lambda v: np.isfinite(v).all(axis=1),
+                                     "targets must be finite"))

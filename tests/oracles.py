@@ -2,18 +2,21 @@
 
 The metric oracles are straightforward loops over 4x4 matrices and raw
 arrays, sharing no code with the package beyond numpy/scipy primitives.
-The sampling, Huber, tape, geometric-median and row-file references below
-are the package's earlier per-call formulations, kept to pin the compiled
-and batched paths bit for bit.
+The sampling, Huber, tape, geometric-median, row-file and point-cloud
+references below are the package's earlier per-call formulations, kept to
+pin the compiled and batched paths bit for bit.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
+from trajcouple.errors import DegenerateConfiguration
+from trajcouple.metrics import PointmapResult
 from trajcouple.pointmap import BilinearSampler, check_domain
-from trajcouple.pose import inverse
+from trajcouple.pose import Similarity, inverse, umeyama
 from trajcouple.tracks import MIN_VISIBLE_WEIGHT
 
 
@@ -448,3 +451,74 @@ def naive_depth(preds, gts, mode="scale", per="sequence"):
         if pa[k] > 0 and max(pa[k] / ga[k], ga[k] / pa[k]) < 1.25:
             inliers += 1
     return abs_rel, inliers / pa.size
+
+
+# ---------------------------------------------------------------------------
+# Point-cloud metrics: five KD-trees per call, eigh on every covariance.
+
+def estimate_normals(cloud, k=16):
+    cloud = np.asarray(cloud, dtype=np.float64)
+    n = cloud.shape[0]
+    k = min(k, n - 1)
+    if k < 2:
+        raise DegenerateConfiguration("too few points for normal estimation")
+    tree = cKDTree(cloud)
+    _, idx = tree.query(cloud, k=k + 1)
+    neigh = cloud[idx]
+    centered = neigh - neigh.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered)
+    _, vecs = np.linalg.eigh(cov)
+    return vecs[:, :, 0]
+
+
+def icp_refine(src, dst, init, max_iter=20, tol=1e-6):
+    src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
+    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
+    tree = cKDTree(dst)
+    sim = Similarity(init.scale, init.rotation.copy(), init.translation.copy())
+    prev = None
+    for _ in range(max_iter):
+        cur = sim.apply(src)
+        dists, idx = tree.query(cur)
+        mean_res = float(np.mean(dists))
+        if prev is not None and abs(prev - mean_res) < tol:
+            break
+        prev = mean_res
+        matched = dst[idx]
+        mu_c = cur.mean(axis=0)
+        mu_m = matched.mean(axis=0)
+        H = (matched - mu_m).T @ (cur - mu_c)
+        U, _, Vt = np.linalg.svd(H)
+        Sfix = np.eye(3)
+        if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
+            Sfix[2, 2] = -1.0
+        R = U @ Sfix @ Vt
+        t = mu_m - R @ mu_c
+        sim = Similarity(1.0, R, t).compose(sim)
+    return sim
+
+
+def pointmap_metrics(pred, gt, align=True, use_icp=False, k_normals=16):
+    pred = np.asarray(pred, dtype=np.float64).reshape(-1, 3)
+    gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
+    if pred.shape[0] < 3 or gt.shape[0] < 3:
+        raise DegenerateConfiguration("point clouds need at least 3 points")
+    if align:
+        if pred.shape[0] != gt.shape[0]:
+            raise DegenerateConfiguration("similarity alignment needs equal sizes")
+        sim = umeyama(pred, gt, with_scale=True)
+        if use_icp:
+            sim = icp_refine(pred, gt, sim)
+        pred = sim.apply(pred)
+    elif use_icp:
+        pred = icp_refine(pred, gt, Similarity.identity()).apply(pred)
+    acc_d, acc_idx = cKDTree(gt).query(pred)
+    comp_d, _ = cKDTree(pred).query(gt)
+    normals_pred = estimate_normals(pred, k_normals)
+    normals_gt = estimate_normals(gt, k_normals)
+    cosines = np.abs(np.sum(normals_pred * normals_gt[acc_idx], axis=1))
+    return PointmapResult(
+        float(np.mean(acc_d)), float(np.median(acc_d)),
+        float(np.mean(comp_d)), float(np.median(comp_d)),
+        float(np.mean(cosines)), float(np.median(cosines)),
+    )

@@ -123,6 +123,9 @@ class TestOptimize:
         ("static_mask.txt", 0, 1, "x"),  # header
         ("static_mask.txt", 2, 1, "-1"),  # frame index
         ("targets.txt", 4, 0, "99"),  # track index
+        ("targets.txt", 4, 3, "nan"),  # target coordinate
+        ("rel_poses.txt", 2, 4, "x"),  # rotation entry
+        ("rel_poses.txt", 2, 11, "nan"),  # translation
     ])
     def test_bad_row_file_exit_3_names_path(self, tmp_path, capsys, file, line, field, value):
         scenes = self.run_gen(tmp_path)
@@ -254,6 +257,15 @@ class TestEval:
                      "--metrics", "tracks3d", "--out", str(tmp_path / "e")])
         assert code == 3
         assert bad in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [(4, "x"), (0, "1.5"), (11, "nan"), (12, "-inf")])
+    def test_bad_pose_file_exit_3_names_line(self, tmp_path, capsys, field, value):
+        scene = self.make_dirs(tmp_path)
+        bad = poison_row_file(scene / "est" / "rel_poses.txt", 2, field, value)
+        code = main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                     "--metrics", "ate", "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert f"{bad}:3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_pointmap_exit_3_names_path(self, tmp_path, capsys, value):

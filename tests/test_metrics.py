@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import oracles
+from trajcouple import metrics
 from trajcouple.errors import DegenerateConfiguration, EmptyValidMask
 from trajcouple.metrics import (
     DepthResult,
@@ -15,7 +21,7 @@ from trajcouple.metrics import (
     rpe,
     tapvid3d_metrics,
 )
-from trajcouple.pose import Pose, PoseTangent, Similarity, compose, exp_map
+from trajcouple.pose import Pose, PoseTangent, Similarity, _icp, compose, exp_map, so3_exp, umeyama
 
 
 def random_pose(rng, rot=0.5, trans=1.0):
@@ -269,6 +275,147 @@ class TestPointmapMetrics:
         pts = np.column_stack([rng.uniform(-1, 1, (50, 2)), np.zeros(50)])
         normals = estimate_normals(pts)
         assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
+
+
+# neighborhoods whose smallest eigenvalue is (near-)repeated and must take the eigh fallback
+FALLBACK_KINDS = ("collinear", "coincident", "isotropic")
+
+
+def neighborhood(kind, seed, m, scale, offset):
+    """m points (6 for the octahedra) of one local shape, rotated, scaled and offset."""
+    rng = np.random.default_rng(seed)
+    uv = rng.uniform(-1.0, 1.0, (m, 2))
+    if kind == "exact_plane":  # axis-aligned: the covariance has an exact zero row
+        return np.column_stack([uv, np.zeros(m)]) * scale + np.round(offset)
+    if kind == "coincident":  # integer coordinates: the mean and the covariance are exact
+        return np.tile(np.round(rng.uniform(-1.0, 1.0, 3) * offset), (m, 1))
+    if kind == "plane":
+        local = np.column_stack([uv, np.zeros(m)])
+    elif kind == "curved":
+        local = np.column_stack([uv, rng.uniform(-2.0, 2.0) * (uv**2).sum(axis=1)])
+    elif kind == "noisy":
+        local = np.column_stack([uv, 10.0 ** rng.uniform(-6.0, -0.5) * rng.standard_normal(m)])
+    elif kind == "collinear":
+        local = np.column_stack([uv[:, 0], np.zeros((m, 2))])
+    elif kind in ("isotropic", "near_isotropic"):  # jittered octahedron
+        jitter = 1e-7 if kind == "isotropic" else 10.0 ** rng.uniform(-5.0, -0.5)
+        local = np.vstack([np.eye(3), -np.eye(3)]) + jitter * rng.standard_normal((6, 3))
+    else:
+        raise ValueError(kind)
+    return local @ so3_exp(rng.standard_normal(3)).T * scale + offset
+
+
+class TestNormals:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ("plane", "exact_plane", "curved", "noisy", "near_isotropic") + FALLBACK_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(3, 17),
+        scale=st.floats(1e-3, 1e3),
+        offset=st.floats(-1e3, 1e3),
+    )
+    def test_closed_form_matches_eigh_oracle(self, kind, seed, m, scale, offset):
+        pts = neighborhood(kind, seed, m, scale, offset)
+        # at most 17 points: every point's 16-neighborhood is the whole cloud
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            normals = estimate_normals(pts)
+        ref = oracles.naive_normals(pts, 16)
+        assert np.all(np.isfinite(normals))
+        assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=0, atol=1e-12)
+        if kind in FALLBACK_KINDS:
+            assert eigh.called
+        centered = pts - pts.mean(axis=0)
+        w = np.linalg.eigvalsh(centered.T @ centered)
+        if w[1] - w[0] >= 1e-3 * w[2] > 0:  # well-conditioned smallest eigenvector
+            assert np.all(np.abs(np.sum(normals * ref, axis=1)) >= 1.0 - 1e-9)
+
+    def test_fallback_rows_equal_eigh(self):
+        rng = np.random.default_rng(30)
+        cov = np.stack([
+            np.zeros((3, 3)),  # coincident
+            np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),  # collinear
+            2.0 * np.eye(3),  # isotropic
+            np.diag([1.0, 1.0, 1.0 + 1e-9]),  # near-isotropic
+        ])
+        plane = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 3))
+        cov = np.concatenate([cov, (plane.T @ plane)[None]])
+        with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+            got = metrics._smallest_eigenvectors(cov)
+        (fallback,), _ = eigh.call_args
+        assert fallback.shape == (4, 3, 3)
+        assert np.array_equal(got[:4], np.linalg.eigh(cov[:4])[1][:, :, 0])
+        assert abs(got[4] @ np.linalg.eigh(cov[4])[1][:, 0]) >= 1.0 - 1e-12
+
+
+class CountingTree(cKDTree):
+    """cKDTree that logs every build and every query (query points, k)."""
+
+    built = []
+
+    def __init__(self, data, *args, **kwargs):
+        super().__init__(data, *args, **kwargs)
+        self.queries = []
+        CountingTree.built.append(self)
+
+    def query(self, x, k=1, **kwargs):
+        self.queries.append((len(x), k))
+        return super().query(x, k=k, **kwargs)
+
+
+class TestPointmapSharedTrees:
+    def clouds(self, seed, angle, shift, n=300, shuffle=False):
+        rng = np.random.default_rng(seed)
+        uv = rng.uniform(-1, 1, size=(n, 2))
+        gt = np.column_stack([uv, 0.3 * np.sin(2 * uv[:, 0]) * np.cos(uv[:, 1])])
+        offset = exp_map(PoseTangent(np.array([0.0, 0.1, angle]), np.array([shift, 0.0, 0.05])))
+        pred = 1.3 * offset.apply(gt) + 0.01 * rng.standard_normal(gt.shape)
+        if shuffle:
+            rng.shuffle(pred)
+        return pred, gt
+
+    @pytest.mark.parametrize("use_icp", [True, False])
+    @pytest.mark.parametrize("align,case", [
+        (True, "paired"), (False, "paired"), (True, "shuffled"), (False, "shuffled"),
+        (True, "icp_max_iter"), (False, "icp_max_iter"), (False, "subset"),
+    ])
+    def test_matches_five_tree_reference(self, align, use_icp, case):
+        if case == "icp_max_iter":
+            pred, gt = self.clouds(0, 0.5, 0.4)
+            pred /= 1.3
+        else:
+            pred, gt = self.clouds(1, 0.05, 0.02, shuffle=case == "shuffled")
+        if case == "subset":
+            pred = pred[::3]
+        if case == "icp_max_iter" and use_icp and not align:  # the case is what it says
+            assert _icp(pred, cKDTree(gt), Similarity.identity())[1] is None
+        got = pointmap_metrics(pred, gt, align=align, use_icp=use_icp)
+        ref = oracles.pointmap_metrics(pred, gt, align=align, use_icp=use_icp)
+        assert (got.acc_mean, got.acc_median, got.comp_mean, got.comp_median) == (
+            ref.acc_mean, ref.acc_median, ref.comp_mean, ref.comp_median)
+        assert got.nc_mean == pytest.approx(ref.nc_mean, rel=0, abs=1e-12)
+        assert got.nc_median == pytest.approx(ref.nc_median, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("angle,shift,align,converges", [
+        (0.05, 0.02, True, True), (0.5, 0.4, False, False),
+    ])
+    def test_one_tree_per_cloud(self, monkeypatch, angle, shift, align, converges):
+        pred, gt = self.clouds(2, angle, shift)
+        if not align:
+            pred /= 1.3
+        init = umeyama(pred, gt) if align else Similarity.identity()
+        icp_tree = CountingTree(gt)
+        sim, matches = _icp(pred, icp_tree, init)
+        assert (matches is not None) == converges
+        n = len(pred)
+        matched = np.unique(cKDTree(gt).query(sim.apply(pred))[1]).size
+        expected_gt = icp_tree.queries + ([] if converges else [(n, 1)]) + [(matched, 17)]
+        CountingTree.built = []
+        monkeypatch.setattr(metrics, "cKDTree", CountingTree)
+        pointmap_metrics(pred, gt, align=align, use_icp=True)
+        gt_tree, pred_tree = CountingTree.built
+        assert gt_tree.queries == expected_gt  # re-queried only after max_iter
+        assert pred_tree.queries == [(len(gt), 1), (n, 17)]
 
 
 class TestDepthMetrics:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from trajcouple.errors import DegenerateConfiguration, LogNearPi
+import oracles
+from trajcouple.errors import DegenerateConfiguration, FileFormatError, LogNearPi
 from trajcouple.pose import (
     Pose,
     PoseTangent,
     Similarity,
+    _icp,
     compose,
     exp_map,
     icp_refine,
@@ -276,8 +279,50 @@ class TestIcp:
         res = np.mean(np.linalg.norm(refined.apply(src)[:, None] - dst[None], axis=2).min(axis=1))
         assert res < 1e-6
 
+    @pytest.mark.parametrize("angle,max_iter", [(0.05, 20), (0.5, 20), (0.5, 3), (0.05, 0)])
+    def test_matches_reference_bitwise(self, angle, max_iter):
+        rng = np.random.default_rng(21)
+        src = rng.uniform(-1, 1, size=(200, 3)) * [1.0, 1.0, 0.2]
+        true = Similarity(1.0, so3_exp(np.array([0.0, 0.1, angle])), np.array([0.4, 0.0, 0.05]))
+        dst = true.apply(src)
+        init = Similarity(1.5, so3_exp(np.array([0.01, 0.0, 0.0])), np.zeros(3))
+        got = icp_refine(src, dst, init, max_iter=max_iter)
+        ref = oracles.icp_refine(src, dst, init, max_iter=max_iter)
+        assert got.scale == ref.scale == 1.5
+        assert np.array_equal(got.rotation, ref.rotation)
+        assert np.array_equal(got.translation, ref.translation)
+
+    def test_returns_last_matches_only_when_converged(self):
+        rng = np.random.default_rng(22)
+        src = rng.uniform(-1, 1, size=(200, 3)) * [1.0, 1.0, 0.2]
+        tree = cKDTree(src + [0.01, 0.0, 0.0])
+        sim, matches = _icp(src, tree, Similarity.identity())
+        dists, idx = tree.query(sim.apply(src))
+        assert np.array_equal(matches[0], dists) and np.array_equal(matches[1], idx)
+        assert _icp(src, tree, Similarity.identity(), max_iter=1)[1] is None
+
 
 class TestPoseFileIo:
+    @pytest.mark.parametrize("field,value,message", [
+        (4, "x", "bad pose row"),
+        (0, "one", "bad pose row"),
+        (11, "nan", "finite"),
+        (12, "inf", "finite"),
+        (2, "nan", "finite"),
+    ])
+    def test_malformed_row_names_line(self, tmp_path, field, value, message):
+        rng = np.random.default_rng(20)
+        path = tmp_path / "poses.txt"
+        write_poses(path, [random_pose(rng) for _ in range(3)])
+        lines = path.read_text().splitlines()
+        fields = lines[2].split()
+        fields[field] = value
+        lines[2] = " ".join(fields)
+        path.write_text("\n\n".join(lines) + "\n")  # blank lines do not shift line numbers
+        with pytest.raises(FileFormatError, match=message) as err:
+            read_poses(path)
+        assert err.value.line == 5
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(19)
         poses = [random_pose(rng) for _ in range(5)]

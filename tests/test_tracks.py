@@ -395,3 +395,12 @@ class TestRowFiles:
         with pytest.raises(FileFormatError) as err:
             read_static_mask(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_targets_rejected(self, tmp_path, value):
+        path, lines = row_lines(tmp_path, "targets")
+        lines[3] = replace_field(lines[3], 4, value)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="targets must be finite") as err:
+            read_targets(path)
+        assert err.value.line == 4
