@@ -51,7 +51,6 @@ from .pose import (
     inverse,
     log_map,
     relative_pose,
-    transform_point,
     umeyama,
 )
 from .synthetic import (

@@ -50,7 +50,7 @@ from .grad import (
     vector_indices,
 )
 from .pointmap import BilinearSampler, PointMapGrid
-from .pose import Pose, PoseTangent, compose, exp_map, so3_exp, so3_left_jacobian
+from .pose import REORTHO_PERIOD, Pose, project_rotation, so3_exp, so3_left_jacobian
 from .tracks import TrackSet
 
 DEFAULT_DELTA = 0.05
@@ -88,8 +88,8 @@ def pose_stacks(base_poses: Sequence[Pose], tangents=None) -> PoseStacks:
         tangents = np.zeros((t, 6))
     else:
         tangents = np.asarray(tangents, dtype=np.float64).reshape(t, 6)
-    exp_rot = np.stack([so3_exp(tangents[k, :3]) for k in range(t)])
-    left_jac = np.stack([so3_left_jacobian(tangents[k, :3]) for k in range(t)])
+    exp_rot = so3_exp(tangents[:, :3])
+    left_jac = so3_left_jacobian(tangents[:, :3])
     r_cur = np.einsum("tij,tjk->tik", exp_rot, r_base)
     return PoseStacks(r_base, t_base, exp_rot, left_jac, tangents[:, 3:].copy(), r_cur)
 
@@ -110,15 +110,18 @@ def transform_samples(stacks: PoseStacks, frames, pts):
     return a + np.take(stacks.upsilon, frames, axis=0), a
 
 
-def current_rel_poses(base_poses: Sequence[Pose], tangents=None):
-    """Relative poses with tangent offsets folded in: exp(tangent) * base."""
-    if tangents is None:
-        return [p.copy() for p in base_poses]
+def current_rel_poses(base_poses: Sequence[Pose], tangents):
+    """Relative poses with tangent offsets folded in: exp(tangent) * base, aged like compose."""
     tangents = np.asarray(tangents, dtype=np.float64).reshape(len(base_poses), 6)
-    return [
-        compose(exp_map(PoseTangent.from_array(tangents[t])), base)
-        for t, base in enumerate(base_poses)
-    ]
+    exp_rot = so3_exp(tangents[:, :3])
+    rot = exp_rot @ np.stack([p.rotation for p in base_poses])
+    trans = (exp_rot @ np.stack([p.translation for p in base_poses])[:, :, None])[:, :, 0]
+    trans += tangents[:, 3:]
+    poses = [Pose(r, t, _age=p._age + 1) for r, t, p in zip(rot, trans, base_poses)]
+    for p in poses:
+        if p._age >= REORTHO_PERIOD:
+            p.rotation, p._age = project_rotation(p.rotation), 0
+    return poses
 
 
 def _scatter_pose_grads(tape, layout, stacks, frames, a_sel, gvec, routing):
@@ -411,23 +414,28 @@ def _reprojection_mask(
     stacks = pose_stacks(base_poses, tangents)
     repro, _ = transform_samples(stacks, geo.tt, geo.sampler.gather(grid_stack))
 
-    repro_full = np.full((n * t, 3), np.nan)
-    repro_full[geo.flat] = repro
-    repro_full = repro_full.reshape(n, t, 3)
+    repro_full = np.full((n, t, 3), np.nan)
+    repro_full.reshape(n * t, 3)[geo.flat] = repro
+    # np.nanmedian over frames without its all-NaN warning: NaN sorts last,
+    # so take the middle of each slice's `count` values (mean of the two when even)
+    count = np.sum(~np.isnan(repro_full), axis=1, keepdims=True)
+    ordered = np.sort(repro_full, axis=1)
+    low, high = (np.take_along_axis(ordered, k, axis=1) for k in ((count - 1) // 2, count // 2))
     with np.errstate(all="ignore"):
-        ref = np.nanmedian(repro_full, axis=1)
-        dev = np.linalg.norm(repro_full - ref[:, None, :], axis=2)
+        dev = np.linalg.norm(repro_full - (low + high) / 2.0, axis=2)
 
-    mask = np.zeros((n, t), dtype=bool)
-    for frame in range(t):
-        col = dev[:, frame]
-        finite = np.isfinite(col)
-        if not np.any(finite):
-            continue
-        scale = float(np.quantile(col[finite], scale_quantile))
-        tau_eff = max(tau, scale_factor * scale)
-        mask[finite, frame] = col[finite] < tau_eff
-    return mask
+    # np.quantile of each frame's finite deviations: its linear index rule
+    # (clamped to the last value) and its _lerp
+    finite = np.isfinite(dev)
+    last = np.sum(finite, axis=0) - 1
+    ordered = np.sort(np.where(finite, dev, np.nan), axis=0)
+    index = last * scale_quantile
+    below = np.floor(index)
+    gamma = index - below
+    a, b = (ordered[np.minimum(k, last).astype(np.intp), np.arange(t)] for k in (below, below + 1))
+    diff = b - a
+    scale = scale_factor * np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    return finite & (dev < np.where(scale > tau, scale, tau))
 
 
 def selfsup_static_mask(

@@ -33,26 +33,35 @@ ICP_TOL = 1e-6
 
 
 def so3_hat(w):
-    """Skew-symmetric matrix of a 3-vector."""
-    wx, wy, wz = w
-    return np.array(
-        [[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]], dtype=np.float64
-    )
+    """Skew-symmetric matrices of 3-vectors: (..., 3) -> (..., 3, 3)."""
+    w = np.asarray(w, dtype=np.float64)
+    S = np.zeros(w.shape + (3,))
+    S[..., 0, 1], S[..., 0, 2], S[..., 1, 2] = -w[..., 2], w[..., 1], -w[..., 0]
+    S[..., 1, 0], S[..., 2, 0], S[..., 2, 1] = w[..., 2], -w[..., 1], w[..., 0]
+    return S
+
+
+def _so3_parts(omega):
+    """Angles (..., 1, 1) (1 where small, keeping the unused branch finite), flags, S, S @ S.
+
+    The angle is a row matmul: it rounds like the BLAS dot in np.linalg.norm of one vector.
+    """
+    omega = np.asarray(omega, dtype=np.float64)
+    theta = np.sqrt(omega[..., None, :] @ omega[..., :, None])
+    small = theta < _SMALL_ANGLE
+    S = so3_hat(omega)
+    return np.where(small, 1.0, theta), small, S, S @ S
 
 
 def so3_exp(omega):
-    """Rodrigues' formula, exact identity at omega == 0."""
-    omega = np.asarray(omega, dtype=np.float64)
-    theta = float(np.linalg.norm(omega))
-    S = so3_hat(omega)
-    if theta < _SMALL_ANGLE:
-        # I + S + S^2/2, error O(theta^3)
-        return np.eye(3) + S + 0.5 * (S @ S)
-    return (
-        np.eye(3)
-        + (np.sin(theta) / theta) * S
-        + ((1.0 - np.cos(theta)) / theta**2) * (S @ S)
-    )
+    """Rodrigues' formula over (..., 3) tangents, exact identity at omega == 0."""
+    theta, small, S, S2 = _so3_parts(omega)
+    c1 = np.sin(theta) / theta
+    # float_power is C pow per element, like ** on a Python float in the scalar formula
+    # (tests/oracles.py); ** on an array squares, which rounds differently ~1 time in 1000
+    c2 = (1.0 - np.cos(theta)) / np.float_power(theta, 2)
+    # I + S + S^2/2 below the small angle, error O(theta^3)
+    return np.where(small, np.eye(3) + S + 0.5 * S2, np.eye(3) + c1 * S + c2 * S2)
 
 
 def so3_log(rotation):
@@ -73,18 +82,11 @@ def so3_log(rotation):
 
 
 def so3_left_jacobian(omega):
-    """Left Jacobian of SO(3): exp(omega + d) ~= exp(J_l(omega) d) exp(omega)."""
-    omega = np.asarray(omega, dtype=np.float64)
-    theta = float(np.linalg.norm(omega))
-    S = so3_hat(omega)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) + 0.5 * S + (S @ S) / 6.0
+    """Left Jacobian of SO(3) over (..., 3): exp(omega + d) ~= exp(J_l(omega) d) exp(omega)."""
+    theta, small, S, S2 = _so3_parts(omega)
     t2 = theta * theta
-    return (
-        np.eye(3)
-        + ((1.0 - np.cos(theta)) / t2) * S
-        + ((theta - np.sin(theta)) / (t2 * theta)) * (S @ S)
-    )
+    c1, c2 = (1.0 - np.cos(theta)) / t2, (theta - np.sin(theta)) / (t2 * theta)
+    return np.where(small, np.eye(3) + 0.5 * S + S2 / 6.0, np.eye(3) + c1 * S + c2 * S2)
 
 
 def project_rotation(M):
@@ -171,10 +173,6 @@ def relative_pose(c_t: Pose, c_x: Pose) -> Pose:
     return compose(inverse(c_x), c_t)
 
 
-def transform_point(p: Pose, x):
-    return p.apply(x)
-
-
 @dataclass
 class PoseTangent:
     """Tangent increment: axis-angle rotation part and translation part."""
@@ -189,11 +187,6 @@ class PoseTangent:
     @classmethod
     def zero(cls):
         return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
-    def from_array(cls, v):
-        v = np.asarray(v, dtype=np.float64).reshape(6)
-        return cls(v[:3], v[3:])
 
     def as_array(self):
         return np.concatenate([self.omega, self.upsilon])

@@ -2,9 +2,10 @@
 
 The metric oracles are straightforward loops over 4x4 matrices and raw
 arrays, sharing no code with the package beyond numpy/scipy primitives.
-The sampling, Huber, tape, geometric-median, row-file and point-cloud
-references below are the package's earlier per-call formulations, kept to
-pin the compiled and batched paths bit for bit.
+The sampling, Huber, tape, geometric-median, SO(3), pose-stack,
+reprojection-mask, row-file and point-cloud references below are the
+package's earlier per-call formulations, kept to pin the compiled and
+batched paths bit for bit.
 """
 
 import math
@@ -14,9 +15,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from trajcouple.errors import DegenerateConfiguration
+from trajcouple.losses import PoseStacks, transform_samples
 from trajcouple.metrics import PointmapResult
 from trajcouple.pointmap import BilinearSampler, check_domain
-from trajcouple.pose import Similarity, inverse, umeyama
+from trajcouple.pose import _SMALL_ANGLE, Pose, Similarity, compose, inverse, umeyama
 from trajcouple.tracks import MIN_VISIBLE_WEIGHT
 
 
@@ -188,6 +190,95 @@ def static_mask(world_points, tau, visibility=None, anchor_pose=None):
         pts = inverse(anchor_pose).apply(pts.reshape(-1, 3)).reshape(n, t, 3)
     ref = track_medians(pts, visibility)
     return np.linalg.norm(pts - ref[:, None, :], axis=2) < tau
+
+
+# ---------------------------------------------------------------------------
+# SO(3) and the optimizer's pose work, one frame at a time.
+
+def so3_hat(w):
+    wx, wy, wz = w
+    return np.array(
+        [[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]], dtype=np.float64
+    )
+
+
+def so3_exp(omega):
+    omega = np.asarray(omega, dtype=np.float64)
+    theta = float(np.linalg.norm(omega))
+    S = so3_hat(omega)
+    if theta < _SMALL_ANGLE:
+        return np.eye(3) + S + 0.5 * (S @ S)
+    return (
+        np.eye(3)
+        + (np.sin(theta) / theta) * S
+        + ((1.0 - np.cos(theta)) / theta**2) * (S @ S)
+    )
+
+
+def so3_left_jacobian(omega):
+    omega = np.asarray(omega, dtype=np.float64)
+    theta = float(np.linalg.norm(omega))
+    S = so3_hat(omega)
+    if theta < _SMALL_ANGLE:
+        return np.eye(3) + 0.5 * S + (S @ S) / 6.0
+    t2 = theta * theta
+    return (
+        np.eye(3)
+        + ((1.0 - np.cos(theta)) / t2) * S
+        + ((theta - np.sin(theta)) / (t2 * theta)) * (S @ S)
+    )
+
+
+def pose_stacks(base_poses, tangents=None):
+    t = len(base_poses)
+    r_base = np.stack([p.rotation for p in base_poses])
+    t_base = np.stack([p.translation for p in base_poses])
+    if tangents is None:
+        tangents = np.zeros((t, 6))
+    else:
+        tangents = np.asarray(tangents, dtype=np.float64).reshape(t, 6)
+    exp_rot = np.stack([so3_exp(tangents[k, :3]) for k in range(t)])
+    left_jac = np.stack([so3_left_jacobian(tangents[k, :3]) for k in range(t)])
+    r_cur = np.einsum("tij,tjk->tik", exp_rot, r_base)
+    return PoseStacks(r_base, t_base, exp_rot, left_jac, tangents[:, 3:].copy(), r_cur)
+
+
+def current_rel_poses(base_poses, tangents):
+    """compose(exp_map(tangent), base) per frame."""
+    tangents = np.asarray(tangents, dtype=np.float64).reshape(len(base_poses), 6)
+    return [
+        compose(Pose(so3_exp(tangents[t, :3]), tangents[t, 3:].copy()), base)
+        for t, base in enumerate(base_poses)
+    ]
+
+
+def reprojection_mask(
+    geo, shape, grid_stack, base_poses, tangents, tau, scale_quantile=0.4, scale_factor=3.0
+):
+    """np.nanmedian per track, then np.quantile per frame."""
+    n, t = shape
+    if geo.flat.size == 0:
+        return np.zeros((n, t), dtype=bool)
+    stacks = pose_stacks(base_poses, tangents)
+    repro, _ = transform_samples(stacks, geo.tt, geo.sampler.gather(grid_stack))
+
+    repro_full = np.full((n * t, 3), np.nan)
+    repro_full[geo.flat] = repro
+    repro_full = repro_full.reshape(n, t, 3)
+    with np.errstate(all="ignore"):
+        ref = np.nanmedian(repro_full, axis=1)
+        dev = np.linalg.norm(repro_full - ref[:, None, :], axis=2)
+
+    mask = np.zeros((n, t), dtype=bool)
+    for frame in range(t):
+        col = dev[:, frame]
+        finite = np.isfinite(col)
+        if not np.any(finite):
+            continue
+        scale = float(np.quantile(col[finite], scale_quantile))
+        tau_eff = max(tau, scale_factor * scale)
+        mask[finite, frame] = col[finite] < tau_eff
+    return mask
 
 
 # ---------------------------------------------------------------------------

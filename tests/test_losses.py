@@ -1,7 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import huber, huber_gradient
+from test_pose import tangent_stacks
 from trajcouple.errors import MissingTargets, OutOfDomain
 from trajcouple.fixtures import random_coupling_fixture
 from trajcouple.grad import GRIDS, POSES, TRACKS, ParamLayout, Tape
@@ -9,14 +15,18 @@ from trajcouple.losses import (
     LossBreakdown,
     LossConfig,
     TermStats,
+    _compile,
     _huber_batch,
+    _reprojection_mask,
+    current_rel_poses,
     loss_cam,
     loss_cons,
     loss_selfsup,
+    pose_stacks,
     selfsup_static_mask,
     total_loss,
 )
-from trajcouple.pose import Pose, PoseTangent, exp_map, so3_left_jacobian
+from trajcouple.pose import REORTHO_PERIOD, Pose, PoseTangent, exp_map, so3_left_jacobian
 from trajcouple.synthetic import SceneConfig, build_problem, generate, initial_store
 from trajcouple.tracks import TrackSet
 
@@ -449,3 +459,90 @@ class TestCompiledProblem:
         with pytest.raises(ValueError, match="anchor frame"):
             selfsup_static_mask(grids, problem.query_pixels, problem.visibility,
                                 problem.base_rel_poses, None, 0.05, anchor=anchor)
+
+
+def random_base_poses(rng, t):
+    poses = []
+    for _ in range(t):
+        p = exp_map(PoseTangent(rng.standard_normal(3), rng.standard_normal(3)))
+        p._age = int(rng.integers(0, REORTHO_PERIOD))
+        poses.append(p)
+    return poses
+
+
+def assert_poses_equal(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(a.translation, b.translation)
+        assert a._age == b._age
+
+
+class TestBatchedPoseWork:
+    """pose_stacks and the pose fold equal the per-frame loops bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tangent_stacks(), st.integers(0, 2**32 - 1))
+    def test_matches_per_frame_oracle(self, tangents, seed):
+        base = random_base_poses(np.random.default_rng(seed), tangents.shape[0])
+        for tan in (tangents, None):
+            got, expected = pose_stacks(base, tan), oracles.pose_stacks(base, tan)
+            for name in ("r_base", "t_base", "exp_rot", "left_jac", "upsilon", "r_cur"):
+                assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        assert_poses_equal(current_rel_poses(base, tangents),
+                           oracles.current_rel_poses(base, tangents))
+
+    def test_fold_reorthonormalizes_like_oracle(self):
+        # 130 folds cross REORTHO_PERIOD twice
+        problem, store = random_coupling_fixture(7, n_frames=5)
+        _, _, tangents = problem.views(store)
+        expected = [p.copy() for p in problem.base_rel_poses]
+        rng = np.random.default_rng(8)
+        resets = 0
+        for _ in range(130):
+            tangents[:] = 0.1 * rng.standard_normal(tangents.shape)
+            expected = oracles.current_rel_poses(expected, tangents)
+            problem.fold_pose_tangents(store)
+            assert not np.any(tangents)
+            assert_poses_equal(problem.base_rel_poses, expected)
+            resets += all(p._age == 0 for p in expected)
+        assert resets == 2
+        assert [p._age for p in problem.base_rel_poses] == [2] * 5
+
+
+@st.composite
+def mask_cases(draw):
+    """Geometry and state for the reprojection mask, with hidden tracks and frames."""
+    n = draw(st.integers(1, 12))
+    t = draw(st.integers(1, 40))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    visibility = (rng.uniform(size=(n, t)) < draw(st.floats(0.0, 1.0))).astype(np.float64)
+    visibility[draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = 0.0
+    visibility[:, draw(st.lists(st.integers(0, t - 1), max_size=t))] = 0.0
+    grids = rng.standard_normal((t, h, w, 3))
+    if draw(st.booleans()):
+        grids = np.round(grids, 1)  # ties among the sorted values
+    query = rng.uniform(0.0, 1.0, (n, t, 2)) * [w - 1, h - 1]
+    tangents = draw(st.sampled_from([None, "random"]))
+    if tangents == "random":
+        tangents = 0.1 * rng.standard_normal((t, 6))
+    # tau far above every deviation keeps tau; far below takes the quantile branch
+    tau = draw(st.one_of(st.sampled_from([1e-9, 1e3]), st.floats(1e-6, 2.0)))
+    layout = ParamLayout(n, t, h, w)
+    geo = _compile(layout, query, visibility, draw(st.integers(0, t - 1)), 1e-3)
+    return geo, (n, t), grids, random_base_poses(rng, t), tangents, tau
+
+
+class TestReprojectionMask:
+    @settings(max_examples=200, deadline=None)
+    @given(mask_cases(), st.sampled_from([0.0, 0.25, 0.4, 1.0]))
+    def test_matches_loop_oracle(self, case, quantile):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the oracle warns on all-hidden tracks
+            expected = oracles.reprojection_mask(*case, scale_quantile=quantile)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _reprojection_mask(*case, scale_quantile=quantile)
+        assert got.dtype == bool
+        assert np.array_equal(got, expected)

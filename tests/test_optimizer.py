@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,18 @@ class TestPoseTangentRms:
         moved = [exp_map(tangent) for _ in range(3)]
         expected = np.sqrt(0.1**2 + 0.2**2)
         assert pose_tangent_rms(moved, base) == pytest.approx(expected, rel=1e-9)
+
+
+class TestStaticMaskRefresh:
+    @pytest.mark.parametrize("hidden", ["track", "frame"])
+    def test_hidden_pseudo_track_or_frame_warns_nothing(self, hidden):
+        scene = noisy_scene(seed=4, n_dynamic=4, n_frames=6)
+        if hidden == "track":
+            scene.pseudo_visibility[3] = 0.0
+        else:
+            scene.pseudo_visibility[:, 2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = optimize(initial_store(scene), scene,
+                              ablation_config("selfsup", quick_optim(max_epochs=3)))
+        assert report.n_epochs == 3

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import oracles
@@ -18,7 +20,8 @@ from trajcouple.pose import (
     relative_pose,
     rotation_angle,
     so3_exp,
-    transform_point,
+    so3_hat,
+    so3_left_jacobian,
     umeyama,
     write_poses,
 )
@@ -28,6 +31,31 @@ def random_pose(rng, rot=1.0, trans=1.0):
     return exp_map(
         PoseTangent(rot * rng.standard_normal(3), trans * rng.standard_normal(3))
     )
+
+
+# angles on both sides of the 1e-8 small-angle switch and up to near pi
+ANGLES = (
+    0.0, 1e-300, 1e-12, 5e-9, np.nextafter(1e-8, 0.0), 1e-8, np.nextafter(1e-8, 1.0),
+    2e-8, 1e-4, 0.3, 1.0, 2.5, np.pi - 1e-3,
+)
+# a coordinate axis makes the angle exact, so 1e-8 itself hits the switch
+AXES = ("random", (1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+@st.composite
+def tangent_stacks(draw, max_frames=40):
+    """(T, 6) tangents whose rotation parts cover the angle cases above."""
+    t = draw(st.integers(1, max_frames))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angle = st.one_of(st.sampled_from(ANGLES), st.floats(0.0, np.pi - 1e-3))
+    rows = draw(st.lists(st.tuples(angle, st.sampled_from(AXES)), min_size=t, max_size=t))
+    tangents = rng.standard_normal((t, 6))
+    for k, (theta, axis) in enumerate(rows):
+        if axis == "random":
+            axis = rng.standard_normal(3)
+            axis /= np.linalg.norm(axis)
+        tangents[k, :3] = theta * np.asarray(axis)
+    return tangents
 
 
 def rot_z(theta):
@@ -112,16 +140,57 @@ class TestRelativePose:
             assert np.allclose(roundtrip.matrix(), np.eye(4), atol=1e-9)
 
 
+class TestBatchedSO3:
+    """The (..., 3) SO(3) functions equal the one-vector oracles bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tangent_stacks())
+    def test_matches_per_frame_oracle(self, tangents):
+        omega = tangents[:, :3]  # strided, as the optimizer passes it
+        for fn, oracle in ((so3_hat, oracles.so3_hat), (so3_exp, oracles.so3_exp),
+                           (so3_left_jacobian, oracles.so3_left_jacobian)):
+            expected = np.stack([oracle(w) for w in omega])
+            assert np.array_equal(fn(omega), expected)
+            assert np.array_equal(fn(omega.copy()), expected)
+            single = fn(omega[0])
+            assert single.shape == (3, 3)
+            assert np.array_equal(single, expected[0])
+
+    def test_many_random_angles(self):
+        # ** on an array and ** on a float round differently for about one
+        # angle in a thousand; thousands of angles from 1e-20 to pi meet some
+        rng = np.random.default_rng(4)
+        axes = rng.standard_normal((5000, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        omega = axes * np.concatenate([10.0 ** rng.uniform(-20, -8, 1000),
+                                       rng.uniform(0.0, np.pi, 4000)])[:, None]
+        for fn, oracle in ((so3_exp, oracles.so3_exp),
+                           (so3_left_jacobian, oracles.so3_left_jacobian)):
+            assert np.array_equal(fn(omega), np.stack([oracle(w) for w in omega]))
+
+    def test_leading_axes(self):
+        rng = np.random.default_rng(5)
+        omega = rng.standard_normal((2, 5, 3))
+        for fn in (so3_hat, so3_exp, so3_left_jacobian):
+            out = fn(omega)
+            assert out.shape == (2, 5, 3, 3)
+            assert np.array_equal(out.reshape(10, 3, 3), fn(omega.reshape(10, 3)))
+
+    def test_zero_is_exact_identity(self):
+        assert np.array_equal(so3_exp(np.zeros((4, 3))), np.broadcast_to(np.eye(3), (4, 3, 3)))
+        assert np.array_equal(so3_left_jacobian(np.zeros(3)), np.eye(3))
+
+
 class TestTransformPoint:
     def test_identity(self):
         assert np.array_equal(
-            transform_point(Pose.identity(), np.array([1.0, 2.0, 3.0])),
+            Pose.identity().apply(np.array([1.0, 2.0, 3.0])),
             np.array([1.0, 2.0, 3.0]),
         )
 
     def test_pure_translation(self):
         p = Pose(np.eye(3), np.array([0.0, 0.0, 5.0]))
-        assert np.array_equal(transform_point(p, np.zeros(3)), np.array([0.0, 0.0, 5.0]))
+        assert np.array_equal(p.apply(np.zeros(3)), np.array([0.0, 0.0, 5.0]))
 
     def test_matrix_oracle(self):
         rng = np.random.default_rng(8)
@@ -129,7 +198,7 @@ class TestTransformPoint:
             p = random_pose(rng)
             x = rng.standard_normal(3)
             expected = (p.matrix() @ np.append(x, 1.0))[:3]
-            assert np.allclose(transform_point(p, x), expected, atol=1e-12)
+            assert np.allclose(p.apply(x), expected, atol=1e-12)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(9)
@@ -159,7 +228,8 @@ class TestExpLog:
         # 4x4 of exp(tangent) must match I + hat(tangent) to second order
         rng = np.random.default_rng(11)
         direction = PoseTangent(rng.standard_normal(3), rng.standard_normal(3))
-        direction = PoseTangent.from_array(direction.as_array() / direction.norm())
+        unit = direction.as_array() / direction.norm()
+        direction = PoseTangent(unit[:3], unit[3:])
         for eps in (1e-3, 1e-4):
             scaled = PoseTangent(eps * direction.omega, eps * direction.upsilon)
             hat = np.zeros((4, 4))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from trajcouple import tracks
 from trajcouple.errors import FileFormatError
-from trajcouple.pose import Pose, PoseTangent, exp_map, inverse, transform_point
+from trajcouple.pose import Pose, PoseTangent, exp_map, inverse
 from trajcouple.tracks import (
     TrackSet,
     WorldTrackSet,
@@ -174,7 +174,7 @@ class TestCameraFramePosition:
         for _ in range(20):
             cam = random_pose(rng)
             x = rng.standard_normal(3)
-            expected = transform_point(inverse(cam), x)
+            expected = inverse(cam).apply(x)
             assert np.allclose(camera_frame_position(x, cam), expected, atol=1e-12)
 
     def test_static_point_varies_iff_camera_moves(self):
@@ -212,7 +212,7 @@ class TestAnchorTargets:
         inv = inverse(cam)
         for i in range(4):
             for t in range(5):
-                assert np.allclose(out[i, t], transform_point(inv, pts[i, t]), atol=1e-12)
+                assert np.allclose(out[i, t], inv.apply(pts[i, t]), atol=1e-12)
 
 
 class TestTrackSetValidation:
