@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+import threading
 from datetime import datetime, timezone
 
 import numpy as np
@@ -241,13 +242,74 @@ def _load_pose_file(dir_path):
     raise SystemExit(EXIT_IO)
 
 
-def _load_grid_dir(dir_path):
+def _frame_paths(dir_path):
+    """{file name: path} of the .pm frames under dir_path/pointmaps."""
     pm_dir = _require(os.path.join(dir_path, "pointmaps"))
-    frames = sorted(f for f in os.listdir(pm_dir) if f.endswith(".pm"))
+    frames = {f: os.path.join(pm_dir, f) for f in os.listdir(pm_dir) if f.endswith(".pm")}
     if not frames:
         print(f"missing input file: {pm_dir}/*.pm", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    return [read_pointmap(os.path.join(pm_dir, f)) for f in frames]
+    return frames
+
+
+def _load_frame_pairs(pred_dir, gt_dir):
+    """Prediction and ground-truth grids paired by file name, in name order."""
+    pred, gt = _frame_paths(pred_dir), _frame_paths(gt_dir)
+    for name in sorted(pred.keys() ^ gt.keys()):
+        if name in pred:
+            raise FileFormatError(pred[name], f"no ground-truth frame {name} in {gt_dir}")
+        raise FileFormatError(gt[name], f"no predicted frame {name} in {pred_dir}")
+    pred_grids, gt_grids = [], []
+    for name in sorted(pred):
+        p, g = read_pointmap(pred[name]), read_pointmap(gt[name])
+        if p.points.shape != g.points.shape:
+            (h, w), (gh, gw) = p.points.shape[:2], g.points.shape[:2]
+            raise FileFormatError(pred[name], f"{h}x{w} frame, but {gt[name]} is {gh}x{gw}")
+        pred_grids.append(p)
+        gt_grids.append(g)
+    return pred_grids, gt_grids
+
+
+def _map_frames(fn, items):
+    """[fn(x) for x in items], run on every CPU in the process affinity mask.
+
+    The calling thread is one of the participants, so len(mask) - 1 threads
+    are started.  Items are handed out one at a time in order and results are
+    returned in order; fn must release the GIL for the threads to overlap.
+    Once an item fails no more are handed out, so every lower-index item has
+    run and the exception of the lowest-index failure is raised, as a
+    sequential loop would raise it.
+    """
+    lock = threading.Lock()
+    pending = iter(range(len(items)))
+    results = [None] * len(items)
+    errors = {}
+
+    def take():
+        with lock:
+            return None if errors else next(pending, None)
+
+    def work():
+        while (k := take()) is not None:
+            try:
+                results[k] = fn(items[k])
+            except Exception as exc:  # re-raised below, in the calling thread
+                with lock:
+                    errors[k] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(len(os.sched_getaffinity(0)) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:  # an interrupt in the calling thread stops the hand-out too
+            pending = iter(())
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def cmd_eval(args):
@@ -295,22 +357,15 @@ def cmd_eval(args):
         report.add("oa", res.oa)
 
     if {"pointmap", "depth"} & set(selected):
-        pred_grids = _load_grid_dir(args.pred)
-        gt_grids = _load_grid_dir(args.gt)
-        if len(pred_grids) != len(gt_grids):
-            print(
-                f"frame count mismatch: {len(pred_grids)} vs {len(gt_grids)}",
-                file=sys.stderr,
-            )
-            raise SystemExit(EXIT_IO)
+        pred_grids, gt_grids = _load_frame_pairs(args.pred, args.gt)
         if "pointmap" in selected:
-            per_frame = [
-                pointmap_metrics(
-                    p.points.reshape(-1, 3), g.points.reshape(-1, 3),
+            per_frame = _map_frames(
+                lambda pair: pointmap_metrics(
+                    pair[0].points.reshape(-1, 3), pair[1].points.reshape(-1, 3),
                     use_icp=args.icp,
-                )
-                for p, g in zip(pred_grids, gt_grids)
-            ]
+                ),
+                list(zip(pred_grids, gt_grids)),
+            )
             for field_name in (
                 "acc_mean", "acc_median", "comp_mean", "comp_median",
                 "nc_mean", "nc_median",

@@ -70,14 +70,25 @@ def _huber_batch(res, delta, grad=True):
 
 @dataclass
 class PoseStacks:
-    """Per-frame arrays of the tangent-parameterized relative transforms."""
+    """Per-frame arrays of the tangent-parameterized relative transforms.
+
+    The fields are what transform_samples reads; left_jac and r_cur, needed
+    only to scatter gradients, are formed on first access.
+    """
 
     r_base: np.ndarray  # (T, 3, 3)
     t_base: np.ndarray  # (T, 3)
     exp_rot: np.ndarray  # (T, 3, 3)  exp_so3(omega_t)
-    left_jac: np.ndarray  # (T, 3, 3)
     upsilon: np.ndarray  # (T, 3)
-    r_cur: np.ndarray  # (T, 3, 3)  exp_rot @ r_base
+    omega: np.ndarray  # (T, 3)
+
+    @cached_property
+    def left_jac(self):  # (T, 3, 3)
+        return so3_left_jacobian(self.omega)
+
+    @cached_property
+    def r_cur(self):  # (T, 3, 3)  exp_rot @ r_base
+        return np.einsum("tij,tjk->tik", self.exp_rot, self.r_base)
 
 
 def pose_stacks(base_poses: Sequence[Pose], tangents=None) -> PoseStacks:
@@ -89,9 +100,7 @@ def pose_stacks(base_poses: Sequence[Pose], tangents=None) -> PoseStacks:
     else:
         tangents = np.asarray(tangents, dtype=np.float64).reshape(t, 6)
     exp_rot = so3_exp(tangents[:, :3])
-    left_jac = so3_left_jacobian(tangents[:, :3])
-    r_cur = np.einsum("tij,tjk->tik", exp_rot, r_base)
-    return PoseStacks(r_base, t_base, exp_rot, left_jac, tangents[:, 3:].copy(), r_cur)
+    return PoseStacks(r_base, t_base, exp_rot, tangents[:, 3:].copy(), tangents[:, :3].copy())
 
 
 def transform_samples(stacks: PoseStacks, frames, pts):
@@ -271,8 +280,13 @@ class _Pass:
         return transform_samples(self.stacks, self.geo.tt, self.tracked)
 
     @cached_property
+    def cam_residual(self):
+        """Huber (values, gradients, norms) of every moved track point against its target."""
+        return self.huber(self.moved[0] - self.targets)
+
+    @cached_property
     def cam_track(self):
-        vals, g, norms = self.huber(self.moved[0] - self.targets)
+        vals, g, norms = self.cam_residual
         return float(np.sum(self.geo.w * vals)), g, norms
 
     @cached_property
@@ -288,10 +302,11 @@ class _Pass:
         if pos.size == 0:
             return 0.0, pos, None, None
         if target == "gt":
-            tgt = self.targets[sel]
+            # the gated subset of cam_track's residual; Huber acts per sample
+            vals, g, norms = (None if x is None else x[sel] for x in self.cam_residual)
         else:
             tgt = self.samples[self.geo.anchor_ref[pos]]
-        vals, g, norms = self.huber(self.moved[0][sel] - tgt)
+            vals, g, norms = self.huber(self.moved[0][sel] - tgt)
         w = self.geo.w[sel]
         gvec = (self.cfg.weight_cam * w)[:, None] * g if self.grad else None
         return float(np.sum(w * vals)), pos, gvec, norms

@@ -223,6 +223,11 @@ class PointmapResult:
 # coincident or isotropic neighbors) and is recomputed with eigh.
 _ILL_CONDITIONED = 1e-4
 
+# Query points per normal-fit block: large enough to amortize the per-call
+# overhead, small enough that the neighborhoods of a 64x64 frame take a few
+# hundred KiB instead of several MiB.
+_NORMAL_BLOCK = 512
+
 
 def estimate_normals(cloud, k=16):
     """Unit normals from a local plane fit over k nearest neighbors."""
@@ -231,14 +236,26 @@ def estimate_normals(cloud, k=16):
 
 
 def _plane_normals(cloud, tree, k, at=None):
-    """Plane-fit normals of cloud (indexed by tree) at the points cloud[at], or all."""
+    """Plane-fit normals of cloud (indexed by tree) at the points cloud[at], or all.
+
+    Query points are fitted in blocks of _NORMAL_BLOCK: a point's neighbors,
+    covariance and eigenvector do not depend on the rest of its block, so the
+    result equals one pass over all points while the (block, k+1, 3)
+    neighborhoods stay small.
+    """
     k = min(k, cloud.shape[0] - 1)
     if k < 2:
         raise DegenerateConfiguration("too few points for normal estimation")
-    _, idx = tree.query(cloud if at is None else cloud[at], k=k + 1)
-    centered = cloud[idx]  # (n, k+1, 3)
-    centered -= centered.mean(axis=1, keepdims=True)
-    return _smallest_eigenvectors(centered.transpose(0, 2, 1) @ centered)
+    query = cloud if at is None else cloud[at]
+    normals = np.empty_like(query)
+    for lo in range(0, len(query), _NORMAL_BLOCK):
+        _, idx = tree.query(query[lo:lo + _NORMAL_BLOCK], k=k + 1)
+        centered = cloud[idx]  # (block, k+1, 3)
+        centered -= centered.mean(axis=1, keepdims=True)
+        normals[lo:lo + _NORMAL_BLOCK] = _smallest_eigenvectors(
+            centered.transpose(0, 2, 1) @ centered
+        )
+    return normals
 
 
 def _smallest_eigenvectors(cov):

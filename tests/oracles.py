@@ -15,8 +15,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from trajcouple.errors import DegenerateConfiguration
-from trajcouple.losses import PoseStacks, transform_samples
-from trajcouple.metrics import PointmapResult
+from trajcouple.losses import transform_samples
+from trajcouple.metrics import PointmapResult, _smallest_eigenvectors
 from trajcouple.pointmap import BilinearSampler, check_domain
 from trajcouple.pose import _SMALL_ANGLE, Pose, Similarity, compose, inverse, umeyama
 from trajcouple.tracks import MIN_VISIBLE_WEIGHT
@@ -227,6 +227,18 @@ def so3_left_jacobian(omega):
         + ((1.0 - np.cos(theta)) / t2) * S
         + ((theta - np.sin(theta)) / (t2 * theta)) * (S @ S)
     )
+
+
+@dataclass
+class PoseStacks:
+    """losses.PoseStacks with every field computed up front."""
+
+    r_base: np.ndarray
+    t_base: np.ndarray
+    exp_rot: np.ndarray
+    left_jac: np.ndarray
+    upsilon: np.ndarray
+    r_cur: np.ndarray
 
 
 def pose_stacks(base_poses, tangents=None):
@@ -560,6 +572,17 @@ def estimate_normals(cloud, k=16):
     cov = np.einsum("nki,nkj->nij", centered, centered)
     _, vecs = np.linalg.eigh(cov)
     return vecs[:, :, 0]
+
+
+def plane_normals(cloud, tree, k, at=None):
+    """metrics._plane_normals in one batch over every query point."""
+    k = min(k, cloud.shape[0] - 1)
+    if k < 2:
+        raise DegenerateConfiguration("too few points for normal estimation")
+    _, idx = tree.query(cloud if at is None else cloud[at], k=k + 1)
+    centered = cloud[idx]  # (n, k+1, 3)
+    centered -= centered.mean(axis=1, keepdims=True)
+    return _smallest_eigenvectors(centered.transpose(0, 2, 1) @ centered)
 
 
 def icp_refine(src, dst, init, max_iter=20, tol=1e-6):

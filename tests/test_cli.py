@@ -1,12 +1,18 @@
 import hashlib
 import json
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from trajcouple import cli
 from trajcouple.cli import main
-from trajcouple.metrics import TrajectoryPair, ate
+from trajcouple.errors import DegenerateConfiguration
+from trajcouple.metrics import TrajectoryPair, ate, pointmap_metrics
+from trajcouple.pointmap import PointMapGrid, read_pointmap, write_pointmap
 from trajcouple.pose import read_poses
 from trajcouple.tracks import read_static_mask
 
@@ -276,10 +282,125 @@ class TestEval:
         assert code == 3
         assert bad in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metrics", ["pointmap", "depth", "pointmap,depth"])
+    @pytest.mark.parametrize("case", ["renamed_pred", "missing_gt", "shape"])
+    def test_unpaired_frame_exit_3_names_file(self, tmp_path, capsys, case, metrics):
+        scene = self.make_dirs(tmp_path)
+        pred = scene / "est" / "pointmaps"
+        if case == "renamed_pred":  # frame_003 has no prediction, frame_099 no ground truth
+            os.rename(pred / "frame_003.pm", pred / "frame_099.pm")
+            bad = scene / "gt" / "pointmaps" / "frame_003.pm"
+        elif case == "missing_gt":
+            bad = pred / "frame_004.pm"
+            os.remove(scene / "gt" / "pointmaps" / "frame_004.pm")
+        else:
+            bad = pred / "frame_002.pm"
+            grid = read_pointmap(bad)
+            write_pointmap(bad, PointMapGrid(grid.points[:5], grid.frame_index))
+        code = main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                     "--metrics", metrics, "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert str(bad) in capsys.readouterr().err
+
     def test_unknown_metric_exit_2(self, tmp_path):
         scene = self.make_dirs(tmp_path)
         assert main(["eval", "--pred", str(scene / "gt"), "--gt", str(scene / "gt"),
                      "--metrics", "vibes"]) == 2
+
+
+def run_eval_on_cpus(monkeypatch, scene, out, n_cpus):
+    """eval --icp with the affinity mask patched to n_cpus; returns (code, helper threads)."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+        patch.setattr(cli.threading, "Thread", Thread)
+        code = main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                     "--icp", "--out", str(out)])
+    return code, len(started)
+
+
+class TestFramePool:
+    def make_scene(self, tmp_path):
+        cfg = write_json(tmp_path / "scene.json", {**SMALL_SCENE, "n_frames": 8})
+        main(["gen", "--config", cfg, "--out", str(tmp_path / "scenes"), "--seeds", "4"])
+        return tmp_path / "scenes" / "seed_0004"
+
+    def test_outputs_independent_of_cpu_count(self, tmp_path, monkeypatch):
+        scene = self.make_scene(tmp_path)
+        runs = {}
+        for n_cpus in (1, 4):
+            out = tmp_path / f"eval_{n_cpus}"
+            code, helpers = run_eval_on_cpus(monkeypatch, scene, out, n_cpus)
+            assert (code, helpers) == (0, n_cpus - 1)
+            runs[n_cpus] = tree_digest(out)
+        assert runs[1] == runs[4]
+        assert set(runs[1]) == {"metrics.json", "metrics.csv"}
+
+    def test_degenerate_frame_same_error_on_any_cpu_count(self, tmp_path, monkeypatch, capsys):
+        scene = self.make_scene(tmp_path)
+        # frames 2 and 5 are collinear (different singular values): frame 2 is reported
+        for k in (5, 2):
+            path = scene / "est" / "pointmaps" / f"frame_{k:03d}.pm"
+            grid = read_pointmap(path)
+            line = np.linspace(0.0, 1.0 + k, grid.points[..., :1].size)
+            points = np.repeat(line.reshape(grid.points.shape[:2])[..., None], 3, axis=-1)
+            write_pointmap(path, PointMapGrid(points, grid.frame_index))
+            gt = read_pointmap(scene / "gt" / "pointmaps" / f"frame_{k:03d}.pm").points
+            with pytest.raises(DegenerateConfiguration) as exc:
+                pointmap_metrics(points.reshape(-1, 3), gt.reshape(-1, 3), use_icp=True)
+            expected = str(exc.value)
+        capsys.readouterr()
+        for n_cpus in (1, 4):
+            code, _ = run_eval_on_cpus(monkeypatch, scene, tmp_path / "e", n_cpus)
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+class TestMapFrames:
+    def test_order_and_each_item_once_under_switching(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        calls = [0] * 3000
+
+        def fn(k):
+            calls[k] += 1  # each slot is written by the one thread that took k
+            return k * k
+
+        result = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: result.append(
+                cli._map_frames(fn, list(range(3000)))))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not worker.is_alive()
+        assert result == [[k * k for k in range(3000)]]
+        assert calls == [1] * 3000
+
+    def test_lowest_index_failure_raised(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        ran = []
+
+        def fn(k):
+            ran.append(k)
+            if k == 5:
+                time.sleep(0.2)  # fails after item 9 has failed
+            if k in (5, 9):
+                raise ValueError(k)
+            return k
+
+        with pytest.raises(ValueError) as exc:
+            cli._map_frames(fn, list(range(1000)))
+        assert exc.value.args == (5,)
+        assert set(range(10)) <= set(ran) and len(ran) < 1000  # hand-out stopped
 
 
 class TestGradcheck:

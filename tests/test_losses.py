@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import huber, huber_gradient
 from test_pose import tangent_stacks
+from trajcouple import losses
 from trajcouple.errors import MissingTargets, OutOfDomain
 from trajcouple.fixtures import random_coupling_fixture
 from trajcouple.grad import GRIDS, POSES, TRACKS, ParamLayout, Tape
@@ -508,6 +509,32 @@ class TestBatchedPoseWork:
             resets += all(p._age == 0 for p in expected)
         assert resets == 2
         assert [p._age for p in problem.base_rel_poses] == [2] * 5
+
+
+class TestPassSharing:
+    """An evaluation forms each intermediate once, and only those it reads."""
+
+    def test_camera_halves_share_one_huber_pass(self, monkeypatch):
+        problem, store = random_coupling_fixture(11)
+        assert problem.config.pose_target == "gt" and not problem.config.use_anchor
+        sizes = []
+        real = losses._huber_batch
+        monkeypatch.setattr(losses, "_huber_batch",
+                            lambda res, *args: sizes.append(len(res)) or real(res, *args))
+        problem.evaluate(store, Tape(problem.layout.sizes()))
+        n_valid = problem.geometry().flat.size
+        assert sizes == [n_valid, n_valid]  # cons, then cam; the pose half indexes cam's
+
+    def test_jacobians_only_for_gradients(self, monkeypatch):
+        problem, store = random_coupling_fixture(12, selfsup=True)
+        calls = []
+        monkeypatch.setattr(losses, "so3_left_jacobian",
+                            lambda omega: calls.append(omega) or so3_left_jacobian(omega))
+        problem.refresh_static_mask(store)
+        problem.evaluate(store)
+        assert calls == []
+        problem.evaluate(store, Tape(problem.layout.sizes()))
+        assert len(calls) == 1
 
 
 @st.composite

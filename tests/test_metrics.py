@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -346,6 +347,53 @@ class TestNormals:
         assert fallback.shape == (4, 3, 3)
         assert np.array_equal(got[:4], np.linalg.eigh(cov[:4])[1][:, :, 0])
         assert abs(got[4] @ np.linalg.eigh(cov[4])[1][:, 0]) >= 1.0 - 1e-12
+
+
+BLOCK = metrics._NORMAL_BLOCK
+
+
+class TestBlockNormals:
+    """Normal fits in blocks of query points equal one fit over every point."""
+
+    def cloud(self, n, seed=40):
+        rng = np.random.default_rng(seed)
+        uv = rng.uniform(-1.0, 1.0, size=(n, 2))
+        pts = np.column_stack([uv, 0.3 * np.sin(2 * uv[:, 0]) * np.cos(uv[:, 1])])
+        pts += 1e-3 * rng.standard_normal(pts.shape)
+        pts[n // 2:n // 2 + 20] = pts[n // 2]  # coincident rows take the eigh fallback
+        return pts
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_equals_one_batch(self, n):
+        big = self.cloud(3 * BLOCK + 40)
+        tree = cKDTree(big)
+        at = np.random.default_rng(n).integers(0, len(big), size=n)
+        got = metrics._plane_normals(big, tree, 16, at=at)
+        assert got.shape == (n, 3)
+        assert np.array_equal(got, oracles.plane_normals(big, tree, 16, at=at))
+        if n < 3:  # too few points to fit a plane
+            with pytest.raises(DegenerateConfiguration):
+                metrics._plane_normals(big[:n], cKDTree(big[:n]), 16)
+            return
+        cloud = self.cloud(n)
+        tree = cKDTree(cloud)
+        assert np.array_equal(metrics._plane_normals(cloud, tree, 16),
+                              oracles.plane_normals(cloud, tree, 16))
+
+    def test_frame_peak_memory(self):
+        # a 64x64 frame with ICP; its (n, k+1, 3) neighborhoods in one batch take ~5.7 MiB
+        rng = np.random.default_rng(41)
+        v, u = np.mgrid[0:64, 0:64] / 63.0
+        gt = np.stack([u, v, 1.0 + 0.2 * np.sin(3 * u) * np.cos(2 * v)], axis=-1).reshape(-1, 3)
+        pred = 1.1 * gt + 0.01 * rng.standard_normal(gt.shape)
+        pointmap_metrics(pred, gt, use_icp=True)
+        tracemalloc.start()
+        try:
+            pointmap_metrics(pred, gt, use_icp=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 2**20
 
 
 class CountingTree(cKDTree):
