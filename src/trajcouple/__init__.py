@@ -30,11 +30,6 @@ from .losses import (
     LossBreakdown,
     LossConfig,
     TermStats,
-    loss_cam,
-    loss_cons,
-    loss_selfsup,
-    selfsup_static_mask,
-    total_loss,
 )
 from .pointmap import (
     PointMapGrid,
@@ -47,7 +42,6 @@ from .pose import (
     Similarity,
     compose,
     exp_map,
-    icp_refine,
     inverse,
     log_map,
     relative_pose,
@@ -66,7 +60,5 @@ from .synthetic import (
 from .tracks import (
     TrackSet,
     WorldTrackSet,
-    anchor_targets,
-    camera_frame_position,
     static_mask,
 )

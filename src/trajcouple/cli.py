@@ -221,8 +221,7 @@ def cmd_optimize(args):
 
 def _require(path):
     if not os.path.exists(path):
-        print(f"missing input file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise FileFormatError(path, "missing input file")
     return path
 
 
@@ -234,12 +233,9 @@ def _load_pose_file(dir_path):
         p = os.path.join(dir_path, name)
         if os.path.exists(p):
             return read_poses(p)
-    print(
-        f"missing input file: {os.path.join(dir_path, 'rel_poses.txt')} "
-        "(or poses.txt)",
-        file=sys.stderr,
+    raise FileFormatError(
+        os.path.join(dir_path, "rel_poses.txt"), "missing input file (or poses.txt)"
     )
-    raise SystemExit(EXIT_IO)
 
 
 def _frame_paths(dir_path):
@@ -247,8 +243,7 @@ def _frame_paths(dir_path):
     pm_dir = _require(os.path.join(dir_path, "pointmaps"))
     frames = {f: os.path.join(pm_dir, f) for f in os.listdir(pm_dir) if f.endswith(".pm")}
     if not frames:
-        print(f"missing input file: {pm_dir}/*.pm", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise FileFormatError(pm_dir, "no .pm frames")
     return frames
 
 
@@ -504,8 +499,6 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
     except TrajCoupleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

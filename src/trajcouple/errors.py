@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checked reading of
+config documents that raises them."""
+
+import json
+import math
+from dataclasses import MISSING
 
 
 class TrajCoupleError(Exception):
@@ -53,3 +58,63 @@ class FileFormatError(TrajCoupleError):
         self.line = line
         where = f"{path}" if line is None else f"{path}:{line}"
         super().__init__(f"{where}: {message}")
+
+
+class ConfigDocument:
+    """Base of the config dataclasses: checked construction from JSON documents.
+
+    Each field's type is taken from its default.  An int field takes an
+    integer, a float field a finite int or float, a bool or str field its
+    own type (a bool is never a number), and a field whose default is itself
+    a ConfigDocument takes a JSON object of that document.  Values are kept
+    as given, so a resolved config writes back the JSON it was read from.
+    """
+
+    def to_dict(self):
+        doc = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        return {k: v.to_dict() if isinstance(v, ConfigDocument) else v for k, v in doc.items()}
+
+    @classmethod
+    def from_dict(cls, doc):
+        fields = cls.__dataclass_fields__
+        unknown = sorted(set(doc) - set(fields))
+        if unknown:
+            raise ConfigInvalid(unknown[0], f"unknown {cls.__name__} field")
+        values = {}
+        for name, value in doc.items():
+            spec = fields[name]
+            default = spec.default if spec.default is not MISSING else spec.default_factory()
+            values[name] = _checked_value(name, value, default)
+        return cls(**values).validate()
+
+    @classmethod
+    def from_json_file(cls, path):
+        with open(path) as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise FileFormatError(path, f"not a JSON document: {exc}") from None
+        if not isinstance(doc, dict):
+            raise FileFormatError(path, "config must be a JSON object")
+        return cls.from_dict(doc)
+
+
+def _checked_value(name, value, default):
+    if isinstance(default, ConfigDocument):
+        if not isinstance(value, dict):
+            raise ConfigInvalid(name, "must be a JSON object")
+        return type(default).from_dict(value)
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        # an int is exact; math.isfinite would overflow on a huge one
+        ok = number and (isinstance(value, int) or math.isfinite(value))
+        want = "a finite number"
+    else:
+        ok, want = isinstance(value, type(default)), f"a {type(default).__name__}"
+    if not ok:
+        raise ConfigInvalid(name, f"must be {want}, got {value!r}")
+    return value

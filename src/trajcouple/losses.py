@@ -28,14 +28,13 @@ runs through one shared pass per evaluation, driven by one term table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalid, MissingTargets
+from .errors import ConfigDocument, ConfigInvalid, MissingTargets
 from .grad import (
     GRIDS,
     POSES,
@@ -49,12 +48,11 @@ from .grad import (
     Tape,
     vector_indices,
 )
-from .pointmap import BilinearSampler, PointMapGrid
+from .pointmap import BilinearSampler
 from .pose import REORTHO_PERIOD, Pose, project_rotation, so3_exp, so3_left_jacobian
-from .tracks import TrackSet
+from .tracks import MIN_VISIBLE_WEIGHT
 
 DEFAULT_DELTA = 0.05
-DEFAULT_MIN_WEIGHT = 1e-3
 
 
 def _huber_batch(res, delta, grad=True):
@@ -91,14 +89,10 @@ class PoseStacks:
         return np.einsum("tij,tjk->tik", self.exp_rot, self.r_base)
 
 
-def pose_stacks(base_poses: Sequence[Pose], tangents=None) -> PoseStacks:
-    t = len(base_poses)
+def pose_stacks(base_poses: Sequence[Pose], tangents) -> PoseStacks:
     r_base = np.stack([p.rotation for p in base_poses])
     t_base = np.stack([p.translation for p in base_poses])
-    if tangents is None:
-        tangents = np.zeros((t, 6))
-    else:
-        tangents = np.asarray(tangents, dtype=np.float64).reshape(t, 6)
+    tangents = np.asarray(tangents, dtype=np.float64).reshape(len(base_poses), 6)
     exp_rot = so3_exp(tangents[:, :3])
     return PoseStacks(r_base, t_base, exp_rot, tangents[:, 3:].copy(), tangents[:, :3].copy())
 
@@ -166,14 +160,6 @@ def _stats(name, value, norms, n_skipped):
     return TermStats(
         name, float(value), int(norms.size), int(n_skipped),
         float(norms.mean()), float(norms.max()),
-    )
-
-
-def _grid_stack(grids):
-    if isinstance(grids, np.ndarray):
-        return np.asarray(grids, dtype=np.float64)
-    return np.stack(
-        [g.points if isinstance(g, PointMapGrid) else np.asarray(g) for g in grids]
     )
 
 
@@ -413,9 +399,9 @@ GROUPS = (
 )
 
 
-def _run_group(ps: _Pass, group: _Group, terms) -> TermStats:
+def _run_group(ps: _Pass, group: _Group) -> TermStats:
     value = 0.0
-    for term in terms:
+    for term in group.terms:
         value += TERMS[term](ps)
     return _stats(group.slot, value, *group.stats(ps))
 
@@ -423,6 +409,17 @@ def _run_group(ps: _Pass, group: _Group, terms) -> TermStats:
 def _reprojection_mask(
     geo, shape, grid_stack, base_poses, tangents, tau, scale_quantile=0.4, scale_factor=3.0
 ):
+    """Provisional static mask from reprojection stability under current poses.
+
+    Visible samples are reprojected into the anchor frame; a sample counts
+    as static when it stays within tau_eff of its track's temporal median.
+    tau_eff is per frame: tau inflated to scale_factor times a low quantile
+    of that frame's deviations.  Early in an optimization, pose error alone
+    moves every reprojection of a frame coherently, so a per-frame scale
+    keeps the consistent majority admitted (no frame starves of gradient),
+    while genuinely dynamic samples sit far above their frame's quantile
+    and are rejected; as the poses converge the threshold tightens to tau.
+    """
     n, t = shape
     if geo.flat.size == 0:
         return np.zeros((n, t), dtype=bool)
@@ -453,33 +450,8 @@ def _reprojection_mask(
     return finite & (dev < np.where(scale > tau, scale, tau))
 
 
-def selfsup_static_mask(
-    grids, query_pixels, visibility, base_poses, pose_tangents, tau, anchor=0,
-    *, min_weight=DEFAULT_MIN_WEIGHT, scale_quantile=0.4, scale_factor=3.0,
-):
-    """Provisional static mask from reprojection stability under current poses.
-
-    Visible samples are reprojected into the anchor frame; a sample counts
-    as static when it stays within tau_eff of its track's temporal median.
-    tau_eff is per frame: tau inflated to scale_factor times a low quantile
-    of that frame's deviations.  Early in an optimization, pose error alone
-    moves every reprojection of a frame coherently, so a per-frame scale
-    keeps the consistent majority admitted (no frame starves of gradient),
-    while genuinely dynamic samples sit far above their frame's quantile
-    and are rejected; as the poses converge the threshold tightens to tau.
-    """
-    grids = _grid_stack(grids)
-    visibility = np.asarray(visibility, dtype=np.float64)
-    n, t = visibility.shape
-    layout = ParamLayout(n, t, grids.shape[1], grids.shape[2])
-    geo = _compile(layout, query_pixels, visibility, anchor, min_weight)
-    return _reprojection_mask(
-        geo, (n, t), grids, base_poses, pose_tangents, tau, scale_quantile, scale_factor
-    )
-
-
 @dataclass
-class LossConfig:
+class LossConfig(ConfigDocument):
     """Term toggles, weights, and thresholds for the coupled objective."""
 
     delta: float = DEFAULT_DELTA
@@ -490,7 +462,7 @@ class LossConfig:
     weight_cons: float = 1.0
     weight_cam: float = 1.0
     weight_anchor: float = 1.0
-    min_weight: float = DEFAULT_MIN_WEIGHT
+    min_weight: float = MIN_VISIBLE_WEIGHT
     pose_target: str = "gt"  # or "anchor_sample"
     gate_static: bool = True
 
@@ -502,32 +474,12 @@ class LossConfig:
         for name in ("weight_cons", "weight_cam", "weight_anchor"):
             if getattr(self, name) <= 0.0:
                 raise ConfigInvalid(name, "must be positive")
+        if not 0.0 < self.min_weight <= 1.0:
+            # visibility is at most 1, so a larger cutoff admits no sample
+            raise ConfigInvalid("min_weight", "must be in (0, 1]")
         if self.pose_target not in ("gt", "anchor_sample"):
             raise ConfigInvalid("pose_target", "must be 'gt' or 'anchor_sample'")
         return self
-
-    def to_dict(self):
-        return {
-            "delta": self.delta, "tau_static": self.tau_static,
-            "use_cons": self.use_cons, "use_cam": self.use_cam,
-            "use_anchor": self.use_anchor, "weight_cons": self.weight_cons,
-            "weight_cam": self.weight_cam, "weight_anchor": self.weight_anchor,
-            "min_weight": self.min_weight, "pose_target": self.pose_target,
-            "gate_static": self.gate_static,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigInvalid(sorted(unknown)[0], "unknown loss config field")
-        return cls(**d).validate()
-
-    @classmethod
-    def from_json_file(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -617,15 +569,9 @@ class CouplingProblem:
 
     def evaluate(self, store: ParamStore, tape: Optional[Tape] = None) -> LossBreakdown:
         """Enabled terms as a breakdown; without a tape no gradients are formed."""
-        return self._evaluate_views(self.views(store), tape)
-
-    def _evaluate_views(self, views, tape=None, groups=None) -> LossBreakdown:
-        """Evaluate on (tracks, grids, tangents) arrays; ``groups`` maps slot -> sub-terms."""
         cfg = self.config
-        if groups is None:
-            groups = {g.slot: g.terms for g in GROUPS if getattr(cfg, g.toggle)}
-        ps = _Pass(self, *views, tape)
-        slots = {g.slot: _run_group(ps, g, groups[g.slot]) for g in GROUPS if g.slot in groups}
+        ps = _Pass(self, *self.views(store), tape)
+        slots = {g.slot: _run_group(ps, g) for g in GROUPS if getattr(cfg, g.toggle)}
         return LossBreakdown(
             cons=slots.get("cons"), cam=slots.get("cam"), selfsup=slots.get("anchor"),
             weight_cons=cfg.weight_cons, weight_cam=cfg.weight_cam,
@@ -662,80 +608,3 @@ class CouplingProblem:
             return
         self.base_rel_poses = current_rel_poses(self.base_rel_poses, tangents)
         tangents.fill(0.0)
-
-
-# ---------------------------------------------------------------------------
-# Public term entry points on domain objects: thin adapters over the table.
-
-def _adhoc(tracks: TrackSet, grids, rel_poses=(), static_mask=None, targets=None,
-           pose_tangents=None, layout=None, anchor=0, config=None, **overrides):
-    stack = _grid_stack(grids)
-    if layout is None:
-        n, t = tracks.points.shape[:2]
-        layout = ParamLayout(n, t, stack.shape[1], stack.shape[2])
-    config = config if config is not None else LossConfig(**overrides)
-    problem = CouplingProblem(
-        layout, list(rel_poses), tracks.query_pixels, tracks.visibility,
-        static_mask, targets, config, anchor,
-    )
-    return problem, (tracks.points, stack, pose_tangents)
-
-
-def loss_cons(
-    tracks: TrackSet, grids, delta=DEFAULT_DELTA, tape: Optional[Tape] = None,
-    *, weight=1.0, min_weight=DEFAULT_MIN_WEIGHT, layout=None,
-    parts=("pointmap", "track"),
-) -> TermStats:
-    """Bidirectional track-pointmap consistency; accumulates routed gradients."""
-    problem, views = _adhoc(
-        tracks, grids, layout=layout, delta=delta, weight_cons=weight, min_weight=min_weight
-    )
-    groups = {"cons": [f"cons_{p}" for p in parts]}
-    return problem._evaluate_views(views, tape, groups=groups).cons
-
-
-def loss_cam(
-    tracks: TrackSet, grids, rel_poses: Sequence[Pose], static_mask, targets,
-    delta=DEFAULT_DELTA, tape: Optional[Tape] = None,
-    *, pose_tangents=None, weight=1.0, min_weight=DEFAULT_MIN_WEIGHT,
-    layout=None, parts=("pose", "track"), pose_target="gt", anchor=0,
-) -> TermStats:
-    """Camera consistency against anchor targets with static-gated pose updates."""
-    problem, views = _adhoc(
-        tracks, grids, rel_poses, static_mask, targets, pose_tangents, layout, anchor,
-        delta=delta, weight_cam=weight, min_weight=min_weight, pose_target=pose_target,
-    )
-    groups = {"cam": [f"cam_{p}" for p in parts]}
-    return problem._evaluate_views(views, tape, groups=groups).cam
-
-
-def loss_selfsup(
-    tracks: TrackSet, grids, rel_poses: Sequence[Pose], static_mask,
-    tape: Optional[Tape] = None,
-    *, delta=DEFAULT_DELTA, pose_tangents=None, weight_cons=1.0, weight_anchor=1.0,
-    min_weight=DEFAULT_MIN_WEIGHT, layout=None, anchor=0,
-) -> LossBreakdown:
-    """Self-supervised objective: pseudo-track consistency plus anchor consistency.
-
-    No ground-truth 3D targets are consumed; the only supervision is the
-    tracked pixel locations and tracker visibility carried by ``tracks``.
-    """
-    problem, views = _adhoc(
-        tracks, grids, rel_poses, static_mask, None, pose_tangents, layout, anchor,
-        delta=delta, use_cam=False, use_anchor=True, weight_cons=weight_cons,
-        weight_anchor=weight_anchor, min_weight=min_weight,
-    )
-    return problem._evaluate_views(views, tape)
-
-
-def total_loss(
-    config: LossConfig, tracks: TrackSet, grids, rel_poses: Sequence[Pose],
-    *, static_mask=None, targets=None, pose_tangents=None,
-    tape: Optional[Tape] = None, layout=None, anchor=0,
-) -> LossBreakdown:
-    """Weighted sum of the enabled coupling terms with a full breakdown."""
-    problem, views = _adhoc(
-        tracks, grids, rel_poses, static_mask, targets, pose_tangents, layout, anchor,
-        config=config.validate(),
-    )
-    return problem._evaluate_views(views, tape)

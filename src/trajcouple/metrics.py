@@ -229,12 +229,6 @@ _ILL_CONDITIONED = 1e-4
 _NORMAL_BLOCK = 512
 
 
-def estimate_normals(cloud, k=16):
-    """Unit normals from a local plane fit over k nearest neighbors."""
-    cloud = np.asarray(cloud, dtype=np.float64)
-    return _plane_normals(cloud, cKDTree(cloud), k)
-
-
 def _plane_normals(cloud, tree, k, at=None):
     """Plane-fit normals of cloud (indexed by tree) at the points cloud[at], or all.
 
@@ -447,10 +441,6 @@ class MetricReport:
         if not np.isfinite(value):
             raise ValueError(f"metric {name!r} is not finite: {value}")
         self.values[name] = value
-
-    def merge(self, other: "MetricReport"):
-        self.values.update(other.values)
-        self.metadata.update(other.metadata)
 
     def to_json(self, indent=2):
         return json.dumps(

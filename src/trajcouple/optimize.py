@@ -12,13 +12,12 @@ current state at the start of every epoch.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, DegenerateConfiguration, Diverged
+from .errors import ConfigDocument, ConfigInvalid, DegenerateConfiguration, Diverged
 from .grad import GRIDS, POSES, TRACKS, ParamStore, Tape
 from .losses import CouplingProblem, LossConfig
 from .pose import compose, inverse, log_map
@@ -29,7 +28,7 @@ _BLOCK_STEP_FIELDS = {GRIDS: "step_grids", TRACKS: "step_tracks", POSES: "step_p
 
 
 @dataclass
-class OptimConfig:
+class OptimConfig(ConfigDocument):
     # per-block steps tuned for unit-diagonal scenes with tens of tracks;
     # poses run faster than the coupled drift of tracks and grids
     step_grids: float = 0.01
@@ -52,32 +51,14 @@ class OptimConfig:
                 raise ConfigInvalid(name, "must be positive")
         if self.max_epochs < 1:
             raise ConfigInvalid("max_epochs", "must be >= 1")
+        if self.tol_window < 1:
+            raise ConfigInvalid("tol_window", "must be >= 1")
         if self.max_backtracks < 0:
             raise ConfigInvalid("max_backtracks", "must be >= 0")
         if self.mode not in ("supervised", "selfsup"):
             raise ConfigInvalid("mode", "must be 'supervised' or 'selfsup'")
         self.loss.validate()
         return self
-
-    def to_dict(self):
-        d = {f: getattr(self, f) for f in self.__dataclass_fields__ if f != "loss"}
-        d["loss"] = self.loss.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        loss = LossConfig.from_dict(d.pop("loss", {}))
-        known = set(cls.__dataclass_fields__) - {"loss"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigInvalid(sorted(unknown)[0], "unknown optimizer config field")
-        return cls(loss=loss, **d).validate()
-
-    @classmethod
-    def from_json_file(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass

@@ -122,7 +122,6 @@ class BilinearSampler:
 # ---------------------------------------------------------------------------
 # File format: 3 little-endian int64 header (H, W, frame_index) followed by
 # H*W*3 little-endian float64 values in row-major (y, x, component) order.
-# Depth maps use the same container with one channel per pixel.
 
 def write_pointmap(path, grid: PointMapGrid):
     header = np.array([grid.height, grid.width, grid.frame_index], dtype="<i8")
@@ -147,27 +146,3 @@ def read_pointmap(path) -> PointMapGrid:
         raise FileFormatError(path, "pointmap contains non-finite values")
     return PointMapGrid(pts, frame_index=frame)
 
-
-def write_depth_map(path, depth, frame_index=0):
-    depth = np.asarray(depth, dtype=np.float64)
-    if depth.ndim != 2:
-        raise ValueError(f"depth must be (H, W), got {depth.shape}")
-    header = np.array([depth.shape[0], depth.shape[1], frame_index], dtype="<i8")
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(depth.astype("<f8").tobytes())
-
-
-def read_depth_map(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 24:
-        raise FileFormatError(path, "truncated header")
-    h, w, frame = (int(v) for v in np.frombuffer(raw[:24], dtype="<i8"))
-    expected = 24 + h * w * 8
-    if h <= 0 or w <= 0 or len(raw) != expected:
-        raise FileFormatError(
-            path, f"expected {expected} bytes for {h}x{w} depth map, got {len(raw)}"
-        )
-    depth = np.frombuffer(raw[24:], dtype="<f8").reshape(h, w).copy()
-    return depth, frame

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateConfiguration, FileFormatError, LogNearPi
 
@@ -307,20 +306,13 @@ def umeyama(src, dst, with_scale=True) -> Similarity:
     return Similarity(s, R, t)
 
 
-def icp_refine(src, dst, init: Similarity, max_iter=ICP_MAX_ITER, tol=ICP_TOL) -> Similarity:
-    """Point-to-point ICP refinement of a similarity alignment.
+def _icp(src, tree, init: Similarity, max_iter=ICP_MAX_ITER, tol=ICP_TOL):
+    """Point-to-point ICP refinement of a similarity alignment onto tree's points.
 
     Keeps the scale from the initial alignment fixed and refines the rigid
     part: each iteration matches transformed src points to their nearest
-    dst points and solves the rigid Kabsch update.  Stops after max_iter
+    tree points and solves the rigid Kabsch update.  Stops after max_iter
     iterations or when the mean residual changes by less than tol.
-    """
-    dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
-    return _icp(src, cKDTree(dst), init, max_iter, tol)[0]
-
-
-def _icp(src, tree, init: Similarity, max_iter=ICP_MAX_ITER, tol=ICP_TOL):
-    """The ICP loop of icp_refine against a prebuilt KD-tree of dst.
 
     Returns (sim, matches).  matches is the nearest-neighbor query
     (dists, idx) of sim.apply(src) when the loop stopped on the residual

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigInvalid, FileFormatError
+from .errors import ConfigDocument, ConfigInvalid, FileFormatError
 from .grad import GRIDS, TRACKS, ParamLayout, ParamStore
 from .losses import CouplingProblem, LossConfig, pose_stacks, transform_samples
 from .pointmap import BilinearSampler, PointMapGrid, read_pointmap, write_pointmap
@@ -64,7 +64,7 @@ _DYN_Y = (0.20, 0.80)
 
 
 @dataclass
-class SceneConfig:
+class SceneConfig(ConfigDocument):
     n_frames: int = 6
     n_static: int = 48
     n_dynamic: int = 0
@@ -109,22 +109,6 @@ class SceneConfig:
         if self.tau_scale <= 0:
             raise ConfigInvalid("tau_scale", "must be positive")
         return self
-
-    def to_dict(self):
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigInvalid(sorted(unknown)[0], "unknown scene config field")
-        return cls(**d).validate()
-
-    @classmethod
-    def from_json_file(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -325,7 +309,7 @@ def generate(config: SceneConfig) -> SyntheticScene:
     sampler = BilinearSampler(gt_grids.shape, tt, query_pixels[ii, tt, 0], query_pixels[ii, tt, 1])
     world_tracks = sampler.gather(world_stack).reshape(n, t_frames, 3)
     gt_tracks = sampler.gather(gt_grids).reshape(n, t_frames, 3)
-    stacks = pose_stacks(rel_poses, None)
+    stacks = pose_stacks(rel_poses, np.zeros((t_frames, 6)))
     targets = transform_samples(stacks, tt, gt_tracks.reshape(-1, 3))[0].reshape(
         n, t_frames, 3
     )

@@ -157,17 +157,6 @@ def static_mask(
     return disp < tau
 
 
-def camera_frame_position(world_point, c_t: Pose):
-    """World point(s) expressed in the camera coordinates of pose c_t."""
-    return inverse(c_t).apply(world_point)
-
-
-def anchor_targets(gt: WorldTrackSet, c_x: Pose):
-    """Ground-truth tracks expressed in the anchor camera's coordinates."""
-    n, t, _ = gt.points.shape
-    return inverse(c_x).apply(gt.points.reshape(-1, 3)).reshape(n, t, 3)
-
-
 # ---------------------------------------------------------------------------
 # Row files (text): a header line "N T", then one line "i t v1 ... vk" per
 # sample; each (i, t) appears exactly once, in any order.  Tracks hold

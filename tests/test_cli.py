@@ -206,6 +206,61 @@ class TestOptimize:
             assert "diverged" in json.load(fh)
 
 
+NAN = float("nan")
+
+
+@pytest.fixture(scope="module")
+def noisy_scenes(tmp_path_factory):
+    """One generated scene with noise and occlusion, shared by the config tests."""
+    root = tmp_path_factory.mktemp("noisy")
+    cfg = write_json(root / "scene.json", {**SMALL_SCENE, "n_dynamic": 4, "occlusion_span": 2})
+    assert main(["gen", "--config", cfg, "--out", str(root / "scenes"), "--seeds", "5"]) == 0
+    return root / "scenes"
+
+
+def config_argv(command, cfg, scenes, out):
+    if command == "gen":
+        return ["gen", "--config", cfg, "--out", str(out)]
+    return ["optimize", "--scenes", str(scenes), "--config", cfg, "--out", str(out)]
+
+
+class TestConfigDocuments:
+    """A config file is checked field by field before any scene is written or read."""
+
+    @pytest.mark.parametrize("command,doc,field", [
+        ("gen", {"n_frames": 4.5}, "n_frames"),
+        ("gen", {"n_static": True}, "n_static"),
+        ("gen", {"sigma_pointmap": NAN}, "sigma_pointmap"),
+        ("gen", {"tau_scale": NAN}, "tau_scale"),
+        ("gen", {"camera_magnitude": "0.5"}, "camera_magnitude"),
+        ("optimize", {"loss": {"delta": NAN}}, "delta"),
+        ("optimize", {"step_grids": NAN}, "step_grids"),
+        ("optimize", {"step_poses": float("inf")}, "step_poses"),
+        ("optimize", {"loss": {"min_weight": 2}}, "min_weight"),
+        ("optimize", {"loss": {"min_weight": NAN}}, "min_weight"),
+        ("optimize", {"loss": {"use_cam": 1}}, "use_cam"),
+        ("optimize", {"loss": [1]}, "loss"),
+        ("optimize", {"tol_window": 0}, "tol_window"),
+        ("optimize", {"wat": 1}, "wat"),
+    ])
+    def test_bad_field_exit_2_names_field(
+        self, tmp_path, capsys, noisy_scenes, command, doc, field
+    ):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(config_argv(command, cfg, noisy_scenes, tmp_path / "o")) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b'{"n_frames": 4', b"[4]", b"\xff\xfe"])
+    @pytest.mark.parametrize("command", ["gen", "optimize"])
+    def test_unreadable_file_exit_3_names_file(
+        self, tmp_path, capsys, noisy_scenes, command, content
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert main(config_argv(command, str(cfg), noisy_scenes, tmp_path / "o")) == 3
+        assert str(cfg) in capsys.readouterr().err
+
+
 class TestEval:
     def make_dirs(self, tmp_path):
         cfg = write_json(tmp_path / "scene.json", {**SMALL_SCENE, "sigma_pointmap": 0.0, "sigma_pose": 0.0})
@@ -254,6 +309,24 @@ class TestEval:
                      "--metrics", "tracks3d", "--out", str(tmp_path / "e")])
         assert code == 3
         assert "tracks.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["no_pointmaps_dir", "no_frames", "no_pose_file"])
+    def test_missing_input_exit_3_names_path(self, tmp_path, capsys, case):
+        scene = self.make_dirs(tmp_path)
+        est = scene / "est"
+        if case == "no_pose_file":  # est carries rel_poses.txt only
+            missing, metrics = est / "rel_poses.txt", "ate"
+            os.remove(missing)
+        else:
+            missing, metrics = est / "pointmaps", "pointmap"
+            for name in os.listdir(missing):
+                os.remove(missing / name)
+            if case == "no_pointmaps_dir":
+                os.rmdir(missing)
+        code = main(["eval", "--pred", str(est), "--gt", str(scene / "gt"),
+                     "--metrics", metrics, "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert str(missing) in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1.5"])
     def test_bad_visibility_exit_3_names_path(self, tmp_path, capsys, value):

@@ -14,9 +14,9 @@ from trajcouple.metrics import (
     DepthResult,
     MetricReport,
     TrajectoryPair,
+    _plane_normals,
     ate,
     depth_metrics,
-    estimate_normals,
     pointmap_metrics,
     rel_pose_accuracy,
     rpe,
@@ -274,7 +274,7 @@ class TestPointmapMetrics:
     def test_normals_on_plane(self):
         rng = np.random.default_rng(20)
         pts = np.column_stack([rng.uniform(-1, 1, (50, 2)), np.zeros(50)])
-        normals = estimate_normals(pts)
+        normals = _plane_normals(pts, cKDTree(pts), 16)
         assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
 
 
@@ -320,7 +320,7 @@ class TestNormals:
         pts = neighborhood(kind, seed, m, scale, offset)
         # at most 17 points: every point's 16-neighborhood is the whole cloud
         with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
-            normals = estimate_normals(pts)
+            normals = _plane_normals(pts, cKDTree(pts), 16)
         ref = oracles.naive_normals(pts, 16)
         assert np.all(np.isfinite(normals))
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, rtol=0, atol=1e-12)

@@ -6,9 +6,7 @@ from trajcouple.errors import FileFormatError, OutOfDomain
 from trajcouple.pointmap import (
     BilinearSampler,
     PointMapGrid,
-    read_depth_map,
     read_pointmap,
-    write_depth_map,
     write_pointmap,
 )
 
@@ -227,15 +225,6 @@ class TestFileIo:
         path.write_bytes(b"\x01\x02")
         with pytest.raises(FileFormatError):
             read_pointmap(path)
-
-    def test_depth_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        depth = rng.uniform(0.5, 3.0, size=(4, 6))
-        path = tmp_path / "d.dm"
-        write_depth_map(path, depth, frame_index=2)
-        back, frame = read_depth_map(path)
-        assert frame == 2
-        assert np.array_equal(back, depth)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_pointmap_non_finite_file_raises_format_error(self, tmp_path, bad):

@@ -10,8 +10,6 @@ from trajcouple.pose import Pose, PoseTangent, exp_map, inverse
 from trajcouple.tracks import (
     TrackSet,
     WorldTrackSet,
-    anchor_targets,
-    camera_frame_position,
     read_static_mask,
     read_targets,
     read_tracks,
@@ -160,22 +158,16 @@ class TestBatchedMedian:
 
 
 class TestCameraFramePosition:
+    """A world point in camera coordinates is inverse(camera).apply(point)."""
+
     def test_identity_camera(self):
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(camera_frame_position(x, Pose.identity()), x)
+        assert np.array_equal(inverse(Pose.identity()).apply(x), x)
 
     def test_sign_convention(self):
         # camera 5 units behind the origin on -z, axes aligned: origin is 5 ahead
         cam = Pose(np.eye(3), np.array([0.0, 0.0, -5.0]))
-        assert np.allclose(camera_frame_position(np.zeros(3), cam), [0, 0, 5], atol=1e-12)
-
-    def test_matches_pose_algebra_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            cam = random_pose(rng)
-            x = rng.standard_normal(3)
-            expected = inverse(cam).apply(x)
-            assert np.allclose(camera_frame_position(x, cam), expected, atol=1e-12)
+        assert np.allclose(inverse(cam).apply(np.zeros(3)), [0, 0, 5], atol=1e-12)
 
     def test_static_point_varies_iff_camera_moves(self):
         # moving camera: camera-frame position of a fixed world point varies;
@@ -183,33 +175,35 @@ class TestCameraFramePosition:
         rng = np.random.default_rng(6)
         x = np.array([0.2, -0.4, 1.0])
         moving = [random_pose(rng) for _ in range(4)]
-        tracks = np.stack([camera_frame_position(x, c) for c in moving])
+        tracks = np.stack([inverse(c).apply(x) for c in moving])
         assert np.std(tracks, axis=0).max() > 1e-3
         frozen = [moving[0]] * 4
-        tracks = np.stack([camera_frame_position(x, c) for c in frozen])
+        tracks = np.stack([inverse(c).apply(x) for c in frozen])
         assert np.std(tracks, axis=0).max() == 0.0
 
 
 class TestAnchorTargets:
+    """Anchor targets: world tracks through the inverse anchor camera, in one batch."""
+
     def test_identity_anchor(self):
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((3, 4, 3))
-        out = anchor_targets(WorldTrackSet(pts), Pose.identity())
+        out = inverse(Pose.identity()).apply(pts.reshape(-1, 3)).reshape(pts.shape)
         assert np.array_equal(out, pts)
 
     def test_static_point_constant_targets(self):
         rng = np.random.default_rng(8)
         point = rng.standard_normal(3)
         pts = np.tile(point, (2, 6, 1))
-        out = anchor_targets(WorldTrackSet(pts), random_pose(rng))
+        out = inverse(random_pose(rng)).apply(pts.reshape(-1, 3)).reshape(pts.shape)
         assert np.allclose(out, out[:, :1, :], atol=1e-12)
 
     def test_per_frame_transform_oracle(self):
         rng = np.random.default_rng(9)
         pts = rng.standard_normal((4, 5, 3))
         cam = random_pose(rng)
-        out = anchor_targets(WorldTrackSet(pts), cam)
         inv = inverse(cam)
+        out = inv.apply(pts.reshape(-1, 3)).reshape(pts.shape)
         for i in range(4):
             for t in range(5):
                 assert np.allclose(out[i, t], inv.apply(pts[i, t]), atol=1e-12)
