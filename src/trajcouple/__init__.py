@@ -58,7 +58,6 @@ from .synthetic import (
     save_scene,
 )
 from .tracks import (
-    TrackSet,
     WorldTrackSet,
     static_mask,
 )

@@ -129,9 +129,8 @@ def cmd_gen(args):
 # ------------------------------------------------------------- optimize ---
 
 def _optimize_one(args):
-    scene_dir, cfg_dict, ablation = args
+    scene_dir, cfg = args
     scene = load_scene(scene_dir)
-    cfg = ablation_config(ablation, OptimConfig.from_dict(cfg_dict))
     store = initial_store(scene)
     try:
         report = optimize(store, scene, cfg)
@@ -156,18 +155,13 @@ def _scene_dirs(root):
 
 
 def cmd_optimize(args):
-    if args.ablation not in ABLATIONS:
-        raise ConfigInvalid(
-            "ablation", f"unknown ablation {args.ablation!r}; have {sorted(ABLATIONS)}"
-        )
-    base = (
-        OptimConfig.from_json_file(args.config) if args.config else OptimConfig()
-    ).validate()
+    base = OptimConfig.from_json_file(args.config) if args.config else OptimConfig()
+    cfg = ablation_config(args.ablation, base)
     scene_dirs = _scene_dirs(args.scenes)
     out_dir = args.out or _default_out(f"optimize_{args.ablation}")
     os.makedirs(out_dir, exist_ok=True)
 
-    work = [(d, base.to_dict(), args.ablation) for d in scene_dirs]
+    work = [(d, cfg) for d in scene_dirs]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_optimize_one, work))
@@ -209,7 +203,7 @@ def cmd_optimize(args):
     )
     _write_manifest(
         out_dir, "optimize",
-        {"optim": base.to_dict(), "ablation": args.ablation, "scenes": args.scenes},
+        {"optim": cfg.to_dict(), "ablation": args.ablation, "scenes": args.scenes},
         args.config,
         [int(os.path.basename(d).split("_")[1]) for d in scene_dirs],
     )
@@ -240,7 +234,9 @@ def _load_pose_file(dir_path):
 
 def _frame_paths(dir_path):
     """{file name: path} of the .pm frames under dir_path/pointmaps."""
-    pm_dir = _require(os.path.join(dir_path, "pointmaps"))
+    pm_dir = os.path.join(dir_path, "pointmaps")
+    if not os.path.isdir(pm_dir):
+        raise FileFormatError(pm_dir, "missing, or not a directory")
     frames = {f: os.path.join(pm_dir, f) for f in os.listdir(pm_dir) if f.endswith(".pm")}
     if not frames:
         raise FileFormatError(pm_dir, "no .pm frames")

@@ -89,14 +89,19 @@ class ConfigDocument:
 
     @classmethod
     def from_json_file(cls, path):
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                raise FileFormatError(path, f"not a JSON document: {exc}") from None
-        if not isinstance(doc, dict):
-            raise FileFormatError(path, "config must be a JSON object")
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json_object(path))
+
+
+def read_json_object(path):
+    """The JSON object in the file at path; FileFormatError if it holds anything else."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise FileFormatError(path, f"not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FileFormatError(path, "must hold a JSON object")
+    return doc
 
 
 def _checked_value(name, value, default):

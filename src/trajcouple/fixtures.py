@@ -9,11 +9,12 @@ smooth region.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .grad import GRIDS, POSES, TRACKS, ParamLayout, finite_diff_check
-from .losses import CouplingProblem, LossConfig, pose_stacks, transform_samples
-from .pointmap import BilinearSampler
+from .losses import CouplingProblem, LossConfig, _Pass
 from .pose import PoseTangent, exp_map
 
 # (term, block) pairs with a live (non-detached) dependency; only these are
@@ -95,35 +96,13 @@ def random_coupling_fixture(
         anchor=0,
     )
 
-    # Residual norms of every active term, for the delta kink guard.
-    norms = _residual_norms(problem, store)
-    problem.config = LossConfig(
-        **{**config.to_dict(), "delta": _pick_safe_delta(norms)}
-    )
+    # Residual norms of every active term's Huber, for the delta kink guard,
+    # from a copy: the returned problem compiles its geometry on first use.
+    ps = _Pass(replace(problem), *problem.views(store), None)
+    live = ps.anchor if selfsup else ps.cam_residual
+    norms = np.concatenate([ps.cons[-1], live[-1]])
+    problem.config = replace(config, delta=_pick_safe_delta(norms))
     return problem, store
-
-
-def _residual_norms(problem, store):
-    track_pts, grid_stack, tangents = problem.views(store)
-    vis = problem.visibility
-    valid = vis >= problem.config.min_weight
-    ii, tt = np.nonzero(valid)
-    out = []
-    if ii.size:
-        q = problem.query_pixels
-        p_tilde = BilinearSampler(grid_stack.shape, tt, q[ii, tt, 0], q[ii, tt, 1]).gather(grid_stack)
-        out.append(np.linalg.norm(track_pts[ii, tt] - p_tilde, axis=1))
-        stacks = pose_stacks(problem.base_rel_poses, tangents)
-        yv, _ = transform_samples(stacks, tt, track_pts[ii, tt])
-        if problem.targets is not None:
-            out.append(np.linalg.norm(yv - problem.targets[ii, tt], axis=1))
-        yv2, _ = transform_samples(stacks, tt, p_tilde)
-        anchor = problem.anchor
-        p_x = BilinearSampler(
-            grid_stack.shape, np.full(ii.shape, anchor), q[ii, anchor, 0], q[ii, anchor, 1]
-        ).gather(grid_stack)
-        out.append(np.linalg.norm(yv2 - p_x, axis=1))
-    return np.concatenate(out) if out else np.zeros(0)
 
 
 def _anchor_grid_indices(problem, rng, count):

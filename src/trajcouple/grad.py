@@ -81,9 +81,6 @@ class ParamStore:
         if values is not arr:
             np.copyto(arr, values)
 
-    def __contains__(self, name):
-        return name in self.blocks
-
     def view(self, name, shape):
         """Reshaped view sharing memory with the flat block."""
         return self[name].reshape(shape)
@@ -165,9 +162,6 @@ class ParamLayout:
     def grid_base(self, t, y, x):
         """Flat index of the first component of grids[t, y, x]."""
         return ((np.asarray(t) * self.height + np.asarray(y)) * self.width + np.asarray(x)) * 3
-
-    def track_base(self, i, t):
-        return (np.asarray(i) * self.n_frames + np.asarray(t)) * 3
 
     def pose_base(self, t):
         return np.asarray(t) * 6

@@ -238,7 +238,7 @@ class _Pass:
     @cached_property
     def targets(self):
         if self.problem.targets is None:
-            raise MissingTargets("camera consistency in supervised mode needs anchor targets")
+            raise MissingTargets("camera consistency needs anchor targets")
         return _rows(self.problem.targets, self.geo.flat)
 
     @cached_property
@@ -363,8 +363,7 @@ def _cons_stats(ps: _Pass):
 
 
 def _cam_stats(ps: _Pass):
-    norms = ps.cam_track[2] if ps.problem.targets is not None else ps.cam_pose[3]
-    return norms, ps.geo.n_skipped
+    return ps.cam_track[2], ps.geo.n_skipped
 
 
 def _anchor_stats(ps: _Pass):
@@ -484,49 +483,10 @@ class LossConfig(ConfigDocument):
 
 @dataclass
 class LossBreakdown:
-    """Per-term values/statistics; total is the weighted sum of term values."""
+    """Statistics of the enabled term groups, keyed by GROUPS slot, and the weighted total."""
 
-    cons: Optional[TermStats] = None
-    cam: Optional[TermStats] = None
-    selfsup: Optional[TermStats] = None
-    weight_cons: float = 1.0
-    weight_cam: float = 1.0
-    weight_selfsup: float = 1.0
-
-    @property
-    def cons_value(self):
-        return self.cons.value if self.cons is not None else 0.0
-
-    @property
-    def cam_value(self):
-        return self.cam.value if self.cam is not None else 0.0
-
-    @property
-    def selfsup_value(self):
-        return self.selfsup.value if self.selfsup is not None else 0.0
-
-    @property
-    def total(self):
-        return (
-            self.weight_cons * self.cons_value
-            + self.weight_cam * self.cam_value
-            + self.weight_selfsup * self.selfsup_value
-        )
-
-    def summary(self):
-        out = {
-            "total": self.total,
-            "cons": self.cons_value,
-            "cam": self.cam_value,
-            "selfsup": self.selfsup_value,
-        }
-        for stats in (self.cons, self.cam, self.selfsup):
-            if stats is not None:
-                out[f"{stats.name}_samples"] = stats.n_samples
-                out[f"{stats.name}_skipped"] = stats.n_skipped
-                out[f"{stats.name}_residual_mean"] = stats.residual_mean
-                out[f"{stats.name}_residual_max"] = stats.residual_max
-        return out
+    terms: dict
+    total: float
 
 
 @dataclass
@@ -535,7 +495,7 @@ class CouplingProblem:
 
     The store carries the free parameters (grids, tracks, pose tangents);
     everything else (pixels, weights, gating, targets, base poses) lives
-    here.  targets is None in self-supervised mode.  query_pixels,
+    here.  targets is None when the problem has no 3D labels.  query_pixels,
     visibility, anchor and config.min_weight are fixed for the problem's
     lifetime (their geometry is compiled once, on first use); static_mask,
     targets, base poses and the rest of config may be reassigned between
@@ -569,14 +529,13 @@ class CouplingProblem:
 
     def evaluate(self, store: ParamStore, tape: Optional[Tape] = None) -> LossBreakdown:
         """Enabled terms as a breakdown; without a tape no gradients are formed."""
-        cfg = self.config
         ps = _Pass(self, *self.views(store), tape)
-        slots = {g.slot: _run_group(ps, g) for g in GROUPS if getattr(cfg, g.toggle)}
-        return LossBreakdown(
-            cons=slots.get("cons"), cam=slots.get("cam"), selfsup=slots.get("anchor"),
-            weight_cons=cfg.weight_cons, weight_cam=cfg.weight_cam,
-            weight_selfsup=cfg.weight_anchor,
-        )
+        terms, total = {}, 0.0
+        for group in GROUPS:
+            if getattr(self.config, group.toggle):
+                terms[group.slot] = _run_group(ps, group)
+                total += getattr(self.config, group.weight) * terms[group.slot].value
+        return LossBreakdown(terms, total)
 
     def evaluate_term(self, store: ParamStore, term: str, tape: Optional[Tape] = None) -> float:
         """One routed sub-term in isolation, weighted (for gradient verification)."""

@@ -6,8 +6,8 @@ on increase, up to a bounded number of halvings.  Pose updates are applied
 by exponentiating the tangent block onto the base poses after every
 accepted step, so gradients are always taken at a freshly centered chart.
 
-In self-supervised mode the provisional static mask is recomputed from the
-current state at the start of every epoch.
+A problem without 3D targets whose anchor term is gated recomputes its
+provisional static mask from the current state at the start of every epoch.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class OptimConfig(ConfigDocument):
     step_growth: float = 2.0
     max_step_scale: float = 1024.0
     grad_tol: float = 1e-12
-    mode: str = "supervised"
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self):
@@ -55,8 +54,6 @@ class OptimConfig(ConfigDocument):
             raise ConfigInvalid("tol_window", "must be >= 1")
         if self.max_backtracks < 0:
             raise ConfigInvalid("max_backtracks", "must be >= 0")
-        if self.mode not in ("supervised", "selfsup"):
-            raise ConfigInvalid("mode", "must be 'supervised' or 'selfsup'")
         self.loss.validate()
         return self
 
@@ -151,8 +148,8 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
     finite or still exceeds ten times the initial loss.
     """
     cfg.validate()
-    problem = build_problem(scene, cfg.loss, mode=cfg.mode)
-    refresh_mask = cfg.mode == "selfsup"
+    problem = build_problem(scene, cfg.loss)
+    refresh_mask = problem.targets is None and cfg.loss.use_anchor and cfg.loss.gate_static
 
     initial_metrics = scene_error_metrics(scene, problem, store)
     tape = Tape(store)
@@ -177,8 +174,9 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
             initial_loss = loss
             initial_metrics["loss"] = loss
 
+        value = {slot: stats.value for slot, stats in bd.terms.items()}
         record = EpochRecord(
-            epoch, loss, bd.cons_value, bd.cam_value, bd.selfsup_value,
+            epoch, loss, value.get("cons", 0.0), value.get("cam", 0.0), value.get("anchor", 0.0),
             step_scale, False,
         )
         epochs.append(record)
@@ -236,33 +234,33 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
     return OptimReport(epochs, termination, initial_metrics, final_metrics)
 
 
-# Ablation configurations: which coupling terms are active, and whether the
-# camera term is gated by the static mask.
+# Ablation configurations: the four term toggles of each named run.  The
+# camera term is the only one that reads 3D labels, so the runs without it
+# are self-supervised (see build_problem).
 ABLATIONS = {
-    "none": dict(mode="supervised", use_cons=False, use_cam=False, use_anchor=False),
-    "cons": dict(mode="supervised", use_cons=True, use_cam=False, use_anchor=False),
-    "cam": dict(mode="supervised", use_cons=False, use_cam=True, use_anchor=False),
-    "cam_ungated": dict(
-        mode="supervised", use_cons=False, use_cam=True, use_anchor=False,
-        gate_static=False,
-    ),
-    "cons_cam": dict(mode="supervised", use_cons=True, use_cam=True, use_anchor=False),
-    "cons_cam_ungated": dict(
-        mode="supervised", use_cons=True, use_cam=True, use_anchor=False,
-        gate_static=False,
-    ),
-    "selfsup": dict(mode="selfsup", use_cons=True, use_cam=False, use_anchor=True),
-    "full": dict(mode="supervised", use_cons=True, use_cam=True, use_anchor=True),
+    "none": dict(use_cons=False, use_cam=False, use_anchor=False, gate_static=True),
+    "cons": dict(use_cons=True, use_cam=False, use_anchor=False, gate_static=True),
+    "cam": dict(use_cons=False, use_cam=True, use_anchor=False, gate_static=True),
+    "cam_ungated": dict(use_cons=False, use_cam=True, use_anchor=False, gate_static=False),
+    "cons_cam": dict(use_cons=True, use_cam=True, use_anchor=False, gate_static=True),
+    "cons_cam_ungated": dict(use_cons=True, use_cam=True, use_anchor=False, gate_static=False),
+    "selfsup": dict(use_cons=True, use_cam=False, use_anchor=True, gate_static=True),
+    "full": dict(use_cons=True, use_cam=True, use_anchor=True, gate_static=True),
 }
 
 
 def ablation_config(name: str, base: Optional[OptimConfig] = None) -> OptimConfig:
-    """Optimizer config for a named ablation, on top of an optional base."""
+    """Optimizer config for a named ablation, on top of an optional base.
+
+    The ablation sets all four toggles, so a base that gives one of them a
+    non-default value conflicts with it and is rejected.
+    """
     if name not in ABLATIONS:
         raise ConfigInvalid("ablation", f"unknown ablation {name!r}; have {sorted(ABLATIONS)}")
-    overrides = dict(ABLATIONS[name])
-    mode = overrides.pop("mode")
     base = base if base is not None else OptimConfig()
-    loss = LossConfig.from_dict({**base.loss.to_dict(), **overrides})
-    cfg = OptimConfig.from_dict({**base.to_dict(), "loss": loss.to_dict(), "mode": mode})
-    return cfg
+    default = LossConfig()
+    for toggle in ABLATIONS[name]:
+        if getattr(base.loss, toggle) != getattr(default, toggle):
+            raise ConfigInvalid(toggle, f"set by ablation {name!r}; leave it out of the config")
+    loss = {**base.loss.to_dict(), **ABLATIONS[name]}
+    return OptimConfig.from_dict({**base.to_dict(), "loss": loss})

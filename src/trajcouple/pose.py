@@ -183,10 +183,6 @@ class PoseTangent:
         self.omega = np.asarray(self.omega, dtype=np.float64).reshape(3)
         self.upsilon = np.asarray(self.upsilon, dtype=np.float64).reshape(3)
 
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros(3), np.zeros(3))
-
     def as_array(self):
         return np.concatenate([self.omega, self.upsilon])
 
@@ -244,11 +240,6 @@ class Similarity:
         if pts.ndim == 1:
             return self.scale * (self.rotation @ pts) + self.translation
         return self.scale * (pts @ self.rotation.T) + self.translation
-
-    def inverse(self):
-        Rt = self.rotation.T
-        s = 1.0 / self.scale
-        return Similarity(s, Rt, -s * (Rt @ self.translation))
 
     def compose(self, other: "Similarity") -> "Similarity":
         """self * other: apply other first."""

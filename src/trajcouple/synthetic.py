@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigDocument, ConfigInvalid, FileFormatError
+from .errors import ConfigDocument, ConfigInvalid, FileFormatError, read_json_object
 from .grad import GRIDS, TRACKS, ParamLayout, ParamStore
 from .losses import CouplingProblem, LossConfig, pose_stacks, transform_samples
 from .pointmap import BilinearSampler, PointMapGrid, read_pointmap, write_pointmap
@@ -381,28 +381,22 @@ def initial_store(scene: SyntheticScene) -> ParamStore:
     return store
 
 
-def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None, mode="supervised") -> CouplingProblem:
-    """Coupled objective over the scene; selfsup mode never consumes 3D ground truth."""
-    if mode not in ("supervised", "selfsup"):
-        raise ValueError(f"unknown mode {mode!r}")
+def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> CouplingProblem:
+    """Coupled objective over the scene, supervised exactly when the camera term is on.
+
+    The camera term is the only consumer of 3D ground truth: with it the
+    problem takes the targets, the ground-truth static mask and the track
+    visibility; without it, the pseudo 2D track visibility, no targets and
+    an all-static mask (which optimize refreshes when the anchor term is gated).
+    """
     if loss_cfg is None:
-        if mode == "supervised":
-            loss_cfg = LossConfig(tau_static=scene.tau_static)
-        else:
-            loss_cfg = LossConfig(
-                use_cam=False, use_anchor=True, tau_static=scene.tau_static
-            )
+        loss_cfg = LossConfig(tau_static=scene.tau_static)
     loss_cfg.validate()
-    if mode == "selfsup":
-        if loss_cfg.use_cam:
-            raise ConfigInvalid("use_cam", "camera term needs targets; not available self-supervised")
-        visibility = scene.pseudo_visibility
-        targets = None
-        mask = np.ones_like(scene.visibility, dtype=bool)
+    if loss_cfg.use_cam:
+        visibility, targets, mask = scene.visibility, scene.targets, scene.static_mask
     else:
-        visibility = scene.visibility
-        targets = scene.targets
-        mask = scene.static_mask
+        visibility, targets = scene.pseudo_visibility, None
+        mask = np.ones_like(scene.visibility, dtype=bool)
     return CouplingProblem(
         layout=scene.layout(),
         base_rel_poses=[p.copy() for p in scene.est_rel_poses],
@@ -467,10 +461,11 @@ def load_scene(scene_dir) -> SyntheticScene:
     cfg_path = os.path.join(scene_dir, "scene_config.json")
     if not os.path.exists(cfg_path):
         raise FileFormatError(cfg_path, "missing scene config")
-    with open(cfg_path) as fh:
-        doc = json.load(fh)
-    config = SceneConfig.from_dict(doc["config"])
+    doc = read_json_object(cfg_path)
     derived = doc.get("derived", {})
+    if not isinstance(doc.get("config"), dict) or not isinstance(derived, dict):
+        raise FileFormatError(cfg_path, "needs a 'config' object and, if given, a 'derived' object")
+    config = SceneConfig.from_dict(doc["config"])
 
     gt = os.path.join(scene_dir, "gt")
     est = os.path.join(scene_dir, "est")

@@ -1,10 +1,9 @@
 """Camera-coordinate 3D trajectories, visibility weights, and static gating.
 
-A TrackSet holds N tracks over T frames: per-sample 3D points expressed in
-the frame's own camera coordinates, a visibility weight in [0, 1] (which is
-also the loss weight), the 2D query pixel per sample, and an optional
-binary static mask.  World-coordinate ground-truth tracks live in a
-WorldTrackSet.
+N tracks over T frames are (N, T) arrays: per-sample 3D points expressed
+in the frame's own camera coordinates, a visibility weight in [0, 1] (which
+is also the loss weight), the 2D query pixel per sample, and a binary static
+mask.  World-coordinate ground-truth tracks live in a WorldTrackSet.
 """
 
 from __future__ import annotations
@@ -20,45 +19,6 @@ from .errors import FileFormatError
 from .pose import Pose, inverse
 
 MIN_VISIBLE_WEIGHT = 1e-3
-
-
-@dataclass
-class TrackSet:
-    """N x T camera-coordinate trajectories with weights and pixels."""
-
-    points: np.ndarray  # (N, T, 3) in frame camera coordinates
-    visibility: np.ndarray  # (N, T) in [0, 1]
-    query_pixels: np.ndarray  # (N, T, 2) as (x, y)
-    static_mask: Optional[np.ndarray] = None  # (N, T) bool
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        self.visibility = np.asarray(self.visibility, dtype=np.float64)
-        self.query_pixels = np.asarray(self.query_pixels, dtype=np.float64)
-        n, t = self.visibility.shape
-        if self.points.shape != (n, t, 3):
-            raise ValueError(f"points shape {self.points.shape} != ({n}, {t}, 3)")
-        if self.query_pixels.shape != (n, t, 2):
-            raise ValueError(
-                f"query_pixels shape {self.query_pixels.shape} != ({n}, {t}, 2)"
-            )
-        if not np.all((self.visibility >= 0.0) & (self.visibility <= 1.0)):
-            raise ValueError("visibility must be finite and lie in [0, 1]")
-        vis = self.visibility >= MIN_VISIBLE_WEIGHT
-        if not np.all(np.isfinite(self.points[vis])):
-            raise ValueError("visible track points must be finite")
-        if self.static_mask is not None:
-            self.static_mask = np.asarray(self.static_mask).astype(bool)
-            if self.static_mask.shape != (n, t):
-                raise ValueError(f"static_mask shape {self.static_mask.shape}")
-
-    @property
-    def n_tracks(self):
-        return self.points.shape[0]
-
-    @property
-    def n_frames(self):
-        return self.points.shape[1]
 
 
 @dataclass

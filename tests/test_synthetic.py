@@ -77,12 +77,14 @@ class TestGroundTruthConsistency:
 
     def test_anchor_term_fp_zero_at_ground_truth(self):
         scene = generate(small_config(n_dynamic=0))
-        problem = build_problem(scene, mode="selfsup")
+        problem = build_problem(
+            scene, LossConfig(use_cam=False, use_anchor=True, tau_static=scene.tau_static)
+        )
         store = initial_store(scene)
         problem.refresh_static_mask(store)
         bd = problem.evaluate(store)
-        assert bd.cons_value == 0.0
-        assert bd.selfsup_value < 1e-24
+        assert bd.terms["cons"].value == 0.0
+        assert bd.terms["anchor"].value < 1e-24
 
     def test_camera_tracks_match_camera_frame_positions(self):
         scene = generate(small_config())
@@ -249,10 +251,18 @@ class TestSceneIo:
 
 
 class TestBuildProblem:
-    def test_selfsup_rejects_cam_term(self):
+    def test_supervision_follows_camera_term(self):
         scene = generate(small_config())
-        with pytest.raises(ConfigInvalid):
-            build_problem(scene, LossConfig(use_cam=True), mode="selfsup")
+        scene.pseudo_visibility = 0.5 * scene.visibility  # tell the two apart
+        supervised = build_problem(scene, LossConfig(use_anchor=True))
+        assert supervised.targets is scene.targets
+        assert supervised.static_mask is scene.static_mask
+        assert supervised.visibility is scene.visibility
+        for toggles in ({"use_anchor": True}, {"use_anchor": False}):
+            selfsup = build_problem(scene, LossConfig(use_cam=False, **toggles))
+            assert selfsup.targets is None
+            assert selfsup.static_mask.all() and selfsup.static_mask.shape == scene.visibility.shape
+            assert selfsup.visibility is scene.pseudo_visibility
 
     def test_gate_static_off_uses_all_samples(self):
         scene = generate(small_config(sigma_pose=0.05))

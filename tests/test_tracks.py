@@ -8,7 +8,6 @@ from trajcouple import tracks
 from trajcouple.errors import FileFormatError
 from trajcouple.pose import Pose, PoseTangent, exp_map, inverse
 from trajcouple.tracks import (
-    TrackSet,
     WorldTrackSet,
     read_static_mask,
     read_targets,
@@ -207,33 +206,6 @@ class TestAnchorTargets:
         for i in range(4):
             for t in range(5):
                 assert np.allclose(out[i, t], inv.apply(pts[i, t]), atol=1e-12)
-
-
-class TestTrackSetValidation:
-    def test_visibility_range_checked(self):
-        with pytest.raises(ValueError):
-            TrackSet(
-                np.zeros((1, 2, 3)),
-                np.array([[0.5, 1.5]]),
-                np.zeros((1, 2, 2)),
-            )
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_visibility_rejected(self, value):
-        with pytest.raises(ValueError):
-            TrackSet(np.zeros((1, 2, 3)), np.array([[0.5, value]]), np.zeros((1, 2, 2)))
-
-    def test_invisible_nan_points_allowed(self):
-        pts = np.zeros((1, 2, 3))
-        pts[0, 1] = np.nan
-        ts = TrackSet(pts, np.array([[1.0, 0.0]]), np.zeros((1, 2, 2)))
-        assert ts.n_tracks == 1 and ts.n_frames == 2
-
-    def test_visible_nan_points_rejected(self):
-        pts = np.zeros((1, 2, 3))
-        pts[0, 1] = np.nan
-        with pytest.raises(ValueError):
-            TrackSet(pts, np.array([[1.0, 1.0]]), np.zeros((1, 2, 2)))
 
 
 class TestTrackFileIo:
