@@ -15,7 +15,7 @@ import numpy as np
 
 from .grad import GRIDS, POSES, TRACKS, ParamLayout, finite_diff_check
 from .losses import CouplingProblem, LossConfig, _Pass
-from .pose import PoseTangent, exp_map
+from .pose import PoseTangent, exp_map, stack_poses
 
 # (term, block) pairs with a live (non-detached) dependency; only these are
 # finite-difference checkable, since differencing a detached factor would
@@ -86,8 +86,8 @@ def random_coupling_fixture(
         use_cons=True, use_cam=not selfsup, use_anchor=selfsup, tau_static=0.05
     )
     problem = CouplingProblem(
-        layout=layout,
-        base_rel_poses=base_poses,
+        layout,
+        *stack_poses(base_poses),
         query_pixels=q,
         visibility=visibility,
         static_mask=static_mask,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -70,6 +70,7 @@ def _huber_batch(res, delta, grad=True):
 class PoseStacks:
     """Per-frame arrays of the tangent-parameterized relative transforms.
 
+    r_base and t_base are the problem's own base-pose arrays, not copies.
     The fields are what transform_samples reads; left_jac and r_cur, needed
     only to scatter gradients, are formed on first access.
     """
@@ -88,11 +89,21 @@ class PoseStacks:
     def r_cur(self):  # (T, 3, 3)  exp_rot @ r_base
         return np.einsum("tij,tjk->tik", self.exp_rot, self.r_base)
 
+    def fold(self, age):
+        """(rotations, translations, ages) of exp(tangent) * base, aged like compose."""
+        rot = self.exp_rot @ self.r_base
+        trans = (self.exp_rot @ self.t_base[:, :, None])[:, :, 0]
+        trans += self.upsilon
+        age = age + 1
+        due = age >= REORTHO_PERIOD
+        for k in np.flatnonzero(due):
+            rot[k] = project_rotation(rot[k])
+        age[due] = 0
+        return rot, trans, age
 
-def pose_stacks(base_poses: Sequence[Pose], tangents) -> PoseStacks:
-    r_base = np.stack([p.rotation for p in base_poses])
-    t_base = np.stack([p.translation for p in base_poses])
-    tangents = np.asarray(tangents, dtype=np.float64).reshape(len(base_poses), 6)
+
+def pose_stacks(r_base, t_base, tangents) -> PoseStacks:
+    tangents = np.asarray(tangents, dtype=np.float64).reshape(len(r_base), 6)
     exp_rot = so3_exp(tangents[:, :3])
     return PoseStacks(r_base, t_base, exp_rot, tangents[:, 3:].copy(), tangents[:, :3].copy())
 
@@ -111,20 +122,6 @@ def transform_samples(stacks: PoseStacks, frames, pts):
     z += np.take(stacks.t_base, frames, axis=0)
     a = np.einsum("mij,mj->mi", np.take(stacks.exp_rot, frames, axis=0), z)
     return a + np.take(stacks.upsilon, frames, axis=0), a
-
-
-def current_rel_poses(base_poses: Sequence[Pose], tangents):
-    """Relative poses with tangent offsets folded in: exp(tangent) * base, aged like compose."""
-    tangents = np.asarray(tangents, dtype=np.float64).reshape(len(base_poses), 6)
-    exp_rot = so3_exp(tangents[:, :3])
-    rot = exp_rot @ np.stack([p.rotation for p in base_poses])
-    trans = (exp_rot @ np.stack([p.translation for p in base_poses])[:, :, None])[:, :, 0]
-    trans += tangents[:, 3:]
-    poses = [Pose(r, t, _age=p._age + 1) for r, t, p in zip(rot, trans, base_poses)]
-    for p in poses:
-        if p._age >= REORTHO_PERIOD:
-            p.rotation, p._age = project_rotation(p.rotation), 0
-    return poses
 
 
 def _scatter_pose_grads(tape, layout, stacks, frames, a_sel, gvec, routing):
@@ -243,7 +240,7 @@ class _Pass:
 
     @cached_property
     def stacks(self):
-        return pose_stacks(self.problem.base_rel_poses, self.tangents)
+        return pose_stacks(self.problem.r_base, self.problem.t_base, self.tangents)
 
     @cached_property
     def samples(self):
@@ -405,9 +402,7 @@ def _run_group(ps: _Pass, group: _Group) -> TermStats:
     return _stats(group.slot, value, *group.stats(ps))
 
 
-def _reprojection_mask(
-    geo, shape, grid_stack, base_poses, tangents, tau, scale_quantile=0.4, scale_factor=3.0
-):
+def _reprojection_mask(geo, shape, grid_stack, stacks, tau, scale_quantile=0.4, scale_factor=3.0):
     """Provisional static mask from reprojection stability under current poses.
 
     Visible samples are reprojected into the anchor frame; a sample counts
@@ -422,7 +417,6 @@ def _reprojection_mask(
     n, t = shape
     if geo.flat.size == 0:
         return np.zeros((n, t), dtype=bool)
-    stacks = pose_stacks(base_poses, tangents)
     repro, _ = transform_samples(stacks, geo.tt, geo.sampler.gather(grid_stack))
 
     repro_full = np.full((n, t, 3), np.nan)
@@ -495,15 +489,18 @@ class CouplingProblem:
 
     The store carries the free parameters (grids, tracks, pose tangents);
     everything else (pixels, weights, gating, targets, base poses) lives
-    here.  targets is None when the problem has no 3D labels.  query_pixels,
-    visibility, anchor and config.min_weight are fixed for the problem's
-    lifetime (their geometry is compiled once, on first use); static_mask,
-    targets, base poses and the rest of config may be reassigned between
-    evaluations.
+    here; the base poses as per-frame arrays, with each frame's compositions
+    since its last re-orthonormalization in age.  targets is None when the
+    problem has no 3D labels.  query_pixels, visibility, anchor and
+    config.min_weight are fixed for the problem's lifetime (their geometry
+    is compiled once, on first use); static_mask, targets, base poses and
+    the rest of config may be reassigned between evaluations.
     """
 
     layout: ParamLayout
-    base_rel_poses: list
+    r_base: np.ndarray  # (T, 3, 3)
+    t_base: np.ndarray  # (T, 3)
+    age: np.ndarray  # (T,)
     query_pixels: np.ndarray
     visibility: np.ndarray
     static_mask: np.ndarray
@@ -551,19 +548,22 @@ class CouplingProblem:
     def refresh_static_mask(self, store: ParamStore):
         """Recompute the provisional static mask from the current state."""
         _, grid_stack, tangents = self.views(store)
+        stacks = pose_stacks(self.r_base, self.t_base, tangents)
         self.static_mask = _reprojection_mask(
-            self.geometry(), self.visibility.shape, grid_stack, self.base_rel_poses,
-            tangents, self.config.tau_static,
+            self.geometry(), self.visibility.shape, grid_stack, stacks, self.config.tau_static
         )
 
     def current_poses(self, store: ParamStore):
+        """The relative poses of the current state, as Pose objects (for metrics and I/O)."""
         _, _, tangents = self.views(store)
-        return current_rel_poses(self.base_rel_poses, tangents)
+        rot, trans, age = pose_stacks(self.r_base, self.t_base, tangents).fold(self.age)
+        return [Pose(r, t, _age=int(a)) for r, t, a in zip(rot, trans, age)]
 
     def fold_pose_tangents(self, store: ParamStore):
         """Fold the tangent block into the base poses and zero the block."""
         _, _, tangents = self.views(store)
         if not np.any(tangents):
             return
-        self.base_rel_poses = current_rel_poses(self.base_rel_poses, tangents)
+        stacks = pose_stacks(self.r_base, self.t_base, tangents)
+        self.r_base, self.t_base, self.age = stacks.fold(self.age)
         tangents.fill(0.0)

@@ -148,6 +148,12 @@ class Pose:
         return f"Pose(R={self.rotation.tolist()}, t={self.translation.tolist()})"
 
 
+def stack_poses(poses):
+    """Per-frame arrays of a pose list: rotations (T, 3, 3), translations (T, 3), ages (T,)."""
+    rot, trans, age = zip(*((p.rotation, p.translation, p._age) for p in poses))
+    return np.stack(rot), np.stack(trans), np.array(age, dtype=np.int64)
+
+
 def compose(a: Pose, b: Pose) -> Pose:
     """Composition a * b: apply b first, then a."""
     R = a.rotation @ b.rotation

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +43,7 @@ from .pose import (
     inverse,
     read_poses,
     relative_pose,
+    stack_poses,
     write_poses,
 )
 from .tracks import (
@@ -118,7 +120,7 @@ class SyntheticScene:
     rel_poses: list  # frame -> anchor-frame transforms
     gt_grids: np.ndarray  # (T, H, W, 3)
     gt_tracks: np.ndarray  # (N, T, 3) camera-frame
-    world_tracks: Optional[np.ndarray]  # (N, T, 3)
+    world_tracks: Optional[np.ndarray]  # (N, T, 3); None in a loaded scene
     query_pixels: np.ndarray  # (N, T, 2)
     visibility: np.ndarray  # (N, T)
     static_mask: Optional[np.ndarray]  # (N, T) bool
@@ -128,7 +130,6 @@ class SyntheticScene:
     est_tracks: np.ndarray = None
     est_rel_poses: list = None
     tau_static: float = 0.02
-    diagonal: float = 1.0
 
     @property
     def n_tracks(self):
@@ -309,7 +310,7 @@ def generate(config: SceneConfig) -> SyntheticScene:
     sampler = BilinearSampler(gt_grids.shape, tt, query_pixels[ii, tt, 0], query_pixels[ii, tt, 1])
     world_tracks = sampler.gather(world_stack).reshape(n, t_frames, 3)
     gt_tracks = sampler.gather(gt_grids).reshape(n, t_frames, 3)
-    stacks = pose_stacks(rel_poses, np.zeros((t_frames, 6)))
+    stacks = pose_stacks(*stack_poses(rel_poses)[:2], np.zeros((t_frames, 6)))
     targets = transform_samples(stacks, tt, gt_tracks.reshape(-1, 3))[0].reshape(
         n, t_frames, 3
     )
@@ -332,7 +333,6 @@ def generate(config: SceneConfig) -> SyntheticScene:
         targets=targets,
         pseudo_visibility=visibility.copy(),
         tau_static=tau_static,
-        diagonal=diagonal,
     )
     est_grids, est_tracks, est_rel = perturb(
         scene, config.sigma_pointmap, config.sigma_track, config.sigma_pose,
@@ -398,8 +398,8 @@ def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> Couplin
         visibility, targets = scene.pseudo_visibility, None
         mask = np.ones_like(scene.visibility, dtype=bool)
     return CouplingProblem(
-        layout=scene.layout(),
-        base_rel_poses=[p.copy() for p in scene.est_rel_poses],
+        scene.layout(),
+        *stack_poses(scene.est_rel_poses),
         query_pixels=scene.query_pixels,
         visibility=visibility,
         static_mask=mask,
@@ -415,13 +415,9 @@ def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> Couplin
 def save_scene(scene: SyntheticScene, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     cfg = scene.config.to_dict()
-    doc = {
-        "config": cfg,
-        "derived": {"tau_static": scene.tau_static, "diagonal": scene.diagonal},
-    }
+    doc = {"config": cfg, "derived": {"tau_static": scene.tau_static}}
     with open(os.path.join(out_dir, "scene_config.json"), "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
-    nan = float("nan")
     n, t = scene.visibility.shape
     for sub in ("gt", "est"):
         os.makedirs(os.path.join(out_dir, sub, "pointmaps"), exist_ok=True)
@@ -438,14 +434,8 @@ def save_scene(scene: SyntheticScene, out_dir):
         )
     write_tracks(os.path.join(gt, "tracks.txt"), scene.gt_tracks, scene.visibility, scene.query_pixels)
     write_tracks(
-        os.path.join(gt, "world_tracks.txt"),
-        scene.world_tracks,
-        np.ones((n, t)),
-        np.full((n, t, 2), nan),
-    )
-    write_tracks(
         os.path.join(gt, "pseudo_tracks.txt"),
-        np.full((n, t, 3), nan),
+        np.full((n, t, 3), np.nan),
         scene.pseudo_visibility,
         scene.query_pixels,
     )
@@ -458,6 +448,7 @@ def save_scene(scene: SyntheticScene, out_dir):
 
 
 def load_scene(scene_dir) -> SyntheticScene:
+    """Read a scene written by save_scene; its world tracks are not stored (None)."""
     cfg_path = os.path.join(scene_dir, "scene_config.json")
     if not os.path.exists(cfg_path):
         raise FileFormatError(cfg_path, "missing scene config")
@@ -466,13 +457,16 @@ def load_scene(scene_dir) -> SyntheticScene:
     if not isinstance(doc.get("config"), dict) or not isinstance(derived, dict):
         raise FileFormatError(cfg_path, "needs a 'config' object and, if given, a 'derived' object")
     config = SceneConfig.from_dict(doc["config"])
+    tau = derived.get("tau_static", config.tau_scale)
+    # rejects bools, NaN, infinities, and ints too large for a float
+    if type(tau) not in (int, float) or not 0 < tau <= sys.float_info.max:
+        raise FileFormatError(cfg_path, f"derived.tau_static must be finite and positive: {tau!r}")
 
     gt = os.path.join(scene_dir, "gt")
     est = os.path.join(scene_dir, "est")
     gt_grids = _load_grid_stack(os.path.join(gt, "pointmaps"), config.n_frames)
     est_grids = _load_grid_stack(os.path.join(est, "pointmaps"), config.n_frames)
     gt_pts, visibility, pixels = read_tracks(os.path.join(gt, "tracks.txt"))
-    world_pts, _, _ = read_tracks(os.path.join(gt, "world_tracks.txt"))
     _, pseudo_vis, _ = read_tracks(os.path.join(gt, "pseudo_tracks.txt"))
     est_pts, _, _ = read_tracks(os.path.join(est, "tracks.txt"))
     cam_poses = read_poses(os.path.join(gt, "poses.txt"))
@@ -487,7 +481,7 @@ def load_scene(scene_dir) -> SyntheticScene:
         rel_poses=rel_poses,
         gt_grids=gt_grids,
         gt_tracks=gt_pts,
-        world_tracks=world_pts,
+        world_tracks=None,
         query_pixels=pixels,
         visibility=visibility,
         static_mask=static,
@@ -496,8 +490,7 @@ def load_scene(scene_dir) -> SyntheticScene:
         est_grids=est_grids,
         est_tracks=est_pts,
         est_rel_poses=est_rel,
-        tau_static=float(derived.get("tau_static", config.tau_scale)),
-        diagonal=float(derived.get("diagonal", 1.0)),
+        tau_static=float(tau),
     )
 
 

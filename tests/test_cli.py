@@ -142,7 +142,8 @@ class TestOptimize:
         assert bad in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "case", ["truncated", "not_object", "no_config", "config_not_object", "bad_field"]
+        "case", ["truncated", "not_object", "no_config", "config_not_object", "bad_field",
+                 "tau_string", "tau_null", "tau_list", "tau_nan", "tau_negative"]
     )
     def test_damaged_scene_config(self, tmp_path, capsys, case):
         scenes = self.run_gen(tmp_path)
@@ -155,6 +156,11 @@ class TestOptimize:
             "no_config": json.dumps({"derived": doc["derived"]}),
             "config_not_object": json.dumps({**doc, "config": [1]}),
             "bad_field": json.dumps({**doc, "config": {**doc["config"], "n_frames": 4.5}}),
+            "tau_string": json.dumps({**doc, "derived": {"tau_static": "x"}}),
+            "tau_null": json.dumps({**doc, "derived": {"tau_static": None}}),
+            "tau_list": json.dumps({**doc, "derived": {"tau_static": [1]}}),
+            "tau_nan": json.dumps({**doc, "derived": {"tau_static": float("nan")}}),
+            "tau_negative": json.dumps({**doc, "derived": {"tau_static": -1.0}}),
         }[case])
         code = main(["optimize", "--scenes", str(scenes), "--out", str(tmp_path / "opt")])
         err = capsys.readouterr().err

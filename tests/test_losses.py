@@ -20,10 +20,16 @@ from trajcouple.losses import (
     _compile,
     _huber_batch,
     _reprojection_mask,
-    current_rel_poses,
     pose_stacks,
 )
-from trajcouple.pose import REORTHO_PERIOD, Pose, PoseTangent, exp_map, so3_left_jacobian
+from trajcouple.pose import (
+    REORTHO_PERIOD,
+    Pose,
+    PoseTangent,
+    exp_map,
+    so3_left_jacobian,
+    stack_poses,
+)
 from trajcouple.synthetic import SceneConfig, build_problem, generate, initial_store
 
 SINGLE_LAYOUT = ParamLayout(1, 1, 2, 2)
@@ -44,7 +50,7 @@ def single_sample_problem(delta=0.5, **config):
     store.view(TRACKS, SINGLE_LAYOUT.tracks_shape())[:] = p_hat
     targets = (p_hat + np.array([-0.04, 0.01, 0.02])).reshape(1, 1, 3)
     problem = CouplingProblem(
-        SINGLE_LAYOUT, [Pose.identity()], np.full((1, 1, 2), 0.5), np.ones((1, 1)),
+        SINGLE_LAYOUT, *stack_poses([Pose.identity()]), np.full((1, 1, 2), 0.5), np.ones((1, 1)),
         np.ones((1, 1), dtype=bool), targets, LossConfig(delta=delta, **config),
     )
     return problem, store, p_tilde, p_hat
@@ -278,7 +284,8 @@ class TestSelfSupervised:
         g = tape.grad(POSES).reshape(-1, 6)
         assert np.abs(g).max() > 0
         total = 0.0
-        for t, (est, gt) in enumerate(zip(problem.base_rel_poses, scene.rel_poses)):
+        for t, gt in enumerate(scene.rel_poses):
+            est = Pose(problem.r_base[t], problem.t_base[t])
             correction = log_map(compose(gt, inverse(est))).as_array()
             total += float(-g[t] @ correction)
         assert total > 0.0
@@ -359,9 +366,7 @@ class TestTotalLoss:
         store[TRACKS][:] *= s
         tangents[:, 3:] *= s
         problem.targets[:] *= s
-        problem.base_rel_poses = [
-            Pose(p.rotation.copy(), s * p.translation) for p in problem.base_rel_poses
-        ]
+        problem.t_base = s * problem.t_base
         problem.config.delta *= s
         scaled = problem.evaluate(store).total
         assert scaled == pytest.approx(s * s * base, rel=1e-9)
@@ -435,12 +440,12 @@ def random_base_poses(rng, t):
     return poses
 
 
-def assert_poses_equal(got, expected):
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        assert np.array_equal(a.rotation, b.rotation)
-        assert np.array_equal(a.translation, b.translation)
-        assert a._age == b._age
+def assert_stacks_equal(got, expected):
+    """Per-frame (rotations, translations, ages) equal those of a Pose list bit for bit."""
+    want = stack_poses(expected)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 class TestBatchedPoseWork:
@@ -450,29 +455,52 @@ class TestBatchedPoseWork:
     @given(tangent_stacks(), st.integers(0, 2**32 - 1))
     def test_matches_per_frame_oracle(self, tangents, seed):
         base = random_base_poses(np.random.default_rng(seed), tangents.shape[0])
+        r_base, t_base, age = stack_poses(base)
         for tan in (tangents, np.zeros_like(tangents)):
-            got, expected = pose_stacks(base, tan), oracles.pose_stacks(base, tan)
+            got, expected = pose_stacks(r_base, t_base, tan), oracles.pose_stacks(base, tan)
+            assert got.r_base is r_base and got.t_base is t_base  # not copied
             for name in ("r_base", "t_base", "exp_rot", "left_jac", "upsilon", "r_cur"):
                 assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-        assert_poses_equal(current_rel_poses(base, tangents),
-                           oracles.current_rel_poses(base, tangents))
+        folded = pose_stacks(r_base, t_base, tangents).fold(age)
+        assert_stacks_equal(folded, oracles.current_rel_poses(base, tangents))
+        assert_stacks_equal((r_base, t_base, age), base)  # the fold leaves its inputs
 
     def test_fold_reorthonormalizes_like_oracle(self):
         # 130 folds cross REORTHO_PERIOD twice
         problem, store = random_coupling_fixture(7, n_frames=5)
         _, _, tangents = problem.views(store)
-        expected = [p.copy() for p in problem.base_rel_poses]
+        expected = [Pose(r, t, _age=int(a))
+                    for r, t, a in zip(problem.r_base, problem.t_base, problem.age)]
         rng = np.random.default_rng(8)
         resets = 0
         for _ in range(130):
             tangents[:] = 0.1 * rng.standard_normal(tangents.shape)
             expected = oracles.current_rel_poses(expected, tangents)
+            current = problem.current_poses(store)
+            assert_stacks_equal(stack_poses(current), expected)
+            assert all(type(p._age) is int for p in current)
             problem.fold_pose_tangents(store)
             assert not np.any(tangents)
-            assert_poses_equal(problem.base_rel_poses, expected)
+            assert_stacks_equal((problem.r_base, problem.t_base, problem.age), expected)
             resets += all(p._age == 0 for p in expected)
         assert resets == 2
-        assert [p._age for p in problem.base_rel_poses] == [2] * 5
+        assert problem.age.tolist() == [2] * 5
+
+    @pytest.mark.parametrize("selfsup", [False, True])
+    def test_pose_objects_only_at_the_edge(self, selfsup, monkeypatch):
+        problem, store = random_coupling_fixture(9, n_frames=5, selfsup=selfsup)
+        assert not hasattr(losses, "current_rel_poses")
+        assert not any(isinstance(v, (list, tuple, Pose)) for v in vars(problem).values())
+        made = []
+        init = Pose.__init__
+        monkeypatch.setattr(Pose, "__init__", lambda p, *a, **k: made.append(1) or init(p, *a, **k))
+        problem.evaluate(store, Tape(store))
+        problem.evaluate(store)
+        problem.refresh_static_mask(store)
+        problem.fold_pose_tangents(store)
+        assert made == []
+        assert len(problem.current_poses(store)) == 5
+        assert len(made) == 5
 
 
 class TestPassSharing:
@@ -532,6 +560,8 @@ class TestReprojectionMask:
             expected = oracles.reprojection_mask(*case, scale_quantile=quantile)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _reprojection_mask(*case, scale_quantile=quantile)
+            geo, shape, grids, base, tangents, tau = case
+            stacks = pose_stacks(*stack_poses(base)[:2], tangents)
+            got = _reprojection_mask(geo, shape, grids, stacks, tau, scale_quantile=quantile)
         assert got.dtype == bool
         assert np.array_equal(got, expected)

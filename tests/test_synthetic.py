@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from trajcouple.synthetic import (
     perturb,
     save_scene,
 )
-from trajcouple.tracks import WorldTrackSet, static_mask
+from trajcouple.tracks import WorldTrackSet, static_mask, write_tracks
 
 
 def small_config(**kw):
@@ -143,7 +145,8 @@ class TestGroundTruthConsistency:
 
     def test_unit_diagonal_normalization(self):
         scene = generate(small_config())
-        assert scene.diagonal == pytest.approx(1.0, rel=0.2)
+        # tau_static is tau_scale times the bounding-box diagonal
+        assert scene.tau_static == pytest.approx(scene.config.tau_scale, rel=0.2)
 
 
 class TestOcclusion:
@@ -219,7 +222,6 @@ class TestSceneIo:
         back = load_scene(tmp_path / "s")
         assert np.array_equal(back.gt_grids, scene.gt_grids)
         assert np.array_equal(back.gt_tracks, scene.gt_tracks)
-        assert np.array_equal(back.world_tracks, scene.world_tracks)
         assert np.array_equal(back.visibility, scene.visibility)
         assert np.array_equal(back.query_pixels, scene.query_pixels)
         assert np.array_equal(back.static_mask, scene.static_mask)
@@ -237,9 +239,27 @@ class TestSceneIo:
         save_scene(load_scene(tmp_path / "a"), tmp_path / "b")
         files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
                        if p.is_file())
-        assert len(files) == 22  # config, 2 x 6 pointmaps, 4 track, 3 pose, 2 row files
+        assert len(files) == 21  # config, 2 x 6 pointmaps, 3 track, 3 pose, 2 row files
         for rel in files:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    def test_old_scene_directory_loads(self, tmp_path):
+        # earlier versions also wrote gt/world_tracks.txt and derived.diagonal
+        scene = generate(small_config(sigma_pose=0.02))
+        save_scene(scene, tmp_path / "s")
+        n, t = scene.visibility.shape
+        write_tracks(tmp_path / "s" / "gt" / "world_tracks.txt", scene.world_tracks,
+                     np.ones((n, t)), np.full((n, t, 2), np.nan))
+        path = tmp_path / "s" / "scene_config.json"
+        doc = json.loads(path.read_text())
+        doc["derived"]["diagonal"] = 1.0
+        path.write_text(json.dumps(doc))
+        back = load_scene(tmp_path / "s")
+        assert back.world_tracks is None and not hasattr(back, "diagonal")
+        assert back.tau_static == scene.tau_static
+        assert np.array_equal(back.gt_tracks, scene.gt_tracks)
+        v1 = build_problem(scene).evaluate(initial_store(scene)).total
+        assert build_problem(back).evaluate(initial_store(back)).total == v1
 
     def test_loaded_scene_reproduces_loss(self, tmp_path):
         scene = generate(small_config(sigma_pointmap=0.02, sigma_pose=0.03))
