@@ -82,9 +82,7 @@ def random_coupling_fixture(
 
     targets = rng.standard_normal((n_tracks, n_frames, 3)) * 0.5
 
-    config = LossConfig(
-        use_cons=True, use_cam=not selfsup, use_anchor=selfsup, tau_static=0.05
-    )
+    config = LossConfig(use_cons=True, use_cam=not selfsup, use_anchor=selfsup)
     problem = CouplingProblem(
         layout,
         *stack_poses(base_poses),
@@ -93,6 +91,7 @@ def random_coupling_fixture(
         static_mask=static_mask,
         targets=None if selfsup else targets,
         config=config,
+        tau_static=0.05,
         anchor=0,
     )
 

@@ -165,7 +165,7 @@ def _stats(name, value, norms, n_skipped):
 
 @dataclass
 class _Geometry:
-    """Sample geometry of a problem: pixels, visibility, anchor and min_weight."""
+    """Sample geometry of a problem: pixels, visibility and anchor."""
 
     tt: np.ndarray  # (M,) frame of each valid sample, row-major over (i, t)
     flat: np.ndarray  # (M,) i * T + t, the sample's row in (N*T, 3) views
@@ -177,12 +177,12 @@ class _Geometry:
     a_w: np.ndarray  # (Ma,) their weights vis[i, t] * vis[i, anchor]
 
 
-def _compile(layout: ParamLayout, query_pixels, visibility, anchor, min_weight):
+def _compile(layout: ParamLayout, query_pixels, visibility, anchor):
     visibility = np.asarray(visibility, dtype=np.float64)
     n, t = visibility.shape
     if not 0 <= anchor < t:
         raise ValueError(f"anchor frame {anchor} outside [0, {t})")
-    ii, tt = np.nonzero(visibility >= min_weight)
+    ii, tt = np.nonzero(visibility >= MIN_VISIBLE_WEIGHT)
     flat = ii * t + tt
     q = np.take(np.asarray(query_pixels, dtype=np.float64).reshape(-1, 2), flat, axis=0)
     sampler = BilinearSampler(layout.grids_shape(), tt, q[:, 0], q[:, 1])
@@ -192,7 +192,7 @@ def _compile(layout: ParamLayout, query_pixels, visibility, anchor, min_weight):
     w = visibility[ii, tt]
     # visibility lies in [0, 1], so an admitted pair has both samples valid
     w_eff = w * visibility[ii, anchor]
-    a_pos = np.flatnonzero((w_eff >= min_weight) & (tt != anchor) & (anchor_ref >= 0))
+    a_pos = np.flatnonzero((w_eff >= MIN_VISIBLE_WEIGHT) & (tt != anchor) & (anchor_ref >= 0))
     return _Geometry(
         tt, flat, w, sampler, int(visibility.size - flat.size),
         anchor_ref, a_pos, w_eff[a_pos],
@@ -445,31 +445,24 @@ def _reprojection_mask(geo, shape, grid_stack, stacks, tau, scale_quantile=0.4, 
 
 @dataclass
 class LossConfig(ConfigDocument):
-    """Term toggles, weights, and thresholds for the coupled objective."""
+    """Term toggles, weights, Huber delta and pose target of the coupled objective."""
 
     delta: float = DEFAULT_DELTA
-    tau_static: float = 0.02
     use_cons: bool = True
     use_cam: bool = True
     use_anchor: bool = False
     weight_cons: float = 1.0
     weight_cam: float = 1.0
     weight_anchor: float = 1.0
-    min_weight: float = MIN_VISIBLE_WEIGHT
     pose_target: str = "gt"  # or "anchor_sample"
     gate_static: bool = True
 
     def validate(self):
         if self.delta <= 0.0:
             raise ConfigInvalid("delta", "must be positive")
-        if self.tau_static <= 0.0:
-            raise ConfigInvalid("tau_static", "must be positive")
         for name in ("weight_cons", "weight_cam", "weight_anchor"):
             if getattr(self, name) <= 0.0:
                 raise ConfigInvalid(name, "must be positive")
-        if not 0.0 < self.min_weight <= 1.0:
-            # visibility is at most 1, so a larger cutoff admits no sample
-            raise ConfigInvalid("min_weight", "must be in (0, 1]")
         if self.pose_target not in ("gt", "anchor_sample"):
             raise ConfigInvalid("pose_target", "must be 'gt' or 'anchor_sample'")
         return self
@@ -491,10 +484,11 @@ class CouplingProblem:
     everything else (pixels, weights, gating, targets, base poses) lives
     here; the base poses as per-frame arrays, with each frame's compositions
     since its last re-orthonormalization in age.  targets is None when the
-    problem has no 3D labels.  query_pixels, visibility, anchor and
-    config.min_weight are fixed for the problem's lifetime (their geometry
-    is compiled once, on first use); static_mask, targets, base poses and
-    the rest of config may be reassigned between evaluations.
+    problem has no 3D labels.  tau_static is the threshold of the provisional
+    static mask that refresh_static_mask computes.  query_pixels, visibility
+    and anchor are fixed for the problem's lifetime (their geometry is
+    compiled once, on first use); static_mask, targets, base poses, config
+    and tau_static may be reassigned between evaluations.
     """
 
     layout: ParamLayout
@@ -506,6 +500,7 @@ class CouplingProblem:
     static_mask: np.ndarray
     targets: Optional[np.ndarray]
     config: LossConfig
+    tau_static: float
     anchor: int = 0
     _geometry: Optional[_Geometry] = field(default=None, init=False, repr=False, compare=False)
 
@@ -518,10 +513,7 @@ class CouplingProblem:
 
     def geometry(self) -> _Geometry:
         if self._geometry is None:
-            self._geometry = _compile(
-                self.layout, self.query_pixels, self.visibility, self.anchor,
-                self.config.min_weight,
-            )
+            self._geometry = _compile(self.layout, self.query_pixels, self.visibility, self.anchor)
         return self._geometry
 
     def evaluate(self, store: ParamStore, tape: Optional[Tape] = None) -> LossBreakdown:
@@ -550,7 +542,7 @@ class CouplingProblem:
         _, grid_stack, tangents = self.views(store)
         stacks = pose_stacks(self.r_base, self.t_base, tangents)
         self.static_mask = _reprojection_mask(
-            self.geometry(), self.visibility.shape, grid_stack, stacks, self.config.tau_static
+            self.geometry(), self.visibility.shape, grid_stack, stacks, self.tau_static
         )
 
     def current_poses(self, store: ParamStore):

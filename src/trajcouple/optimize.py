@@ -22,9 +22,12 @@ from .grad import GRIDS, POSES, TRACKS, ParamStore, Tape
 from .losses import CouplingProblem, LossConfig
 from .pose import compose, inverse, log_map
 from .synthetic import SyntheticScene, build_problem
+from .tracks import MIN_VISIBLE_WEIGHT
 from . import metrics as _metrics
 
 _BLOCK_STEP_FIELDS = {GRIDS: "step_grids", TRACKS: "step_tracks", POSES: "step_poses"}
+MAX_STEP_SCALE = 1024.0  # cap of the shared step scale
+GRAD_TOL = 1e-12  # a largest gradient entry below this is stationary
 
 
 @dataclass
@@ -40,8 +43,6 @@ class OptimConfig(ConfigDocument):
     clip_norm: float = 0.0
     max_backtracks: int = 20
     step_growth: float = 2.0
-    max_step_scale: float = 1024.0
-    grad_tol: float = 1e-12
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self):
@@ -122,7 +123,7 @@ def scene_error_metrics(scene: SyntheticScene, problem: CouplingProblem, store: 
             np.mean(np.linalg.norm(est_grids - scene.gt_grids, axis=-1))
         ),
     }
-    vis = scene.visibility >= problem.config.min_weight
+    vis = scene.visibility >= MIN_VISIBLE_WEIGHT
     if np.any(vis):
         out["track_err"] = float(
             np.mean(np.linalg.norm((est_tracks - scene.gt_tracks)[vis], axis=-1))
@@ -181,7 +182,7 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
         )
         epochs.append(record)
 
-        if loss == 0.0 or tape.max_abs() < cfg.grad_tol:
+        if loss == 0.0 or tape.max_abs() < GRAD_TOL:
             termination = "stationary"
             break
 
@@ -194,7 +195,7 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
                     g *= cfg.clip_norm / nrm
             grads[block] = g
 
-        trial = min(step_scale * cfg.step_growth, cfg.max_step_scale)
+        trial = min(step_scale * cfg.step_growth, MAX_STEP_SCALE)
         accepted = False
         cand_loss = np.inf
         for _ in range(cfg.max_backtracks + 1):

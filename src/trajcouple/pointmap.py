@@ -41,14 +41,17 @@ class PointMapGrid:
 
 
 def check_domain(height, width, x, y):
-    """Raise OutOfDomain unless (x, y) lies in the grid domain (with 1e-9 slack)."""
+    """Raise OutOfDomain unless (x, y) lies in the grid domain (with 1e-9 slack).
+
+    A non-finite pixel lies outside: every comparison with NaN is false.
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    bad = (
-        (x < -_DOMAIN_TOL)
-        | (x > width - 1 + _DOMAIN_TOL)
-        | (y < -_DOMAIN_TOL)
-        | (y > height - 1 + _DOMAIN_TOL)
+    bad = ~(
+        (x >= -_DOMAIN_TOL)
+        & (x <= width - 1 + _DOMAIN_TOL)
+        & (y >= -_DOMAIN_TOL)
+        & (y <= height - 1 + _DOMAIN_TOL)
     )
     if np.any(bad):
         k = int(np.argmax(bad))

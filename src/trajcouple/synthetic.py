@@ -14,7 +14,9 @@ Construction rules that the coupling losses rely on:
   consistency residuals of an unperturbed scene are exactly zero;
 * anchor targets are defined by pushing those camera tracks through the
   ground-truth relative poses with the losses' own transform chain, so the
-  camera-consistency residuals of an unperturbed scene are exactly zero;
+  camera-consistency residuals of an unperturbed scene are exactly zero
+  (both inputs round-trip exactly through the scene files, so a loaded
+  scene derives the same targets and none are stored);
 * world tracks are bilinear samples of the world lattice, so static tracks
   are bit-for-bit constant over time.
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,15 +47,7 @@ from .pose import (
     stack_poses,
     write_poses,
 )
-from .tracks import (
-    WorldTrackSet,
-    read_static_mask,
-    read_targets,
-    read_tracks,
-    write_static_mask,
-    write_targets,
-    write_tracks,
-)
+from .tracks import WorldTrackSet, read_static_mask, read_tracks, write_static_mask, write_tracks
 from .tracks import static_mask as tracks_static_mask
 
 CAMERA_PATHS = ("orbit", "line", "random-walk")
@@ -129,7 +122,6 @@ class SyntheticScene:
     est_grids: np.ndarray = None
     est_tracks: np.ndarray = None
     est_rel_poses: list = None
-    tau_static: float = 0.02
 
     @property
     def n_tracks(self):
@@ -304,20 +296,16 @@ def generate(config: SceneConfig) -> SyntheticScene:
             start = int(rng.integers(1, t_frames - config.occlusion_span + 1))
             visibility[i, start : start + config.occlusion_span] = 0.0
 
-    # tracks via the shared sampling path; targets via the shared pose chain
+    # tracks via the shared sampling path
     ii = np.repeat(np.arange(n), t_frames)
     tt = np.tile(np.arange(t_frames), n)
     sampler = BilinearSampler(gt_grids.shape, tt, query_pixels[ii, tt, 0], query_pixels[ii, tt, 1])
     world_tracks = sampler.gather(world_stack).reshape(n, t_frames, 3)
     gt_tracks = sampler.gather(gt_grids).reshape(n, t_frames, 3)
-    stacks = pose_stacks(*stack_poses(rel_poses)[:2], np.zeros((t_frames, 6)))
-    targets = transform_samples(stacks, tt, gt_tracks.reshape(-1, 3))[0].reshape(
-        n, t_frames, 3
-    )
 
-    tau_static = config.tau_scale * diagonal
+    # the diagonal is 1, so tau_scale is the static threshold in scene units
     static = tracks_static_mask(
-        WorldTrackSet(world_tracks), config.anchor, tau_static, visibility=visibility
+        WorldTrackSet(world_tracks), config.anchor, config.tau_scale, visibility=visibility
     )
 
     scene = SyntheticScene(
@@ -330,9 +318,8 @@ def generate(config: SceneConfig) -> SyntheticScene:
         query_pixels=query_pixels,
         visibility=visibility,
         static_mask=static,
-        targets=targets,
+        targets=anchor_targets(gt_tracks, rel_poses),
         pseudo_visibility=visibility.copy(),
-        tau_static=tau_static,
     )
     est_grids, est_tracks, est_rel = perturb(
         scene, config.sigma_pointmap, config.sigma_track, config.sigma_pose,
@@ -342,6 +329,14 @@ def generate(config: SceneConfig) -> SyntheticScene:
     scene.est_tracks = est_tracks
     scene.est_rel_poses = est_rel
     return scene
+
+
+def anchor_targets(gt_tracks, rel_poses):
+    """(N, T, 3) camera tracks pushed through the relative poses by the losses' transform chain."""
+    n, t, _ = gt_tracks.shape
+    stacks = pose_stacks(*stack_poses(rel_poses)[:2], np.zeros((t, 6)))
+    frames = np.tile(np.arange(t), n)
+    return transform_samples(stacks, frames, gt_tracks.reshape(-1, 3))[0].reshape(n, t, 3)
 
 
 def perturb(scene: SyntheticScene, sigma_pointmap, sigma_track, sigma_pose, seed):
@@ -387,10 +382,11 @@ def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> Couplin
     The camera term is the only consumer of 3D ground truth: with it the
     problem takes the targets, the ground-truth static mask and the track
     visibility; without it, the pseudo 2D track visibility, no targets and
-    an all-static mask (which optimize refreshes when the anchor term is gated).
+    an all-static mask (which optimize refreshes when the anchor term is
+    gated).  Both masks use the scene's tau_scale as their threshold.
     """
     if loss_cfg is None:
-        loss_cfg = LossConfig(tau_static=scene.tau_static)
+        loss_cfg = LossConfig()
     loss_cfg.validate()
     if loss_cfg.use_cam:
         visibility, targets, mask = scene.visibility, scene.targets, scene.static_mask
@@ -405,6 +401,7 @@ def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> Couplin
         static_mask=mask,
         targets=targets,
         config=loss_cfg,
+        tau_static=scene.config.tau_scale,
         anchor=scene.config.anchor,
     )
 
@@ -414,10 +411,8 @@ def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> Couplin
 
 def save_scene(scene: SyntheticScene, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    cfg = scene.config.to_dict()
-    doc = {"config": cfg, "derived": {"tau_static": scene.tau_static}}
     with open(os.path.join(out_dir, "scene_config.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump({"config": scene.config.to_dict()}, fh, indent=2, sort_keys=True)
     n, t = scene.visibility.shape
     for sub in ("gt", "est"):
         os.makedirs(os.path.join(out_dir, sub, "pointmaps"), exist_ok=True)
@@ -443,36 +438,34 @@ def save_scene(scene: SyntheticScene, out_dir):
     write_poses(os.path.join(gt, "poses.txt"), scene.cam_poses)
     write_poses(os.path.join(gt, "rel_poses.txt"), scene.rel_poses)
     write_poses(os.path.join(est, "rel_poses.txt"), scene.est_rel_poses)
-    write_targets(os.path.join(gt, "targets.txt"), scene.targets)
     write_static_mask(os.path.join(gt, "static_mask.txt"), scene.static_mask)
 
 
 def load_scene(scene_dir) -> SyntheticScene:
-    """Read a scene written by save_scene; its world tracks are not stored (None)."""
+    """Read a scene written by save_scene; its world tracks are not stored (None).
+
+    The anchor targets are derived from the ground-truth tracks and relative
+    poses.  Files and keys that earlier versions also wrote (gt/targets.txt,
+    the 'derived' object of scene_config.json) are ignored.
+    """
     cfg_path = os.path.join(scene_dir, "scene_config.json")
     if not os.path.exists(cfg_path):
         raise FileFormatError(cfg_path, "missing scene config")
     doc = read_json_object(cfg_path)
-    derived = doc.get("derived", {})
-    if not isinstance(doc.get("config"), dict) or not isinstance(derived, dict):
-        raise FileFormatError(cfg_path, "needs a 'config' object and, if given, a 'derived' object")
+    if not isinstance(doc.get("config"), dict):
+        raise FileFormatError(cfg_path, "needs a 'config' object")
     config = SceneConfig.from_dict(doc["config"])
-    tau = derived.get("tau_static", config.tau_scale)
-    # rejects bools, NaN, infinities, and ints too large for a float
-    if type(tau) not in (int, float) or not 0 < tau <= sys.float_info.max:
-        raise FileFormatError(cfg_path, f"derived.tau_static must be finite and positive: {tau!r}")
 
     gt = os.path.join(scene_dir, "gt")
     est = os.path.join(scene_dir, "est")
     gt_grids = _load_grid_stack(os.path.join(gt, "pointmaps"), config.n_frames)
     est_grids = _load_grid_stack(os.path.join(est, "pointmaps"), config.n_frames)
     gt_pts, visibility, pixels = read_tracks(os.path.join(gt, "tracks.txt"))
-    _, pseudo_vis, _ = read_tracks(os.path.join(gt, "pseudo_tracks.txt"))
+    _, pseudo_vis, _ = read_tracks(os.path.join(gt, "pseudo_tracks.txt"), pseudo=True)
     est_pts, _, _ = read_tracks(os.path.join(est, "tracks.txt"))
     cam_poses = read_poses(os.path.join(gt, "poses.txt"))
     rel_poses = read_poses(os.path.join(gt, "rel_poses.txt"))
     est_rel = read_poses(os.path.join(est, "rel_poses.txt"))
-    targets = read_targets(os.path.join(gt, "targets.txt"))
     static = read_static_mask(os.path.join(gt, "static_mask.txt"))
 
     return SyntheticScene(
@@ -485,12 +478,11 @@ def load_scene(scene_dir) -> SyntheticScene:
         query_pixels=pixels,
         visibility=visibility,
         static_mask=static,
-        targets=targets,
+        targets=anchor_targets(gt_pts, rel_poses),
         pseudo_visibility=pseudo_vis,
         est_grids=est_grids,
         est_tracks=est_pts,
         est_rel_poses=est_rel,
-        tau_static=float(tau),
     )
 
 

@@ -120,8 +120,9 @@ def static_mask(
 # ---------------------------------------------------------------------------
 # Row files (text): a header line "N T", then one line "i t v1 ... vk" per
 # sample; each (i, t) appears exactly once, in any order.  Tracks hold
-# "x y z visibility px py" (visibility finite, in [0, 1]; pseudo 2D tracks
-# have x = y = z = nan), targets "x y z" and static masks one 0 or 1.
+# "x y z visibility px py" (visibility in [0, 1], px py finite, x y z finite
+# except in pseudo 2D track files, which hold x = y = z = nan) and static
+# masks one 0 or 1.
 
 def _write_rows(path, values, fmt):
     """Write (N, T, k) values as one "i t v1 ... vk" row per sample, values as fmt."""
@@ -133,11 +134,12 @@ def _write_rows(path, values, fmt):
         fh.writelines(row % (*it, *v.tolist()) for it, v in zip(samples, values.reshape(n * t, k)))
 
 
-def _read_rows(path, k, dtype=np.float64, rule=None):
+def _read_rows(path, k, dtype=np.float64, rules=()):
     """Read a row file with k values per sample; returns (N, T, k) values.
 
-    rule is (ok, message): ok maps the (rows, k) values in file order to one
-    bool per row, and the first row it rejects raises FileFormatError.
+    Each rule is (ok, message): ok maps the (rows, k) values in file order to
+    one bool per row; the first row the first failing rule rejects raises
+    FileFormatError.
     """
     with open(path) as fh:
         for line, head in enumerate(iter(fh.readline, ""), start=1):
@@ -170,8 +172,9 @@ def _read_rows(path, k, dtype=np.float64, rule=None):
         r = int(np.argmin(first & (flat < n * t)))
         raise FileFormatError(path, f"sample ({i[r]}, {f[r]}) out of range or repeated",
                               line=_body_rows(path)[r][0])
-    if rule is not None and not (ok := rule[0](body["v"])).all():
-        raise FileFormatError(path, rule[1], line=_body_rows(path)[np.argmin(ok)][0])
+    for ok, message in rules:
+        if not (good := ok(body["v"])).all():
+            raise FileFormatError(path, message, line=_body_rows(path)[np.argmin(good)][0])
     values = np.empty((n * t, k), dtype=dtype)
     values[flat] = body["v"]
     return values.reshape(n, t, k)
@@ -203,10 +206,21 @@ def write_tracks(path, points, visibility, query_pixels):
     _write_rows(path, np.concatenate(columns, axis=2), "%r")
 
 
-def read_tracks(path):
-    """Read a track file; returns (points, visibility, query_pixels)."""
-    rows = _read_rows(path, 6, rule=(lambda v: (v[:, 3] >= 0.0) & (v[:, 3] <= 1.0),
-                                     "visibility must be finite and in [0, 1]"))
+_TRACK_RULES = (
+    (lambda v: (v[:, 3] >= 0.0) & (v[:, 3] <= 1.0), "visibility must be finite and in [0, 1]"),
+    (lambda v: np.isfinite(v[:, 4:]).all(axis=1), "pixel px py must be finite"),
+)
+_POINT_RULE = (lambda v: np.isfinite(v[:, :3]).all(axis=1), "point x y z must be finite")
+
+
+def read_tracks(path, pseudo=False):
+    """Read a track file; returns (points, visibility, query_pixels).
+
+    Points must be finite unless pseudo is set: a pseudo 2D track file holds
+    no 3D points (x = y = z = nan).
+    """
+    rules = _TRACK_RULES if pseudo else _TRACK_RULES + (_POINT_RULE,)
+    rows = _read_rows(path, 6, rules=rules)
     return tuple(map(np.ascontiguousarray, (rows[..., :3], rows[..., 3], rows[..., 4:])))
 
 
@@ -215,15 +229,6 @@ def write_static_mask(path, mask):
 
 
 def read_static_mask(path):
-    rows = _read_rows(path, 1, dtype=np.int64,
-                      rule=(lambda v: (v[:, 0] == 0) | (v[:, 0] == 1), "mask values must be 0 or 1"))
+    rule = (lambda v: (v[:, 0] == 0) | (v[:, 0] == 1), "mask values must be 0 or 1")
+    rows = _read_rows(path, 1, dtype=np.int64, rules=(rule,))
     return rows[..., 0] == 1
-
-
-def write_targets(path, targets):
-    _write_rows(path, np.asarray(targets, dtype=np.float64), "%r")
-
-
-def read_targets(path):
-    return _read_rows(path, 3, rule=(lambda v: np.isfinite(v).all(axis=1),
-                                     "targets must be finite"))

@@ -324,18 +324,6 @@ def write_static_mask(path, mask):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_targets(path, targets):
-    targets = np.asarray(targets, dtype=np.float64)
-    n, t, _ = targets.shape
-    lines = [f"{n} {t}"]
-    for i in range(n):
-        for f in range(t):
-            x, y, z = (float(v) for v in targets[i, f])
-            lines.append(f"{i} {f} {x!r} {y!r} {z!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def naive_umeyama(src, dst, with_scale=True):
     """Textbook closed-form similarity fit; returns (s, R, t)."""
     src = np.asarray(src, dtype=float)

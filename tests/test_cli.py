@@ -128,8 +128,8 @@ class TestOptimize:
         ("tracks.txt", 3, 5, "nan"),  # visibility of one sample
         ("static_mask.txt", 0, 1, "x"),  # header
         ("static_mask.txt", 2, 1, "-1"),  # frame index
-        ("targets.txt", 4, 0, "99"),  # track index
-        ("targets.txt", 4, 3, "nan"),  # target coordinate
+        ("tracks.txt", 4, 2, "nan"),  # x of one sample
+        ("tracks.txt", 4, 6, "nan"),  # px of one sample
         ("rel_poses.txt", 2, 4, "x"),  # rotation entry
         ("rel_poses.txt", 2, 11, "nan"),  # translation
     ])
@@ -141,19 +141,39 @@ class TestOptimize:
         assert code == 3
         assert bad in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file,line,field,value", [
+        ("est/tracks.txt", 6, 3, "inf"),  # y of one sample
+        ("est/tracks.txt", 6, 7, "nan"),  # py of one sample
+        ("gt/pseudo_tracks.txt", 9, 6, "nan"),  # px of one sample
+    ])
+    def test_non_finite_track_value_exit_3_names_line(
+        self, tmp_path, capsys, file, line, field, value
+    ):
+        scenes = self.run_gen(tmp_path)
+        bad = poison_row_file(scenes / "seed_0005" / file, line, field, value)
+        code = main(["optimize", "--scenes", str(scenes), "--ablation", "selfsup",
+                     "--out", str(tmp_path / "opt")])
+        assert code == 3
+        assert f"{bad}:{line + 1}" in capsys.readouterr().err
+
+    # the tau_* cases hold a leftover 'derived' object of earlier versions,
+    # which is ignored: the run matches the clean scene's byte for byte
     @pytest.mark.parametrize(
         "case", ["truncated", "not_object", "no_config", "config_not_object", "bad_field",
                  "tau_string", "tau_null", "tau_list", "tau_nan", "tau_negative"]
     )
     def test_damaged_scene_config(self, tmp_path, capsys, case):
         scenes = self.run_gen(tmp_path)
+        cfg = write_json(tmp_path / "optim.json", {**FAST_OPTIM, "max_epochs": 3})
+        argv = ["optimize", "--scenes", str(scenes), "--config", cfg, "--out"]
+        assert main(argv + [str(tmp_path / "clean")]) == 0
         path = scenes / "seed_0005" / "scene_config.json"
         text = path.read_text()
         doc = json.loads(text)
         path.write_text({
             "truncated": text[:40],
             "not_object": "[1]",
-            "no_config": json.dumps({"derived": doc["derived"]}),
+            "no_config": "{}",
             "config_not_object": json.dumps({**doc, "config": [1]}),
             "bad_field": json.dumps({**doc, "config": {**doc["config"], "n_frames": 4.5}}),
             "tau_string": json.dumps({**doc, "derived": {"tau_static": "x"}}),
@@ -162,12 +182,27 @@ class TestOptimize:
             "tau_nan": json.dumps({**doc, "derived": {"tau_static": float("nan")}}),
             "tau_negative": json.dumps({**doc, "derived": {"tau_static": -1.0}}),
         }[case])
-        code = main(["optimize", "--scenes", str(scenes), "--out", str(tmp_path / "opt")])
+        capsys.readouterr()
+        code = main(argv + [str(tmp_path / "opt")])
         err = capsys.readouterr().err
         if case == "bad_field":
             assert code == 2 and "'n_frames'" in err
+        elif case.startswith("tau_"):
+            assert code == 0 and err == ""
+            assert tree_digest(tmp_path / "opt") == tree_digest(tmp_path / "clean")
         else:
             assert code == 3 and str(path) in err
+
+    def test_parallel_jobs_identical_output(self, tmp_path):
+        scenes = self.run_gen(tmp_path, seeds="1,2,3")
+        cfg = write_json(tmp_path / "optim.json", FAST_OPTIM)
+        for jobs in ("1", "2"):
+            assert main(["optimize", "--scenes", str(scenes), "--config", cfg,
+                         "--ablation", "selfsup", "--jobs", jobs,
+                         "--out", str(tmp_path / f"jobs_{jobs}")]) == 0
+        one = tree_digest(tmp_path / "jobs_1")
+        assert len(one) == 7  # report and epochs per seed, summary
+        assert tree_digest(tmp_path / "jobs_2") == one
 
     def test_ablation_none_keeps_metrics(self, tmp_path):
         scenes = self.run_gen(tmp_path)

@@ -51,7 +51,7 @@ def single_sample_problem(delta=0.5, **config):
     targets = (p_hat + np.array([-0.04, 0.01, 0.02])).reshape(1, 1, 3)
     problem = CouplingProblem(
         SINGLE_LAYOUT, *stack_poses([Pose.identity()]), np.full((1, 1, 2), 0.5), np.ones((1, 1)),
-        np.ones((1, 1), dtype=bool), targets, LossConfig(delta=delta, **config),
+        np.ones((1, 1), dtype=bool), targets, LossConfig(delta=delta, **config), tau_static=0.02,
     )
     return problem, store, p_tilde, p_hat
 
@@ -246,9 +246,7 @@ class TestSelfSupervised:
             SceneConfig(seed=seed, n_static=24, n_dynamic=0, n_frames=5,
                         height=10, width=10, sigma_pose=sigma_pose)
         )
-        problem = build_problem(
-            scene, LossConfig(use_cam=False, use_anchor=True, tau_static=scene.tau_static)
-        )
+        problem = build_problem(scene, LossConfig(use_cam=False, use_anchor=True))
         store = initial_store(scene)
         problem.refresh_static_mask(store)
         return scene, problem, store
@@ -299,9 +297,7 @@ class TestSelfSupervised:
             SceneConfig(seed=3, n_static=20, n_dynamic=20, n_frames=6,
                         height=16, width=16, motion_speed=0.4)
         )
-        problem = build_problem(
-            scene, LossConfig(use_cam=False, use_anchor=True, tau_static=scene.tau_static)
-        )
+        problem = build_problem(scene, LossConfig(use_cam=False, use_anchor=True))
         store = initial_store(scene)
         problem.refresh_static_mask(store)  # ground-truth state
         mask = problem.static_mask
@@ -547,7 +543,7 @@ def mask_cases(draw):
     # tau far above every deviation keeps tau; far below takes the quantile branch
     tau = draw(st.one_of(st.sampled_from([1e-9, 1e3]), st.floats(1e-6, 2.0)))
     layout = ParamLayout(n, t, h, w)
-    geo = _compile(layout, query, visibility, draw(st.integers(0, t - 1)), 1e-3)
+    geo = _compile(layout, query, visibility, draw(st.integers(0, t - 1)))
     return geo, (n, t), grids, random_base_poses(rng, t), tangents, tau
 
 

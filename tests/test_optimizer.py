@@ -14,7 +14,7 @@ from trajcouple.optimize import (
     pose_tangent_rms,
 )
 from trajcouple.pose import Pose, PoseTangent, exp_map
-from trajcouple.synthetic import SceneConfig, generate, initial_store
+from trajcouple.synthetic import SceneConfig, build_problem, generate, initial_store
 
 
 def quick_optim(**kw):
@@ -236,6 +236,17 @@ class TestStaticMaskRefresh:
         for name in ABLATIONS:
             optimize(initial_store(scene), scene, ablation_config(name, quick_optim(max_epochs=2)))
         assert refreshed == {"selfsup"}
+
+    def test_refresh_threshold_is_scene_tau_scale(self):
+        # the self-supervised gate reads the threshold the ground-truth mask reads
+        reports = []
+        for tau_scale in (0.02, 0.2):
+            scene = noisy_scene(seed=6, n_dynamic=8, n_frames=6, tau_scale=tau_scale)
+            assert build_problem(scene).tau_static == scene.config.tau_scale
+            report = optimize(initial_store(scene), scene,
+                              ablation_config("selfsup", quick_optim(max_epochs=40)))
+            reports.append(report.to_dict())
+        assert reports[0] != reports[1]
 
     @pytest.mark.parametrize("hidden", ["track", "frame"])
     def test_hidden_pseudo_track_or_frame_warns_nothing(self, hidden):

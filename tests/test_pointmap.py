@@ -204,7 +204,9 @@ class TestBilinearSampler:
                   (weights[:, :, None] * coeff[:, None, :]).reshape(-1))
         assert np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("x,y", [(-0.5, 1.0), (1.0, -0.5), (4.2, 1.0), (1.0, 3.5)])
+    # a non-finite pixel is outside too, though NaN compares false with every bound
+    @pytest.mark.parametrize("x,y", [(-0.5, 1.0), (1.0, -0.5), (4.2, 1.0), (1.0, 3.5),
+                                     (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)])
     def test_out_of_domain_raises_at_build(self, x, y):
         with pytest.raises(OutOfDomain):
             BilinearSampler((2, 4, 5), [0, 1], [1.0, x], [1.0, y])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from trajcouple import tracks
 from trajcouple.errors import ConfigInvalid
 from trajcouple.grad import Tape
 from trajcouple.losses import LossConfig
@@ -79,9 +80,7 @@ class TestGroundTruthConsistency:
 
     def test_anchor_term_fp_zero_at_ground_truth(self):
         scene = generate(small_config(n_dynamic=0))
-        problem = build_problem(
-            scene, LossConfig(use_cam=False, use_anchor=True, tau_static=scene.tau_static)
-        )
+        problem = build_problem(scene, LossConfig(use_cam=False, use_anchor=True))
         store = initial_store(scene)
         problem.refresh_static_mask(store)
         bd = problem.evaluate(store)
@@ -104,7 +103,7 @@ class TestGroundTruthConsistency:
         scene = generate(small_config())
         dyn = scene.world_tracks[scene.config.n_static:]
         moves = np.linalg.norm(dyn - dyn[:, :1], axis=2).max(axis=1)
-        assert np.all(moves > scene.tau_static)
+        assert np.all(moves > scene.config.tau_scale)
 
     def test_pseudo_tracks_recover_camera_positions(self):
         scene = generate(small_config())
@@ -144,9 +143,12 @@ class TestGroundTruthConsistency:
         assert not scene.static_mask[scene.config.n_static:].all()
 
     def test_unit_diagonal_normalization(self):
+        # tau_scale is the static threshold in scene units because the
+        # frame-0 world lattice has a unit bounding-box diagonal
         scene = generate(small_config())
-        # tau_static is tau_scale times the bounding-box diagonal
-        assert scene.tau_static == pytest.approx(scene.config.tau_scale, rel=0.2)
+        lattice = scene.cam_poses[0].apply(scene.gt_grids[0].reshape(-1, 3))
+        diagonal = np.linalg.norm(lattice.max(axis=0) - lattice.min(axis=0))
+        assert diagonal == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOcclusion:
@@ -230,7 +232,6 @@ class TestSceneIo:
         assert np.array_equal(back.est_tracks, scene.est_tracks)
         for a, b in zip(back.est_rel_poses, scene.est_rel_poses):
             assert np.array_equal(a.matrix(), b.matrix())
-        assert back.tau_static == scene.tau_static
 
     def test_save_load_save_same_bytes(self, tmp_path):
         scene = generate(small_config(sigma_pointmap=0.01, sigma_pose=0.02,
@@ -239,24 +240,26 @@ class TestSceneIo:
         save_scene(load_scene(tmp_path / "a"), tmp_path / "b")
         files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
                        if p.is_file())
-        assert len(files) == 21  # config, 2 x 6 pointmaps, 3 track, 3 pose, 2 row files
+        assert len(files) == 20  # config, 2 x 6 pointmaps, 3 track, 3 pose, 1 mask file
         for rel in files:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
     def test_old_scene_directory_loads(self, tmp_path):
-        # earlier versions also wrote gt/world_tracks.txt and derived.diagonal
+        # earlier versions also wrote gt/world_tracks.txt, gt/targets.txt and a
+        # 'derived' object (tau_static, diagonal); all of them are ignored
         scene = generate(small_config(sigma_pose=0.02))
         save_scene(scene, tmp_path / "s")
         n, t = scene.visibility.shape
         write_tracks(tmp_path / "s" / "gt" / "world_tracks.txt", scene.world_tracks,
                      np.ones((n, t)), np.full((n, t, 2), np.nan))
+        tracks._write_rows(tmp_path / "s" / "gt" / "targets.txt", scene.targets + 1.0, "%r")
         path = tmp_path / "s" / "scene_config.json"
         doc = json.loads(path.read_text())
-        doc["derived"]["diagonal"] = 1.0
+        doc["derived"] = {"tau_static": 0.5, "diagonal": 1.0}
         path.write_text(json.dumps(doc))
         back = load_scene(tmp_path / "s")
         assert back.world_tracks is None and not hasattr(back, "diagonal")
-        assert back.tau_static == scene.tau_static
+        assert np.array_equal(back.targets, scene.targets)
         assert np.array_equal(back.gt_tracks, scene.gt_tracks)
         v1 = build_problem(scene).evaluate(initial_store(scene)).total
         assert build_problem(back).evaluate(initial_store(back)).total == v1
@@ -286,12 +289,12 @@ class TestBuildProblem:
 
     def test_gate_static_off_uses_all_samples(self):
         scene = generate(small_config(sigma_pose=0.05))
-        cfg = LossConfig(gate_static=False, tau_static=scene.tau_static)
+        cfg = LossConfig(gate_static=False)
         problem = build_problem(scene, cfg)
         store = initial_store(scene)
         tape_all = Tape(store)
         problem.evaluate(store, tape_all)
-        gated = build_problem(scene, LossConfig(tau_static=scene.tau_static))
+        gated = build_problem(scene, LossConfig())
         tape_gated = Tape(store)
         gated.evaluate(store, tape_gated)
         # ungated admits strictly more pose gradient mass on a 20%-dynamic scene

@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 import oracles
 from trajcouple import tracks
 from trajcouple.errors import FileFormatError
-from trajcouple.pose import Pose, PoseTangent, exp_map, inverse
+from trajcouple.pose import Pose, PoseTangent, exp_map, inverse, read_poses, write_poses
+from trajcouple.synthetic import anchor_targets
 from trajcouple.tracks import (
     WorldTrackSet,
     read_static_mask,
-    read_targets,
     read_tracks,
     static_mask,
     write_static_mask,
-    write_targets,
     write_tracks,
 )
 
@@ -226,9 +225,11 @@ class TestTrackFileIo:
         q = np.zeros((2, 3, 2))
         path = tmp_path / "pseudo.txt"
         write_tracks(path, np.full((2, 3, 3), np.nan), vis, q)
-        p2, v2, _ = read_tracks(path)
+        p2, v2, _ = read_tracks(path, pseudo=True)
         assert np.all(np.isnan(p2))
         assert np.array_equal(v2, vis)
+        with pytest.raises(FileFormatError, match="point x y z must be finite"):
+            read_tracks(path)  # a 3D track file must hold its points
 
     def test_malformed_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -248,16 +249,29 @@ class TestTrackFileIo:
         mask = rng.random((3, 4)) < 0.5
         write_static_mask(tmp_path / "m.txt", mask)
         assert np.array_equal(read_static_mask(tmp_path / "m.txt"), mask)
-        targets = rng.standard_normal((3, 4, 3))
-        write_targets(tmp_path / "t.txt", targets)
-        assert np.array_equal(read_targets(tmp_path / "t.txt"), targets)
+        # targets are not stored: both of their inputs round-trip exactly,
+        # so the targets derived from the files equal the originals bitwise
+        pts = rng.standard_normal((3, 4, 3))
+        poses = [random_pose(rng) for _ in range(4)]
+        write_tracks(tmp_path / "t.txt", pts, np.ones((3, 4)), np.zeros((3, 4, 2)))
+        write_poses(tmp_path / "p.txt", poses)
+        back = anchor_targets(read_tracks(tmp_path / "t.txt")[0], read_poses(tmp_path / "p.txt"))
+        assert np.array_equal(back, anchor_targets(pts, poses))
+
+
+def write_track_values(path, values):
+    write_tracks(path, values[..., :3], values[..., 3], values[..., 4:])
+
+
+def oracle_track_values(path, values):
+    oracles.write_tracks(path, values[..., :3], values[..., 3], values[..., 4:])
 
 
 ROW_FILES = {
     # name: (writer, reader, values per row, oracle writer)
-    "tracks": (lambda p, v: write_tracks(p, v[..., :3], v[..., 3], v[..., 4:]), read_tracks, 6,
-               lambda p, v: oracles.write_tracks(p, v[..., :3], v[..., 3], v[..., 4:])),
-    "targets": (write_targets, read_targets, 3, oracles.write_targets),
+    "tracks": (write_track_values, read_tracks, 6, oracle_track_values),
+    "pseudo": (write_track_values, lambda p: read_tracks(p, pseudo=True), 6,
+               oracle_track_values),
     "mask": (lambda p, v: write_static_mask(p, v[..., 0]), read_static_mask, 1,
              lambda p, v: oracles.write_static_mask(p, v[..., 0])),
 }
@@ -268,8 +282,9 @@ def row_values(name, n=2, t=3, seed=14):
     if name == "mask":
         return (rng.random((n, t, 1)) < 0.5).astype(float)
     values = rng.standard_normal((n, t, ROW_FILES[name][2]))
-    if name == "tracks":
-        values[..., 3] = rng.uniform(0.0, 1.0, (n, t))
+    values[..., 3] = rng.uniform(0.0, 1.0, (n, t))
+    if name == "pseudo":
+        values[..., :3] = np.nan  # a pseudo 2D track has no 3D point
     return values
 
 
@@ -282,9 +297,9 @@ def row_lines(tmp_path, name):
 
 def read_as_arrays(name, path):
     out = ROW_FILES[name][1](path)
-    if name == "tracks":
-        return np.concatenate([out[0], out[1][..., None], out[2]], axis=2)
-    return out[..., None].astype(float) if name == "mask" else out
+    if name == "mask":
+        return out[..., None].astype(float)
+    return np.concatenate([out[0], out[1][..., None], out[2]], axis=2)
 
 
 def replace_field(line, index, value):
@@ -331,7 +346,7 @@ class TestRowFiles:
         expected = read_as_arrays(name, path)
         body = lines[1:][::-1]
         path.write_text("\n" + lines[0] + "\n\n" + "\n  \n".join(body) + "\n\n")
-        assert np.array_equal(read_as_arrays(name, path), expected)
+        assert np.array_equal(read_as_arrays(name, path), expected, equal_nan=True)
 
     @pytest.mark.parametrize("case", BAD_ROWS)
     @pytest.mark.parametrize("name", ROW_FILES)
@@ -364,9 +379,22 @@ class TestRowFiles:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_targets_rejected(self, tmp_path, value):
-        path, lines = row_lines(tmp_path, "targets")
+        # anchor targets are derived from the 3D track points, which must be finite
+        path, lines = row_lines(tmp_path, "tracks")
         lines[3] = replace_field(lines[3], 4, value)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FileFormatError, match="targets must be finite") as err:
-            read_targets(path)
+        with pytest.raises(FileFormatError, match="point x y z must be finite") as err:
+            read_tracks(path)
         assert err.value.line == 4
+        assert not np.isfinite(read_tracks(path, pseudo=True)[0][0, 2, 2])  # z of sample (0, 2)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [6, 7])  # px, py
+    @pytest.mark.parametrize("name", ["tracks", "pseudo"])
+    def test_non_finite_pixel_rejected(self, tmp_path, name, field, value):
+        path, lines = row_lines(tmp_path, name)
+        lines[5] = replace_field(lines[5], field, value)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match="pixel px py must be finite") as err:
+            ROW_FILES[name][1](path)
+        assert err.value.path == str(path) and err.value.line == 6
