@@ -7,11 +7,11 @@ The optimization state lives in three named flat blocks:
 * ``poses``  — per-frame 6-vector tangents ``(omega, upsilon)`` relative to
   held base poses
 
-Losses scatter analytic partial derivatives into a Tape; every
-scatter carries a RoutingMask that says which blocks the emitting
-term is allowed to update.  Stop-gradient boundaries are therefore
-structural: a blocked scatter is a no-op, so a detached factor can
-never leak gradient into its block.
+Losses scatter analytic partial derivatives into a Tape, or add a dense
+block-sized gradient; every scatter and add carries a RoutingMask that
+says which blocks the emitting term is allowed to update.  Stop-gradient
+boundaries are therefore structural: a blocked scatter or add is a
+no-op, so a detached factor can never leak gradient into its block.
 """
 
 from __future__ import annotations
@@ -134,9 +134,21 @@ class Tape:
             raise IndexOutOfRange(f"indices outside block {block!r} ({g.size})")
         np.add.at(g, indices, partials)
 
+    def add(self, block, values, routing: RoutingMask):
+        """Add a dense block-sized gradient iff routing admits the block."""
+        g = self.grad(block)
+        if not routing.admits(block):
+            return
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        if values.size != g.size:
+            raise ValueError(f"size mismatch for block {block!r}")
+        g += values
+
     def max_abs(self):
+        """Max over blocks of each block's largest |entry|: NaN for a block holding NaN, 0 if empty."""
         return max(
-            (float(np.max(np.abs(g))) if g.size else 0.0) for g in self.grads.values()
+            (max(float(g.max()), -float(g.min())) if g.size else 0.0)
+            for g in self.grads.values()
         )
 
 

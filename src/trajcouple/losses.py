@@ -22,8 +22,10 @@ around held base poses, with the transform acting as
 ``omega`` uses the SO(3) left Jacobian and is exact at any tangent value.
 
 A CouplingProblem compiles its sample geometry (valid samples, their
-bilinear footprints, anchor references) on first use; every term then
-runs through one shared pass per evaluation, driven by one term table.
+bilinear sampling operator S, anchor references) on first use; every term
+then runs through one shared pass per evaluation, driven by one term
+table.  The grid-writing terms queue their sample coefficients, and the
+pass applies S^T once, over all of them in term order, at its end.
 """
 
 from __future__ import annotations
@@ -216,6 +218,29 @@ class _Pass:
         self.tangents = tangents
         self.tape = tape
         self.grad = tape is not None  # value-only passes skip the Huber gradients
+        self.grid_coeffs = []  # (coeff, index) of the grid-writing terms, in term order
+
+    def add_grids(self, coeff, index, routing):
+        """Queue S[index]^T @ coeff for the grid block iff routing admits it."""
+        if routing.admits(GRIDS):
+            self.grid_coeffs.append((coeff, index))
+
+    def flush_grids(self):
+        """Add the queued grid gradients to the tape with one S^T product.
+
+        The coefficients are concatenated in term order, so each grid value
+        accumulates term by term and, within a term, sample by sample; a
+        product per term, summed, would associate the additions differently.
+        """
+        if not self.grid_coeffs:
+            return
+        if len(self.grid_coeffs) == 1:
+            coeff, index = self.grid_coeffs[0]  # a lone None index keeps the cached S^T
+        else:
+            n = len(self.geo.tt)
+            coeff = np.concatenate([c for c, _ in self.grid_coeffs])
+            index = np.concatenate([np.arange(n) if i is None else i for _, i in self.grid_coeffs])
+        self.tape.add(GRIDS, self.geo.sampler.adjoint(coeff, index), ROUTE_GRIDS)
 
     def huber(self, res):
         return _huber_batch(res, self.cfg.delta, self.grad)
@@ -313,7 +338,7 @@ class _Pass:
 def _cons_pointmap(ps: _Pass):
     value, coeff, _ = ps.cons
     if ps.tape is not None:
-        ps.tape.scatter(GRIDS, *ps.geo.sampler.adjoint(-coeff), ROUTE_GRIDS)
+        ps.add_grids(-coeff, None, ROUTE_GRIDS)
     return value
 
 
@@ -350,8 +375,7 @@ def _anchor(ps: _Pass):
     if ps.tape is not None and pos.size:
         route = ROUTE_POSES_AND_GRIDS
         _scatter_pose_grads(ps.tape, ps.problem.layout, ps.stacks, ps.geo.tt[pos], a, gvec, route)
-        index = ps.geo.anchor_ref[pos]
-        ps.tape.scatter(GRIDS, *ps.geo.sampler.adjoint(-gvec, index), route)
+        ps.add_grids(-gvec, ps.geo.anchor_ref[pos], route)
     return value
 
 
@@ -524,6 +548,7 @@ class CouplingProblem:
             if getattr(self.config, group.toggle):
                 terms[group.slot] = _run_group(ps, group)
                 total += getattr(self.config, group.weight) * terms[group.slot].value
+        ps.flush_grids()
         return LossBreakdown(terms, total)
 
     def evaluate_term(self, store: ParamStore, term: str, tape: Optional[Tape] = None) -> float:
@@ -532,7 +557,9 @@ class CouplingProblem:
         if group is None:
             raise ValueError(f"unknown term {term!r}")
         ps = _Pass(self, *self.views(store), tape)
-        return getattr(self.config, group.weight) * TERMS[term](ps)
+        value = TERMS[term](ps)
+        ps.flush_grids()
+        return getattr(self.config, group.weight) * value
 
     def active_terms(self):
         return [t for g in GROUPS if getattr(self.config, g.toggle) for t in g.terms]

@@ -186,22 +186,23 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
             termination = "stationary"
             break
 
-        grads = {}
-        for block in steps:
-            g = tape.grad(block).copy()
-            if cfg.clip_norm > 0.0:
+        # the tape's own blocks: no evaluation touches the tape until the next epoch
+        grads = {block: tape.grad(block) for block in steps}
+        if cfg.clip_norm > 0.0:
+            for g in grads.values():
                 nrm = float(np.linalg.norm(g))
                 if nrm > cfg.clip_norm:
                     g *= cfg.clip_norm / nrm
-            grads[block] = g
 
         trial = min(step_scale * cfg.step_growth, MAX_STEP_SCALE)
         accepted = False
         cand_loss = np.inf
         for _ in range(cfg.max_backtracks + 1):
-            store.copy_into(candidate)
             for block, g in grads.items():
-                candidate[block] -= trial * steps[block] * g
+                # store - trial * step * g, written into the candidate block in place
+                out = candidate[block]
+                np.multiply(trial * steps[block], g, out=out)
+                np.subtract(store[block], out, out=out)
             cand_loss = problem.evaluate(candidate).total
             if cand_loss < loss:
                 accepted = True

@@ -4,6 +4,8 @@ A grid stores one 3D point per pixel, expressed in the owning frame's
 camera coordinates.  The sampling domain is [0, W-1] x [0, H-1] in
 (x, y) pixel coordinates; locations on the boundary use clamped corner
 indices, and anything farther than 1e-9 outside raises OutOfDomain.
+The operator S of a sample set is one CSR matrix from samples to grid
+pixels; sampling is S @ grids and the grid gradient is S^T @ coeff.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from .errors import FileFormatError, OutOfDomain
 
@@ -76,12 +79,14 @@ class BilinearSampler:
     Built once from the stack shape ``(T, H, W[, 3])``, per-sample frames
     and pixel locations (x, y); the domain check runs here.  Each sample
     keeps the rows of its four corners, ordered (y0,x0), (y0,x1), (y1,x0),
-    (y1,x1), in the
-    ``(T*H*W, 3)`` view of the stack, and their weights (non-negative up
-    to the domain slack, summing to 1).  ``gather`` applies S; ``adjoint``
-    returns the grid-block indices and partials of S^T in per-sample order.
-    This is the single sampling path of the package (generator, losses
-    and static masks), so equal inputs give bitwise equal samples.
+    (y1,x1), in the ``(T*H*W, 3)`` view of the stack, and their weights
+    (non-negative up to the domain slack, summing to 1).  ``matrix`` is S
+    as an (M, T*H*W) CSR matrix over those arrays, four entries per row in
+    corner order; a grid 1 pixel wide or high repeats a corner within a
+    row, and S keeps both entries unsummed.  ``gather`` applies S and
+    ``adjoint`` S^T.  This is the single sampling path of the package
+    (generator, losses and static masks), so equal inputs give bitwise
+    equal samples.
     """
 
     def __init__(self, shape, frames, x, y):
@@ -97,29 +102,43 @@ class BilinearSampler:
         top = (base + y0) * width
         bottom = (base + y1) * width
         index = np.int32 if n_frames * height * width * 3 < 2**31 else np.int64
+        self.n_points = n_frames * height * width
         self.rows = np.stack([top + x0, top + x1, bottom + x0, bottom + x1], axis=-1).astype(index)
         self.weights = np.stack(
             [(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx], axis=-1
         )
+        self._transpose = self._transposed(self.rows, self.weights)
+        self.matrix = self._transpose.T  # CSR over the same three arrays
+
+    def _transposed(self, rows, weights):
+        """S^T of the samples with these corner rows and weights, as a CSC matrix.
+
+        Built from data, indices and indptr as they are, sharing memory with
+        rows and weights; a COO pass would sum a sample's repeated corners.
+        """
+        indptr = np.arange(0, rows.size + 1, 4, dtype=rows.dtype)
+        return csc_matrix(
+            (weights.reshape(-1), rows.reshape(-1), indptr), shape=(self.n_points, len(rows))
+        )
 
     def gather(self, grids):
         """S @ grids: the (M, 3) samples of a (T, H, W, 3) stack."""
-        corners = np.take(np.asarray(grids, dtype=np.float64).reshape(-1, 3), self.rows, axis=0)
-        return np.einsum("mk,mkc->mc", self.weights, corners)
+        return self.matrix @ np.asarray(grids, dtype=np.float64).reshape(-1, 3)
 
     def adjoint(self, coeff, index=None):
-        """S^T @ coeff as (flat indices, partials) into the (T*H*W*3,) grid block.
+        """S^T @ coeff as the dense (T*H*W*3,) grid-block gradient.
 
         coeff is (M, 3), one row per sample, or per entry of ``index`` when
-        that selects (or repeats) samples.  Both outputs run sample-major,
-        then corner, then component, so adding the partials at the indices
-        in order accumulates each grid value in per-sample order.
+        that selects (or repeats) samples.  S^T is a CSC matrix, whose
+        product adds sample by sample, then corner, then component: each
+        grid value accumulates in per-sample order, as a per-sample
+        ``np.add.at`` scatter would.
         """
-        rows, weights = self.rows, self.weights
-        if index is not None:
-            rows, weights = rows[index], weights[index]
-        idx = rows[:, :, None] * 3 + np.arange(3, dtype=rows.dtype)
-        return idx.reshape(-1), (weights[:, :, None] * coeff[:, None, :]).reshape(-1)
+        if index is None:
+            op = self._transpose
+        else:
+            op = self._transposed(self.rows[index], self.weights[index])
+        return (op @ np.asarray(coeff, dtype=np.float64)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 The metric oracles are straightforward loops over 4x4 matrices and raw
 arrays, sharing no code with the package beyond numpy/scipy primitives.
-The sampling, Huber, tape, geometric-median, SO(3), pose-stack,
-reprojection-mask, row-file and point-cloud references below are the
-package's earlier per-call formulations, kept to pin the compiled and
-batched paths bit for bit.
+The sampling, grid-gradient, Huber, tape, geometric-median, SO(3),
+pose-stack, reprojection-mask, row-file and point-cloud references below
+are the package's earlier per-call formulations, kept to pin the compiled
+and batched paths bit for bit.
 """
 
 import math
@@ -15,7 +15,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from trajcouple.errors import DegenerateConfiguration
-from trajcouple.losses import transform_samples
+from trajcouple.grad import GRIDS, Tape
+from trajcouple.losses import _Pass, transform_samples
 from trajcouple.metrics import PointmapResult, _smallest_eigenvectors
 from trajcouple.pointmap import BilinearSampler, check_domain
 from trajcouple.pose import _SMALL_ANGLE, Pose, Similarity, compose, inverse, umeyama
@@ -146,6 +147,39 @@ def accumulate(grad, indices, partials):
     """Add partials at flat indices one entry at a time, in order."""
     for index, partial in zip(indices, partials):
         grad[index] += partial
+    return grad
+
+
+# ---------------------------------------------------------------------------
+# Grid-block gradient: the earlier per-term scatter of the grid-writing terms.
+
+GRID_TERMS = ("cons_pointmap", "anchor")
+
+
+def grid_gradient(problem, store, terms):
+    """The grid block a fresh tape holds after the given grid-writing terms.
+
+    Each term's (flat indices, partials), sample-major, then corner, then
+    component, is added with np.add.at in term order, as the tape's grid
+    scatter did before S^T became one product per pass.  The coefficients
+    are the pass's own intermediates.
+    """
+    ps = _Pass(problem, *problem.views(store), Tape(store))
+    sampler = ps.geo.sampler
+    grad = np.zeros(store[GRIDS].size)
+    for term in terms:
+        if term == "cons_pointmap":
+            coeff, index = -ps.cons[1], None
+        else:
+            _, pos, _, gvec, _ = ps.anchor
+            if not pos.size:
+                continue
+            coeff, index = -gvec, ps.geo.anchor_ref[pos]
+        rows, weights = sampler.rows, sampler.weights
+        if index is not None:
+            rows, weights = rows[index], weights[index]
+        np.add.at(grad, (rows[:, :, None] * 3 + np.arange(3)).reshape(-1),
+                  (weights[:, :, None] * coeff[:, None, :]).reshape(-1))
     return grad
 
 

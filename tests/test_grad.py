@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from trajcouple.errors import IndexOutOfRange, UnknownBlock
@@ -66,6 +70,30 @@ class TestTape:
         tape.scatter(POSES, [0], [1.0], RoutingMask(to_poses=True))
         tape.reset()
         assert tape.max_abs() == 0.0
+
+    @given(st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.5, 1e-300, -7e12, np.inf, -np.inf, np.nan]),
+                 max_size=5),
+        min_size=3, max_size=3))
+    def test_max_abs_equals_max_of_abs(self, values):
+        # NaN, +-inf, -0.0 and an empty block read as max(np.max(np.abs(g)))
+        tape = Tape({GRIDS: len(values[0]), TRACKS: len(values[1]), POSES: len(values[2])})
+        for block, vals in zip((GRIDS, TRACKS, POSES), values):
+            tape.grad(block)[:] = vals
+        ref = max((float(np.max(np.abs(g))) if g.size else 0.0) for g in tape.grads.values())
+        got = tape.max_abs()
+        assert got == ref or (math.isnan(got) and math.isnan(ref))
+
+    def test_add_dense_block(self):
+        tape = Tape(small_store())
+        values = np.arange(12.0)
+        tape.add(GRIDS, values, RoutingMask(to_tracks=True))
+        assert tape.max_abs() == 0.0
+        tape.add(GRIDS, values, RoutingMask(to_pointmaps=True))
+        tape.add(GRIDS, values, RoutingMask(to_pointmaps=True))
+        assert np.array_equal(tape.grad(GRIDS), 2.0 * values)
+        with pytest.raises(ValueError, match="size mismatch"):
+            tape.add(GRIDS, values[:5], RoutingMask(to_pointmaps=True))
 
     def test_errors(self):
         tape = Tape(small_store())

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from trajcouple.losses import (
     _reprojection_mask,
     pose_stacks,
 )
+from trajcouple.optimize import ABLATIONS
 from trajcouple.pose import (
     REORTHO_PERIOD,
     Pose,
@@ -523,6 +525,28 @@ class TestPassSharing:
         assert calls == []
         problem.evaluate(store, Tape(problem.layout.sizes()))
         assert len(calls) == 1
+
+
+class TestGridGradientOrder:
+    """The grid block of a pass equals the earlier per-term np.add.at scatter, bit for bit."""
+
+    @pytest.mark.parametrize("pose_target", ["gt", "anchor_sample"])
+    @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+    def test_pass_grid_block_matches_per_term_scatter(self, ablation, pose_target):
+        for seed in range(3):
+            problem, store = random_coupling_fixture(20 + seed)
+            problem.config = replace(problem.config, pose_target=pose_target,
+                                     **ABLATIONS[ablation])
+            tape = Tape(store)
+            problem.evaluate(store, tape)
+            active = [t for t in oracles.GRID_TERMS if t in problem.active_terms()]
+            ref = oracles.grid_gradient(problem, store, active)
+            assert np.array_equal(tape.grad(GRIDS), ref)
+            for term in oracles.GRID_TERMS:
+                tape = Tape(store)
+                problem.evaluate_term(store, term, tape)
+                ref = oracles.grid_gradient(problem, store, [term])
+                assert np.array_equal(tape.grad(GRIDS), ref)
 
 
 @st.composite

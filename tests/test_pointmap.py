@@ -152,8 +152,12 @@ def random_queries(rng, shape, m):
     return frames, xs, ys
 
 
+# 1-pixel-wide or -high grids repeat corners within a sample
+SHAPES = [(3, 7, 9), (2, 5, 1), (2, 1, 6), (1, 1, 1), (4, 2, 2)]
+
+
 class TestBilinearSampler:
-    @pytest.mark.parametrize("shape", [(3, 7, 9), (2, 5, 1), (2, 1, 6), (1, 1, 1), (4, 2, 2)])
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_gather_bitwise_equals_reference(self, shape):
         rng = np.random.default_rng(sum(shape))
         stack = rng.standard_normal(shape + (3,))
@@ -161,6 +165,17 @@ class TestBilinearSampler:
         got = BilinearSampler(shape, frames, xs, ys).gather(stack)
         ref, _, _, _ = bilinear_gather(stack, frames, xs, ys)
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_operator_keeps_four_corners_per_sample(self, shape):
+        # S holds each sample's corners as they are, repeated ones unsummed
+        rng = np.random.default_rng(sum(shape))
+        frames, xs, ys = random_queries(rng, shape, 60)
+        op = BilinearSampler(shape, frames, xs, ys)
+        assert op.matrix.shape == (60, int(np.prod(shape)))
+        assert np.array_equal(op.matrix.indptr, np.arange(0, 241, 4))
+        assert np.array_equal(op.matrix.indices, op.rows.reshape(-1))
+        assert np.array_equal(op.matrix.data, op.weights.reshape(-1))
 
     def test_subsets_gather_bitwise_equal(self):
         rng = np.random.default_rng(21)
@@ -173,36 +188,40 @@ class TestBilinearSampler:
 
     @pytest.mark.parametrize("use_index", [False, True])
     def test_adjoint_identity(self, use_index):
-        rng = np.random.default_rng(22)
-        shape = (3, 6, 5)
-        frames, xs, ys = random_queries(rng, shape, 120)
-        op = BilinearSampler(shape, frames, xs, ys)
-        g = rng.standard_normal(shape + (3,))
-        index = rng.integers(0, 120, size=200) if use_index else None
-        rows = op.gather(g) if index is None else op.gather(g)[index]
-        c = rng.standard_normal(rows.shape)
-        idx, partials = op.adjoint(c, index)
-        st_c = np.zeros(g.size)
-        np.add.at(st_c, idx, partials)
-        lhs = float(np.sum(rows * c))
-        rhs = float(g.reshape(-1) @ st_c)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        # <S[index] g, c> == <g, S[index]^T c>, a repeating index included
+        for shape in SHAPES:
+            rng = np.random.default_rng(22 + sum(shape))
+            frames, xs, ys = random_queries(rng, shape, 120)
+            op = BilinearSampler(shape, frames, xs, ys)
+            g = rng.standard_normal(shape + (3,))
+            index = rng.integers(0, 120, size=200) if use_index else None
+            rows = op.gather(g) if index is None else op.gather(g)[index]
+            c = rng.standard_normal(rows.shape)
+            st_c = op.adjoint(c, index)
+            assert st_c.shape == (g.size,)
+            lhs = float(np.sum(rows * c))
+            rhs = float(g.reshape(-1) @ st_c)
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_adjoint_matches_reference_scatter(self):
-        # the per-sample order of the reference np.add.at scatter is kept bitwise
-        rng = np.random.default_rng(23)
-        shape = (2, 4, 5)
-        frames, xs, ys = random_queries(rng, shape, 90)
-        coeff = rng.standard_normal((90, 3))
-        idx, partials = BilinearSampler(shape, frames, xs, ys).adjoint(coeff)
-        got = np.zeros(int(np.prod(shape)) * 3)
-        np.add.at(got, idx, partials)
-        _, rows, cols, weights = bilinear_gather(np.zeros(shape + (3,)), frames, xs, ys)
-        base = ((frames[:, None] * shape[1] + rows) * shape[2] + cols) * 3
-        ref = np.zeros_like(got)
-        np.add.at(ref, (base[:, :, None] + np.arange(3)).reshape(-1),
-                  (weights[:, :, None] * coeff[:, None, :]).reshape(-1))
-        assert np.array_equal(got, ref)
+        # bitwise equal to the reference per-sample np.add.at scatter, with and
+        # without a repeating index; a CSR that merged the repeated corners of
+        # 1-pixel-wide or -high grids would add them in another order
+        for shape in SHAPES:
+            rng = np.random.default_rng(23 + sum(shape))
+            frames, xs, ys = random_queries(rng, shape, 90)
+            op = BilinearSampler(shape, frames, xs, ys)
+            _, rows, cols, weights = bilinear_gather(np.zeros(shape + (3,)), frames, xs, ys)
+            base = ((frames[:, None] * shape[1] + rows) * shape[2] + cols) * 3
+            for index in (None, rng.integers(0, 90, size=150)):
+                pick = slice(None) if index is None else index
+                coeff = rng.standard_normal((len(base[pick]), 3))
+                ref = np.zeros(int(np.prod(shape)) * 3)
+                np.add.at(ref, (base[pick][:, :, None] + np.arange(3)).reshape(-1),
+                          (weights[pick][:, :, None] * coeff[:, None, :]).reshape(-1))
+                got = op.adjoint(coeff, index)
+                assert np.array_equal(got, ref)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     # a non-finite pixel is outside too, though NaN compares false with every bound
     @pytest.mark.parametrize("x,y", [(-0.5, 1.0), (1.0, -0.5), (4.2, 1.0), (1.0, 3.5),
