@@ -21,7 +21,6 @@ from .grad import (
     TRACKS,
     ParamLayout,
     ParamStore,
-    RoutingMask,
     Tape,
     finite_diff_check,
 )

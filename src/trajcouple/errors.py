@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the checked reading of
-config documents that raises them."""
+config documents and text files that raises them."""
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING
 
 
@@ -58,6 +59,16 @@ class FileFormatError(TrajCoupleError):
         self.line = line
         where = f"{path}" if line is None else f"{path}:{line}"
         super().__init__(f"{where}: {message}")
+
+
+@contextmanager
+def open_text(path):
+    """open(path) for reading, with bytes that do not decode raising FileFormatError."""
+    with open(path) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(path, f"not {exc.encoding} text ({exc.reason})") from None
 
 
 class ConfigDocument:

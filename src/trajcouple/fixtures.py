@@ -4,7 +4,8 @@ Each fixture is a small coupled problem with random grids, tracks, pose
 tangents (deliberately nonzero, so the left-Jacobian chain is exercised),
 targets, gating, and a mix of visible/occluded samples.  The Huber delta
 is chosen away from every residual norm so central differences stay in a
-smooth region.
+smooth region.  The sweep checks each sub-term only against the blocks
+``losses.TERM_BLOCKS`` lists for it: a detached factor has no derivative to check.
 """
 
 from __future__ import annotations
@@ -14,19 +15,8 @@ from dataclasses import replace
 import numpy as np
 
 from .grad import GRIDS, POSES, TRACKS, ParamLayout, finite_diff_check
-from .losses import CouplingProblem, LossConfig, _Pass
+from .losses import TERM_BLOCKS, CouplingProblem, LossConfig, _Pass
 from .pose import PoseTangent, exp_map, stack_poses
-
-# (term, block) pairs with a live (non-detached) dependency; only these are
-# finite-difference checkable, since differencing a detached factor would
-# measure a derivative the routing deliberately discards.
-TERM_BLOCKS = {
-    "cons_pointmap": (GRIDS,),
-    "cons_track": (TRACKS,),
-    "cam_pose": (POSES,),
-    "cam_track": (TRACKS,),
-    "anchor": (POSES, GRIDS),
-}
 
 
 def _random_pose(rng, rot_scale=0.4, trans_scale=0.5):

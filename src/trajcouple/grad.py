@@ -1,4 +1,4 @@
-"""Parameter blocks, gradient tape with routing masks, and a finite-difference checker.
+"""Parameter blocks, a gradient tape, and a finite-difference checker.
 
 The optimization state lives in three named flat blocks:
 
@@ -8,10 +8,9 @@ The optimization state lives in three named flat blocks:
   held base poses
 
 Losses scatter analytic partial derivatives into a Tape, or add a dense
-block-sized gradient; every scatter and add carries a RoutingMask that
-says which blocks the emitting term is allowed to update.  Stop-gradient
-boundaries are therefore structural: a blocked scatter or add is a
-no-op, so a detached factor can never leak gradient into its block.
+block-sized gradient.  The tape adds whatever it is given; a detached
+factor gets no gradient because no sub-term forms partials for it (see
+``losses.TERM_BLOCKS``).
 """
 
 from __future__ import annotations
@@ -25,33 +24,6 @@ from .errors import IndexOutOfRange, UnknownBlock
 GRIDS = "grids"
 TRACKS = "tracks"
 POSES = "poses"
-
-_FLAG_FOR_BLOCK = {TRACKS: "to_tracks", GRIDS: "to_pointmaps", POSES: "to_poses"}
-
-
-@dataclass(frozen=True)
-class RoutingMask:
-    """Which parameter blocks a loss term may update."""
-
-    to_tracks: bool = False
-    to_pointmaps: bool = False
-    to_poses: bool = False
-
-    def __post_init__(self):
-        if not (self.to_tracks or self.to_pointmaps or self.to_poses):
-            raise ValueError("routing mask must admit at least one block")
-
-    def admits(self, block: str) -> bool:
-        try:
-            return getattr(self, _FLAG_FOR_BLOCK[block])
-        except KeyError:
-            raise UnknownBlock(f"unknown block {block!r}")
-
-
-ROUTE_TRACKS = RoutingMask(to_tracks=True)
-ROUTE_GRIDS = RoutingMask(to_pointmaps=True)
-ROUTE_POSES = RoutingMask(to_poses=True)
-ROUTE_POSES_AND_GRIDS = RoutingMask(to_poses=True, to_pointmaps=True)
 
 
 class ParamStore:
@@ -116,14 +88,12 @@ class Tape:
         except KeyError:
             raise UnknownBlock(f"unknown block {name!r}")
 
-    def scatter(self, block, indices, partials, routing: RoutingMask):
-        """Add partials at flat indices iff routing admits the block.
+    def scatter(self, block, indices, partials):
+        """Add partials at flat indices of the block.
 
         Repeated indices accumulate, in the order given (np.add.at).
         """
         g = self.grad(block)
-        if not routing.admits(block):
-            return
         indices = np.asarray(indices).reshape(-1)
         if indices.dtype.kind not in "iu":
             indices = indices.astype(np.int64)
@@ -134,22 +104,21 @@ class Tape:
             raise IndexOutOfRange(f"indices outside block {block!r} ({g.size})")
         np.add.at(g, indices, partials)
 
-    def add(self, block, values, routing: RoutingMask):
-        """Add a dense block-sized gradient iff routing admits the block."""
+    def add(self, block, values):
+        """Add a dense block-sized gradient."""
         g = self.grad(block)
-        if not routing.admits(block):
-            return
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         if values.size != g.size:
             raise ValueError(f"size mismatch for block {block!r}")
         g += values
 
     def max_abs(self):
-        """Max over blocks of each block's largest |entry|: NaN for a block holding NaN, 0 if empty."""
-        return max(
+        """Largest |entry| over all blocks: NaN if any block holds NaN, 0 if all are empty."""
+        # np.max propagates NaN across blocks, where Python's max would drop it
+        return float(np.max([
             (max(float(g.max()), -float(g.min())) if g.size else 0.0)
             for g in self.grads.values()
-        )
+        ]))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ Three terms, each a weighted Huber sum over (track, frame) samples:
   samples; updates poses through the reprojection and the anchor grid
   through the comparison side.  No 3D ground truth is consumed.
 
-Detachment is structural: every accumulation carries a routing mask, and
-each term only emits partials for its non-detached factors.
+Detachment is structural: each sub-term forms partials only for the
+blocks TERM_BLOCKS lists for it; acceptance criterion 2 and
+TestRoutingZeroTests check that every other block stays bitwise zero.
 
 Pose gradients are taken w.r.t. per-frame tangents ``(omega, upsilon)``
 around held base poses, with the transform acting as
@@ -40,10 +41,6 @@ from .errors import ConfigDocument, ConfigInvalid, MissingTargets
 from .grad import (
     GRIDS,
     POSES,
-    ROUTE_GRIDS,
-    ROUTE_POSES,
-    ROUTE_POSES_AND_GRIDS,
-    ROUTE_TRACKS,
     TRACKS,
     ParamLayout,
     ParamStore,
@@ -126,21 +123,6 @@ def transform_samples(stacks: PoseStacks, frames, pts):
     return a + np.take(stacks.upsilon, frames, axis=0), a
 
 
-def _scatter_pose_grads(tape, layout, stacks, frames, a_sel, gvec, routing):
-    """Accumulate d(loss)/d(omega, upsilon) for selected samples.
-
-    For y = exp(omega) z + upsilon and downstream gradient g:
-    d/d upsilon = g and d/d omega = J_l(omega)^T (a x g) with a = exp(omega) z.
-    """
-    pose_base = layout.pose_base(frames)
-    ups_idx = (pose_base[:, None] + np.arange(3, 6)).reshape(-1)
-    tape.scatter(POSES, ups_idx, gvec.reshape(-1), routing)
-    cross = np.cross(a_sel, gvec)
-    gw = np.einsum("mji,mj->mi", np.take(stacks.left_jac, frames, axis=0), cross)
-    om_idx = (pose_base[:, None] + np.arange(3)).reshape(-1)
-    tape.scatter(POSES, om_idx, gw.reshape(-1), routing)
-
-
 @dataclass
 class TermStats:
     """Value and residual statistics of one loss term (value is unweighted)."""
@@ -220,10 +202,23 @@ class _Pass:
         self.grad = tape is not None  # value-only passes skip the Huber gradients
         self.grid_coeffs = []  # (coeff, index) of the grid-writing terms, in term order
 
-    def add_grids(self, coeff, index, routing):
-        """Queue S[index]^T @ coeff for the grid block iff routing admits it."""
-        if routing.admits(GRIDS):
-            self.grid_coeffs.append((coeff, index))
+    def scatter_poses(self, frames, a_sel, gvec):
+        """Accumulate d(loss)/d(omega, upsilon) for selected samples.
+
+        For y = exp(omega) z + upsilon and downstream gradient g:
+        d/d upsilon = g and d/d omega = J_l(omega)^T (a x g) with a = exp(omega) z.
+        """
+        pose_base = self.problem.layout.pose_base(frames)
+        ups_idx = (pose_base[:, None] + np.arange(3, 6)).reshape(-1)
+        self.tape.scatter(POSES, ups_idx, gvec.reshape(-1))
+        cross = np.cross(a_sel, gvec)
+        gw = np.einsum("mji,mj->mi", np.take(self.stacks.left_jac, frames, axis=0), cross)
+        om_idx = (pose_base[:, None] + np.arange(3)).reshape(-1)
+        self.tape.scatter(POSES, om_idx, gw.reshape(-1))
+
+    def add_grids(self, coeff, index):
+        """Queue S[index]^T @ coeff for the grid block."""
+        self.grid_coeffs.append((coeff, index))
 
     def flush_grids(self):
         """Add the queued grid gradients to the tape with one S^T product.
@@ -240,7 +235,7 @@ class _Pass:
             n = len(self.geo.tt)
             coeff = np.concatenate([c for c, _ in self.grid_coeffs])
             index = np.concatenate([np.arange(n) if i is None else i for _, i in self.grid_coeffs])
-        self.tape.add(GRIDS, self.geo.sampler.adjoint(coeff, index), ROUTE_GRIDS)
+        self.tape.add(GRIDS, self.geo.sampler.adjoint(coeff, index))
 
     def huber(self, res):
         return _huber_batch(res, self.cfg.delta, self.grad)
@@ -333,12 +328,13 @@ class _Pass:
 
 
 # Sub-terms: each returns its unweighted value and, with a tape, adds its
-# routed partials.  The tape expects the standard layout of the problem.
+# partials to the blocks TERM_BLOCKS lists for it.  The tape expects the
+# standard layout of the problem.
 
 def _cons_pointmap(ps: _Pass):
     value, coeff, _ = ps.cons
     if ps.tape is not None:
-        ps.add_grids(-coeff, None, ROUTE_GRIDS)
+        ps.add_grids(-coeff, None)
     return value
 
 
@@ -346,7 +342,7 @@ def _cons_track(ps: _Pass):
     value, coeff, _ = ps.cons
     if ps.tape is not None:
         idx = vector_indices(ps.geo.flat * 3)
-        ps.tape.scatter(TRACKS, idx, coeff.reshape(-1), ROUTE_TRACKS)
+        ps.tape.scatter(TRACKS, idx, coeff.reshape(-1))
     return value
 
 
@@ -356,26 +352,22 @@ def _cam_track(ps: _Pass):
         coeff = (ps.cfg.weight_cam * ps.geo.w)[:, None] * g
         gp = np.einsum("mji,mj->mi", np.take(ps.stacks.r_cur, ps.geo.tt, axis=0), coeff)
         idx = vector_indices(ps.geo.flat * 3)
-        ps.tape.scatter(TRACKS, idx, gp.reshape(-1), ROUTE_TRACKS)
+        ps.tape.scatter(TRACKS, idx, gp.reshape(-1))
     return value
 
 
 def _cam_pose(ps: _Pass):
     value, pos, gvec, _ = ps.cam_pose
     if ps.tape is not None and pos.size:
-        _scatter_pose_grads(
-            ps.tape, ps.problem.layout, ps.stacks, ps.geo.tt[pos], ps.moved[1][pos],
-            gvec, ROUTE_POSES,
-        )
+        ps.scatter_poses(ps.geo.tt[pos], ps.moved[1][pos], gvec)
     return value
 
 
 def _anchor(ps: _Pass):
     value, pos, a, gvec, _ = ps.anchor
     if ps.tape is not None and pos.size:
-        route = ROUTE_POSES_AND_GRIDS
-        _scatter_pose_grads(ps.tape, ps.problem.layout, ps.stacks, ps.geo.tt[pos], a, gvec, route)
-        ps.add_grids(-gvec, ps.geo.anchor_ref[pos], route)
+        ps.scatter_poses(ps.geo.tt[pos], a, gvec)
+        ps.add_grids(-gvec, ps.geo.anchor_ref[pos])
     return value
 
 
@@ -398,6 +390,15 @@ TERMS = {
     "cam_pose": _cam_pose,
     "cam_track": _cam_track,
     "anchor": _anchor,
+}
+
+# The blocks each sub-term differentiates and writes, its non-detached factors.
+TERM_BLOCKS = {
+    "cons_pointmap": (GRIDS,),
+    "cons_track": (TRACKS,),
+    "cam_pose": (POSES,),
+    "cam_track": (TRACKS,),
+    "anchor": (POSES, GRIDS),
 }
 
 
@@ -552,7 +553,7 @@ class CouplingProblem:
         return LossBreakdown(terms, total)
 
     def evaluate_term(self, store: ParamStore, term: str, tape: Optional[Tape] = None) -> float:
-        """One routed sub-term in isolation, weighted (for gradient verification)."""
+        """One sub-term in isolation, weighted (for gradient verification)."""
         group = next((g for g in GROUPS if term in g.terms), None)
         if group is None:
             raise ValueError(f"unknown term {term!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, FileFormatError, LogNearPi
+from .errors import DegenerateConfiguration, FileFormatError, LogNearPi, open_text
 
 # Compositions between orthonormality re-projections.
 REORTHO_PERIOD = 64
@@ -129,13 +129,6 @@ class Pose:
         if pts.ndim == 1:
             return self.rotation @ pts + self.translation
         return pts @ self.rotation.T + self.translation
-
-    def matrix(self):
-        """4x4 homogeneous matrix."""
-        T = np.eye(4)
-        T[:3, :3] = self.rotation
-        T[:3, 3] = self.translation
-        return T
 
     def copy(self):
         return Pose(self.rotation.copy(), self.translation.copy(), _age=self._age)
@@ -353,9 +346,10 @@ def read_poses(path):
     """Read poses written by write_poses.
 
     A line that is not an integer index plus 12 finite numbers, or whose
-    rotation is not orthonormal, raises FileFormatError naming that line.
+    rotation is not orthonormal, raises FileFormatError naming that line; a
+    file that is not text raises it naming the file.
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         raw = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not raw:
         raise FileFormatError(path, "empty pose file")

@@ -11,12 +11,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
-from .errors import FileFormatError
-from .pose import Pose, inverse
+from .errors import FileFormatError, open_text
 
 MIN_VISIBLE_WEIGHT = 1e-3
 
@@ -81,7 +79,6 @@ def static_mask(
     anchor: int,
     tau: float,
     visibility=None,
-    anchor_pose: Optional[Pose] = None,
     reference="median",
 ):
     """Binary mask of samples whose world displacement stays below tau.
@@ -90,10 +87,7 @@ def static_mask(
     the track's temporal reference is below tau.  The reference is the
     geometric median over visible frames ("median", robust to outliers and
     equivariant under rigid motion) or the anchor-frame position ("anchor",
-    which makes the anchor sample static by construction).  When
-    anchor_pose is given the test runs in anchor camera coordinates; rigid
-    transforms preserve distances, so the result matches the world-frame
-    test.
+    which makes the anchor sample static by construction).
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -101,8 +95,6 @@ def static_mask(
     n, t, _ = pts.shape
     if not 0 <= anchor < t:
         raise ValueError(f"anchor {anchor} outside [0, {t})")
-    if anchor_pose is not None:
-        pts = inverse(anchor_pose).apply(pts.reshape(-1, 3)).reshape(n, t, 3)
 
     if reference == "median":
         visible = (np.ones((n, t), dtype=bool) if visibility is None
@@ -139,9 +131,9 @@ def _read_rows(path, k, dtype=np.float64, rules=()):
 
     Each rule is (ok, message): ok maps the (rows, k) values in file order to
     one bool per row; the first row the first failing rule rejects raises
-    FileFormatError.
+    FileFormatError, as does a file that is not text.
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         for line, head in enumerate(iter(fh.readline, ""), start=1):
             if head.strip():
                 break
@@ -181,7 +173,11 @@ def _read_rows(path, k, dtype=np.float64, rules=()):
 
 
 def _body_rows(path):
-    """(line number, fields) of each non-blank line after the header."""
+    """(line number, fields) of each non-blank line after the header.
+
+    Called only inside _read_rows's open_text block or after the file
+    decoded in full, so a byte that does not decode is reported there.
+    """
     with open(path) as fh:
         return [(no, ln.split()) for no, ln in enumerate(fh, start=1) if ln.strip()][1:]
 

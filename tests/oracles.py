@@ -19,7 +19,7 @@ from trajcouple.grad import GRIDS, Tape
 from trajcouple.losses import _Pass, transform_samples
 from trajcouple.metrics import PointmapResult, _smallest_eigenvectors
 from trajcouple.pointmap import BilinearSampler, check_domain
-from trajcouple.pose import _SMALL_ANGLE, Pose, Similarity, compose, inverse, umeyama
+from trajcouple.pose import _SMALL_ANGLE, Pose, Similarity, compose, umeyama
 from trajcouple.tracks import MIN_VISIBLE_WEIGHT
 
 
@@ -216,18 +216,23 @@ def track_medians(pts, visibility=None):
     return ref
 
 
-def static_mask(world_points, tau, visibility=None, anchor_pose=None):
+def static_mask(world_points, tau, visibility=None):
     """Samples within tau of their track's geometric median (median reference)."""
     pts = np.asarray(world_points, dtype=np.float64)
-    n, t, _ = pts.shape
-    if anchor_pose is not None:
-        pts = inverse(anchor_pose).apply(pts.reshape(-1, 3)).reshape(n, t, 3)
     ref = track_medians(pts, visibility)
     return np.linalg.norm(pts - ref[:, None, :], axis=2) < tau
 
 
 # ---------------------------------------------------------------------------
 # SO(3) and the optimizer's pose work, one frame at a time.
+
+def pose_matrix(pose):
+    """4x4 homogeneous matrix of a Pose."""
+    T = np.eye(4)
+    T[:3, :3] = pose.rotation
+    T[:3, 3] = pose.translation
+    return T
+
 
 def so3_hat(w):
     wx, wy, wz = w

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import pose_matrix
 from trajcouple.cli import main as cli_main
 from trajcouple.fixtures import TERM_BLOCKS, gradcheck_sweep, random_coupling_fixture
 from trajcouple.grad import GRIDS, POSES, TRACKS, Tape
@@ -187,7 +188,7 @@ def test_criterion_8_metric_oracle_equivalence():
         gt = [rand_pose() for _ in range(9)]
         est = [compose(rand_pose(0.05, 0.1), p) for p in gt]
         pair = TrajectoryPair(est, gt)
-        mats = ([p.matrix() for p in est], [p.matrix() for p in gt])
+        mats = ([pose_matrix(p) for p in est], [pose_matrix(p) for p in gt])
 
         if not close(ate(pair), oracles.naive_ate(*mats)):
             failures.append("ate")

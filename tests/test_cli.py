@@ -109,6 +109,18 @@ def poison_row_file(path, line, field, value):
     return str(path)
 
 
+def poison_bytes(path, where):
+    """Insert a 0xff byte, which no UTF-8 text holds, at the start or in the last line."""
+    data = path.read_bytes()
+    at = 0 if where == "start" else data.rindex(b"\n", 0, -1) + 2
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    return str(path)
+
+
+ROW_FILES = ["gt/tracks.txt", "gt/pseudo_tracks.txt", "gt/static_mask.txt", "gt/poses.txt",
+             "gt/rel_poses.txt", "est/tracks.txt", "est/rel_poses.txt"]
+
+
 class TestOptimize:
     def run_gen(self, tmp_path, seeds="5", scene=SMALL_SCENE):
         cfg = write_json(tmp_path / "scene.json", scene)
@@ -155,6 +167,18 @@ class TestOptimize:
                      "--out", str(tmp_path / "opt")])
         assert code == 3
         assert f"{bad}:{line + 1}" in capsys.readouterr().err
+
+    # with 48 tracks the track files outgrow the reader's first 8 KiB chunk, so
+    # a byte in their last line fails in the row parser, not the header read
+    @pytest.mark.parametrize("where", ["start", "last_line"])
+    @pytest.mark.parametrize("file", ROW_FILES)
+    def test_non_utf8_file_exit_3_names_path(self, tmp_path, capsys, file, where):
+        scenes = self.run_gen(tmp_path, scene={**SMALL_SCENE, "n_static": 48})
+        bad = poison_bytes(scenes / "seed_0005" / file, where)
+        code = main(["optimize", "--scenes", str(scenes), "--ablation", "cons_cam",
+                     "--out", str(tmp_path / "opt")])
+        assert code == 3
+        assert f"{bad}: not " in capsys.readouterr().err
 
     # the tau_* cases hold a leftover 'derived' object of earlier versions,
     # which is ignored: the run matches the clean scene's byte for byte
@@ -415,6 +439,16 @@ class TestEval:
                      "--metrics", "ate", "--out", str(tmp_path / "e")])
         assert code == 3
         assert f"{bad}:3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["start", "last_line"])
+    @pytest.mark.parametrize("file,metrics", [("tracks.txt", "tracks3d"), ("rel_poses.txt", "ate")])
+    def test_non_utf8_file_exit_3_names_path(self, tmp_path, capsys, file, metrics, where):
+        scene = self.make_dirs(tmp_path)
+        bad = poison_bytes(scene / "est" / file, where)
+        code = main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                     "--metrics", metrics, "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert f"{bad}: not " in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_pointmap_exit_3_names_path(self, tmp_path, capsys, value):

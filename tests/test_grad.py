@@ -13,7 +13,6 @@ from trajcouple.grad import (
     TRACKS,
     ParamLayout,
     ParamStore,
-    RoutingMask,
     Tape,
     finite_diff_check,
 )
@@ -23,38 +22,16 @@ def small_store():
     return ParamStore.from_sizes({GRIDS: 12, TRACKS: 9, POSES: 6})
 
 
-class TestRoutingMask:
-    def test_requires_one_flag(self):
-        with pytest.raises(ValueError):
-            RoutingMask()
-
-    def test_admits(self):
-        m = RoutingMask(to_tracks=True, to_poses=True)
-        assert m.admits(TRACKS) and m.admits(POSES) and not m.admits(GRIDS)
-
-    def test_unknown_block(self):
-        with pytest.raises(UnknownBlock):
-            RoutingMask(to_tracks=True).admits("weights")
-
-
 class TestTape:
-    def test_blocked_accumulation_is_noop(self):
-        tape = Tape(small_store())
-        tape.scatter(GRIDS, [0], [5.0], RoutingMask(to_tracks=True))
-        # blocked before any index check: even an out-of-range index is a no-op
-        tape.scatter(GRIDS, [99], [5.0], RoutingMask(to_poses=True))
-        assert tape.max_abs() == 0.0
-
     def test_additivity(self):
         tape = Tape(small_store())
-        route = RoutingMask(to_tracks=True)
-        tape.scatter(TRACKS, [4], [1.0], route)
-        tape.scatter(TRACKS, np.array([4], dtype=np.int32), [2.0], route)
+        tape.scatter(TRACKS, [4], [1.0])
+        tape.scatter(TRACKS, np.array([4], dtype=np.int32), [2.0])
         assert tape.grad(TRACKS)[4] == 3.0
 
     def test_scatter_repeated_indices(self):
         tape = Tape(small_store())
-        tape.scatter(POSES, [1, 1, 1], [1.0, 2.0, 4.0], RoutingMask(to_poses=True))
+        tape.scatter(POSES, [1, 1, 1], [1.0, 2.0, 4.0])
         assert tape.grad(POSES)[1] == 7.0
 
     def test_scatter_matches_sequential_accumulation_bitwise(self):
@@ -62,12 +39,12 @@ class TestTape:
         tape = Tape(small_store())
         idx = rng.integers(0, 12, size=500)
         partials = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, size=500)
-        tape.scatter(GRIDS, idx, partials, RoutingMask(to_pointmaps=True))
+        tape.scatter(GRIDS, idx, partials)
         assert np.array_equal(tape.grad(GRIDS), oracles.accumulate(np.zeros(12), idx, partials))
 
     def test_reset(self):
         tape = Tape(small_store())
-        tape.scatter(POSES, [0], [1.0], RoutingMask(to_poses=True))
+        tape.scatter(POSES, [0], [1.0])
         tape.reset()
         assert tape.max_abs() == 0.0
 
@@ -76,33 +53,40 @@ class TestTape:
                  max_size=5),
         min_size=3, max_size=3))
     def test_max_abs_equals_max_of_abs(self, values):
-        # NaN, +-inf, -0.0 and an empty block read as max(np.max(np.abs(g)))
+        # NaN, +-inf, -0.0 and an empty block read as np.max over blocks of
+        # np.max(np.abs(g)): a NaN in any block, not just the first, gives NaN
         tape = Tape({GRIDS: len(values[0]), TRACKS: len(values[1]), POSES: len(values[2])})
         for block, vals in zip((GRIDS, TRACKS, POSES), values):
             tape.grad(block)[:] = vals
-        ref = max((float(np.max(np.abs(g))) if g.size else 0.0) for g in tape.grads.values())
+        ref = np.max([(float(np.max(np.abs(g))) if g.size else 0.0) for g in tape.grads.values()])
         got = tape.max_abs()
         assert got == ref or (math.isnan(got) and math.isnan(ref))
+
+    def test_max_abs_keeps_nan_of_any_block(self):
+        for block in (GRIDS, TRACKS, POSES):
+            tape = Tape(small_store())
+            tape.grad(block)[1] = np.nan
+            assert math.isnan(tape.max_abs()), block
 
     def test_add_dense_block(self):
         tape = Tape(small_store())
         values = np.arange(12.0)
-        tape.add(GRIDS, values, RoutingMask(to_tracks=True))
-        assert tape.max_abs() == 0.0
-        tape.add(GRIDS, values, RoutingMask(to_pointmaps=True))
-        tape.add(GRIDS, values, RoutingMask(to_pointmaps=True))
+        tape.add(GRIDS, values)
+        tape.add(GRIDS, values)
         assert np.array_equal(tape.grad(GRIDS), 2.0 * values)
         with pytest.raises(ValueError, match="size mismatch"):
-            tape.add(GRIDS, values[:5], RoutingMask(to_pointmaps=True))
+            tape.add(GRIDS, values[:5])
 
     def test_errors(self):
         tape = Tape(small_store())
         with pytest.raises(UnknownBlock):
-            tape.scatter("nope", [0], [1.0], RoutingMask(to_tracks=True))
+            tape.scatter("nope", [0], [1.0])
+        with pytest.raises(UnknownBlock):
+            tape.add("nope", np.zeros(12))
         with pytest.raises(IndexOutOfRange):
-            tape.scatter(POSES, [99], [1.0], RoutingMask(to_poses=True))
+            tape.scatter(POSES, [99], [1.0])
         with pytest.raises(IndexOutOfRange):
-            tape.scatter(POSES, [0, -1], [1.0, 1.0], RoutingMask(to_poses=True))
+            tape.scatter(POSES, [0, -1], [1.0, 1.0])
 
 
 class TestParamStore:
@@ -131,11 +115,10 @@ class TestFiniteDiffCheck:
         store = small_store()
         rng = np.random.default_rng(0)
         store[TRACKS][:] = rng.standard_normal(9)
-        route = RoutingMask(to_tracks=True)
 
         def loss_fn(s, tape=None):
             if tape is not None:
-                tape.scatter(TRACKS, np.arange(9), np.ones(9), route)
+                tape.scatter(TRACKS, np.arange(9), np.ones(9))
             return float(np.sum(s[TRACKS]))
 
         err = finite_diff_check(loss_fn, store, TRACKS, np.arange(9), h=1e-5)
@@ -145,11 +128,10 @@ class TestFiniteDiffCheck:
         store = small_store()
         rng = np.random.default_rng(1)
         store[POSES][:] = rng.standard_normal(6)
-        route = RoutingMask(to_poses=True)
 
         def loss_fn(s, tape=None):
             if tape is not None:
-                tape.scatter(POSES, np.arange(6), 2.0 * s[POSES], route)
+                tape.scatter(POSES, np.arange(6), 2.0 * s[POSES])
             return float(np.sum(s[POSES] ** 2))
 
         err = finite_diff_check(loss_fn, store, POSES, np.arange(6), h=1e-5)
@@ -158,11 +140,10 @@ class TestFiniteDiffCheck:
     def test_zero_routed_block_agrees(self):
         # the loss ignores GRIDS entirely: analytic 0 and numeric 0 agree
         store = small_store()
-        route = RoutingMask(to_tracks=True)
 
         def loss_fn(s, tape=None):
             if tape is not None:
-                tape.scatter(TRACKS, np.arange(9), 2.0 * s[TRACKS], route)
+                tape.scatter(TRACKS, np.arange(9), 2.0 * s[TRACKS])
             return float(np.sum(s[TRACKS] ** 2))
 
         err = finite_diff_check(loss_fn, store, GRIDS, np.arange(12), h=1e-5)

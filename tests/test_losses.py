@@ -222,24 +222,47 @@ class TestLossCam:
 
 
 class TestRoutingZeroTests:
+    off_route = {
+        "cons_pointmap": (TRACKS, POSES),
+        "cons_track": (GRIDS, POSES),
+        "cam_pose": (TRACKS, GRIDS),
+        "cam_track": (GRIDS, POSES),
+        "anchor": (TRACKS,),
+    }
+
+    def assert_off_route_zero(self, problem, store):
+        for term in problem.active_terms():
+            tape = Tape(store)
+            problem.evaluate_term(store, term, tape)
+            for block in self.off_route[term]:
+                assert not tape.grad(block).any(), (term, block)
+            live = sum(tape.grad(b).any() for b in (GRIDS, TRACKS, POSES))
+            assert live >= 1
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("selfsup", [False, True])
     def test_off_route_blocks_bitwise_zero(self, seed, selfsup):
         problem, store = random_coupling_fixture(seed, selfsup=selfsup)
-        off_route = {
-            "cons_pointmap": (TRACKS, POSES),
-            "cons_track": (GRIDS, POSES),
-            "cam_pose": (TRACKS, GRIDS),
-            "cam_track": (GRIDS, POSES),
-            "anchor": (TRACKS,),
-        }
-        for term in problem.active_terms():
-            tape = Tape(store)
-            problem.evaluate_term(store, term, tape)
-            for block in off_route[term]:
-                assert not tape.grad(block).any(), (term, block)
-            live = sum(tape.grad(b).any() for b in (GRIDS, TRACKS, POSES))
-            assert live >= 1
+        self.assert_off_route_zero(problem, store)
+
+    @pytest.mark.parametrize("pose_target", ["gt", "anchor_sample"])
+    @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+    def test_generated_scenes_every_ablation(self, ablation, pose_target):
+        # noisy scenes with dynamic tracks and occlusions, in the state the
+        # optimizer sees: nonzero tangents and, when unsupervised, a refreshed mask
+        loss = LossConfig(**ABLATIONS[ablation], pose_target=pose_target)
+        for seed in range(2):
+            scene = generate(SceneConfig(
+                seed=seed, n_frames=5, n_static=20, n_dynamic=6, height=12, width=12,
+                occlusion_span=2, sigma_pointmap=0.01, sigma_track=0.01, sigma_pose=0.05,
+            ))
+            assert not scene.pseudo_visibility.all() and not scene.static_mask.all()
+            problem = build_problem(scene, loss)
+            store = initial_store(scene)
+            store[POSES] = 0.01 * np.random.default_rng(seed).standard_normal(store[POSES].size)
+            if problem.targets is None:
+                problem.refresh_static_mask(store)
+            self.assert_off_route_zero(problem, store)
 
 
 class TestSelfSupervised:

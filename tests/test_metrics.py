@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import oracles
+from oracles import pose_matrix
 from trajcouple import metrics
 from trajcouple.errors import DegenerateConfiguration, EmptyValidMask
 from trajcouple.metrics import (
@@ -68,7 +69,7 @@ class TestAte:
             for mode in ("similarity", "rigid", "none"):
                 ours = ate(pair, align=mode)
                 naive = oracles.naive_ate(
-                    [p.matrix() for p in est], [p.matrix() for p in gt], align=mode
+                    [pose_matrix(p) for p in est], [pose_matrix(p) for p in gt], align=mode
                 )
                 assert ours == pytest.approx(naive, abs=1e-9)
 
@@ -109,7 +110,7 @@ class TestRpe:
         for step in (1, 2, 4):
             ours = rpe(pair, step=step)
             nt, nr = oracles.naive_rpe(
-                [p.matrix() for p in est], [p.matrix() for p in gt], step
+                [pose_matrix(p) for p in est], [pose_matrix(p) for p in gt], step
             )
             assert ours.trans == pytest.approx(nt, abs=1e-9)
             assert ours.rot_deg == pytest.approx(nr, abs=1e-9)
@@ -164,7 +165,7 @@ class TestRelPoseAccuracy:
             est = [compose(random_pose(rng, 0.2, 0.4), p) for p in gt]
             res = rel_pose_accuracy(TrajectoryPair(est, gt))
             rra, rta, auc, skipped = oracles.naive_rel_pose_accuracy(
-                [p.matrix() for p in est], [p.matrix() for p in gt]
+                [pose_matrix(p) for p in est], [pose_matrix(p) for p in gt]
             )
             assert res.rra == pytest.approx(rra, abs=1e-9)
             assert res.rta == pytest.approx(rta, abs=1e-9)

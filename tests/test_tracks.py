@@ -59,15 +59,6 @@ class TestStaticMask:
         moved = WorldTrackSet(g.apply(pts.reshape(-1, 3)).reshape(5, 6, 3))
         assert np.array_equal(static_mask(gt, 0, 0.7), static_mask(moved, 0, 0.7))
 
-    def test_anchor_camera_coordinates_equivalent(self):
-        rng = np.random.default_rng(3)
-        pts = rng.standard_normal((5, 6, 3))
-        gt = WorldTrackSet(pts)
-        cam = random_pose(rng)
-        plain = static_mask(gt, 2, 0.6)
-        in_cam = static_mask(gt, 2, 0.6, anchor_pose=cam)
-        assert np.array_equal(plain, in_cam)
-
     def test_anchor_reference_marks_anchor_static(self):
         rng = np.random.default_rng(4)
         pts = rng.standard_normal((4, 5, 3)) * 10
@@ -129,19 +120,18 @@ class TestBatchedMedian:
     """The batched Weiszfeld pass equals the per-track loop bit for bit."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(track_sets(), st.booleans(), st.booleans())
-    def test_matches_per_track_oracle(self, case, with_visibility, in_anchor_frame):
+    @given(track_sets(), st.booleans())
+    def test_matches_per_track_oracle(self, case, with_visibility):
         pts, vis, rng = case
         visibility = vis if with_visibility else None
         visible = (np.ones(vis.shape, dtype=bool) if visibility is None
                    else visibility >= tracks.MIN_VISIBLE_WEIGHT)
         assert np.array_equal(tracks._geometric_medians(pts, visible),
                               oracles.track_medians(pts, visibility))
-        cam = random_pose(rng) if in_anchor_frame else None
         tau = float(rng.uniform(1e-6, 1.0))
         assert np.array_equal(
-            static_mask(WorldTrackSet(pts), 0, tau, visibility=visibility, anchor_pose=cam),
-            oracles.static_mask(pts, tau, visibility=visibility, anchor_pose=cam),
+            static_mask(WorldTrackSet(pts), 0, tau, visibility=visibility),
+            oracles.static_mask(pts, tau, visibility=visibility),
         )
 
     def test_long_tracks_match(self):
