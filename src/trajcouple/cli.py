@@ -41,10 +41,8 @@ from .metrics import (
     tapvid3d_metrics,
 )
 from .optimize import ABLATIONS, OptimConfig, ablation_config, optimize
-from .pointmap import read_pointmap
-from .pose import read_poses
-from .synthetic import SceneConfig, generate, initial_store, load_scene, save_scene
-from .tracks import read_tracks
+from .synthetic import (SceneConfig, generate, initial_store, load_scene, read_frames,
+                        read_pose_file, read_track_file, save_scene, scene_dir, scene_dirs)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,9 +78,17 @@ def _parse_seeds(text):
         seeds = [int(s) for s in text.split(",") if s.strip() != ""]
     except ValueError:
         raise ConfigInvalid("seeds", f"not a comma-separated integer list: {text!r}")
-    if not seeds:
-        raise ConfigInvalid("seeds", "empty seed list")
+    if not seeds or min(seeds) < 0:
+        raise ConfigInvalid("seeds", f"need one or more seeds, each >= 0: {text!r}")
     return seeds
+
+
+def _map_jobs(fn, work, jobs):
+    """[fn(item) for item in work], in that order, over jobs processes when jobs > 1."""
+    if jobs <= 1:
+        return [fn(item) for item in work]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, work))
 
 
 def _write_csv(path, header, rows):
@@ -98,29 +104,16 @@ def _write_csv(path, header, rows):
 def _gen_one(args):
     config_dict, seed, out_dir = args
     cfg = SceneConfig.from_dict({**config_dict, "seed": seed})
-    scene = generate(cfg)
-    scene_dir = os.path.join(out_dir, f"seed_{seed:04d}")
-    save_scene(scene, scene_dir)
-    return scene_dir
+    save_scene(generate(cfg), scene_dir(out_dir, seed))
 
 
 def cmd_gen(args):
-    if args.config:
-        config = SceneConfig.from_json_file(args.config)
-    else:
-        config = SceneConfig()
-    config.validate()
+    config = SceneConfig.from_json_file(args.config) if args.config else SceneConfig()
     seeds = _parse_seeds(args.seeds)
     out_dir = args.out or _default_out("scenes")
     os.makedirs(out_dir, exist_ok=True)
 
-    work = [(config.to_dict(), seed, out_dir) for seed in seeds]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(_gen_one, work))
-    else:
-        for item in work:
-            _gen_one(item)
+    _map_jobs(_gen_one, [(config.to_dict(), seed, out_dir) for seed in seeds], args.jobs)
     _write_manifest(out_dir, "gen", config.to_dict(), args.config, seeds)
     print(f"wrote {len(seeds)} scene(s) under {out_dir}")
     return EXIT_OK
@@ -129,44 +122,22 @@ def cmd_gen(args):
 # ------------------------------------------------------------- optimize ---
 
 def _optimize_one(args):
-    scene_dir, cfg = args
-    scene = load_scene(scene_dir)
-    store = initial_store(scene)
+    path, cfg = args
+    scene, name = load_scene(path), os.path.basename(path)
     try:
-        report = optimize(store, scene, cfg)
+        return {**optimize(initial_store(scene), scene, cfg).to_dict(), "scene": name}
     except Diverged as exc:
-        return {"scene": os.path.basename(scene_dir), "diverged": str(exc)}
-    doc = report.to_dict()
-    doc["scene"] = os.path.basename(scene_dir)
-    return doc
-
-
-def _scene_dirs(root):
-    if not os.path.isdir(root):
-        raise FileFormatError(root, "scene directory does not exist")
-    dirs = sorted(
-        os.path.join(root, d)
-        for d in os.listdir(root)
-        if d.startswith("seed_") and os.path.isdir(os.path.join(root, d))
-    )
-    if not dirs:
-        raise FileFormatError(root, "no seed_* scene directories found")
-    return dirs
+        return {"scene": name, "diverged": str(exc)}
 
 
 def cmd_optimize(args):
     base = OptimConfig.from_json_file(args.config) if args.config else OptimConfig()
     cfg = ablation_config(args.ablation, base)
-    scene_dirs = _scene_dirs(args.scenes)
+    scenes = scene_dirs(args.scenes)
     out_dir = args.out or _default_out(f"optimize_{args.ablation}")
     os.makedirs(out_dir, exist_ok=True)
 
-    work = [(d, cfg) for d in scene_dirs]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_optimize_one, work))
-    else:
-        results = [_optimize_one(item) for item in work]
+    results = _map_jobs(_optimize_one, [(path, cfg) for _, path in scenes], args.jobs)
 
     any_diverged = False
     summary_rows = []
@@ -205,7 +176,7 @@ def cmd_optimize(args):
         out_dir, "optimize",
         {"optim": cfg.to_dict(), "ablation": args.ablation, "scenes": args.scenes},
         args.config,
-        [int(os.path.basename(d).split("_")[1]) for d in scene_dirs],
+        [seed for seed, _ in scenes],
     )
     print(f"wrote {len(results)} report(s) under {out_dir}")
     return EXIT_DIVERGED if any_diverged else EXIT_OK
@@ -213,52 +184,20 @@ def cmd_optimize(args):
 
 # ----------------------------------------------------------------- eval ---
 
-def _require(path):
-    if not os.path.exists(path):
-        raise FileFormatError(path, "missing input file")
-    return path
-
-
-def _load_pose_file(dir_path):
-    # prefer relative poses so pred/est directories (which carry only those)
-    # and gt directories load matching conventions; all pose metrics are
-    # invariant to the global transform distinguishing the two
-    for name in ("rel_poses.txt", "poses.txt"):
-        p = os.path.join(dir_path, name)
-        if os.path.exists(p):
-            return read_poses(p)
-    raise FileFormatError(
-        os.path.join(dir_path, "rel_poses.txt"), "missing input file (or poses.txt)"
-    )
-
-
-def _frame_paths(dir_path):
-    """{file name: path} of the .pm frames under dir_path/pointmaps."""
-    pm_dir = os.path.join(dir_path, "pointmaps")
-    if not os.path.isdir(pm_dir):
-        raise FileFormatError(pm_dir, "missing, or not a directory")
-    frames = {f: os.path.join(pm_dir, f) for f in os.listdir(pm_dir) if f.endswith(".pm")}
-    if not frames:
-        raise FileFormatError(pm_dir, "no .pm frames")
-    return frames
-
-
-def _load_frame_pairs(pred_dir, gt_dir):
-    """Prediction and ground-truth grids paired by file name, in name order."""
-    pred, gt = _frame_paths(pred_dir), _frame_paths(gt_dir)
+def _paired_grids(pred_dir, gt_dir):
+    """(prediction, ground truth) points of each frame, paired by file name, in name order."""
+    pred, gt = ({os.path.basename(p): (p, g) for p, g in read_frames(d).items()}
+                for d in (pred_dir, gt_dir))
     for name in sorted(pred.keys() ^ gt.keys()):
         if name in pred:
-            raise FileFormatError(pred[name], f"no ground-truth frame {name} in {gt_dir}")
-        raise FileFormatError(gt[name], f"no predicted frame {name} in {pred_dir}")
-    pred_grids, gt_grids = [], []
-    for name in sorted(pred):
-        p, g = read_pointmap(pred[name]), read_pointmap(gt[name])
+            raise FileFormatError(pred[name][0], f"no ground-truth frame {name} in {gt_dir}")
+        raise FileFormatError(gt[name][0], f"no predicted frame {name} in {pred_dir}")
+    pairs = [(pred[name], gt[name]) for name in sorted(pred)]
+    for (path, p), (gt_path, g) in pairs:
         if p.points.shape != g.points.shape:
             (h, w), (gh, gw) = p.points.shape[:2], g.points.shape[:2]
-            raise FileFormatError(pred[name], f"{h}x{w} frame, but {gt[name]} is {gh}x{gw}")
-        pred_grids.append(p)
-        gt_grids.append(g)
-    return pred_grids, gt_grids
+            raise FileFormatError(path, f"{h}x{w} frame, but {gt_path} is {gh}x{gw}")
+    return [(p.points, g.points) for (_, p), (_, g) in pairs]
 
 
 def _map_frames(fn, items):
@@ -323,9 +262,9 @@ def cmd_eval(args):
     })
 
     if {"ate", "rpe", "relpose"} & set(selected):
-        est = _load_pose_file(args.pred)
-        gt = _load_pose_file(args.gt)
-        pair = TrajectoryPair(est, gt)
+        pair = TrajectoryPair(read_pose_file(args.pred), read_pose_file(args.gt))
+        if "rpe" in selected and not 1 <= args.rpe_step < len(pair):
+            raise ConfigInvalid("rpe_step", f"must be in [1, {len(pair)}), {len(pair)} frames")
         if "ate" in selected:
             report.add("ate", ate(pair))
         if "rpe" in selected:
@@ -340,22 +279,21 @@ def cmd_eval(args):
             report.metadata["relpose_skipped_pairs"] = acc.n_skipped
 
     if "tracks3d" in selected:
-        est_pts, est_vis, _ = read_tracks(_require(os.path.join(args.pred, "tracks.txt")))
-        gt_pts, gt_vis, _ = read_tracks(_require(os.path.join(args.gt, "tracks.txt")))
+        est_pts, est_vis, _ = read_track_file(args.pred)
+        gt_pts, gt_vis, _ = read_track_file(args.gt)
         res = tapvid3d_metrics(est_pts, est_vis, gt_pts, gt_vis)
         report.add("aj_3d", res.aj)
         report.add("apd_3d", res.apd)
         report.add("oa", res.oa)
 
     if {"pointmap", "depth"} & set(selected):
-        pred_grids, gt_grids = _load_frame_pairs(args.pred, args.gt)
+        pairs = _paired_grids(args.pred, args.gt)
         if "pointmap" in selected:
             per_frame = _map_frames(
                 lambda pair: pointmap_metrics(
-                    pair[0].points.reshape(-1, 3), pair[1].points.reshape(-1, 3),
-                    use_icp=args.icp,
+                    pair[0].reshape(-1, 3), pair[1].reshape(-1, 3), use_icp=args.icp
                 ),
-                list(zip(pred_grids, gt_grids)),
+                pairs,
             )
             for field_name in (
                 "acc_mean", "acc_median", "comp_mean", "comp_median",
@@ -366,9 +304,8 @@ def cmd_eval(args):
                     float(np.mean([getattr(r, field_name) for r in per_frame])),
                 )
         if "depth" in selected:
-            # depth is the z channel of the camera-frame pointmaps
-            preds = [p.points[..., 2] for p in pred_grids]
-            gts = [g.points[..., 2] for g in gt_grids]
+            # depth is the z channel of the camera-frame grids
+            preds, gts = [p[..., 2] for p, _ in pairs], [g[..., 2] for _, g in pairs]
             for mode in ("scale", "scale_and_shift"):
                 res = depth_metrics(preds, gts, mode=mode, per="sequence")
                 tag = "scale" if mode == "scale" else "scaleshift"
@@ -395,6 +332,8 @@ def cmd_eval(args):
 # ------------------------------------------------------------ gradcheck ---
 
 def cmd_gradcheck(args):
+    if args.fixtures < 1:
+        raise ConfigInvalid("fixtures", f"must be >= 1, got {args.fixtures}")
     rows = []
     failed = False
     for k in range(args.fixtures):
@@ -445,7 +384,7 @@ def build_parser():
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("optimize", help="run the joint optimizer over scenes")
-    p.add_argument("--scenes", required=True, help="directory of seed_* scenes")
+    p.add_argument("--scenes", required=True, help="scene root written by gen")
     p.add_argument("--config", help="optimizer config JSON")
     p.add_argument(
         "--ablation", default="cons_cam", help=f"one of {sorted(ABLATIONS)}"
@@ -489,10 +428,7 @@ def main(argv=None):
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileFormatError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FileNotFoundError as exc:
+    except (FileFormatError, FileNotFoundError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except TrajCoupleError as exc:

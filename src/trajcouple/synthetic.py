@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -407,90 +408,153 @@ def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> Couplin
 
 
 # ---------------------------------------------------------------------------
-# Directory serialization (formats documented in the owning modules).
+# Directory layout (file formats in the owning modules).  A scene root holds
+# one seed_NNNN directory per seed (four digits or more), which holds
+# scene_config.json and the frame directories gt/ and est/.  A frame directory
+# holds pointmaps/frame_XXX.pm per frame (XXX = t, three digits or more),
+# tracks.txt and rel_poses.txt; gt/ adds pseudo_tracks.txt, poses.txt, static_mask.txt.
+
+_SEED_DIR = re.compile(r"seed_([0-9]{4,})")
+
+
+def scene_dir(root, seed):
+    """The directory of the scene with this seed under a scene root."""
+    return os.path.join(root, f"seed_{seed:04d}")
+
+
+def scene_dirs(root):
+    """(seed, directory) of each scene under root, in name order; any other seed_* raises."""
+    if not os.path.isdir(root):
+        raise FileFormatError(root, "scene directory does not exist")
+    found = []
+    for name in sorted(entry for entry in os.listdir(root) if entry.startswith("seed_")):
+        path, match = os.path.join(root, name), _SEED_DIR.fullmatch(name)
+        if not (match and os.path.isdir(path)):
+            raise FileFormatError(path, "not a seed_NNNN scene directory")
+        found.append((int(match[1]), path))
+    if not found:
+        raise FileFormatError(root, "no seed_* scene directories found")
+    return found
+
+
+def _frame_path(frame_dir, t):
+    return os.path.join(frame_dir, "pointmaps", f"frame_{t:03d}.pm")
+
+
+def write_frames(frame_dir, grids, points, visibility, query_pixels, rel_poses):
+    """Write a frame directory: each of the (T, H, W, 3) grids, the tracks, the relative poses."""
+    os.makedirs(os.path.join(frame_dir, "pointmaps"), exist_ok=True)
+    for t, grid in enumerate(grids):
+        write_pointmap(_frame_path(frame_dir, t), PointMapGrid(grid, frame_index=t))
+    write_tracks(os.path.join(frame_dir, "tracks.txt"), points, visibility, query_pixels)
+    write_poses(os.path.join(frame_dir, "rel_poses.txt"), rel_poses)
+
+
+def read_frames(frame_dir):
+    """{path: PointMapGrid} of every .pm file in frame_dir/pointmaps, in name order."""
+    pm_dir = os.path.join(frame_dir, "pointmaps")
+    if not os.path.isdir(pm_dir):
+        raise FileFormatError(pm_dir, "missing, or not a directory")
+    paths = sorted(os.path.join(pm_dir, f) for f in os.listdir(pm_dir) if f.endswith(".pm"))
+    if not paths:
+        raise FileFormatError(pm_dir, "no .pm frames")
+    return {path: read_pointmap(path) for path in paths}
+
+
+def read_track_file(frame_dir):
+    """(points, visibility, query_pixels) of a frame directory's tracks."""
+    return read_tracks(os.path.join(frame_dir, "tracks.txt"))
+
+
+def read_pose_file(frame_dir):
+    """The relative poses of a frame directory, else its camera poses (gt/ only).
+
+    Every pose metric is invariant to the global transform between the two.
+    """
+    for name in ("rel_poses.txt", "poses.txt"):
+        path = os.path.join(frame_dir, name)
+        if os.path.exists(path):
+            return read_poses(path)
+    raise FileFormatError(
+        os.path.join(frame_dir, "rel_poses.txt"), "missing input file (or poses.txt)"
+    )
+
 
 def save_scene(scene: SyntheticScene, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "scene_config.json"), "w") as fh:
         json.dump({"config": scene.config.to_dict()}, fh, indent=2, sort_keys=True)
-    n, t = scene.visibility.shape
-    for sub in ("gt", "est"):
-        os.makedirs(os.path.join(out_dir, sub, "pointmaps"), exist_ok=True)
     gt = os.path.join(out_dir, "gt")
-    est = os.path.join(out_dir, "est")
-    for t_idx in range(t):
-        write_pointmap(
-            os.path.join(gt, "pointmaps", f"frame_{t_idx:03d}.pm"),
-            PointMapGrid(scene.gt_grids[t_idx], frame_index=t_idx),
-        )
-        write_pointmap(
-            os.path.join(est, "pointmaps", f"frame_{t_idx:03d}.pm"),
-            PointMapGrid(scene.est_grids[t_idx], frame_index=t_idx),
-        )
-    write_tracks(os.path.join(gt, "tracks.txt"), scene.gt_tracks, scene.visibility, scene.query_pixels)
-    write_tracks(
-        os.path.join(gt, "pseudo_tracks.txt"),
-        np.full((n, t, 3), np.nan),
-        scene.pseudo_visibility,
-        scene.query_pixels,
-    )
-    write_tracks(os.path.join(est, "tracks.txt"), scene.est_tracks, scene.visibility, scene.query_pixels)
+    write_frames(gt, scene.gt_grids, scene.gt_tracks, scene.visibility, scene.query_pixels,
+                 scene.rel_poses)
+    write_frames(os.path.join(out_dir, "est"), scene.est_grids, scene.est_tracks,
+                 scene.visibility, scene.query_pixels, scene.est_rel_poses)
+    write_tracks(os.path.join(gt, "pseudo_tracks.txt"), np.full(scene.gt_tracks.shape, np.nan),
+                 scene.pseudo_visibility, scene.query_pixels)
     write_poses(os.path.join(gt, "poses.txt"), scene.cam_poses)
-    write_poses(os.path.join(gt, "rel_poses.txt"), scene.rel_poses)
-    write_poses(os.path.join(est, "rel_poses.txt"), scene.est_rel_poses)
     write_static_mask(os.path.join(gt, "static_mask.txt"), scene.static_mask)
+
+
+def _fits(path, what, got, want):
+    """Raise FileFormatError naming path unless got, read from it, is the scene's want."""
+    if got != want:
+        raise FileFormatError(path, f"{what} is {got}, expected {want}")
 
 
 def load_scene(scene_dir) -> SyntheticScene:
     """Read a scene written by save_scene; its world tracks are not stored (None).
 
-    The anchor targets are derived from the ground-truth tracks and relative
-    poses.  Files and keys that earlier versions also wrote (gt/targets.txt,
-    the 'derived' object of scene_config.json) are ignored.
+    Each file must fit scene_config.json: N x T samples in the track,
+    pseudo-track and static-mask files, T poses in each pose file, and in
+    each pointmaps/ exactly the frames frame_000 ... frame_{T-1}, each H x W
+    with header frame index t.  The anchor targets are derived from the
+    ground-truth tracks and relative poses.  Files and keys that earlier
+    versions also wrote (gt/targets.txt, the 'derived' object of
+    scene_config.json) are ignored.
     """
     cfg_path = os.path.join(scene_dir, "scene_config.json")
-    if not os.path.exists(cfg_path):
-        raise FileFormatError(cfg_path, "missing scene config")
     doc = read_json_object(cfg_path)
     if not isinstance(doc.get("config"), dict):
         raise FileFormatError(cfg_path, "needs a 'config' object")
     config = SceneConfig.from_dict(doc["config"])
+    n, t = config.n_static + config.n_dynamic, config.n_frames
 
-    gt = os.path.join(scene_dir, "gt")
-    est = os.path.join(scene_dir, "est")
-    gt_grids = _load_grid_stack(os.path.join(gt, "pointmaps"), config.n_frames)
-    est_grids = _load_grid_stack(os.path.join(est, "pointmaps"), config.n_frames)
-    gt_pts, visibility, pixels = read_tracks(os.path.join(gt, "tracks.txt"))
-    _, pseudo_vis, _ = read_tracks(os.path.join(gt, "pseudo_tracks.txt"), pseudo=True)
-    est_pts, _, _ = read_tracks(os.path.join(est, "tracks.txt"))
-    cam_poses = read_poses(os.path.join(gt, "poses.txt"))
-    rel_poses = read_poses(os.path.join(gt, "rel_poses.txt"))
-    est_rel = read_poses(os.path.join(est, "rel_poses.txt"))
-    static = read_static_mask(os.path.join(gt, "static_mask.txt"))
+    gt, est = (os.path.join(scene_dir, sub) for sub in ("gt", "est"))
+    grids = []
+    for frame_dir in (gt, est):
+        frames, paths = read_frames(frame_dir), [_frame_path(frame_dir, k) for k in range(t)]
+        for path in sorted(frames.keys() ^ set(paths)):
+            raise FileFormatError(path, "missing pointmap frame" if path in paths
+                                  else f"not a frame of a {t}-frame scene")
+        for k, path in enumerate(paths):
+            _fits(path, "H x W", frames[path].points.shape[:2], (config.height, config.width))
+            _fits(path, "the header frame index", frames[path].frame_index, k)
+        grids.append(np.stack([frames[path].points for path in paths]))
+
+    def tracks(path, pseudo=False):
+        points, visibility, pixels = read_tracks(path, pseudo=pseudo)
+        _fits(path, "N x T", visibility.shape, (n, t))
+        return points, visibility, pixels
+
+    def poses(path):
+        value = read_poses(path)
+        _fits(path, "the pose count", len(value), t)
+        return value
+
+    gt_pts, visibility, pixels = tracks(os.path.join(gt, "tracks.txt"))
+    _, pseudo_vis, _ = tracks(os.path.join(gt, "pseudo_tracks.txt"), pseudo=True)
+    est_pts, _, _ = tracks(os.path.join(est, "tracks.txt"))
+    cam_poses = poses(os.path.join(gt, "poses.txt"))
+    rel_poses = poses(os.path.join(gt, "rel_poses.txt"))
+    est_rel = poses(os.path.join(est, "rel_poses.txt"))
+    mask_path = os.path.join(gt, "static_mask.txt")
+    static = read_static_mask(mask_path)
+    _fits(mask_path, "N x T", static.shape, (n, t))
 
     return SyntheticScene(
-        config=config,
-        cam_poses=cam_poses,
-        rel_poses=rel_poses,
-        gt_grids=gt_grids,
-        gt_tracks=gt_pts,
-        world_tracks=None,
-        query_pixels=pixels,
-        visibility=visibility,
-        static_mask=static,
-        targets=anchor_targets(gt_pts, rel_poses),
-        pseudo_visibility=pseudo_vis,
-        est_grids=est_grids,
-        est_tracks=est_pts,
+        config=config, cam_poses=cam_poses, rel_poses=rel_poses, gt_grids=grids[0],
+        gt_tracks=gt_pts, world_tracks=None, query_pixels=pixels, visibility=visibility,
+        static_mask=static, targets=anchor_targets(gt_pts, rel_poses),
+        pseudo_visibility=pseudo_vis, est_grids=grids[1], est_tracks=est_pts,
         est_rel_poses=est_rel,
     )
-
-
-def _load_grid_stack(dir_path, n_frames):
-    grids = []
-    for t in range(n_frames):
-        path = os.path.join(dir_path, f"frame_{t:03d}.pm")
-        if not os.path.exists(path):
-            raise FileFormatError(path, "missing pointmap frame")
-        grids.append(read_pointmap(path).points)
-    return np.stack(grids)

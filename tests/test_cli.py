@@ -13,8 +13,8 @@ from trajcouple.cli import main
 from trajcouple.errors import DegenerateConfiguration
 from trajcouple.metrics import TrajectoryPair, ate, pointmap_metrics
 from trajcouple.pointmap import PointMapGrid, read_pointmap, write_pointmap
-from trajcouple.pose import read_poses
-from trajcouple.tracks import read_static_mask
+from trajcouple.pose import read_poses, write_poses
+from trajcouple.tracks import read_static_mask, read_tracks, write_static_mask, write_tracks
 
 
 def tree_digest(root, skip=("manifest.json",)):
@@ -71,6 +71,12 @@ class TestGen:
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "n_frames" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["-1", "3,-2"])
+    def test_negative_seed_exit_2_names_field(self, tmp_path, capsys, seeds):
+        cfg = write_json(tmp_path / "scene.json", SMALL_SCENE)
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o"), "--seeds", seeds]) == 2
+        assert "'seeds'" in capsys.readouterr().err
+
     def test_no_dynamic_tracks_all_static_mask(self, tmp_path):
         cfg = write_json(tmp_path / "scene.json", {**SMALL_SCENE, "n_dynamic": 0})
         main(["gen", "--config", cfg, "--out", str(tmp_path / "o"), "--seeds", "3"])
@@ -115,6 +121,55 @@ def poison_bytes(path, where):
     at = 0 if where == "start" else data.rindex(b"\n", 0, -1) + 2
     path.write_bytes(data[:at] + b"\xff" + data[at:])
     return str(path)
+
+
+def cut_rows(path, keep):
+    """Rewrite a track or static-mask file with only its samples keep selects."""
+    if path.name == "static_mask.txt":
+        write_static_mask(path, read_static_mask(path)[keep])
+    else:
+        write_tracks(path, *(a[keep] for a in read_tracks(path, pseudo=True)))
+    return path
+
+
+def rewrite_frame(path, size=None, index=None):
+    """Rewrite a .pm frame cut to size x size pixels, or with another header frame index."""
+    grid = read_pointmap(path)
+    points = grid.points if size is None else grid.points[:size, :size]
+    write_pointmap(path, PointMapGrid(points, grid.frame_index if index is None else index))
+    return path
+
+
+def damage_scene(scene, case):
+    """Damage a 4-frame 16x16 scene, or its root, as case says; returns the path to name."""
+    gt, est = scene / "gt", scene / "est"
+    if case == "est_tracks_2_short":
+        return cut_rows(est / "tracks.txt", np.s_[:-2])
+    if case == "gt_tracks_frame_short":
+        return cut_rows(gt / "tracks.txt", np.s_[:, :-1])
+    if case == "est_rel_poses_short":
+        write_poses(est / "rel_poses.txt", read_poses(est / "rel_poses.txt")[:-1])
+        return est / "rel_poses.txt"
+    if case == "static_mask_track_short":
+        return cut_rows(gt / "static_mask.txt", np.s_[:-1])
+    if case == "pseudo_tracks_track_short":
+        return cut_rows(gt / "pseudo_tracks.txt", np.s_[:-1])
+    if case == "one_frame_8x8":
+        return rewrite_frame(est / "pointmaps" / "frame_002.pm", size=8)
+    if case == "all_frames_8x8":
+        for sub in (gt, est):
+            for frame in (sub / "pointmaps").iterdir():
+                rewrite_frame(frame, size=8)
+        return gt / "pointmaps" / "frame_000.pm"
+    if case == "header_index_5":
+        return rewrite_frame(est / "pointmaps" / "frame_002.pm", index=5)
+    if case == "extra_frame":
+        extra = est / "pointmaps" / "frame_007.pm"
+        extra.write_bytes((est / "pointmaps" / "frame_003.pm").read_bytes())
+        return extra
+    assert case == "seed_abc"
+    (scene.parent / "seed_abc").mkdir()
+    return scene.parent / "seed_abc"
 
 
 ROW_FILES = ["gt/tracks.txt", "gt/pseudo_tracks.txt", "gt/static_mask.txt", "gt/poses.txt",
@@ -216,6 +271,26 @@ class TestOptimize:
             assert tree_digest(tmp_path / "opt") == tree_digest(tmp_path / "clean")
         else:
             assert code == 3 and str(path) in err
+
+    @pytest.mark.parametrize("ablation", ["cons_cam", "selfsup"])
+    @pytest.mark.parametrize("case", [
+        "est_tracks_2_short", "gt_tracks_frame_short", "est_rel_poses_short",
+        "static_mask_track_short", "pseudo_tracks_track_short", "one_frame_8x8",
+        "all_frames_8x8", "header_index_5", "extra_frame", "seed_abc",
+    ])
+    def test_scene_off_config_exit_3_names_file(self, tmp_path, capsys, case, ablation):
+        scenes = self.run_gen(tmp_path, scene={
+            "n_frames": 4, "n_static": 12, "n_dynamic": 4, "height": 16, "width": 16,
+            "sigma_pose": 0.04,
+        })
+        bad = damage_scene(scenes / "seed_0005", case)
+        capsys.readouterr()
+        code = main(["optimize", "--scenes", str(scenes), "--ablation", ablation,
+                     "--out", str(tmp_path / "opt")])
+        assert code == 3
+        assert str(bad) in capsys.readouterr().err
+        if case == "seed_abc":  # found before any scene is refined
+            assert not (tmp_path / "opt").exists()
 
     def test_parallel_jobs_identical_output(self, tmp_path):
         scenes = self.run_gen(tmp_path, seeds="1,2,3")
@@ -479,6 +554,13 @@ class TestEval:
         assert code == 3
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["0", "99", "5"])
+    def test_rpe_step_out_of_range_exit_2_names_field(self, tmp_path, capsys, step):
+        scene = self.make_dirs(tmp_path)  # 5 frames: steps 1 to 4
+        assert main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                     "--rpe-step", step, "--out", str(tmp_path / "e")]) == 2
+        assert "'rpe_step'" in capsys.readouterr().err
+
     def test_unknown_metric_exit_2(self, tmp_path):
         scene = self.make_dirs(tmp_path)
         assert main(["eval", "--pred", str(scene / "gt"), "--gt", str(scene / "gt"),
@@ -588,6 +670,10 @@ class TestGradcheck:
 
     def test_corrupted_gradient_fails(self):
         assert main(["gradcheck", "--fixtures", "1", "--corrupt"]) == 4
+
+    def test_no_fixtures_exit_2_names_field(self, capsys):
+        assert main(["gradcheck", "--fixtures", "0"]) == 2
+        assert "'fixtures'" in capsys.readouterr().err
 
     def test_impossible_tolerance_fails(self):
         assert main(["gradcheck", "--fixtures", "1", "--tol", "1e-12"]) == 4
