@@ -37,7 +37,6 @@ from .pointmap import (
 )
 from .pose import (
     Pose,
-    PoseTangent,
     Similarity,
     compose,
     exp_map,
@@ -56,7 +55,4 @@ from .synthetic import (
     perturb,
     save_scene,
 )
-from .tracks import (
-    WorldTrackSet,
-    static_mask,
-)
+from .tracks import static_mask

@@ -16,14 +16,7 @@ import numpy as np
 
 from .grad import GRIDS, POSES, TRACKS, ParamLayout, finite_diff_check
 from .losses import TERM_BLOCKS, CouplingProblem, LossConfig, _Pass
-from .pose import PoseTangent, exp_map, stack_poses
-
-
-def _random_pose(rng, rot_scale=0.4, trans_scale=0.5):
-    tangent = PoseTangent(
-        rot_scale * rng.standard_normal(3), trans_scale * rng.standard_normal(3)
-    )
-    return exp_map(tangent)
+from .pose import exp_map
 
 
 def _pick_safe_delta(norms, guard=1e-3):
@@ -66,7 +59,7 @@ def random_coupling_fixture(
     # keep one fully visible, fully gated track so the pose path has signal
     static_mask[0, :] = True
 
-    base_poses = [_random_pose(rng) for _ in range(n_frames)]
+    base_poses = exp_map(rng.standard_normal((n_frames, 6)) * np.repeat([0.4, 0.5], 3))
     tangents = store.view(POSES, layout.poses_shape())
     tangents[:] = 0.3 * rng.standard_normal((n_frames, 6))
 
@@ -75,7 +68,7 @@ def random_coupling_fixture(
     config = LossConfig(use_cons=True, use_cam=not selfsup, use_anchor=selfsup)
     problem = CouplingProblem(
         layout,
-        *stack_poses(base_poses),
+        base_poses,
         query_pixels=q,
         visibility=visibility,
         static_mask=static_mask,

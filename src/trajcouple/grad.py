@@ -45,14 +45,6 @@ class ParamStore:
         except KeyError:
             raise UnknownBlock(f"unknown block {name!r}")
 
-    def __setitem__(self, name, values):
-        arr = self[name]
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        if values.size != arr.size:
-            raise ValueError(f"size mismatch for block {name!r}")
-        if values is not arr:
-            np.copyto(arr, values)
-
     def view(self, name, shape):
         """Reshaped view sharing memory with the flat block."""
         return self[name].reshape(shape)
@@ -71,12 +63,8 @@ class ParamStore:
 class Tape:
     """Per-block gradient accumulator aligned with a ParamStore layout."""
 
-    def __init__(self, sizes_or_store):
-        if isinstance(sizes_or_store, ParamStore):
-            sizes = sizes_or_store.sizes()
-        else:
-            sizes = dict(sizes_or_store)
-        self.grads = {name: np.zeros(size) for name, size in sizes.items()}
+    def __init__(self, store: ParamStore):
+        self.grads = {name: np.zeros(size) for name, size in store.sizes().items()}
 
     def reset(self):
         for g in self.grads.values():

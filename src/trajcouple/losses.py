@@ -48,7 +48,7 @@ from .grad import (
     vector_indices,
 )
 from .pointmap import BilinearSampler
-from .pose import REORTHO_PERIOD, Pose, project_rotation, so3_exp, so3_left_jacobian
+from .pose import Pose, compose, exp_map, so3_left_jacobian
 from .tracks import MIN_VISIBLE_WEIGHT
 
 DEFAULT_DELTA = 0.05
@@ -65,62 +65,21 @@ def _huber_batch(res, delta, grad=True):
     return vals, res * scale[:, None], norms
 
 
-@dataclass
-class PoseStacks:
-    """Per-frame arrays of the tangent-parameterized relative transforms.
+def transform_samples(base: Pose, step: Pose, frames, pts):
+    """Apply each sample's frame of step * base; returns (y, a).
 
-    r_base and t_base are the problem's own base-pose arrays, not copies.
-    The fields are what transform_samples reads; left_jac and r_cur, needed
-    only to scatter gradients, are formed on first access.
-    """
-
-    r_base: np.ndarray  # (T, 3, 3)
-    t_base: np.ndarray  # (T, 3)
-    exp_rot: np.ndarray  # (T, 3, 3)  exp_so3(omega_t)
-    upsilon: np.ndarray  # (T, 3)
-    omega: np.ndarray  # (T, 3)
-
-    @cached_property
-    def left_jac(self):  # (T, 3, 3)
-        return so3_left_jacobian(self.omega)
-
-    @cached_property
-    def r_cur(self):  # (T, 3, 3)  exp_rot @ r_base
-        return np.einsum("tij,tjk->tik", self.exp_rot, self.r_base)
-
-    def fold(self, age):
-        """(rotations, translations, ages) of exp(tangent) * base, aged like compose."""
-        rot = self.exp_rot @ self.r_base
-        trans = (self.exp_rot @ self.t_base[:, :, None])[:, :, 0]
-        trans += self.upsilon
-        age = age + 1
-        due = age >= REORTHO_PERIOD
-        for k in np.flatnonzero(due):
-            rot[k] = project_rotation(rot[k])
-        age[due] = 0
-        return rot, trans, age
-
-
-def pose_stacks(r_base, t_base, tangents) -> PoseStacks:
-    tangents = np.asarray(tangents, dtype=np.float64).reshape(len(r_base), 6)
-    exp_rot = so3_exp(tangents[:, :3])
-    return PoseStacks(r_base, t_base, exp_rot, tangents[:, 3:].copy(), tangents[:, :3].copy())
-
-
-def transform_samples(stacks: PoseStacks, frames, pts):
-    """Apply the per-sample current transform; returns (y, a).
-
-    y = exp_rot @ (base @ p) + upsilon is the transformed point and
-    a = y - upsilon is the rotated part needed by the omega chain rule.
-    This is the single code path for pose application inside the losses,
-    shared with the synthetic generator for bitwise reproducibility.
+    y = step.rotation @ (base @ p) + step.translation is the transformed
+    point and a = y - step.translation is the rotated part needed by the
+    omega chain rule.  This is the single code path for pose application
+    inside the losses, shared with the synthetic generator for bitwise
+    reproducibility.
     """
     frames = np.asarray(frames, dtype=np.int64)
     pts = np.asarray(pts, dtype=np.float64)
-    z = np.einsum("mij,mj->mi", np.take(stacks.r_base, frames, axis=0), pts)
-    z += np.take(stacks.t_base, frames, axis=0)
-    a = np.einsum("mij,mj->mi", np.take(stacks.exp_rot, frames, axis=0), z)
-    return a + np.take(stacks.upsilon, frames, axis=0), a
+    z = np.einsum("mij,mj->mi", np.take(base.rotation, frames, axis=0), pts)
+    z += np.take(base.translation, frames, axis=0)
+    a = np.einsum("mij,mj->mi", np.take(step.rotation, frames, axis=0), z)
+    return a + np.take(step.translation, frames, axis=0), a
 
 
 @dataclass
@@ -212,7 +171,7 @@ class _Pass:
         ups_idx = (pose_base[:, None] + np.arange(3, 6)).reshape(-1)
         self.tape.scatter(POSES, ups_idx, gvec.reshape(-1))
         cross = np.cross(a_sel, gvec)
-        gw = np.einsum("mji,mj->mi", np.take(self.stacks.left_jac, frames, axis=0), cross)
+        gw = np.einsum("mji,mj->mi", np.take(self.left_jac, frames, axis=0), cross)
         om_idx = (pose_base[:, None] + np.arange(3)).reshape(-1)
         self.tape.scatter(POSES, om_idx, gw.reshape(-1))
 
@@ -259,8 +218,17 @@ class _Pass:
         return _rows(self.problem.targets, self.geo.flat)
 
     @cached_property
-    def stacks(self):
-        return pose_stacks(self.problem.r_base, self.problem.t_base, self.tangents)
+    def step(self):
+        """exp_map of the pose tangents: the transforms left of the base poses."""
+        return exp_map(self.tangents)
+
+    @cached_property
+    def left_jac(self):  # (T, 3, 3)
+        return so3_left_jacobian(self.tangents[:, :3])
+
+    @cached_property
+    def r_cur(self):  # (T, 3, 3)  the current rotations step.rotation @ base.rotation
+        return np.einsum("tij,tjk->tik", self.step.rotation, self.problem.base.rotation)
 
     @cached_property
     def samples(self):
@@ -280,7 +248,7 @@ class _Pass:
     @cached_property
     def moved(self):
         """Track points through the current relative poses: (y, a)."""
-        return transform_samples(self.stacks, self.geo.tt, self.tracked)
+        return transform_samples(self.problem.base, self.step, self.geo.tt, self.tracked)
 
     @cached_property
     def cam_residual(self):
@@ -320,7 +288,7 @@ class _Pass:
         geo = self.geo
         sel = self.gate(geo.flat[geo.a_pos], "anchor consistency")
         pos = geo.a_pos[sel]
-        yv, a = transform_samples(self.stacks, geo.tt[pos], self.samples[pos])
+        yv, a = transform_samples(self.problem.base, self.step, geo.tt[pos], self.samples[pos])
         vals, g, norms = self.huber(yv - self.samples[geo.anchor_ref[pos]])
         w = geo.a_w[sel]
         gvec = (self.cfg.weight_anchor * w)[:, None] * g if self.grad else None
@@ -350,7 +318,7 @@ def _cam_track(ps: _Pass):
     value, g, _ = ps.cam_track
     if ps.tape is not None:
         coeff = (ps.cfg.weight_cam * ps.geo.w)[:, None] * g
-        gp = np.einsum("mji,mj->mi", np.take(ps.stacks.r_cur, ps.geo.tt, axis=0), coeff)
+        gp = np.einsum("mji,mj->mi", np.take(ps.r_cur, ps.geo.tt, axis=0), coeff)
         idx = vector_indices(ps.geo.flat * 3)
         ps.tape.scatter(TRACKS, idx, gp.reshape(-1))
     return value
@@ -427,11 +395,13 @@ def _run_group(ps: _Pass, group: _Group) -> TermStats:
     return _stats(group.slot, value, *group.stats(ps))
 
 
-def _reprojection_mask(geo, shape, grid_stack, stacks, tau, scale_quantile=0.4, scale_factor=3.0):
+def _reprojection_mask(geo, shape, grid_stack, base, step, tau, scale_quantile=0.4,
+                       scale_factor=3.0):
     """Provisional static mask from reprojection stability under current poses.
 
-    Visible samples are reprojected into the anchor frame; a sample counts
-    as static when it stays within tau_eff of its track's temporal median.
+    Visible samples are reprojected into the anchor frame through
+    step * base; a sample counts as static when it stays within tau_eff of
+    its track's temporal median.
     tau_eff is per frame: tau inflated to scale_factor times a low quantile
     of that frame's deviations.  Early in an optimization, pose error alone
     moves every reprojection of a frame coherently, so a per-frame scale
@@ -442,7 +412,7 @@ def _reprojection_mask(geo, shape, grid_stack, stacks, tau, scale_quantile=0.4, 
     n, t = shape
     if geo.flat.size == 0:
         return np.zeros((n, t), dtype=bool)
-    repro, _ = transform_samples(stacks, geo.tt, geo.sampler.gather(grid_stack))
+    repro, _ = transform_samples(base, step, geo.tt, geo.sampler.gather(grid_stack))
 
     repro_full = np.full((n, t, 3), np.nan)
     repro_full.reshape(n * t, 3)[geo.flat] = repro
@@ -507,8 +477,7 @@ class CouplingProblem:
 
     The store carries the free parameters (grids, tracks, pose tangents);
     everything else (pixels, weights, gating, targets, base poses) lives
-    here; the base poses as per-frame arrays, with each frame's compositions
-    since its last re-orthonormalization in age.  targets is None when the
+    here; the base poses as one (T,) Pose stack.  targets is None when the
     problem has no 3D labels.  tau_static is the threshold of the provisional
     static mask that refresh_static_mask computes.  query_pixels, visibility
     and anchor are fixed for the problem's lifetime (their geometry is
@@ -517,9 +486,7 @@ class CouplingProblem:
     """
 
     layout: ParamLayout
-    r_base: np.ndarray  # (T, 3, 3)
-    t_base: np.ndarray  # (T, 3)
-    age: np.ndarray  # (T,)
+    base: Pose
     query_pixels: np.ndarray
     visibility: np.ndarray
     static_mask: np.ndarray
@@ -568,22 +535,20 @@ class CouplingProblem:
     def refresh_static_mask(self, store: ParamStore):
         """Recompute the provisional static mask from the current state."""
         _, grid_stack, tangents = self.views(store)
-        stacks = pose_stacks(self.r_base, self.t_base, tangents)
         self.static_mask = _reprojection_mask(
-            self.geometry(), self.visibility.shape, grid_stack, stacks, self.tau_static
+            self.geometry(), self.visibility.shape, grid_stack, self.base, exp_map(tangents),
+            self.tau_static,
         )
 
-    def current_poses(self, store: ParamStore):
-        """The relative poses of the current state, as Pose objects (for metrics and I/O)."""
+    def current_poses(self, store: ParamStore) -> Pose:
+        """The relative poses of the current state, exp(tangents) * base."""
         _, _, tangents = self.views(store)
-        rot, trans, age = pose_stacks(self.r_base, self.t_base, tangents).fold(self.age)
-        return [Pose(r, t, _age=int(a)) for r, t, a in zip(rot, trans, age)]
+        return compose(exp_map(tangents), self.base)
 
     def fold_pose_tangents(self, store: ParamStore):
         """Fold the tangent block into the base poses and zero the block."""
         _, _, tangents = self.views(store)
         if not np.any(tangents):
             return
-        stacks = pose_stacks(self.r_base, self.t_base, tangents)
-        self.r_base, self.t_base, self.age = stacks.fold(self.age)
+        self.base = self.current_poses(store)
         tangents.fill(0.0)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -32,10 +31,10 @@ DEFAULT_TRACK_THRESHOLDS = (0.01, 0.02, 0.04, 0.08, 0.16)
 
 @dataclass
 class TrajectoryPair:
-    """Matched estimated / ground-truth camera-to-world pose sequences."""
+    """Matched estimated / ground-truth camera-to-world (T,) pose stacks."""
 
-    est: Sequence[Pose]
-    gt: Sequence[Pose]
+    est: Pose
+    gt: Pose
 
     def __post_init__(self):
         if len(self.est) != len(self.gt):
@@ -46,11 +45,6 @@ class TrajectoryPair:
     def __len__(self):
         return len(self.est)
 
-    def positions(self):
-        est = np.stack([p.translation for p in self.est])
-        gt = np.stack([p.translation for p in self.gt])
-        return est, gt
-
 
 def ate(pair: TrajectoryPair, align="similarity") -> float:
     """RMS translation error after aligning the estimate onto the ground truth.
@@ -60,7 +54,7 @@ def ate(pair: TrajectoryPair, align="similarity") -> float:
     """
     if len(pair) < 3 and align != "none":
         raise DegenerateConfiguration("ATE alignment needs at least 3 poses")
-    est, gt = pair.positions()
+    est, gt = pair.est.translation, pair.gt.translation
     if align == "similarity":
         est = umeyama(est, gt, with_scale=True).apply(est)
     elif align == "rigid":

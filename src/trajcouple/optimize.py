@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigDocument, ConfigInvalid, DegenerateConfiguration, Diverged
 from .grad import GRIDS, POSES, TRACKS, ParamStore, Tape
 from .losses import CouplingProblem, LossConfig
-from .pose import compose, inverse, log_map
+from .pose import Pose, compose, inverse, log_map
 from .synthetic import SyntheticScene, build_problem
 from .tracks import MIN_VISIBLE_WEIGHT
 from . import metrics as _metrics
@@ -102,11 +102,14 @@ class OptimReport:
         }
 
 
-def pose_tangent_rms(est_poses, gt_poses):
+def pose_tangent_rms(est_poses: Pose, gt_poses: Pose):
     """RMS norm of the left-residual tangents log(est * inv(gt)) over frames."""
+    tangents = log_map(compose(est_poses, inverse(gt_poses)))
+    # matmul rounds like the one-vector norm; the sum runs in frame order
+    norms = np.sqrt(tangents[:, None, :] @ tangents[:, :, None])[:, 0, 0]
     sq = 0.0
-    for est, gt in zip(est_poses, gt_poses):
-        sq += log_map(compose(est, inverse(gt))).norm() ** 2
+    for norm in norms.tolist():
+        sq += norm**2
     return float(np.sqrt(sq / max(len(est_poses), 1)))
 
 
@@ -131,8 +134,7 @@ def scene_error_metrics(scene: SyntheticScene, problem: CouplingProblem, store: 
     else:
         out["track_err"] = 0.0
     # gauge-fix the relative poses at the ground-truth anchor to get a trajectory
-    anchor_pose = scene.cam_poses[scene.config.anchor]
-    est_traj = [compose(anchor_pose, rel) for rel in rel_est]
+    est_traj = compose(scene.cam_poses[scene.config.anchor], rel_est)
     try:
         pair = _metrics.TrajectoryPair(est_traj, scene.cam_poses)
         out["ate"] = _metrics.ate(pair)

@@ -1,12 +1,13 @@
 """Rigid-transform arithmetic, tangent parameterization, and similarity alignment.
 
-Poses store a full 3x3 rotation matrix plus a translation vector and map
-points as ``R @ x + t``.  Camera poses are camera-to-world; world-to-camera
-is ``inverse(pose)``.  Long composition chains are kept orthonormal by a
-polar re-projection every ``REORTHO_PERIOD`` compositions.
+A Pose is a stack of transforms, each a full 3x3 rotation matrix plus a
+translation vector mapping points as ``R @ x + t``; per-frame poses are one
+(T,) stack.  Camera poses are camera-to-world; world-to-camera is
+``inverse(pose)``.  Long composition chains are kept orthonormal by a polar
+re-projection every ``REORTHO_PERIOD`` compositions.
 
 The tangent parameterization is deliberately decoupled: ``exp_map`` maps a
-``PoseTangent`` ``(omega, upsilon)`` to ``(exp_so3(omega), upsilon)``, so a
+tangent ``(omega, upsilon)`` to ``(exp_so3(omega), upsilon)``, so a
 left perturbation of a pose acts as ``x -> exp_so3(omega) @ (pose @ x) + upsilon``.
 This keeps pose-gradient chain rules closed-form through the SO(3) left
 Jacobian alone.
@@ -64,20 +65,20 @@ def so3_exp(omega):
 
 
 def so3_log(rotation):
-    """Axis-angle vector of a rotation matrix.
+    """Axis-angle vectors (..., 3) of rotation matrices (..., 3, 3).
 
-    Raises LogNearPi when trace(R) <= -1 + 1e-6, i.e. the angle is within
-    roughly a milliradian of pi where the axis is ill-conditioned.
+    Raises LogNearPi when some trace(R) <= -1 + 1e-6, i.e. the angle is
+    within roughly a milliradian of pi where the axis is ill-conditioned.
     """
     R = np.asarray(rotation, dtype=np.float64)
-    tr = float(np.trace(R))
-    if tr <= -1.0 + 1e-6:
-        raise LogNearPi(f"rotation angle too close to pi (trace={tr:.9f})")
-    theta = float(np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0)))
-    v = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if theta < _SMALL_ANGLE:
-        return 0.5 * v
-    return (0.5 * theta / np.sin(theta)) * v
+    tr = np.trace(R, axis1=-2, axis2=-1)
+    if np.any(tr <= -1.0 + 1e-6):
+        raise LogNearPi(f"rotation angle too close to pi (trace={np.min(tr):.9f})")
+    theta = np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0))
+    v = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
+                  R[..., 1, 0] - R[..., 0, 1]], axis=-1)
+    small = theta < _SMALL_ANGLE
+    return np.where(small, 0.5, 0.5 * theta / np.sin(np.where(small, 1.0, theta)))[..., None] * v
 
 
 def so3_left_jacobian(omega):
@@ -89,78 +90,100 @@ def so3_left_jacobian(omega):
 
 
 def project_rotation(M):
-    """Nearest rotation matrix in Frobenius norm (polar projection)."""
+    """Nearest rotation matrices in Frobenius norm (polar projection) of (..., 3, 3) matrices."""
     U, _, Vt = np.linalg.svd(M)
-    R = U @ Vt
-    if np.linalg.det(R) < 0.0:
-        U = U.copy()
-        U[:, -1] = -U[:, -1]
-        R = U @ Vt
-    return R
+    flip = np.linalg.det(U @ Vt) < 0.0
+    U[flip, :, -1] *= -1.0
+    return U @ Vt
 
 
 class Pose:
-    """Rigid transform: rotation (3x3, det +1) and translation (3,)."""
+    """A stack of rigid transforms: rotation (..., 3, 3), translation (..., 3), age (...).
 
-    __slots__ = ("rotation", "translation", "_age")
+    A single pose is the () case.  age counts each transform's compositions
+    since its last re-orthonormalization.  len, indexing and iteration run
+    over the leading axis and give Poses that view the stack's arrays.
+    """
 
-    def __init__(self, rotation=None, translation=None, _age=0):
-        self.rotation = (
-            np.eye(3) if rotation is None else np.asarray(rotation, dtype=np.float64)
-        )
+    __slots__ = ("rotation", "translation", "age")
+
+    def __init__(self, rotation=None, translation=None, age=0):
+        self.rotation = np.eye(3) if rotation is None else np.asarray(rotation, dtype=np.float64)
+        shape = self.rotation.shape[:-2]
         self.translation = (
-            np.zeros(3)
-            if translation is None
+            np.zeros(shape + (3,)) if translation is None
             else np.asarray(translation, dtype=np.float64)
         )
-        if self.rotation.shape != (3, 3):
-            raise ValueError(f"rotation must be 3x3, got {self.rotation.shape}")
-        if self.translation.shape != (3,):
-            raise ValueError(f"translation must be (3,), got {self.translation.shape}")
-        self._age = _age
+        if self.rotation.shape[-2:] != (3, 3):
+            raise ValueError(f"rotation must be (..., 3, 3), got {self.rotation.shape}")
+        if self.translation.shape != shape + (3,):
+            raise ValueError(f"translation must be {shape + (3,)}, got {self.translation.shape}")
+        self.age = np.full(shape, age, dtype=np.int64)
 
     @classmethod
     def identity(cls):
         return cls()
 
+    @property
+    def shape(self):
+        return self.rotation.shape[:-2]
+
+    def __len__(self):
+        if not self.shape:
+            raise TypeError("a single Pose has no length")
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        if not self.shape:
+            raise TypeError("a single Pose cannot be indexed")
+        return Pose(self.rotation[index], self.translation[index], self.age[index])
+
+    def __setitem__(self, index, pose):
+        if not self.shape:
+            raise TypeError("a single Pose cannot be indexed")
+        self.rotation[index], self.translation[index] = pose.rotation, pose.translation
+        self.age[index] = pose.age
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
     def apply(self, pts):
-        """Transform a point (3,) or stack of points (..., 3)."""
+        """Map points: (3,) or (..., 3) by a single pose, S + (M, 3) by a stack of shape S."""
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim == 1:
             return self.rotation @ pts + self.translation
-        return pts @ self.rotation.T + self.translation
+        return pts @ np.swapaxes(self.rotation, -1, -2) + self.translation[..., None, :]
 
     def copy(self):
-        return Pose(self.rotation.copy(), self.translation.copy(), _age=self._age)
+        return Pose(self.rotation.copy(), self.translation.copy(), self.age)
 
     def is_orthonormal(self, tol=1e-9):
-        err = np.linalg.norm(self.rotation.T @ self.rotation - np.eye(3))
-        return err < tol and np.linalg.det(self.rotation) > 0.0
+        """(...) bools: R^T R within tol of I (Frobenius norm) and det R > 0."""
+        gram = np.swapaxes(self.rotation, -1, -2) @ self.rotation - np.eye(3)
+        return (np.linalg.norm(gram, axis=(-2, -1)) < tol) & (np.linalg.det(self.rotation) > 0.0)
 
     def __repr__(self):
         return f"Pose(R={self.rotation.tolist()}, t={self.translation.tolist()})"
 
 
-def stack_poses(poses):
-    """Per-frame arrays of a pose list: rotations (T, 3, 3), translations (T, 3), ages (T,)."""
-    rot, trans, age = zip(*((p.rotation, p.translation, p._age) for p in poses))
-    return np.stack(rot), np.stack(trans), np.array(age, dtype=np.int64)
-
-
 def compose(a: Pose, b: Pose) -> Pose:
-    """Composition a * b: apply b first, then a."""
+    """Composition a * b: apply b first, then a; a single pose broadcasts against a stack.
+
+    Each result's age is a.age + b.age + 1; a rotation whose age reaches
+    REORTHO_PERIOD is re-projected onto SO(3) and its age reset to 0.
+    """
     R = a.rotation @ b.rotation
-    t = a.rotation @ b.translation + a.translation
-    age = a._age + b._age + 1
-    if age >= REORTHO_PERIOD:
-        R = project_rotation(R)
-        age = 0
-    return Pose(R, t, _age=age)
+    t = (a.rotation @ b.translation[..., None])[..., 0] + a.translation
+    age = a.age + b.age + 1
+    due = age >= REORTHO_PERIOD
+    if np.any(due):
+        R[due] = project_rotation(R[due])
+    return Pose(R, t, np.where(due, 0, age))
 
 
 def inverse(p: Pose) -> Pose:
-    Rt = p.rotation.T
-    return Pose(Rt, -(Rt @ p.translation), _age=p._age)
+    Rt = np.swapaxes(p.rotation, -1, -2)
+    return Pose(Rt, -(Rt @ p.translation[..., None])[..., 0], p.age)
 
 
 def relative_pose(c_t: Pose, c_x: Pose) -> Pose:
@@ -171,35 +194,18 @@ def relative_pose(c_t: Pose, c_x: Pose) -> Pose:
     return compose(inverse(c_x), c_t)
 
 
-@dataclass
-class PoseTangent:
-    """Tangent increment: axis-angle rotation part and translation part."""
-
-    omega: np.ndarray
-    upsilon: np.ndarray
-
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=np.float64).reshape(3)
-        self.upsilon = np.asarray(self.upsilon, dtype=np.float64).reshape(3)
-
-    def as_array(self):
-        return np.concatenate([self.omega, self.upsilon])
-
-    def norm(self):
-        return float(np.linalg.norm(self.as_array()))
-
-
-def exp_map(t: PoseTangent) -> Pose:
-    """Pose with rotation exp_so3(omega) and translation upsilon.
+def exp_map(tangent) -> Pose:
+    """Poses with rotation exp_so3(omega) and translation upsilon of (..., 6) tangents.
 
     exp_map(0) is the identity exactly, bit for bit.
     """
-    return Pose(so3_exp(t.omega), t.upsilon.copy())
+    tangent = np.asarray(tangent, dtype=np.float64)
+    return Pose(so3_exp(tangent[..., :3]), tangent[..., 3:].copy())
 
 
-def log_map(p: Pose) -> PoseTangent:
-    """Inverse of exp_map; requires rotation angle < pi."""
-    return PoseTangent(so3_log(p.rotation), p.translation.copy())
+def log_map(p: Pose):
+    """(..., 6) tangents (omega, upsilon), the inverse of exp_map; requires angles < pi."""
+    return np.concatenate([so3_log(p.rotation), p.translation], axis=-1)
 
 
 def rotation_angle(R) -> float:
@@ -332,18 +338,18 @@ def _icp(src, tree, init: Similarity, max_iter=ICP_MAX_ITER, tol=ICP_TOL):
     return sim, None
 
 
-def write_poses(path, poses):
-    """Write poses as text: count line, then per line 'index r00..r22 tx ty tz'."""
-    lines = [str(len(poses))]
-    for k, p in enumerate(poses):
-        vals = list(p.rotation.reshape(9)) + list(p.translation)
-        lines.append(" ".join([str(k)] + [repr(float(v)) for v in vals]))
+def write_poses(path, poses: Pose):
+    """Write a pose stack as text: count line, then per line 'index r00..r22 tx ty tz'."""
+    rows = np.concatenate([poses.rotation.reshape(-1, 9), poses.translation], axis=1)
+    lines = [str(len(rows))]
+    for k, vals in enumerate(rows.tolist()):
+        lines.append(" ".join([str(k)] + [repr(v) for v in vals]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_poses(path):
-    """Read poses written by write_poses.
+def read_poses(path) -> Pose:
+    """Read the pose stack written by write_poses.
 
     A line that is not an integer index plus 12 finite numbers, or whose
     rotation is not orthonormal, raises FileFormatError naming that line; a
@@ -359,20 +365,20 @@ def read_poses(path):
         raise FileFormatError(path, f"bad count line {raw[0][1]!r}", line=raw[0][0])
     if len(raw) - 1 != count:
         raise FileFormatError(path, f"expected {count} pose lines, got {len(raw) - 1}")
-    poses = []
-    for ln_no, ln in raw[1:]:
+    vals = np.empty((count, 12))
+    for k, (ln_no, ln) in enumerate(raw[1:]):
         parts = ln.split()
         if len(parts) != 13:
             raise FileFormatError(path, f"expected 13 fields, got {len(parts)}", line=ln_no)
         try:
             int(parts[0])
-            vals = np.array([float(v) for v in parts[1:]])
+            vals[k] = [float(v) for v in parts[1:]]
         except ValueError:
             raise FileFormatError(path, f"bad pose row {ln!r}", line=ln_no) from None
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(vals[k])):
             raise FileFormatError(path, "pose values must be finite", line=ln_no)
-        p = Pose(vals[:9].reshape(3, 3), vals[9:])
-        if not p.is_orthonormal(tol=1e-6):
-            raise FileFormatError(path, "rotation not orthonormal", line=ln_no)
-        poses.append(p)
+    poses = Pose(vals[:, :9].reshape(-1, 3, 3), np.ascontiguousarray(vals[:, 9:]))
+    bad = np.flatnonzero(~poses.is_orthonormal(tol=1e-6))
+    if bad.size:
+        raise FileFormatError(path, "rotation not orthonormal", line=raw[1 + bad[0]][0])
     return poses

@@ -33,22 +33,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigDocument, ConfigInvalid, FileFormatError, read_json_object
+from .errors import (ConfigDocument, ConfigInvalid, FileFormatError, OutOfDomain,
+                     read_json_object)
 from .grad import GRIDS, TRACKS, ParamLayout, ParamStore
-from .losses import CouplingProblem, LossConfig, pose_stacks, transform_samples
-from .pointmap import BilinearSampler, PointMapGrid, read_pointmap, write_pointmap
-from .pose import (
-    Pose,
-    PoseTangent,
-    compose,
-    exp_map,
-    inverse,
-    read_poses,
-    relative_pose,
-    stack_poses,
-    write_poses,
-)
-from .tracks import WorldTrackSet, read_static_mask, read_tracks, write_static_mask, write_tracks
+from .losses import CouplingProblem, LossConfig, transform_samples
+from .pointmap import BilinearSampler, PointMapGrid, check_domain, read_pointmap, write_pointmap
+from .pose import Pose, compose, exp_map, inverse, read_poses, relative_pose, write_poses
+from .tracks import read_static_mask, read_tracks, write_static_mask, write_tracks
 from .tracks import static_mask as tracks_static_mask
 
 CAMERA_PATHS = ("orbit", "line", "random-walk")
@@ -110,8 +101,8 @@ class SceneConfig(ConfigDocument):
 @dataclass
 class SyntheticScene:
     config: SceneConfig
-    cam_poses: list  # camera-to-world, per frame
-    rel_poses: list  # frame -> anchor-frame transforms
+    cam_poses: Pose  # (T,) camera-to-world
+    rel_poses: Pose  # (T,) frame -> anchor-frame transforms
     gt_grids: np.ndarray  # (T, H, W, 3)
     gt_tracks: np.ndarray  # (N, T, 3) camera-frame
     world_tracks: Optional[np.ndarray]  # (N, T, 3); None in a loaded scene
@@ -122,7 +113,7 @@ class SyntheticScene:
     pseudo_visibility: np.ndarray  # (N, T)
     est_grids: np.ndarray = None
     est_tracks: np.ndarray = None
-    est_rel_poses: list = None
+    est_rel_poses: Pose = None
 
     @property
     def n_tracks(self):
@@ -138,7 +129,7 @@ class SyntheticScene:
 
 
 def _lookat(eye, target, up=(0.0, 0.0, 1.0)):
-    eye = np.asarray(eye, dtype=np.float64)
+    """Camera-to-world rotation of a camera at eye looking at target."""
     f = np.asarray(target, dtype=np.float64) - eye
     f = f / np.linalg.norm(f)
     up = np.asarray(up, dtype=np.float64)
@@ -147,8 +138,7 @@ def _lookat(eye, target, up=(0.0, 0.0, 1.0)):
     x = np.cross(up, f)
     x = x / np.linalg.norm(x)
     y = np.cross(f, x)
-    R = np.stack([x, y, f], axis=1)
-    return Pose(R, eye)
+    return np.stack([x, y, f], axis=1)
 
 
 def _surface_height(u, v):
@@ -187,6 +177,7 @@ def _displacements(config, direction, t_axis):
 
 
 def _camera_eyes(config, center, rng):
+    """(T,) camera-to-world poses along the configured path."""
     t_axis = np.arange(config.n_frames, dtype=np.float64)
     denom = max(config.n_frames - 1, 1)
     radius = 1.2
@@ -198,27 +189,20 @@ def _camera_eyes(config, center, rng):
              np.full_like(az, np.sin(elevation))],
             axis=1,
         )
-        return [_lookat(e, center) for e in eyes]
+        return Pose(np.stack([_lookat(e, center) for e in eyes]), eyes)
+    start = center + radius * np.array([np.cos(elevation), 0.0, np.sin(elevation)])
     if config.camera_path == "line":
         direction = np.array([0.0, 1.0, 0.15])
         direction /= np.linalg.norm(direction)
-        start = center + radius * np.array(
-            [np.cos(elevation), 0.0, np.sin(elevation)]
-        )
-        base = _lookat(start + 0.5 * config.camera_magnitude * direction, center)
-        return [
-            Pose(base.rotation.copy(), start + config.camera_magnitude * (k / denom) * direction)
-            for k in t_axis
-        ]
+        rotation = _lookat(start + 0.5 * config.camera_magnitude * direction, center)
+        return Pose(np.repeat(rotation[None], config.n_frames, axis=0),
+                    start + (config.camera_magnitude * (t_axis / denom))[:, None] * direction)
     # random-walk: small pose increments composed onto an initial look-at
-    start = center + radius * np.array([np.cos(elevation), 0.0, np.sin(elevation)])
-    poses = [_lookat(start, center)]
+    poses = Pose(np.empty((config.n_frames, 3, 3)), np.empty((config.n_frames, 3)))
+    poses[0] = Pose(_lookat(start, center), start)
     step = config.camera_magnitude / max(config.n_frames, 1)
-    for _ in range(config.n_frames - 1):
-        tangent = PoseTangent(
-            step * rng.standard_normal(3), step * rng.standard_normal(3)
-        )
-        poses.append(compose(poses[-1], exp_map(tangent)))
+    for k in range(1, config.n_frames):
+        poses[k] = compose(poses[k - 1], exp_map(step * rng.standard_normal(6)))
     return poses
 
 
@@ -267,13 +251,13 @@ def generate(config: SceneConfig) -> SyntheticScene:
     world_stack = lattice[None] + taper[None, :, :, None] * disp[:, None, None, :]
 
     cam_poses = _camera_eyes(config, center, rng)
+    rel_poses = relative_pose(cam_poses, cam_poses[config.anchor])
     # the anchor's own relative pose is the identity by definition
-    rel_poses = [
-        Pose.identity() if t == config.anchor
-        else relative_pose(c, cam_poses[config.anchor])
-        for t, c in enumerate(cam_poses)
-    ]
+    rel_poses[config.anchor] = Pose.identity()
 
+    # frame by frame: a batched product here frees two grid-sized temporaries,
+    # after which refining the large benchmark scene page-faults some 400x more
+    # (ROADMAP item 13)
     gt_grids = np.empty((t_frames, h, w, 3))
     for t in range(t_frames):
         gt_grids[t] = inverse(cam_poses[t]).apply(world_stack[t].reshape(-1, 3)).reshape(h, w, 3)
@@ -305,9 +289,7 @@ def generate(config: SceneConfig) -> SyntheticScene:
     gt_tracks = sampler.gather(gt_grids).reshape(n, t_frames, 3)
 
     # the diagonal is 1, so tau_scale is the static threshold in scene units
-    static = tracks_static_mask(
-        WorldTrackSet(world_tracks), config.anchor, config.tau_scale, visibility=visibility
-    )
+    static = tracks_static_mask(world_tracks, config.tau_scale, visibility)
 
     scene = SyntheticScene(
         config=config,
@@ -332,12 +314,12 @@ def generate(config: SceneConfig) -> SyntheticScene:
     return scene
 
 
-def anchor_targets(gt_tracks, rel_poses):
+def anchor_targets(gt_tracks, rel_poses: Pose):
     """(N, T, 3) camera tracks pushed through the relative poses by the losses' transform chain."""
     n, t, _ = gt_tracks.shape
-    stacks = pose_stacks(*stack_poses(rel_poses)[:2], np.zeros((t, 6)))
     frames = np.tile(np.arange(t), n)
-    return transform_samples(stacks, frames, gt_tracks.reshape(-1, 3))[0].reshape(n, t, 3)
+    return transform_samples(rel_poses, exp_map(np.zeros((t, 6))), frames,
+                             gt_tracks.reshape(-1, 3))[0].reshape(n, t, 3)
 
 
 def perturb(scene: SyntheticScene, sigma_pointmap, sigma_track, sigma_pose, seed):
@@ -355,16 +337,11 @@ def perturb(scene: SyntheticScene, sigma_pointmap, sigma_track, sigma_pose, seed
     est_tracks = scene.gt_tracks.copy()
     if sigma_track > 0:
         est_tracks += sigma_track * rng.standard_normal(est_tracks.shape)
-    est_rel = []
-    for t, p in enumerate(scene.rel_poses):
-        if sigma_pose > 0 and t != scene.config.anchor:
-            tangent = PoseTangent(
-                sigma_pose * rng.standard_normal(3),
-                sigma_pose * rng.standard_normal(3),
-            )
-            est_rel.append(compose(exp_map(tangent), p))
-        else:
-            est_rel.append(p.copy())
+    est_rel = scene.rel_poses.copy()
+    if sigma_pose > 0:
+        moved = np.flatnonzero(np.arange(len(est_rel)) != scene.config.anchor)
+        tangents = sigma_pose * rng.standard_normal((moved.size, 6))
+        est_rel[moved] = compose(exp_map(tangents), est_rel[moved])
     return est_grids, est_tracks, est_rel
 
 
@@ -396,7 +373,7 @@ def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> Couplin
         mask = np.ones_like(scene.visibility, dtype=bool)
     return CouplingProblem(
         scene.layout(),
-        *stack_poses(scene.est_rel_poses),
+        scene.est_rel_poses,
         query_pixels=scene.query_pixels,
         visibility=visibility,
         static_mask=mask,
@@ -505,12 +482,13 @@ def load_scene(scene_dir) -> SyntheticScene:
     """Read a scene written by save_scene; its world tracks are not stored (None).
 
     Each file must fit scene_config.json: N x T samples in the track,
-    pseudo-track and static-mask files, T poses in each pose file, and in
-    each pointmaps/ exactly the frames frame_000 ... frame_{T-1}, each H x W
-    with header frame index t.  The anchor targets are derived from the
-    ground-truth tracks and relative poses.  Files and keys that earlier
-    versions also wrote (gt/targets.txt, the 'derived' object of
-    scene_config.json) are ignored.
+    pseudo-track and static-mask files, gt/tracks.txt's query pixels inside
+    the H x W domain and the other two track files' equal to them, T poses
+    in each pose file, and in each pointmaps/ exactly the frames
+    frame_000 ... frame_{T-1}, each H x W with header frame index t.  The
+    anchor targets are derived from the ground-truth tracks and relative
+    poses.  Files and keys that earlier versions also wrote
+    (gt/targets.txt, the 'derived' object of scene_config.json) are ignored.
     """
     cfg_path = os.path.join(scene_dir, "scene_config.json")
     doc = read_json_object(cfg_path)
@@ -531,9 +509,16 @@ def load_scene(scene_dir) -> SyntheticScene:
             _fits(path, "the header frame index", frames[path].frame_index, k)
         grids.append(np.stack([frames[path].points for path in paths]))
 
-    def tracks(path, pseudo=False):
+    def tracks(path, pseudo=False, gt_pixels=None):
         points, visibility, pixels = read_tracks(path, pseudo=pseudo)
         _fits(path, "N x T", visibility.shape, (n, t))
+        if gt_pixels is None:
+            try:
+                check_domain(config.height, config.width, pixels[..., 0], pixels[..., 1])
+            except OutOfDomain as exc:
+                raise FileFormatError(path, str(exc)) from None
+        elif not np.array_equal(pixels, gt_pixels):
+            raise FileFormatError(path, "query pixels differ from those of gt/tracks.txt")
         return points, visibility, pixels
 
     def poses(path):
@@ -542,8 +527,8 @@ def load_scene(scene_dir) -> SyntheticScene:
         return value
 
     gt_pts, visibility, pixels = tracks(os.path.join(gt, "tracks.txt"))
-    _, pseudo_vis, _ = tracks(os.path.join(gt, "pseudo_tracks.txt"), pseudo=True)
-    est_pts, _, _ = tracks(os.path.join(est, "tracks.txt"))
+    _, pseudo_vis, _ = tracks(os.path.join(gt, "pseudo_tracks.txt"), True, pixels)
+    est_pts, _, _ = tracks(os.path.join(est, "tracks.txt"), False, pixels)
     cam_poses = poses(os.path.join(gt, "poses.txt"))
     rel_poses = poses(os.path.join(gt, "rel_poses.txt"))
     est_rel = poses(os.path.join(est, "rel_poses.txt"))

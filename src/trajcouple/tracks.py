@@ -3,13 +3,12 @@
 N tracks over T frames are (N, T) arrays: per-sample 3D points expressed
 in the frame's own camera coordinates, a visibility weight in [0, 1] (which
 is also the loss weight), the 2D query pixel per sample, and a binary static
-mask.  World-coordinate ground-truth tracks live in a WorldTrackSet.
+mask, which static_mask derives from world-coordinate ground-truth tracks.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -17,20 +16,6 @@ import numpy as np
 from .errors import FileFormatError, open_text
 
 MIN_VISIBLE_WEIGHT = 1e-3
-
-
-@dataclass
-class WorldTrackSet:
-    """Ground-truth N x T trajectories in world coordinates."""
-
-    points: np.ndarray  # (N, T, 3)
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
-        if self.points.ndim != 3 or self.points.shape[2] != 3:
-            raise ValueError(f"points must be (N, T, 3), got {self.points.shape}")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("world tracks must be finite")
 
 
 def _geometric_medians(pts, visible, max_iter=100, tol=1e-14):
@@ -74,39 +59,19 @@ def _weiszfeld(pts, max_iter, tol):
     return y
 
 
-def static_mask(
-    gt: WorldTrackSet,
-    anchor: int,
-    tau: float,
-    visibility=None,
-    reference="median",
-):
+def static_mask(world_points, tau: float, visibility):
     """Binary mask of samples whose world displacement stays below tau.
 
-    A sample (i, t) is static when the distance from its world position to
-    the track's temporal reference is below tau.  The reference is the
-    geometric median over visible frames ("median", robust to outliers and
-    equivariant under rigid motion) or the anchor-frame position ("anchor",
-    which makes the anchor sample static by construction).
+    A sample (i, t) of the (N, T, 3) world points is static when its
+    distance to the track's geometric median over its visible frames is
+    below tau; the median is robust to outliers and equivariant under
+    rigid motion.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    pts = gt.points
-    n, t, _ = pts.shape
-    if not 0 <= anchor < t:
-        raise ValueError(f"anchor {anchor} outside [0, {t})")
-
-    if reference == "median":
-        visible = (np.ones((n, t), dtype=bool) if visibility is None
-                   else np.asarray(visibility, dtype=np.float64) >= MIN_VISIBLE_WEIGHT)
-        ref = _geometric_medians(pts, visible)
-    elif reference == "anchor":
-        ref = pts[:, anchor]
-    else:
-        raise ValueError(f"unknown reference {reference!r}")
-
-    disp = np.linalg.norm(pts - ref[:, None, :], axis=2)
-    return disp < tau
+    pts = np.asarray(world_points, dtype=np.float64)
+    ref = _geometric_medians(pts, np.asarray(visibility, dtype=np.float64) >= MIN_VISIBLE_WEIGHT)
+    return np.linalg.norm(pts - ref[:, None, :], axis=2) < tau
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The metric oracles are straightforward loops over 4x4 matrices and raw
 arrays, sharing no code with the package beyond numpy/scipy primitives.
 The sampling, grid-gradient, Huber, tape, geometric-median, SO(3),
-pose-stack, reprojection-mask, row-file and point-cloud references below
+single-pose, reprojection-mask, row-file and point-cloud references below
 are the package's earlier per-call formulations, kept to pin the compiled
 and batched paths bit for bit.
 """
@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from trajcouple.errors import DegenerateConfiguration
+from trajcouple.errors import DegenerateConfiguration, LogNearPi
 from trajcouple.grad import GRIDS, Tape
 from trajcouple.losses import _Pass, transform_samples
 from trajcouple.metrics import PointmapResult, _smallest_eigenvectors
 from trajcouple.pointmap import BilinearSampler, check_domain
-from trajcouple.pose import _SMALL_ANGLE, Pose, Similarity, compose, umeyama
+from trajcouple.pose import _SMALL_ANGLE, REORTHO_PERIOD, Pose, Similarity, umeyama
 from trajcouple.tracks import MIN_VISIBLE_WEIGHT
 
 
@@ -224,7 +224,7 @@ def static_mask(world_points, tau, visibility=None):
 
 
 # ---------------------------------------------------------------------------
-# SO(3) and the optimizer's pose work, one frame at a time.
+# SO(3), pose arithmetic and the optimizer's pose work, one frame at a time.
 
 def pose_matrix(pose):
     """4x4 homogeneous matrix of a Pose."""
@@ -268,39 +268,75 @@ def so3_left_jacobian(omega):
     )
 
 
-@dataclass
-class PoseStacks:
-    """losses.PoseStacks with every field computed up front."""
-
-    r_base: np.ndarray
-    t_base: np.ndarray
-    exp_rot: np.ndarray
-    left_jac: np.ndarray
-    upsilon: np.ndarray
-    r_cur: np.ndarray
+def stack(poses):
+    """One (T,) Pose of a list of single poses."""
+    return Pose(np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses]),
+                [p.age for p in poses])
 
 
-def pose_stacks(base_poses, tangents=None):
-    t = len(base_poses)
-    r_base = np.stack([p.rotation for p in base_poses])
-    t_base = np.stack([p.translation for p in base_poses])
-    if tangents is None:
-        tangents = np.zeros((t, 6))
-    else:
-        tangents = np.asarray(tangents, dtype=np.float64).reshape(t, 6)
-    exp_rot = np.stack([so3_exp(tangents[k, :3]) for k in range(t)])
-    left_jac = np.stack([so3_left_jacobian(tangents[k, :3]) for k in range(t)])
-    r_cur = np.einsum("tij,tjk->tik", exp_rot, r_base)
-    return PoseStacks(r_base, t_base, exp_rot, left_jac, tangents[:, 3:].copy(), r_cur)
+def project_rotation(M):
+    """Polar projection of one 3x3 matrix."""
+    U, _, Vt = np.linalg.svd(M)
+    R = U @ Vt
+    if np.linalg.det(R) < 0.0:
+        U = U.copy()
+        U[:, -1] = -U[:, -1]
+        R = U @ Vt
+    return R
+
+
+def compose(a, b):
+    """One pose a * b, re-projected when its age reaches REORTHO_PERIOD."""
+    R = a.rotation @ b.rotation
+    t = a.rotation @ b.translation + a.translation
+    age = int(a.age) + int(b.age) + 1
+    if age >= REORTHO_PERIOD:
+        R = project_rotation(R)
+        age = 0
+    return Pose(R, t, age)
+
+
+def inverse(p):
+    Rt = p.rotation.T
+    return Pose(Rt, -(Rt @ p.translation), p.age)
+
+
+def apply(p, pts):
+    """One pose applied to (3,) or (M, 3) points."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim == 1:
+        return p.rotation @ pts + p.translation
+    return pts @ p.rotation.T + p.translation
+
+
+def exp_map(tangent):
+    return Pose(so3_exp(tangent[:3]), tangent[3:].copy())
+
+
+def log_map(p):
+    """The (6,) tangent of one pose, through the scalar axis-angle formula."""
+    R = p.rotation
+    tr = float(np.trace(R))
+    if tr <= -1.0 + 1e-6:
+        raise LogNearPi(f"trace {tr}")
+    theta = float(np.arccos(np.clip(0.5 * (tr - 1.0), -1.0, 1.0)))
+    v = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    omega = 0.5 * v if theta < _SMALL_ANGLE else (0.5 * theta / np.sin(theta)) * v
+    return np.concatenate([omega, p.translation])
+
+
+def step_stacks(tangents):
+    """(exp rotations, left Jacobians, upsilon) of (T, 6) tangents, one frame at a time."""
+    tangents = np.asarray(tangents, dtype=np.float64)
+    exp_rot = np.stack([so3_exp(w) for w in tangents[:, :3]])
+    left_jac = np.stack([so3_left_jacobian(w) for w in tangents[:, :3]])
+    return exp_rot, left_jac, tangents[:, 3:].copy()
 
 
 def current_rel_poses(base_poses, tangents):
-    """compose(exp_map(tangent), base) per frame."""
+    """compose(exp_map(tangent), base) per frame, as a list."""
     tangents = np.asarray(tangents, dtype=np.float64).reshape(len(base_poses), 6)
-    return [
-        compose(Pose(so3_exp(tangents[t, :3]), tangents[t, 3:].copy()), base)
-        for t, base in enumerate(base_poses)
-    ]
+    return [compose(exp_map(tangents[t]), base) for t, base in enumerate(base_poses)]
 
 
 def reprojection_mask(
@@ -310,8 +346,9 @@ def reprojection_mask(
     n, t = shape
     if geo.flat.size == 0:
         return np.zeros((n, t), dtype=bool)
-    stacks = pose_stacks(base_poses, tangents)
-    repro, _ = transform_samples(stacks, geo.tt, geo.sampler.gather(grid_stack))
+    exp_rot, _, upsilon = step_stacks(tangents)
+    repro, _ = transform_samples(stack(base_poses), Pose(exp_rot, upsilon), geo.tt,
+                                 geo.sampler.gather(grid_stack))
 
     repro_full = np.full((n * t, 3), np.nan)
     repro_full[geo.flat] = repro

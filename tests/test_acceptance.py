@@ -28,7 +28,7 @@ from trajcouple.metrics import (
     tapvid3d_metrics,
 )
 from trajcouple.optimize import OptimConfig, ablation_config, optimize
-from trajcouple.pose import PoseTangent, exp_map, rotation_angle, umeyama
+from trajcouple.pose import compose, exp_map, rotation_angle, umeyama
 from trajcouple.synthetic import SceneConfig, build_problem, generate, initial_store
 
 # step profile tuned for the default desk-scale scenes (unit diagonal,
@@ -178,15 +178,12 @@ def test_criterion_8_metric_oracle_equivalence():
     def close(a, b):
         return abs(a - b) <= tol
 
-    def rand_pose(rot=0.3, trans=0.8):
-        return exp_map(PoseTangent(rot * rng.standard_normal(3),
-                                   trans * rng.standard_normal(3)))
-
-    from trajcouple.pose import compose
+    def rand_poses(n, rot=0.3, trans=0.8):
+        return exp_map(rng.standard_normal((n, 6)) * np.repeat([rot, trans], 3))
 
     for _ in range(5):
-        gt = [rand_pose() for _ in range(9)]
-        est = [compose(rand_pose(0.05, 0.1), p) for p in gt]
+        gt = rand_poses(9)
+        est = compose(rand_poses(9, 0.05, 0.1), gt)
         pair = TrajectoryPair(est, gt)
         mats = ([pose_matrix(p) for p in est], [pose_matrix(p) for p in gt])
 
@@ -232,7 +229,7 @@ def test_criterion_8_metric_oracle_equivalence():
                 failures.append(f"depth_{mode}")
 
     # perfect-input fixtures hit the exact optima
-    traj = [rand_pose() for _ in range(5)]
+    traj = rand_poses(5)
     perfect_pair = TrajectoryPair(traj, traj)
     acc = rel_pose_accuracy(perfect_pair)
     exact = (
@@ -263,7 +260,7 @@ def test_criterion_9_umeyama_exactness():
     for _ in range(100):
         src = rng.standard_normal((15, 3))
         s_true = rng.uniform(0.2, 5.0)
-        r_true = exp_map(PoseTangent(rng.standard_normal(3), np.zeros(3))).rotation
+        r_true = exp_map(np.concatenate([rng.standard_normal(3), np.zeros(3)])).rotation
         t_true = rng.standard_normal(3) * 2.0
         dst = s_true * src @ r_true.T + t_true
         sim = umeyama(src, dst)

@@ -161,6 +161,12 @@ def damage_scene(scene, case):
             for frame in (sub / "pointmaps").iterdir():
                 rewrite_frame(frame, size=8)
         return gt / "pointmaps" / "frame_000.pm"
+    if case == "gt_pixel_off_domain":
+        return poison_row_file(gt / "tracks.txt", 2, 6, "42.0")
+    if case == "est_pixel_differs":
+        return poison_row_file(est / "tracks.txt", 2, 6, "1.5")
+    if case == "pseudo_pixel_differs":
+        return poison_row_file(gt / "pseudo_tracks.txt", 2, 6, "1.5")
     if case == "header_index_5":
         return rewrite_frame(est / "pointmaps" / "frame_002.pm", index=5)
     if case == "extra_frame":
@@ -275,8 +281,9 @@ class TestOptimize:
     @pytest.mark.parametrize("ablation", ["cons_cam", "selfsup"])
     @pytest.mark.parametrize("case", [
         "est_tracks_2_short", "gt_tracks_frame_short", "est_rel_poses_short",
-        "static_mask_track_short", "pseudo_tracks_track_short", "one_frame_8x8",
-        "all_frames_8x8", "header_index_5", "extra_frame", "seed_abc",
+        "static_mask_track_short", "pseudo_tracks_track_short", "gt_pixel_off_domain",
+        "est_pixel_differs", "pseudo_pixel_differs", "one_frame_8x8", "all_frames_8x8",
+        "header_index_5", "extra_frame", "seed_abc",
     ])
     def test_scene_off_config_exit_3_names_file(self, tmp_path, capsys, case, ablation):
         scenes = self.run_gen(tmp_path, scene={

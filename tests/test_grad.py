@@ -55,7 +55,7 @@ class TestTape:
     def test_max_abs_equals_max_of_abs(self, values):
         # NaN, +-inf, -0.0 and an empty block read as np.max over blocks of
         # np.max(np.abs(g)): a NaN in any block, not just the first, gives NaN
-        tape = Tape({GRIDS: len(values[0]), TRACKS: len(values[1]), POSES: len(values[2])})
+        tape = Tape(ParamStore.from_sizes(dict(zip((GRIDS, TRACKS, POSES), map(len, values)))))
         for block, vals in zip((GRIDS, TRACKS, POSES), values):
             tape.grad(block)[:] = vals
         ref = np.max([(float(np.max(np.abs(g))) if g.size else 0.0) for g in tape.grads.values()])

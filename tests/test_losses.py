@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import huber, huber_gradient
-from test_pose import tangent_stacks
+from test_pose import assert_poses_equal, tangent_stacks
 from trajcouple import losses
 from trajcouple.errors import MissingTargets, OutOfDomain
 from trajcouple.fixtures import random_coupling_fixture
@@ -20,17 +20,18 @@ from trajcouple.losses import (
     TermStats,
     _compile,
     _huber_batch,
+    _Pass,
     _reprojection_mask,
-    pose_stacks,
 )
 from trajcouple.optimize import ABLATIONS
 from trajcouple.pose import (
     REORTHO_PERIOD,
     Pose,
-    PoseTangent,
+    compose,
     exp_map,
+    inverse,
+    log_map,
     so3_left_jacobian,
-    stack_poses,
 )
 from trajcouple.synthetic import SceneConfig, build_problem, generate, initial_store
 
@@ -52,7 +53,7 @@ def single_sample_problem(delta=0.5, **config):
     store.view(TRACKS, SINGLE_LAYOUT.tracks_shape())[:] = p_hat
     targets = (p_hat + np.array([-0.04, 0.01, 0.02])).reshape(1, 1, 3)
     problem = CouplingProblem(
-        SINGLE_LAYOUT, *stack_poses([Pose.identity()]), np.full((1, 1, 2), 0.5), np.ones((1, 1)),
+        SINGLE_LAYOUT, exp_map(np.zeros((1, 6))), np.full((1, 1, 2), 0.5), np.ones((1, 1)),
         np.ones((1, 1), dtype=bool), targets, LossConfig(delta=delta, **config), tau_static=0.02,
     )
     return problem, store, p_tilde, p_hat
@@ -125,7 +126,7 @@ class TestLossCons:
     def test_consistent_state_zero(self):
         problem, store, p_tilde, _ = self.make_problem()
         track_point(problem, store)[:] = p_tilde
-        tape = Tape(SINGLE_LAYOUT.sizes())
+        tape = Tape(store)
         stats = problem.evaluate(store, tape).terms["cons"]
         assert stats.value == 0.0
         assert tape.max_abs() == 0.0
@@ -140,7 +141,7 @@ class TestLossCons:
 
     def test_hand_derivation_single_sample(self):
         problem, store, p_tilde, p_hat = self.make_problem()
-        tape = Tape(SINGLE_LAYOUT.sizes())
+        tape = Tape(store)
         stats = problem.evaluate(store, tape).terms["cons"]
 
         r = p_hat - p_tilde
@@ -173,14 +174,14 @@ class TestLossCam:
     def test_perfect_state_zero(self):
         problem, store, _, p_hat = self.make_problem()
         problem.targets = p_hat.reshape(1, 1, 3).copy()
-        tape = Tape(SINGLE_LAYOUT.sizes())
+        tape = Tape(store)
         stats = problem.evaluate(store, tape).terms["cam"]
         assert stats.value == 0.0
         assert tape.max_abs() == 0.0
 
     def test_hand_derivation_identity_pose(self):
         problem, store, _, p_hat = self.make_problem()
-        tape = Tape(SINGLE_LAYOUT.sizes())
+        tape = Tape(store)
         stats = problem.evaluate(store, tape).terms["cam"]
 
         r = p_hat - problem.targets[0, 0]
@@ -196,7 +197,7 @@ class TestLossCam:
     def test_all_dynamic_gates_pose_gradient_exactly(self):
         problem, store, _, p_hat = self.make_problem()
         problem.static_mask = np.zeros((1, 1), dtype=bool)
-        tape = Tape(SINGLE_LAYOUT.sizes())
+        tape = Tape(store)
         stats = problem.evaluate(store, tape).terms["cam"]
         assert np.array_equal(tape.grad(POSES), np.zeros(6))  # bitwise zero
         assert tape.grad(TRACKS).any()  # track side still live
@@ -259,7 +260,7 @@ class TestRoutingZeroTests:
             assert not scene.pseudo_visibility.all() and not scene.static_mask.all()
             problem = build_problem(scene, loss)
             store = initial_store(scene)
-            store[POSES] = 0.01 * np.random.default_rng(seed).standard_normal(store[POSES].size)
+            store[POSES][:] = 0.01 * np.random.default_rng(seed).standard_normal(store[POSES].size)
             if problem.targets is None:
                 problem.refresh_static_mask(store)
             self.assert_off_route_zero(problem, store)
@@ -299,19 +300,13 @@ class TestSelfSupervised:
         assert "cam_pose" not in problem.active_terms()
 
     def test_pose_gradient_points_toward_truth(self):
-        from trajcouple.pose import compose, inverse, log_map
-
         scene, problem, store = self.make_scene(sigma_pose=0.05)
         tape = Tape(store)
         problem.evaluate(store, tape)
         g = tape.grad(POSES).reshape(-1, 6)
         assert np.abs(g).max() > 0
-        total = 0.0
-        for t, gt in enumerate(scene.rel_poses):
-            est = Pose(problem.r_base[t], problem.t_base[t])
-            correction = log_map(compose(gt, inverse(est))).as_array()
-            total += float(-g[t] @ correction)
-        assert total > 0.0
+        correction = log_map(compose(scene.rel_poses, inverse(problem.base)))
+        assert float(np.sum(-g * correction)) > 0.0
 
     def test_adaptive_mask_admits_majority_under_pose_noise(self):
         scene, problem, store = self.make_scene(sigma_pose=0.05)
@@ -387,7 +382,7 @@ class TestTotalLoss:
         store[TRACKS][:] *= s
         tangents[:, 3:] *= s
         problem.targets[:] *= s
-        problem.t_base = s * problem.t_base
+        problem.base = Pose(problem.base.rotation, s * problem.base.translation)
         problem.config.delta *= s
         scaled = problem.evaluate(store).total
         assert scaled == pytest.approx(s * s * base, rel=1e-9)
@@ -453,75 +448,63 @@ class TestCompiledProblem:
 
 
 def random_base_poses(rng, t):
+    """(T,) base poses with random ages below REORTHO_PERIOD."""
     poses = []
     for _ in range(t):
-        p = exp_map(PoseTangent(rng.standard_normal(3), rng.standard_normal(3)))
-        p._age = int(rng.integers(0, REORTHO_PERIOD))
-        poses.append(p)
-    return poses
-
-
-def assert_stacks_equal(got, expected):
-    """Per-frame (rotations, translations, ages) equal those of a Pose list bit for bit."""
-    want = stack_poses(expected)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+        p = exp_map(np.concatenate([rng.standard_normal(3), rng.standard_normal(3)]))
+        poses.append(Pose(p.rotation, p.translation, int(rng.integers(0, REORTHO_PERIOD))))
+    return oracles.stack(poses)
 
 
 class TestBatchedPoseWork:
-    """pose_stacks and the pose fold equal the per-frame loops bit for bit."""
+    """A pass's pose work, current_poses and the fold equal the per-frame oracles bit for bit."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(tangent_stacks(), st.integers(0, 2**32 - 1))
     def test_matches_per_frame_oracle(self, tangents, seed):
-        base = random_base_poses(np.random.default_rng(seed), tangents.shape[0])
-        r_base, t_base, age = stack_poses(base)
-        for tan in (tangents, np.zeros_like(tangents)):
-            got, expected = pose_stacks(r_base, t_base, tan), oracles.pose_stacks(base, tan)
-            assert got.r_base is r_base and got.t_base is t_base  # not copied
-            for name in ("r_base", "t_base", "exp_rot", "left_jac", "upsilon", "r_cur"):
-                assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-        folded = pose_stacks(r_base, t_base, tangents).fold(age)
-        assert_stacks_equal(folded, oracles.current_rel_poses(base, tangents))
-        assert_stacks_equal((r_base, t_base, age), base)  # the fold leaves its inputs
+        problem, store = random_coupling_fixture(0, n_frames=len(tangents))
+        problem.base = base = random_base_poses(np.random.default_rng(seed), len(tangents))
+        problem.views(store)[2][:] = tangents
+        ps = _Pass(problem, *problem.views(store), Tape(store))
+        exp_rot, left_jac, upsilon = oracles.step_stacks(tangents)
+        assert np.array_equal(ps.step.rotation, exp_rot)
+        assert np.array_equal(ps.step.translation, upsilon)
+        assert np.array_equal(ps.left_jac, left_jac)
+        assert np.array_equal(ps.r_cur, np.einsum("tij,tjk->tik", exp_rot, base.rotation))
+        assert_poses_equal(problem.current_poses(store), oracles.current_rel_poses(base, tangents))
+        assert problem.base is base
 
     def test_fold_reorthonormalizes_like_oracle(self):
         # 130 folds cross REORTHO_PERIOD twice
         problem, store = random_coupling_fixture(7, n_frames=5)
         _, _, tangents = problem.views(store)
-        expected = [Pose(r, t, _age=int(a))
-                    for r, t, a in zip(problem.r_base, problem.t_base, problem.age)]
+        expected = list(problem.base)
         rng = np.random.default_rng(8)
         resets = 0
         for _ in range(130):
             tangents[:] = 0.1 * rng.standard_normal(tangents.shape)
             expected = oracles.current_rel_poses(expected, tangents)
-            current = problem.current_poses(store)
-            assert_stacks_equal(stack_poses(current), expected)
-            assert all(type(p._age) is int for p in current)
+            assert_poses_equal(problem.current_poses(store), expected)
             problem.fold_pose_tangents(store)
             assert not np.any(tangents)
-            assert_stacks_equal((problem.r_base, problem.t_base, problem.age), expected)
-            resets += all(p._age == 0 for p in expected)
+            assert_poses_equal(problem.base, expected)
+            resets += all(p.age == 0 for p in expected)
         assert resets == 2
-        assert problem.age.tolist() == [2] * 5
+        assert problem.base.age.tolist() == [2] * 5
 
     @pytest.mark.parametrize("selfsup", [False, True])
-    def test_pose_objects_only_at_the_edge(self, selfsup, monkeypatch):
+    def test_one_pose_stack_per_pass(self, selfsup, monkeypatch):
         problem, store = random_coupling_fixture(9, n_frames=5, selfsup=selfsup)
-        assert not hasattr(losses, "current_rel_poses")
-        assert not any(isinstance(v, (list, tuple, Pose)) for v in vars(problem).values())
+        assert problem.base.shape == (5,)
         made = []
         init = Pose.__init__
-        monkeypatch.setattr(Pose, "__init__", lambda p, *a, **k: made.append(1) or init(p, *a, **k))
+        monkeypatch.setattr(Pose, "__init__", lambda p, *a, **k: made.append(p) or init(p, *a, **k))
         problem.evaluate(store, Tape(store))
         problem.evaluate(store)
         problem.refresh_static_mask(store)
+        assert [p.shape for p in made] == [(5,)] * 3  # one exp_map each, no per-frame poses
         problem.fold_pose_tangents(store)
-        assert made == []
-        assert len(problem.current_poses(store)) == 5
-        assert len(made) == 5
+        assert problem.base.shape == (5,) and all(p.shape == (5,) for p in made)
 
 
 class TestPassSharing:
@@ -534,7 +517,7 @@ class TestPassSharing:
         real = losses._huber_batch
         monkeypatch.setattr(losses, "_huber_batch",
                             lambda res, *args: sizes.append(len(res)) or real(res, *args))
-        problem.evaluate(store, Tape(problem.layout.sizes()))
+        problem.evaluate(store, Tape(store))
         n_valid = problem.geometry().flat.size
         assert sizes == [n_valid, n_valid]  # cons, then cam; the pose half indexes cam's
 
@@ -546,7 +529,7 @@ class TestPassSharing:
         problem.refresh_static_mask(store)
         problem.evaluate(store)
         assert calls == []
-        problem.evaluate(store, Tape(problem.layout.sizes()))
+        problem.evaluate(store, Tape(store))
         assert len(calls) == 1
 
 
@@ -604,7 +587,7 @@ class TestReprojectionMask:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             geo, shape, grids, base, tangents, tau = case
-            stacks = pose_stacks(*stack_poses(base)[:2], tangents)
-            got = _reprojection_mask(geo, shape, grids, stacks, tau, scale_quantile=quantile)
+            got = _reprojection_mask(geo, shape, grids, base, exp_map(tangents), tau,
+                                     scale_quantile=quantile)
         assert got.dtype == bool
         assert np.array_equal(got, expected)

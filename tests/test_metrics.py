@@ -23,15 +23,21 @@ from trajcouple.metrics import (
     rpe,
     tapvid3d_metrics,
 )
-from trajcouple.pose import Pose, PoseTangent, Similarity, _icp, compose, exp_map, so3_exp, umeyama
-
-
-def random_pose(rng, rot=0.5, trans=1.0):
-    return exp_map(PoseTangent(rot * rng.standard_normal(3), trans * rng.standard_normal(3)))
+from trajcouple.pose import Pose, Similarity, _icp, compose, exp_map, so3_exp, umeyama
 
 
 def random_trajectory(rng, n, rot=0.3, trans=1.0):
-    return [random_pose(rng, rot, trans) for _ in range(n)]
+    """(n,) poses, each from rot * N(0, 1) rotation and trans * N(0, 1) translation parts."""
+    return exp_map(rng.standard_normal((n, 6)) * np.repeat([rot, trans], 3))
+
+
+def random_pose(rng, rot=0.5, trans=1.0):
+    return random_trajectory(rng, 1, rot, trans)[0]
+
+
+def on_x_axis(n, rotations=np.eye(3)):
+    """(n,) poses at (k, 0, 0) for k = 0..n-1."""
+    return Pose(np.broadcast_to(rotations, (n, 3, 3)), np.outer(np.arange(float(n)), [1, 0, 0]))
 
 
 def rot_z(theta):
@@ -49,22 +55,20 @@ class TestAte:
         rng = np.random.default_rng(1)
         gt = random_trajectory(rng, 8)
         sim = Similarity(2.7, rot_z(0.8), np.array([3.0, -1.0, 0.5]))
-        est = [Pose(p.rotation.copy(), sim.apply(p.translation)) for p in gt]
+        est = Pose(gt.rotation, sim.apply(gt.translation))
         assert ate(TrajectoryPair(est, gt)) < 1e-9
 
     def test_alignment_free_offset(self):
-        gt = [Pose(np.eye(3), np.array([float(k), 0.0, 0.0])) for k in range(4)]
+        gt = on_x_axis(4)
         d = np.array([0.0, 0.3, 0.4])  # norm 0.5
-        est = [Pose(np.eye(3), p.translation + d) for p in gt]
+        est = Pose(gt.rotation, gt.translation + d)
         assert ate(TrajectoryPair(est, gt), align="none") == pytest.approx(0.5, abs=1e-12)
 
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             gt = random_trajectory(rng, 12)
-            est = [
-                compose(random_pose(rng, 0.02, 0.05), p) for p in gt
-            ]
+            est = compose(random_trajectory(rng, 12, 0.02, 0.05), gt)
             pair = TrajectoryPair(est, gt)
             for mode in ("similarity", "rigid", "none"):
                 ours = ate(pair, align=mode)
@@ -90,22 +94,22 @@ class TestRpe:
     def test_constant_rotation_offset(self):
         # estimate rotates an extra theta per step
         theta = np.radians(5.0)
-        gt = [Pose(np.eye(3), np.array([float(k), 0.0, 0.0])) for k in range(6)]
-        est = [Pose(rot_z(k * theta), p.translation.copy()) for k, p in enumerate(gt)]
+        gt = on_x_axis(6)
+        est = on_x_axis(6, np.stack([rot_z(k * theta) for k in range(6)]))
         res = rpe(TrajectoryPair(est, gt), step=1)
         assert res.rot_deg == pytest.approx(5.0, rel=1e-9)
 
     def test_translation_drift(self):
         drift = np.array([0.0, 0.25, 0.0])
-        gt = [Pose(np.eye(3), np.array([float(k), 0.0, 0.0])) for k in range(5)]
-        est = [Pose(np.eye(3), p.translation + k * drift) for k, p in enumerate(gt)]
+        gt = on_x_axis(5)
+        est = Pose(gt.rotation, gt.translation + np.arange(5.0)[:, None] * drift)
         res = rpe(TrajectoryPair(est, gt), step=1)
         assert res.trans == pytest.approx(0.25, rel=1e-12)
 
     def test_oracle_equivalence(self):
         rng = np.random.default_rng(5)
         gt = random_trajectory(rng, 10)
-        est = [compose(random_pose(rng, 0.05, 0.1), p) for p in gt]
+        est = compose(random_trajectory(rng, 10, 0.05, 0.1), gt)
         pair = TrajectoryPair(est, gt)
         for step in (1, 2, 4):
             ours = rpe(pair, step=step)
@@ -132,9 +136,9 @@ class TestRelPoseAccuracy:
     def test_rotations_off_by_45_deg(self):
         # every relative rotation error is a multiple of 45 degrees (>= 45)
         rng = np.random.default_rng(8)
-        trans = [rng.standard_normal(3) for _ in range(5)]
-        gt = [Pose(np.eye(3), t) for t in trans]
-        est = [Pose(rot_z(np.radians(45.0) * k), t.copy()) for k, t in enumerate(trans)]
+        trans = rng.standard_normal((5, 3))
+        gt = Pose(np.broadcast_to(np.eye(3), (5, 3, 3)), trans)
+        est = Pose(np.stack([rot_z(np.radians(45.0) * k) for k in range(5)]), trans)
         res = rel_pose_accuracy(TrajectoryPair(est, gt))
         assert res.rra == 0.0
         assert res.auc == 0.0  # min curve pinned to zero by rotation errors
@@ -142,18 +146,17 @@ class TestRelPoseAccuracy:
     def test_global_rigid_invariance(self):
         rng = np.random.default_rng(9)
         gt = random_trajectory(rng, 7)
-        est = [compose(random_pose(rng, 0.05, 0.1), p) for p in gt]
+        est = compose(random_trajectory(rng, 7, 0.05, 0.1), gt)
         base = rel_pose_accuracy(TrajectoryPair(est, gt))
-        g = random_pose(rng)
-        moved = [compose(g, p) for p in est]
+        moved = compose(random_pose(rng), est)
         out = rel_pose_accuracy(TrajectoryPair(moved, gt))
         assert (out.rra, out.rta, out.auc) == (base.rra, base.rta, base.auc)
 
     def test_zero_baseline_skipped_and_counted(self):
         rng = np.random.default_rng(10)
-        p = random_pose(rng)
-        gt = [p.copy(), p.copy(), random_pose(rng)]
-        est = [compose(random_pose(rng, 0.01, 0.01), q) for q in gt]
+        gt = random_trajectory(rng, 3, 0.5)
+        gt[1] = gt[0]
+        est = compose(random_trajectory(rng, 3, 0.01, 0.01), gt)
         res = rel_pose_accuracy(TrajectoryPair(est, gt))
         assert res.n_skipped == 1
         assert res.n_pairs == 2
@@ -162,7 +165,7 @@ class TestRelPoseAccuracy:
         rng = np.random.default_rng(11)
         for trial in range(8):
             gt = random_trajectory(rng, 8)
-            est = [compose(random_pose(rng, 0.2, 0.4), p) for p in gt]
+            est = compose(random_trajectory(rng, 8, 0.2, 0.4), gt)
             res = rel_pose_accuracy(TrajectoryPair(est, gt))
             rra, rta, auc, skipped = oracles.naive_rel_pose_accuracy(
                 [pose_matrix(p) for p in est], [pose_matrix(p) for p in gt]
@@ -261,7 +264,7 @@ class TestPointmapMetrics:
     def test_icp_refinement_improves_unaligned_fit(self):
         rng = np.random.default_rng(19)
         gt = self.cloud(rng, n=200)
-        offset = exp_map(PoseTangent(np.array([0, 0, 0.04]), np.array([0.02, 0, 0.01])))
+        offset = exp_map(np.array([0, 0, 0.04, 0.02, 0, 0.01]))
         pred = offset.apply(gt)
         rng.shuffle(pred)  # no index correspondence
         rough = pointmap_metrics(pred, gt, align=False)
@@ -417,7 +420,7 @@ class TestPointmapSharedTrees:
         rng = np.random.default_rng(seed)
         uv = rng.uniform(-1, 1, size=(n, 2))
         gt = np.column_stack([uv, 0.3 * np.sin(2 * uv[:, 0]) * np.cos(uv[:, 1])])
-        offset = exp_map(PoseTangent(np.array([0.0, 0.1, angle]), np.array([shift, 0.0, 0.05])))
+        offset = exp_map(np.array([0.0, 0.1, angle, shift, 0.0, 0.05]))
         pred = 1.3 * offset.apply(gt) + 0.01 * rng.standard_normal(gt.shape)
         if shuffle:
             rng.shuffle(pred)

@@ -8,8 +8,8 @@ import oracles
 from oracles import pose_matrix
 from trajcouple.errors import DegenerateConfiguration, FileFormatError, LogNearPi
 from trajcouple.pose import (
+    REORTHO_PERIOD,
     Pose,
-    PoseTangent,
     Similarity,
     _icp,
     compose,
@@ -28,9 +28,7 @@ from trajcouple.pose import (
 
 
 def random_pose(rng, rot=1.0, trans=1.0):
-    return exp_map(
-        PoseTangent(rot * rng.standard_normal(3), trans * rng.standard_normal(3))
-    )
+    return exp_map(np.concatenate([rot * rng.standard_normal(3), trans * rng.standard_normal(3)]))
 
 
 # angles on both sides of the 1e-8 small-angle switch and up to near pi
@@ -56,6 +54,31 @@ def tangent_stacks(draw, max_frames=40):
             axis /= np.linalg.norm(axis)
         tangents[k, :3] = theta * np.asarray(axis)
     return tangents
+
+
+@st.composite
+def pose_pairs(draw):
+    """Two (T,) pose stacks, the first from tangent_stacks, with ages up to REORTHO_PERIOD.
+
+    Each frame's ages sum to at most 2 * REORTHO_PERIOD + 1 after a compose,
+    so composing the two re-projects some frames and not others.
+    """
+    tangents = draw(tangent_stacks())
+    t = len(tangents)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ages = draw(st.lists(st.integers(0, REORTHO_PERIOD), min_size=2 * t, max_size=2 * t))
+    a = exp_map(tangents)
+    b = exp_map(rng.standard_normal((t, 6)) * np.repeat([0.5, 1.0], 3))  # angles well below pi
+    return Pose(a.rotation, a.translation, ages[:t]), Pose(b.rotation, b.translation, ages[t:])
+
+
+def assert_poses_equal(got, expected):
+    """A pose stack equals a list of single poses bit for bit, ages included."""
+    want = oracles.stack(expected)
+    assert got.shape == want.shape
+    assert np.array_equal(got.rotation, want.rotation)
+    assert np.array_equal(got.translation, want.translation)
+    assert np.array_equal(got.age, want.age)
 
 
 def rot_z(theta):
@@ -109,6 +132,59 @@ class TestCompose:
         err = np.linalg.norm(p.rotation.T @ p.rotation - np.eye(3))
         assert err < 1e-9
         assert np.linalg.det(p.rotation) > 0
+
+
+class TestStackedPose:
+    """Stacked pose arithmetic equals the per-pose formulas of tests/oracles.py bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pose_pairs())
+    def test_matches_per_frame_oracle(self, pair):
+        a, b = pair
+        t = len(a)
+        assert_poses_equal(compose(a, b), [oracles.compose(a[k], b[k]) for k in range(t)])
+        # a single pose broadcasts against a stack, on either side
+        assert_poses_equal(compose(a[0], b), [oracles.compose(a[0], q) for q in b])
+        assert_poses_equal(compose(a, b[-1]), [oracles.compose(p, b[-1]) for p in a])
+        assert_poses_equal(compose(a[:1], b[-1]), [oracles.compose(a[0], b[-1])])
+        assert_poses_equal(inverse(a), [oracles.inverse(p) for p in a])
+        tangents = log_map(b)
+        assert np.array_equal(tangents, np.stack([oracles.log_map(q) for q in b]))
+        assert_poses_equal(exp_map(tangents), [oracles.exp_map(v) for v in tangents])
+        try:
+            expected = np.stack([oracles.log_map(p) for p in a])
+        except LogNearPi:
+            with pytest.raises(LogNearPi):
+                log_map(a)
+        else:
+            assert np.array_equal(log_map(a), expected)
+        pts = np.random.default_rng(t).standard_normal((t, 5, 3))
+        moved = a.apply(pts)
+        for k, p in enumerate(a):
+            assert np.array_equal(moved[k], oracles.apply(p, pts[k]))
+            assert np.array_equal(p.apply(pts[k]), moved[k])
+            assert np.array_equal(p.apply(pts[k, 0]), oracles.apply(p, pts[k, 0]))
+
+    def test_single_pose_is_the_empty_shape(self):
+        p = Pose.identity()
+        assert p.shape == () and p.age.shape == ()
+        with pytest.raises(TypeError):
+            len(p)
+        with pytest.raises(TypeError):
+            p[0]
+        with pytest.raises(ValueError):
+            Pose(np.eye(3)[None], np.zeros(3))
+
+    def test_indexing_views_and_assigns_frames(self):
+        rng = np.random.default_rng(23)
+        stack = exp_map(rng.standard_normal((4, 6)))
+        frames = list(stack)
+        assert len(frames) == 4 and all(f.shape == () for f in frames)
+        assert np.shares_memory(frames[2].rotation, stack.rotation)
+        expected = [oracles.compose(f, frames[0]) for f in frames[1:3]]
+        stack[1:3] = compose(stack[1:3], stack[0])
+        assert stack.age.tolist() == [0, 1, 1, 0]
+        assert_poses_equal(stack[1:3], expected)
 
 
 class TestRelativePose:
@@ -211,7 +287,7 @@ class TestTransformPoint:
 
 class TestExpLog:
     def test_exp_zero_is_identity(self):
-        p = exp_map(PoseTangent(np.zeros(3), np.zeros(3)))
+        p = exp_map(np.zeros(6))
         assert np.array_equal(p.rotation, np.eye(3))
         assert np.array_equal(p.translation, np.zeros(3))
 
@@ -220,31 +296,31 @@ class TestExpLog:
         for _ in range(50):
             omega = rng.standard_normal(3)
             omega *= rng.uniform(0.0, 2.9) / max(np.linalg.norm(omega), 1e-12)
-            tangent = PoseTangent(omega, rng.standard_normal(3))
+            tangent = np.concatenate([omega, rng.standard_normal(3)])
             back = log_map(exp_map(tangent))
-            assert np.allclose(back.as_array(), tangent.as_array(), atol=1e-9)
+            assert np.allclose(back, tangent, atol=1e-9)
 
     def test_small_angle_taylor(self):
         # 4x4 of exp(tangent) must match I + hat(tangent) to second order
         rng = np.random.default_rng(11)
-        direction = PoseTangent(rng.standard_normal(3), rng.standard_normal(3))
-        unit = direction.as_array() / direction.norm()
-        direction = PoseTangent(unit[:3], unit[3:])
+        direction = rng.standard_normal(6)
+        direction /= np.linalg.norm(direction)
         for eps in (1e-3, 1e-4):
-            scaled = PoseTangent(eps * direction.omega, eps * direction.upsilon)
+            scaled = eps * direction
             hat = np.zeros((4, 4))
-            wx, wy, wz = scaled.omega
-            hat[:3, :3] = np.array([[0, -wz, wy], [wz, 0, -wx], [-wy, wx, 0]])
-            hat[:3, 3] = scaled.upsilon
+            hat[:3, :3] = so3_hat(scaled[:3])
+            hat[:3, 3] = scaled[3:]
             err = np.max(np.abs(pose_matrix(exp_map(scaled)) - (np.eye(4) + hat)))
             assert err < 2.0 * eps**2
 
     def test_log_near_pi_raises(self):
         with pytest.raises(LogNearPi):
             log_map(Pose(rot_z(np.pi), np.zeros(3)))
+        with pytest.raises(LogNearPi):  # one frame of a stack is enough
+            log_map(Pose(np.stack([np.eye(3), rot_z(np.pi)]), np.zeros((2, 3))))
         # angle 3.0 rad is fine
         out = log_map(Pose(rot_z(3.0), np.zeros(3)))
-        assert np.allclose(out.omega, [0, 0, 3.0], atol=1e-9)
+        assert np.allclose(out[:3], [0, 0, 3.0], atol=1e-9)
 
     def test_rotation_angle(self):
         assert rotation_angle(rot_z(0.7)) == pytest.approx(0.7, abs=1e-12)
@@ -377,7 +453,7 @@ class TestPoseFileIo:
     def test_malformed_row_names_line(self, tmp_path, field, value, message):
         rng = np.random.default_rng(20)
         path = tmp_path / "poses.txt"
-        write_poses(path, [random_pose(rng) for _ in range(3)])
+        write_poses(path, oracles.stack([random_pose(rng) for _ in range(3)]))
         lines = path.read_text().splitlines()
         fields = lines[2].split()
         fields[field] = value
@@ -389,11 +465,12 @@ class TestPoseFileIo:
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(19)
-        poses = [random_pose(rng) for _ in range(5)]
+        poses = oracles.stack([random_pose(rng) for _ in range(5)])
         path = tmp_path / "poses.txt"
         write_poses(path, poses)
         back = read_poses(path)
         assert len(back) == 5
-        for a, b in zip(poses, back):
-            assert np.array_equal(a.rotation, b.rotation)
-            assert np.array_equal(a.translation, b.translation)
+        assert np.array_equal(back.rotation, poses.rotation)
+        assert np.array_equal(back.translation, poses.translation)
+        write_poses(path, poses[:0])
+        assert read_poses(path).shape == (0,)

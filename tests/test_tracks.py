@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 import oracles
 from trajcouple import tracks
 from trajcouple.errors import FileFormatError
-from trajcouple.pose import Pose, PoseTangent, exp_map, inverse, read_poses, write_poses
+from trajcouple.pose import Pose, exp_map, inverse, read_poses, write_poses
 from trajcouple.synthetic import anchor_targets
 from trajcouple.tracks import (
-    WorldTrackSet,
     read_static_mask,
     read_tracks,
     static_mask,
@@ -19,51 +18,48 @@ from trajcouple.tracks import (
 
 
 def random_pose(rng):
-    return exp_map(PoseTangent(rng.standard_normal(3), rng.standard_normal(3)))
+    return exp_map(np.concatenate([rng.standard_normal(3), rng.standard_normal(3)]))
+
+
+def all_visible(pts):
+    return np.ones(pts.shape[:2])
 
 
 class TestStaticMask:
     def test_static_point_all_ones(self):
         pts = np.tile(np.array([0.3, -0.1, 2.0]), (1, 7, 1))
         for tau in (1e-6, 0.5, 100.0):
-            mask = static_mask(WorldTrackSet(pts), anchor=0, tau=tau)
+            mask = static_mask(pts, tau, all_visible(pts))
             assert mask.all()
 
     def test_translating_point_median_reference(self):
         # one unit per frame over T=5; median reference sits at frame 2
         pts = np.zeros((1, 5, 3))
         pts[0, :, 0] = np.arange(5.0)
-        mask = static_mask(WorldTrackSet(pts), anchor=0, tau=0.5)
+        mask = static_mask(pts, 0.5, all_visible(pts))
         assert mask.tolist() == [[False, False, True, False, False]]
 
     def test_huge_tau_all_ones(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((4, 6, 3))
-        mask = static_mask(WorldTrackSet(pts), anchor=0, tau=1e9)
+        mask = static_mask(pts, 1e9, all_visible(pts))
         assert mask.all()
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((6, 8, 3))
-        gt = WorldTrackSet(pts)
         taus = [0.1, 0.5, 1.0, 2.0]
-        masks = [static_mask(gt, 0, tau) for tau in taus]
+        masks = [static_mask(pts, tau, all_visible(pts)) for tau in taus]
         for small, big in zip(masks, masks[1:]):
             assert np.all(big[small])  # tau1 <= tau2 => mask1 subset of mask2
 
     def test_rigid_invariance(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((5, 6, 3))
-        gt = WorldTrackSet(pts)
         g = random_pose(rng)
-        moved = WorldTrackSet(g.apply(pts.reshape(-1, 3)).reshape(5, 6, 3))
-        assert np.array_equal(static_mask(gt, 0, 0.7), static_mask(moved, 0, 0.7))
-
-    def test_anchor_reference_marks_anchor_static(self):
-        rng = np.random.default_rng(4)
-        pts = rng.standard_normal((4, 5, 3)) * 10
-        mask = static_mask(WorldTrackSet(pts), anchor=3, tau=1e-9, reference="anchor")
-        assert mask[:, 3].all()
+        moved = g.apply(pts.reshape(-1, 3)).reshape(5, 6, 3)
+        vis = all_visible(pts)
+        assert np.array_equal(static_mask(pts, 0.7, vis), static_mask(moved, 0.7, vis))
 
     def test_median_respects_visibility(self):
         # the outlier frame is invisible, so the median ignores it
@@ -71,15 +67,13 @@ class TestStaticMask:
         pts[0, 4, 0] = 100.0
         vis = np.ones((1, 5))
         vis[0, 4] = 0.0
-        mask = static_mask(WorldTrackSet(pts), 0, tau=0.5, visibility=vis)
+        mask = static_mask(pts, 0.5, vis)
         assert mask[0, :4].all() and not mask[0, 4]
 
     def test_bad_args(self):
         pts = np.zeros((1, 3, 3))
         with pytest.raises(ValueError):
-            static_mask(WorldTrackSet(pts), 0, tau=0.0)
-        with pytest.raises(ValueError):
-            static_mask(WorldTrackSet(pts), 5, tau=1.0)
+            static_mask(pts, 0.0, all_visible(pts))
 
 
 KINDS = ("no_visible", "one_visible", "coincident", "round_off", "dynamic", "cloud")
@@ -130,7 +124,7 @@ class TestBatchedMedian:
                               oracles.track_medians(pts, visibility))
         tau = float(rng.uniform(1e-6, 1.0))
         assert np.array_equal(
-            static_mask(WorldTrackSet(pts), 0, tau, visibility=visibility),
+            static_mask(pts, tau, all_visible(pts) if visibility is None else visibility),
             oracles.static_mask(pts, tau, visibility=visibility),
         )
 
@@ -242,7 +236,7 @@ class TestTrackFileIo:
         # targets are not stored: both of their inputs round-trip exactly,
         # so the targets derived from the files equal the originals bitwise
         pts = rng.standard_normal((3, 4, 3))
-        poses = [random_pose(rng) for _ in range(4)]
+        poses = oracles.stack([random_pose(rng) for _ in range(4)])
         write_tracks(tmp_path / "t.txt", pts, np.ones((3, 4)), np.zeros((3, 4, 2)))
         write_poses(tmp_path / "p.txt", poses)
         back = anchor_targets(read_tracks(tmp_path / "t.txt")[0], read_poses(tmp_path / "p.txt"))
