@@ -19,7 +19,6 @@ from .grad import (
     GRIDS,
     POSES,
     TRACKS,
-    ParamLayout,
     ParamStore,
     Tape,
     finite_diff_check,

@@ -262,7 +262,10 @@ def cmd_eval(args):
     })
 
     if {"ate", "rpe", "relpose"} & set(selected):
-        pair = TrajectoryPair(read_pose_file(args.pred), read_pose_file(args.gt))
+        (path, est), (gt_path, gt) = read_pose_file(args.pred), read_pose_file(args.gt)
+        if len(est) != len(gt):
+            raise FileFormatError(path, f"{len(est)} poses, but {gt_path} holds {len(gt)}")
+        pair = TrajectoryPair(est, gt)
         if "rpe" in selected and not 1 <= args.rpe_step < len(pair):
             raise ConfigInvalid("rpe_step", f"must be in [1, {len(pair)}), {len(pair)} frames")
         if "ate" in selected:
@@ -279,8 +282,11 @@ def cmd_eval(args):
             report.metadata["relpose_skipped_pairs"] = acc.n_skipped
 
     if "tracks3d" in selected:
-        est_pts, est_vis, _ = read_track_file(args.pred)
-        gt_pts, gt_vis, _ = read_track_file(args.gt)
+        (path, (est_pts, est_vis, _)), (gt_path, (gt_pts, gt_vis, _)) = (
+            read_track_file(d) for d in (args.pred, args.gt))
+        if est_pts.shape != gt_pts.shape:
+            (n, t), (gn, gt_t) = est_pts.shape[:2], gt_pts.shape[:2]
+            raise FileFormatError(path, f"{n}x{t} tracks, but {gt_path} is {gn}x{gt_t}")
         res = tapvid3d_metrics(est_pts, est_vis, gt_pts, gt_vis)
         report.add("aj_3d", res.aj)
         report.add("apd_3d", res.apd)

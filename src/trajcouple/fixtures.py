@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .grad import GRIDS, POSES, TRACKS, ParamLayout, finite_diff_check
+from .grad import GRIDS, POSES, TRACKS, ParamStore, finite_diff_check
 from .losses import TERM_BLOCKS, CouplingProblem, LossConfig, _Pass
 from .pose import exp_map
 
@@ -33,10 +33,9 @@ def random_coupling_fixture(
 ):
     """Build a (problem, store) pair with fully random smooth-regime state."""
     rng = np.random.default_rng(seed)
-    layout = ParamLayout(n_tracks, n_frames, height, width)
-    store = layout.make_store()
+    store = ParamStore.zeros(n_tracks, n_frames, height, width)
 
-    grids = store.view(GRIDS, layout.grids_shape())
+    grids = store.view(GRIDS)
     yy, xx = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     base_surface = np.stack(
         [0.1 * xx, 0.1 * yy, 1.0 + 0.05 * np.sin(xx + 0.7 * yy)], axis=-1
@@ -47,7 +46,7 @@ def random_coupling_fixture(
     q[..., 0] = rng.uniform(0.3, width - 1.3, size=(n_tracks, n_frames))
     q[..., 1] = rng.uniform(0.3, height - 1.3, size=(n_tracks, n_frames))
 
-    tracks = store.view(TRACKS, layout.tracks_shape())
+    tracks = store.view(TRACKS)
     tracks[:] = rng.standard_normal((n_tracks, n_frames, 3)) * 0.5 + np.array([0, 0, 1.0])
 
     visibility = rng.uniform(0.2, 1.0, size=(n_tracks, n_frames))
@@ -60,14 +59,13 @@ def random_coupling_fixture(
     static_mask[0, :] = True
 
     base_poses = exp_map(rng.standard_normal((n_frames, 6)) * np.repeat([0.4, 0.5], 3))
-    tangents = store.view(POSES, layout.poses_shape())
+    tangents = store.view(POSES)
     tangents[:] = 0.3 * rng.standard_normal((n_frames, 6))
 
     targets = rng.standard_normal((n_tracks, n_frames, 3)) * 0.5
 
     config = LossConfig(use_cons=True, use_cam=not selfsup, use_anchor=selfsup)
     problem = CouplingProblem(
-        layout,
         base_poses,
         query_pixels=q,
         visibility=visibility,
@@ -80,27 +78,24 @@ def random_coupling_fixture(
 
     # Residual norms of every active term's Huber, for the delta kink guard,
     # from a copy: the returned problem compiles its geometry on first use.
-    ps = _Pass(replace(problem), *problem.views(store), None)
+    ps = _Pass(replace(problem), store, None)
     live = ps.anchor if selfsup else ps.cam_residual
     norms = np.concatenate([ps.cons[-1], live[-1]])
     problem.config = replace(config, delta=_pick_safe_delta(norms))
     return problem, store
 
 
-def _anchor_grid_indices(problem, rng, count):
-    """Grid indices restricted to the anchor frame (the live side of the anchor term)."""
-    lo = problem.layout.grid_base(problem.anchor, 0, 0)
-    hi = problem.layout.grid_base(problem.anchor, problem.layout.height - 1,
-                                  problem.layout.width - 1) + 3
-    return rng.integers(lo, hi, size=count)
-
-
 def pick_indices(problem, store, term, block, rng, count=6):
-    """Sample indices of `block` that the given term may legitimately touch."""
-    size = store[block].size
+    """Sample indices of `block` that the given term may legitimately touch.
+
+    The anchor term's grid indices lie in the anchor frame, the live side of
+    the term.
+    """
     if term == "anchor" and block == GRIDS:
-        return _anchor_grid_indices(problem, rng, count)
-    return rng.integers(0, size, size=count)
+        frame_size = store.view(GRIDS)[0].size
+        lo = problem.anchor * frame_size
+        return rng.integers(lo, lo + frame_size, size=count)
+    return rng.integers(0, store[block].size, size=count)
 
 
 def gradcheck_sweep(

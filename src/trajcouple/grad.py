@@ -1,11 +1,14 @@
 """Parameter blocks, a gradient tape, and a finite-difference checker.
 
-The optimization state lives in three named flat blocks:
+The optimization state lives in three named blocks:
 
-* ``grids``  — all pointmap values, frame-major ``(t, y, x, component)``
-* ``tracks`` — all trajectory points, track-major ``(i, t, component)``
+* ``grids``  — the pointmaps, ``(T, H, W, 3)``
+* ``tracks`` — the camera-frame trajectory points, ``(N, T, 3)``
 * ``poses``  — per-frame 6-vector tangents ``(omega, upsilon)`` relative to
-  held base poses
+  held base poses, ``(T, 6)``
+
+The tape holds one flat gradient per block, indexed like the block's flat
+(C-order) view.
 
 Losses scatter analytic partial derivatives into a Tape, or add a dense
 block-sized gradient.  The tape adds whatever it is given; a detached
@@ -14,8 +17,6 @@ factor gets no gradient because no sub-term forms partials for it (see
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,44 +28,48 @@ POSES = "poses"
 
 
 class ParamStore:
-    """Named flat float64 parameter blocks of fixed sizes."""
+    """Named float64 parameter blocks, each held in its own shape.
+
+    ``view(name)`` is the shaped block and ``store[name]`` its flat view;
+    both share memory with the block.  The store copies its inputs, so
+    refining it in place leaves them untouched.
+    """
 
     def __init__(self, blocks: dict):
-        self.blocks = {
-            name: np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
-            for name, arr in blocks.items()
-        }
+        self.blocks = {name: np.array(arr, dtype=np.float64, order="C")
+                       for name, arr in blocks.items()}
 
     @classmethod
-    def from_sizes(cls, sizes: dict):
-        return cls({name: np.zeros(size) for name, size in sizes.items()})
+    def zeros(cls, n_tracks, n_frames, height, width):
+        """The three blocks of n_tracks tracks over n_frames height x width frames, all zero."""
+        return cls({
+            GRIDS: np.zeros((n_frames, height, width, 3)),
+            TRACKS: np.zeros((n_tracks, n_frames, 3)),
+            POSES: np.zeros((n_frames, 6)),
+        })
 
-    def __getitem__(self, name):
+    def view(self, name):
         try:
             return self.blocks[name]
         except KeyError:
             raise UnknownBlock(f"unknown block {name!r}")
 
-    def view(self, name, shape):
-        """Reshaped view sharing memory with the flat block."""
-        return self[name].reshape(shape)
-
-    def sizes(self):
-        return {name: arr.size for name, arr in self.blocks.items()}
+    def __getitem__(self, name):
+        return self.view(name).reshape(-1)
 
     def copy(self):
-        return ParamStore({name: arr.copy() for name, arr in self.blocks.items()})
+        return ParamStore(self.blocks)
 
     def copy_into(self, other: "ParamStore"):
         for name, arr in self.blocks.items():
-            np.copyto(other[name], arr)
+            np.copyto(other.view(name), arr)
 
 
 class Tape:
-    """Per-block gradient accumulator aligned with a ParamStore layout."""
+    """Per-block flat gradient accumulator aligned with a ParamStore's flat views."""
 
     def __init__(self, store: ParamStore):
-        self.grads = {name: np.zeros(size) for name, size in store.sizes().items()}
+        self.grads = {name: np.zeros(arr.size) for name, arr in store.blocks.items()}
 
     def reset(self):
         for g in self.grads.values():
@@ -107,48 +112,6 @@ class Tape:
             (max(float(g.max()), -float(g.min())) if g.size else 0.0)
             for g in self.grads.values()
         ]))
-
-
-@dataclass(frozen=True)
-class ParamLayout:
-    """Index arithmetic for the standard three-block layout."""
-
-    n_tracks: int
-    n_frames: int
-    height: int
-    width: int
-
-    def sizes(self):
-        return {
-            GRIDS: self.n_frames * self.height * self.width * 3,
-            TRACKS: self.n_tracks * self.n_frames * 3,
-            POSES: self.n_frames * 6,
-        }
-
-    def make_store(self):
-        return ParamStore.from_sizes(self.sizes())
-
-    def grid_base(self, t, y, x):
-        """Flat index of the first component of grids[t, y, x]."""
-        return ((np.asarray(t) * self.height + np.asarray(y)) * self.width + np.asarray(x)) * 3
-
-    def pose_base(self, t):
-        return np.asarray(t) * 6
-
-    def grids_shape(self):
-        return (self.n_frames, self.height, self.width, 3)
-
-    def tracks_shape(self):
-        return (self.n_tracks, self.n_frames, 3)
-
-    def poses_shape(self):
-        return (self.n_frames, 6)
-
-
-def vector_indices(base):
-    """Expand base indices of 3-vectors into per-component flat indices."""
-    base = np.asarray(base)
-    return (base[..., None] + np.arange(3, dtype=base.dtype)).reshape(-1)
 
 
 def finite_diff_check(

@@ -23,10 +23,11 @@ around held base poses, with the transform acting as
 ``omega`` uses the SO(3) left Jacobian and is exact at any tangent value.
 
 A CouplingProblem compiles its sample geometry (valid samples, their
-bilinear sampling operator S, anchor references) on first use; every term
-then runs through one shared pass per evaluation, driven by one term
-table.  The grid-writing terms queue their sample coefficients, and the
-pass applies S^T once, over all of them in term order, at its end.
+bilinear sampling operator S, anchor references) from the grid shape of
+the first store it evaluates; every term then runs through one shared
+pass per evaluation, driven by one term table.  The grid-writing terms
+queue their sample coefficients, and the pass applies S^T once, over all
+of them in term order, at its end.
 """
 
 from __future__ import annotations
@@ -38,15 +39,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigDocument, ConfigInvalid, MissingTargets
-from .grad import (
-    GRIDS,
-    POSES,
-    TRACKS,
-    ParamLayout,
-    ParamStore,
-    Tape,
-    vector_indices,
-)
+from .grad import GRIDS, POSES, TRACKS, ParamStore, Tape
 from .pointmap import BilinearSampler
 from .pose import Pose, compose, exp_map, so3_left_jacobian
 from .tracks import MIN_VISIBLE_WEIGHT
@@ -120,7 +113,7 @@ class _Geometry:
     a_w: np.ndarray  # (Ma,) their weights vis[i, t] * vis[i, anchor]
 
 
-def _compile(layout: ParamLayout, query_pixels, visibility, anchor):
+def _compile(grid_shape, query_pixels, visibility, anchor):
     visibility = np.asarray(visibility, dtype=np.float64)
     n, t = visibility.shape
     if not 0 <= anchor < t:
@@ -128,7 +121,7 @@ def _compile(layout: ParamLayout, query_pixels, visibility, anchor):
     ii, tt = np.nonzero(visibility >= MIN_VISIBLE_WEIGHT)
     flat = ii * t + tt
     q = np.take(np.asarray(query_pixels, dtype=np.float64).reshape(-1, 2), flat, axis=0)
-    sampler = BilinearSampler(layout.grids_shape(), tt, q[:, 0], q[:, 1])
+    sampler = BilinearSampler(grid_shape, tt, q[:, 0], q[:, 1])
     position = np.full(n * t, -1, dtype=np.int64)
     position[flat] = np.arange(flat.size)
     anchor_ref = position[ii * t + anchor]
@@ -150,13 +143,13 @@ def _rows(arr, flat):
 class _Pass:
     """One evaluation: parameter views, the tape, and intermediates shared by terms."""
 
-    def __init__(self, problem, track_pts, grid_stack, tangents, tape):
+    def __init__(self, problem, store, tape):
         self.problem = problem
         self.cfg = problem.config
-        self.geo = problem.geometry()
-        self.track_pts = track_pts
-        self.grid_stack = grid_stack
-        self.tangents = tangents
+        self.track_pts = store.view(TRACKS)
+        self.grid_stack = store.view(GRIDS)
+        self.tangents = store.view(POSES)
+        self.geo = problem.geometry(self.grid_stack.shape)
         self.tape = tape
         self.grad = tape is not None  # value-only passes skip the Huber gradients
         self.grid_coeffs = []  # (coeff, index) of the grid-writing terms, in term order
@@ -167,13 +160,18 @@ class _Pass:
         For y = exp(omega) z + upsilon and downstream gradient g:
         d/d upsilon = g and d/d omega = J_l(omega)^T (a x g) with a = exp(omega) z.
         """
-        pose_base = self.problem.layout.pose_base(frames)
+        pose_base = frames * 6
         ups_idx = (pose_base[:, None] + np.arange(3, 6)).reshape(-1)
         self.tape.scatter(POSES, ups_idx, gvec.reshape(-1))
         cross = np.cross(a_sel, gvec)
         gw = np.einsum("mji,mj->mi", np.take(self.left_jac, frames, axis=0), cross)
         om_idx = (pose_base[:, None] + np.arange(3)).reshape(-1)
         self.tape.scatter(POSES, om_idx, gw.reshape(-1))
+
+    def scatter_tracks(self, coeff):
+        """Accumulate (M, 3) per-sample partials into the tracks block."""
+        idx = (self.geo.flat[:, None] * 3 + np.arange(3)).reshape(-1)
+        self.tape.scatter(TRACKS, idx, coeff.reshape(-1))
 
     def add_grids(self, coeff, index):
         """Queue S[index]^T @ coeff for the grid block."""
@@ -296,8 +294,7 @@ class _Pass:
 
 
 # Sub-terms: each returns its unweighted value and, with a tape, adds its
-# partials to the blocks TERM_BLOCKS lists for it.  The tape expects the
-# standard layout of the problem.
+# partials to the blocks TERM_BLOCKS lists for it.
 
 def _cons_pointmap(ps: _Pass):
     value, coeff, _ = ps.cons
@@ -309,8 +306,7 @@ def _cons_pointmap(ps: _Pass):
 def _cons_track(ps: _Pass):
     value, coeff, _ = ps.cons
     if ps.tape is not None:
-        idx = vector_indices(ps.geo.flat * 3)
-        ps.tape.scatter(TRACKS, idx, coeff.reshape(-1))
+        ps.scatter_tracks(coeff)
     return value
 
 
@@ -319,8 +315,7 @@ def _cam_track(ps: _Pass):
     if ps.tape is not None:
         coeff = (ps.cfg.weight_cam * ps.geo.w)[:, None] * g
         gp = np.einsum("mji,mj->mi", np.take(ps.r_cur, ps.geo.tt, axis=0), coeff)
-        idx = vector_indices(ps.geo.flat * 3)
-        ps.tape.scatter(TRACKS, idx, gp.reshape(-1))
+        ps.scatter_tracks(gp)
     return value
 
 
@@ -348,8 +343,8 @@ def _cam_stats(ps: _Pass):
 
 
 def _anchor_stats(ps: _Pass):
-    layout = ps.problem.layout
-    return ps.anchor[4], layout.n_tracks * (layout.n_frames - 1) - ps.anchor[1].size
+    n, t = ps.problem.visibility.shape
+    return ps.anchor[4], n * (t - 1) - ps.anchor[1].size
 
 
 TERMS = {
@@ -481,11 +476,11 @@ class CouplingProblem:
     problem has no 3D labels.  tau_static is the threshold of the provisional
     static mask that refresh_static_mask computes.  query_pixels, visibility
     and anchor are fixed for the problem's lifetime (their geometry is
-    compiled once, on first use); static_mask, targets, base poses, config
+    compiled once, for the grid shape of the first store evaluated, which
+    every later store shares); static_mask, targets, base poses, config
     and tau_static may be reassigned between evaluations.
     """
 
-    layout: ParamLayout
     base: Pose
     query_pixels: np.ndarray
     visibility: np.ndarray
@@ -496,21 +491,15 @@ class CouplingProblem:
     anchor: int = 0
     _geometry: Optional[_Geometry] = field(default=None, init=False, repr=False, compare=False)
 
-    def views(self, store: ParamStore):
-        return (
-            store.view(TRACKS, self.layout.tracks_shape()),
-            store.view(GRIDS, self.layout.grids_shape()),
-            store.view(POSES, self.layout.poses_shape()),
-        )
-
-    def geometry(self) -> _Geometry:
+    def geometry(self, grid_shape) -> _Geometry:
+        """The sample geometry, compiled for the grid shape of the first store evaluated."""
         if self._geometry is None:
-            self._geometry = _compile(self.layout, self.query_pixels, self.visibility, self.anchor)
+            self._geometry = _compile(grid_shape, self.query_pixels, self.visibility, self.anchor)
         return self._geometry
 
     def evaluate(self, store: ParamStore, tape: Optional[Tape] = None) -> LossBreakdown:
         """Enabled terms as a breakdown; without a tape no gradients are formed."""
-        ps = _Pass(self, *self.views(store), tape)
+        ps = _Pass(self, store, tape)
         terms, total = {}, 0.0
         for group in GROUPS:
             if getattr(self.config, group.toggle):
@@ -524,7 +513,7 @@ class CouplingProblem:
         group = next((g for g in GROUPS if term in g.terms), None)
         if group is None:
             raise ValueError(f"unknown term {term!r}")
-        ps = _Pass(self, *self.views(store), tape)
+        ps = _Pass(self, store, tape)
         value = TERMS[term](ps)
         ps.flush_grids()
         return getattr(self.config, group.weight) * value
@@ -534,20 +523,19 @@ class CouplingProblem:
 
     def refresh_static_mask(self, store: ParamStore):
         """Recompute the provisional static mask from the current state."""
-        _, grid_stack, tangents = self.views(store)
+        grid_stack = store.view(GRIDS)
         self.static_mask = _reprojection_mask(
-            self.geometry(), self.visibility.shape, grid_stack, self.base, exp_map(tangents),
-            self.tau_static,
+            self.geometry(grid_stack.shape), self.visibility.shape, grid_stack, self.base,
+            exp_map(store.view(POSES)), self.tau_static,
         )
 
     def current_poses(self, store: ParamStore) -> Pose:
         """The relative poses of the current state, exp(tangents) * base."""
-        _, _, tangents = self.views(store)
-        return compose(exp_map(tangents), self.base)
+        return compose(exp_map(store.view(POSES)), self.base)
 
     def fold_pose_tangents(self, store: ParamStore):
         """Fold the tangent block into the base poses and zero the block."""
-        _, _, tangents = self.views(store)
+        tangents = store.view(POSES)
         if not np.any(tangents):
             return
         self.base = self.current_poses(store)

@@ -26,6 +26,7 @@ from .tracks import MIN_VISIBLE_WEIGHT
 from . import metrics as _metrics
 
 _BLOCK_STEP_FIELDS = {GRIDS: "step_grids", TRACKS: "step_tracks", POSES: "step_poses"}
+STEP_GROWTH = 2.0  # factor of the shared step scale after an accepted step
 MAX_STEP_SCALE = 1024.0  # cap of the shared step scale
 GRAD_TOL = 1e-12  # a largest gradient entry below this is stationary
 
@@ -40,9 +41,7 @@ class OptimConfig(ConfigDocument):
     max_epochs: int = 200
     tol: float = 1e-8
     tol_window: int = 5
-    clip_norm: float = 0.0
     max_backtracks: int = 20
-    step_growth: float = 2.0
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self):
@@ -115,9 +114,8 @@ def pose_tangent_rms(est_poses: Pose, gt_poses: Pose):
 
 def scene_error_metrics(scene: SyntheticScene, problem: CouplingProblem, store: ParamStore) -> dict:
     """Errors of the current state against the scene's ground truth."""
-    layout = problem.layout
-    est_grids = store.view(GRIDS, layout.grids_shape())
-    est_tracks = store.view(TRACKS, layout.tracks_shape())
+    est_grids = store.view(GRIDS)
+    est_tracks = store.view(TRACKS)
     rel_est = problem.current_poses(store)
 
     out = {
@@ -190,13 +188,7 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
 
         # the tape's own blocks: no evaluation touches the tape until the next epoch
         grads = {block: tape.grad(block) for block in steps}
-        if cfg.clip_norm > 0.0:
-            for g in grads.values():
-                nrm = float(np.linalg.norm(g))
-                if nrm > cfg.clip_norm:
-                    g *= cfg.clip_norm / nrm
-
-        trial = min(step_scale * cfg.step_growth, MAX_STEP_SCALE)
+        trial = min(step_scale * STEP_GROWTH, MAX_STEP_SCALE)
         accepted = False
         cand_loss = np.inf
         for _ in range(cfg.max_backtracks + 1):

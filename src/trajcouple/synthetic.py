@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (ConfigDocument, ConfigInvalid, FileFormatError, OutOfDomain,
                      read_json_object)
-from .grad import GRIDS, TRACKS, ParamLayout, ParamStore
+from .grad import GRIDS, POSES, TRACKS, ParamStore
 from .losses import CouplingProblem, LossConfig, transform_samples
 from .pointmap import BilinearSampler, PointMapGrid, check_domain, read_pointmap, write_pointmap
 from .pose import Pose, compose, exp_map, inverse, read_poses, relative_pose, write_poses
@@ -122,10 +122,6 @@ class SyntheticScene:
     @property
     def n_frames(self):
         return self.gt_tracks.shape[1]
-
-    def layout(self):
-        t, h, w, _ = self.gt_grids.shape
-        return ParamLayout(self.n_tracks, t, h, w)
 
 
 def _lookat(eye, target, up=(0.0, 0.0, 1.0)):
@@ -347,11 +343,11 @@ def perturb(scene: SyntheticScene, sigma_pointmap, sigma_track, sigma_pose, seed
 
 def initial_store(scene: SyntheticScene) -> ParamStore:
     """ParamStore holding the scene's noisy estimates (pose tangents zero)."""
-    layout = scene.layout()
-    store = layout.make_store()
-    store.view(GRIDS, layout.grids_shape())[:] = scene.est_grids
-    store.view(TRACKS, layout.tracks_shape())[:] = scene.est_tracks
-    return store
+    return ParamStore({
+        GRIDS: scene.est_grids,
+        TRACKS: scene.est_tracks,
+        POSES: np.zeros((scene.n_frames, 6)),
+    })
 
 
 def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> CouplingProblem:
@@ -372,7 +368,6 @@ def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> Couplin
         visibility, targets = scene.pseudo_visibility, None
         mask = np.ones_like(scene.visibility, dtype=bool)
     return CouplingProblem(
-        scene.layout(),
         scene.est_rel_poses,
         query_pixels=scene.query_pixels,
         visibility=visibility,
@@ -439,19 +434,20 @@ def read_frames(frame_dir):
 
 
 def read_track_file(frame_dir):
-    """(points, visibility, query_pixels) of a frame directory's tracks."""
-    return read_tracks(os.path.join(frame_dir, "tracks.txt"))
+    """(path, (points, visibility, query_pixels)) of a frame directory's tracks."""
+    path = os.path.join(frame_dir, "tracks.txt")
+    return path, read_tracks(path)
 
 
 def read_pose_file(frame_dir):
-    """The relative poses of a frame directory, else its camera poses (gt/ only).
+    """(path, poses) of a frame directory's relative poses, else its camera poses (gt/ only).
 
     Every pose metric is invariant to the global transform between the two.
     """
     for name in ("rel_poses.txt", "poses.txt"):
         path = os.path.join(frame_dir, name)
         if os.path.exists(path):
-            return read_poses(path)
+            return path, read_poses(path)
     raise FileFormatError(
         os.path.join(frame_dir, "rel_poses.txt"), "missing input file (or poses.txt)"
     )

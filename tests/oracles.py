@@ -164,7 +164,7 @@ def grid_gradient(problem, store, terms):
     scatter did before S^T became one product per pass.  The coefficients
     are the pass's own intermediates.
     """
-    ps = _Pass(problem, *problem.views(store), Tape(store))
+    ps = _Pass(problem, store, Tape(store))
     sampler = ps.geo.sampler
     grad = np.zeros(store[GRIDS].size)
     for term in terms:

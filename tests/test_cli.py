@@ -413,6 +413,8 @@ class TestConfigDocuments:
         ("optimize", {"wat": 1}, "wat"),
         ("optimize", {"loss": {"gate_static": False}}, "gate_static"),  # set by the ablation
         ("optimize", {"mode": "selfsup"}, "mode"),  # no longer a field
+        ("optimize", {"clip_norm": 1.0}, "clip_norm"),  # no longer a field
+        ("optimize", {"step_growth": 2.0}, "step_growth"),  # no longer a field
     ])
     def test_bad_field_exit_2_names_field(
         self, tmp_path, capsys, noisy_scenes, command, doc, field
@@ -556,6 +558,19 @@ class TestEval:
             bad = pred / "frame_002.pm"
             grid = read_pointmap(bad)
             write_pointmap(bad, PointMapGrid(grid.points[:5], grid.frame_index))
+        code = main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                     "--metrics", metrics, "--out", str(tmp_path / "e")])
+        assert code == 3
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["pose_count", "track_count"])
+    def test_mismatched_count_exit_3_names_file(self, tmp_path, capsys, case):
+        scene = self.make_dirs(tmp_path)
+        if case == "pose_count":  # 4 of the 5 poses
+            bad, metrics = scene / "est" / "rel_poses.txt", "ate"
+            write_poses(bad, read_poses(bad)[:-1])
+        else:  # 15 of the 16 tracks
+            bad, metrics = cut_rows(scene / "est" / "tracks.txt", slice(1, None)), "tracks3d"
         code = main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
                      "--metrics", metrics, "--out", str(tmp_path / "e")])
         assert code == 3

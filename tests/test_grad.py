@@ -11,7 +11,6 @@ from trajcouple.grad import (
     GRIDS,
     POSES,
     TRACKS,
-    ParamLayout,
     ParamStore,
     Tape,
     finite_diff_check,
@@ -19,7 +18,8 @@ from trajcouple.grad import (
 
 
 def small_store():
-    return ParamStore.from_sizes({GRIDS: 12, TRACKS: 9, POSES: 6})
+    """Blocks of 12 grid, 9 track and 6 pose values."""
+    return ParamStore.zeros(n_tracks=3, n_frames=1, height=2, width=2)
 
 
 class TestTape:
@@ -55,7 +55,8 @@ class TestTape:
     def test_max_abs_equals_max_of_abs(self, values):
         # NaN, +-inf, -0.0 and an empty block read as np.max over blocks of
         # np.max(np.abs(g)): a NaN in any block, not just the first, gives NaN
-        tape = Tape(ParamStore.from_sizes(dict(zip((GRIDS, TRACKS, POSES), map(len, values)))))
+        blocks = (GRIDS, TRACKS, POSES)
+        tape = Tape(ParamStore({b: np.zeros(len(v)) for b, v in zip(blocks, values)}))
         for block, vals in zip((GRIDS, TRACKS, POSES), values):
             tape.grad(block)[:] = vals
         ref = np.max([(float(np.max(np.abs(g))) if g.size else 0.0) for g in tape.grads.values()])
@@ -92,8 +93,8 @@ class TestTape:
 class TestParamStore:
     def test_view_shares_memory(self):
         store = small_store()
-        view = store.view(TRACKS, (3, 3))
-        view[1, 1] = 7.0
+        view = store.view(TRACKS)
+        view[1, 0, 1] = 7.0
         assert store[TRACKS][4] == 7.0
 
     def test_copy_is_independent(self):
@@ -102,12 +103,22 @@ class TestParamStore:
         dup[TRACKS][0] = 1.0
         assert store[TRACKS][0] == 0.0
 
-    def test_layout_sizes(self):
-        layout = ParamLayout(n_tracks=3, n_frames=4, height=5, width=6)
-        sizes = layout.sizes()
-        assert sizes == {GRIDS: 4 * 5 * 6 * 3, TRACKS: 3 * 4 * 3, POSES: 24}
-        assert layout.grid_base(1, 2, 3) == ((1 * 5 + 2) * 6 + 3) * 3
-        assert layout.pose_base(3) == 18
+    def test_zeros_block_shapes(self):
+        store = ParamStore.zeros(n_tracks=3, n_frames=4, height=5, width=6)
+        assert {name: store.view(name).shape for name in (GRIDS, TRACKS, POSES)} == {
+            GRIDS: (4, 5, 6, 3), TRACKS: (3, 4, 3), POSES: (4, 6)}
+        assert not np.any(store[GRIDS]) and store[GRIDS].size == 4 * 5 * 6 * 3
+        store.view(GRIDS)[1, 2, 3, 0] = 1.0
+        assert store[GRIDS][((1 * 5 + 2) * 6 + 3) * 3] == 1.0
+        with pytest.raises(UnknownBlock):
+            store.view("nope")
+
+    def test_copies_its_inputs(self):
+        grids = np.ones((1, 2, 2, 3))
+        store = ParamStore({GRIDS: grids})
+        store.view(GRIDS)[:] = 2.0
+        store.copy().view(GRIDS)[:] = 3.0
+        assert np.all(grids == 1.0) and np.all(store[GRIDS] == 2.0)
 
 
 class TestFiniteDiffCheck:

@@ -12,7 +12,7 @@ from test_pose import assert_poses_equal, tangent_stacks
 from trajcouple import losses
 from trajcouple.errors import MissingTargets, OutOfDomain
 from trajcouple.fixtures import random_coupling_fixture
-from trajcouple.grad import GRIDS, POSES, TRACKS, ParamLayout, Tape
+from trajcouple.grad import GRIDS, POSES, TRACKS, ParamStore, Tape
 from trajcouple.losses import (
     CouplingProblem,
     LossBreakdown,
@@ -35,8 +35,6 @@ from trajcouple.pose import (
 )
 from trajcouple.synthetic import SceneConfig, build_problem, generate, initial_store
 
-SINGLE_LAYOUT = ParamLayout(1, 1, 2, 2)
-
 
 def single_sample_problem(delta=0.5, **config):
     """One track, one frame, 2x2 grid, query at the cell center, identity pose.
@@ -48,12 +46,12 @@ def single_sample_problem(delta=0.5, **config):
     grid = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 1.2]], [[0.0, 1.0, 0.8], [1.0, 1.0, 1.0]]])
     p_tilde = grid.reshape(4, 3).mean(axis=0)
     p_hat = p_tilde + np.array([0.03, -0.02, 0.05])
-    store = SINGLE_LAYOUT.make_store()
-    store.view(GRIDS, SINGLE_LAYOUT.grids_shape())[:] = grid
-    store.view(TRACKS, SINGLE_LAYOUT.tracks_shape())[:] = p_hat
+    store = ParamStore.zeros(1, 1, 2, 2)
+    store.view(GRIDS)[:] = grid
+    store.view(TRACKS)[:] = p_hat
     targets = (p_hat + np.array([-0.04, 0.01, 0.02])).reshape(1, 1, 3)
     problem = CouplingProblem(
-        SINGLE_LAYOUT, exp_map(np.zeros((1, 6))), np.full((1, 1, 2), 0.5), np.ones((1, 1)),
+        exp_map(np.zeros((1, 6))), np.full((1, 1, 2), 0.5), np.ones((1, 1)),
         np.ones((1, 1), dtype=bool), targets, LossConfig(delta=delta, **config), tau_static=0.02,
     )
     return problem, store, p_tilde, p_hat
@@ -61,7 +59,7 @@ def single_sample_problem(delta=0.5, **config):
 
 def track_point(problem, store):
     """The single sample's track point, as a writable view of the store."""
-    return problem.views(store)[0][0, 0]
+    return store.view(TRACKS)[0, 0]
 
 
 class TestHuber:
@@ -362,7 +360,7 @@ class TestTotalLoss:
         # scaling geometry and delta by s multiplies small-residual losses by s^2
         s = 2.0
         problem, store = random_coupling_fixture(7)
-        tracks, grids, tangents = problem.views(store)
+        tracks, grids, tangents = (store.view(b) for b in (TRACKS, GRIDS, POSES))
         # shrink residuals into the quadratic zone
         x, y = problem.query_pixels[..., 0], problem.query_pixels[..., 1]
         from trajcouple.pointmap import BilinearSampler
@@ -426,7 +424,7 @@ class TestCompiledProblem:
     def test_out_of_domain_pixel_raises_at_first_evaluation(self):
         problem, store = random_coupling_fixture(4)
         problem.query_pixels = problem.query_pixels.copy()
-        problem.query_pixels[1, 2] = (problem.layout.width + 0.5, 1.0)
+        problem.query_pixels[1, 2] = (store.view(GRIDS).shape[2] + 0.5, 1.0)
         problem.visibility[1, 2] = 1.0
         with pytest.raises(OutOfDomain):
             problem.evaluate(store)
@@ -464,8 +462,8 @@ class TestBatchedPoseWork:
     def test_matches_per_frame_oracle(self, tangents, seed):
         problem, store = random_coupling_fixture(0, n_frames=len(tangents))
         problem.base = base = random_base_poses(np.random.default_rng(seed), len(tangents))
-        problem.views(store)[2][:] = tangents
-        ps = _Pass(problem, *problem.views(store), Tape(store))
+        store.view(POSES)[:] = tangents
+        ps = _Pass(problem, store, Tape(store))
         exp_rot, left_jac, upsilon = oracles.step_stacks(tangents)
         assert np.array_equal(ps.step.rotation, exp_rot)
         assert np.array_equal(ps.step.translation, upsilon)
@@ -477,7 +475,7 @@ class TestBatchedPoseWork:
     def test_fold_reorthonormalizes_like_oracle(self):
         # 130 folds cross REORTHO_PERIOD twice
         problem, store = random_coupling_fixture(7, n_frames=5)
-        _, _, tangents = problem.views(store)
+        tangents = store.view(POSES)
         expected = list(problem.base)
         rng = np.random.default_rng(8)
         resets = 0
@@ -518,7 +516,7 @@ class TestPassSharing:
         monkeypatch.setattr(losses, "_huber_batch",
                             lambda res, *args: sizes.append(len(res)) or real(res, *args))
         problem.evaluate(store, Tape(store))
-        n_valid = problem.geometry().flat.size
+        n_valid = problem.geometry(store.view(GRIDS).shape).flat.size
         assert sizes == [n_valid, n_valid]  # cons, then cam; the pose half indexes cam's
 
     def test_jacobians_only_for_gradients(self, monkeypatch):
@@ -572,8 +570,7 @@ def mask_cases(draw):
     tangents = 0.1 * rng.standard_normal((t, 6)) if draw(st.booleans()) else np.zeros((t, 6))
     # tau far above every deviation keeps tau; far below takes the quantile branch
     tau = draw(st.one_of(st.sampled_from([1e-9, 1e3]), st.floats(1e-6, 2.0)))
-    layout = ParamLayout(n, t, h, w)
-    geo = _compile(layout, query, visibility, draw(st.integers(0, t - 1)))
+    geo = _compile((t, h, w, 3), query, visibility, draw(st.integers(0, t - 1)))
     return geo, (n, t), grids, random_base_poses(rng, t), tangents, tau
 
 

@@ -169,7 +169,7 @@ class TestOcclusion:
         store = initial_store(scene)
         # corrupt the occluded samples arbitrarily: loss must not change
         bd1 = problem.evaluate(store).total
-        tracks = store.view("tracks", problem.layout.tracks_shape())
+        tracks = store.view("tracks")
         tracks[scene.visibility == 0.0] += 1e6
         bd2 = problem.evaluate(store).total
         assert bd1 == bd2
