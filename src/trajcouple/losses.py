@@ -23,11 +23,12 @@ around held base poses, with the transform acting as
 ``omega`` uses the SO(3) left Jacobian and is exact at any tangent value.
 
 A CouplingProblem compiles its sample geometry (valid samples, their
-bilinear sampling operator S, anchor references) from the grid shape of
-the first store it evaluates; every term then runs through one shared
-pass per evaluation, driven by one term table.  The grid-writing terms
-queue their sample coefficients, and the pass applies S^T once, over all
-of them in term order, at its end.
+bilinear sampling operator S, anchor references, and S^T over the samples
+followed by the anchor samples) from the grid shape of the first store it
+evaluates, and rejects a later store of other shapes; every term then runs
+through one shared pass per evaluation, driven by one term table.  The
+grid-writing terms queue their sample coefficients, and the pass applies
+S^T once, over all of them in term order, at its end.
 """
 
 from __future__ import annotations
@@ -49,13 +50,26 @@ DEFAULT_DELTA = 0.05
 
 def _huber_batch(res, delta, grad=True):
     """Vectorized Huber values, gradients (None unless grad) and norms of (M, 3) residuals."""
-    norms = np.linalg.norm(res, axis=1)
+    sq = res * res
+    # np.linalg.norm(res, axis=1) sums each row as (x^2 + y^2) + z^2 too
+    norms = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
     quad = norms <= delta
     vals = np.where(quad, 0.5 * norms * norms, delta * (norms - 0.5 * delta))
     if not grad:
         return vals, None, norms
     scale = np.where(quad, 1.0, delta / np.maximum(norms, 1e-300))
     return vals, res * scale[:, None], norms
+
+
+def _cross(a, b):
+    """Row-wise a x b of (M, 3) arrays: np.cross's component products, in its order."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    out = np.empty(a.shape)
+    out[:, 0] = a1 * b2 - a2 * b1
+    out[:, 1] = a2 * b0 - a0 * b2
+    out[:, 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def transform_samples(base: Pose, step: Pose, frames, pts):
@@ -69,10 +83,10 @@ def transform_samples(base: Pose, step: Pose, frames, pts):
     """
     frames = np.asarray(frames, dtype=np.int64)
     pts = np.asarray(pts, dtype=np.float64)
-    z = np.einsum("mij,mj->mi", np.take(base.rotation, frames, axis=0), pts)
-    z += np.take(base.translation, frames, axis=0)
-    a = np.einsum("mij,mj->mi", np.take(step.rotation, frames, axis=0), z)
-    return a + np.take(step.translation, frames, axis=0), a
+    z = np.einsum("mij,mj->mi", base.rotation.take(frames, axis=0), pts)
+    z += base.translation.take(frames, axis=0)
+    a = np.einsum("mij,mj->mi", step.rotation.take(frames, axis=0), z)
+    return a + step.translation.take(frames, axis=0), a
 
 
 @dataclass
@@ -90,9 +104,10 @@ class TermStats:
 def _stats(name, value, norms, n_skipped):
     if norms is None or norms.size == 0:
         return TermStats(name, 0.0, 0, int(n_skipped), 0.0, 0.0)
+    # the sum over the count is np.mean's own formula, without its wrapper
     return TermStats(
         name, float(value), int(norms.size), int(n_skipped),
-        float(norms.mean()), float(norms.max()),
+        float(np.add.reduce(norms)) / norms.size, float(np.maximum.reduce(norms)),
     )
 
 
@@ -101,16 +116,29 @@ def _stats(name, value, norms, n_skipped):
 
 @dataclass
 class _Geometry:
-    """Sample geometry of a problem: pixels, visibility and anchor."""
+    """Sample geometry of a problem: pixels, visibility and anchor, for one grid shape."""
 
+    shape: tuple  # (N, T) of the visibility
+    grid_shape: tuple  # (T, H, W, 3) of the grids it was compiled for
     tt: np.ndarray  # (M,) frame of each valid sample, row-major over (i, t)
     flat: np.ndarray  # (M,) i * T + t, the sample's row in (N*T, 3) views
+    track_idx: np.ndarray  # (3M,) flat * 3 + (0, 1, 2), the samples' entries of the tracks block
     w: np.ndarray  # (M,) visibility weights
-    sampler: BilinearSampler  # footprints of the valid samples
+    sampler: BilinearSampler  # footprints of the valid samples, then of anchor_ref[a_pos]
     n_skipped: int
     anchor_ref: np.ndarray  # (M,) position of the track's anchor sample, -1 if not valid
     a_pos: np.ndarray  # (Ma,) positions the anchor term may use (before static gating)
+    a_flat: np.ndarray  # (Ma,) their flat rows
     a_w: np.ndarray  # (Ma,) their weights vis[i, t] * vis[i, anchor]
+
+    def check(self, store):
+        """Raise ValueError unless the store's blocks have the shapes compiled for."""
+        n, t = self.shape
+        for name, shape in ((GRIDS, self.grid_shape), (TRACKS, (n, t, 3)), (POSES, (t, 6))):
+            got = store.view(name).shape
+            if got != shape:
+                raise ValueError(f"store block {name!r} has shape {got}; "
+                                 f"the problem's geometry was compiled for {shape}")
 
 
 def _compile(grid_shape, query_pixels, visibility, anchor):
@@ -120,8 +148,6 @@ def _compile(grid_shape, query_pixels, visibility, anchor):
         raise ValueError(f"anchor frame {anchor} outside [0, {t})")
     ii, tt = np.nonzero(visibility >= MIN_VISIBLE_WEIGHT)
     flat = ii * t + tt
-    q = np.take(np.asarray(query_pixels, dtype=np.float64).reshape(-1, 2), flat, axis=0)
-    sampler = BilinearSampler(grid_shape, tt, q[:, 0], q[:, 1])
     position = np.full(n * t, -1, dtype=np.int64)
     position[flat] = np.arange(flat.size)
     anchor_ref = position[ii * t + anchor]
@@ -129,15 +155,13 @@ def _compile(grid_shape, query_pixels, visibility, anchor):
     # visibility lies in [0, 1], so an admitted pair has both samples valid
     w_eff = w * visibility[ii, anchor]
     a_pos = np.flatnonzero((w_eff >= MIN_VISIBLE_WEIGHT) & (tt != anchor) & (anchor_ref >= 0))
+    q = np.take(np.asarray(query_pixels, dtype=np.float64).reshape(-1, 2), flat, axis=0)
+    # S^T over the samples, then over the anchor sample of each candidate, compiled once
+    sampler = BilinearSampler(grid_shape, tt, q[:, 0], q[:, 1], columns=anchor_ref[a_pos])
     return _Geometry(
-        tt, flat, w, sampler, int(visibility.size - flat.size),
-        anchor_ref, a_pos, w_eff[a_pos],
+        (n, t), tuple(grid_shape), tt, flat, (flat[:, None] * 3 + np.arange(3)).reshape(-1),
+        w, sampler, int(visibility.size - flat.size), anchor_ref, a_pos, flat[a_pos], w_eff[a_pos],
     )
-
-
-def _rows(arr, flat):
-    """Per-sample 3-vectors of an (N, T, 3) array at flat (i * T + t) rows."""
-    return np.take(np.asarray(arr, dtype=np.float64).reshape(-1, 3), flat, axis=0)
 
 
 class _Pass:
@@ -146,13 +170,14 @@ class _Pass:
     def __init__(self, problem, store, tape):
         self.problem = problem
         self.cfg = problem.config
+        self.geo = problem.geometry(store)
         self.track_pts = store.view(TRACKS)
         self.grid_stack = store.view(GRIDS)
         self.tangents = store.view(POSES)
-        self.geo = problem.geometry(self.grid_stack.shape)
         self.tape = tape
         self.grad = tape is not None  # value-only passes skip the Huber gradients
-        self.grid_coeffs = []  # (coeff, index) of the grid-writing terms, in term order
+        self.grid_samples = None  # (M, 3) grid coefficients queued by cons_pointmap
+        self.grid_anchors = None  # (candidates k into a_pos, (K, 3) coefficients) of anchor
 
     def scatter_poses(self, frames, a_sel, gvec):
         """Accumulate d(loss)/d(omega, upsilon) for selected samples.
@@ -163,36 +188,45 @@ class _Pass:
         pose_base = frames * 6
         ups_idx = (pose_base[:, None] + np.arange(3, 6)).reshape(-1)
         self.tape.scatter(POSES, ups_idx, gvec.reshape(-1))
-        cross = np.cross(a_sel, gvec)
-        gw = np.einsum("mji,mj->mi", np.take(self.left_jac, frames, axis=0), cross)
+        gw = np.einsum("mji,mj->mi", self.left_jac.take(frames, axis=0), _cross(a_sel, gvec))
         om_idx = (pose_base[:, None] + np.arange(3)).reshape(-1)
         self.tape.scatter(POSES, om_idx, gw.reshape(-1))
 
     def scatter_tracks(self, coeff):
         """Accumulate (M, 3) per-sample partials into the tracks block."""
-        idx = (self.geo.flat[:, None] * 3 + np.arange(3)).reshape(-1)
-        self.tape.scatter(TRACKS, idx, coeff.reshape(-1))
+        self.tape.scatter(TRACKS, self.geo.track_idx, coeff.reshape(-1))
 
-    def add_grids(self, coeff, index):
-        """Queue S[index]^T @ coeff for the grid block."""
-        self.grid_coeffs.append((coeff, index))
+    def add_grids(self, coeff, candidates=None):
+        """Queue grid coefficients: a row per sample, or per entry of candidates (into a_pos)."""
+        if candidates is None:
+            self.grid_samples = coeff
+        else:
+            self.grid_anchors = (candidates, coeff)
 
     def flush_grids(self):
         """Add the queued grid gradients to the tape with one S^T product.
 
-        The coefficients are concatenated in term order, so each grid value
-        accumulates term by term and, within a term, sample by sample; a
-        product per term, summed, would associate the additions differently.
+        The product runs over the samples, then the anchor candidates: the
+        term order, so each grid value accumulates term by term and, within a
+        term, sample by sample; a product per term, summed, would associate
+        the additions differently.  With the anchor term queued, the sampler's
+        compiled S^T acts on one zero-filled (M + Ma, 3) array, whose
+        rows of an absent term or of a gated-out candidate stay zero.  A zero
+        coefficient adds +-0.0, which leaves every accumulator unchanged: a
+        CSC product starts from +0.0, and a round-to-nearest sum is -0.0
+        only when both addends are, so no accumulator ever holds -0.0.
         """
-        if not self.grid_coeffs:
-            return
-        if len(self.grid_coeffs) == 1:
-            coeff, index = self.grid_coeffs[0]  # a lone None index keeps the cached S^T
-        else:
-            n = len(self.geo.tt)
-            coeff = np.concatenate([c for c, _ in self.grid_coeffs])
-            index = np.concatenate([np.arange(n) if i is None else i for _, i in self.grid_coeffs])
-        self.tape.add(GRIDS, self.geo.sampler.adjoint(coeff, index))
+        coeff = self.grid_samples
+        if self.grid_anchors is not None:
+            m = self.geo.tt.size
+            full = np.zeros((m + self.geo.a_pos.size, 3))
+            if coeff is not None:
+                full[:m] = coeff
+            candidates, anchor_coeff = self.grid_anchors
+            full[m + candidates] = anchor_coeff
+            coeff = full
+        if coeff is not None:
+            self.tape.add(GRIDS, self.geo.sampler.adjoint(coeff))
 
     def huber(self, res):
         return _huber_batch(res, self.cfg.delta, self.grad)
@@ -207,13 +241,21 @@ class _Pass:
         mask = self.problem.static_mask
         if mask is None:
             raise ValueError(f"{what} needs a static mask (use all-ones to disable gating)")
-        return np.take(np.asarray(mask, dtype=bool).reshape(-1), flat)
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != self.geo.shape:
+            raise ValueError(f"static_mask has shape {mask.shape}; "
+                             f"the visibility is {self.geo.shape}")
+        return mask.reshape(-1).take(flat)
 
     @cached_property
     def targets(self):
         if self.problem.targets is None:
             raise MissingTargets("camera consistency needs anchor targets")
-        return _rows(self.problem.targets, self.geo.flat)
+        targets = np.asarray(self.problem.targets, dtype=np.float64)
+        if targets.shape != self.geo.shape + (3,):
+            raise ValueError(f"targets have shape {targets.shape}; "
+                             f"the visibility needs {self.geo.shape + (3,)}")
+        return targets.reshape(-1, 3).take(self.geo.flat, axis=0)
 
     @cached_property
     def step(self):
@@ -235,13 +277,13 @@ class _Pass:
 
     @cached_property
     def tracked(self):
-        return _rows(self.track_pts, self.geo.flat)
+        return self.track_pts.reshape(-1, 3).take(self.geo.flat, axis=0)
 
     @cached_property
     def cons(self):
         vals, g, norms = self.huber(self.tracked - self.samples)
         coeff = (self.cfg.weight_cons * self.geo.w)[:, None] * g if self.grad else None
-        return float(np.sum(self.geo.w * vals)), coeff, norms
+        return float(np.add.reduce(self.geo.w * vals)), coeff, norms
 
     @cached_property
     def moved(self):
@@ -256,7 +298,7 @@ class _Pass:
     @cached_property
     def cam_track(self):
         vals, g, norms = self.cam_residual
-        return float(np.sum(self.geo.w * vals)), g, norms
+        return float(np.add.reduce(self.geo.w * vals)), g, norms
 
     @cached_property
     def cam_pose(self):
@@ -272,25 +314,30 @@ class _Pass:
             return 0.0, pos, None, None
         if target == "gt":
             # the gated subset of cam_track's residual; Huber acts per sample
-            vals, g, norms = (None if x is None else x[sel] for x in self.cam_residual)
+            vals, g, norms = (None if x is None else x.take(pos, axis=0) for x in self.cam_residual)
         else:
-            tgt = self.samples[self.geo.anchor_ref[pos]]
-            vals, g, norms = self.huber(self.moved[0][sel] - tgt)
-        w = self.geo.w[sel]
+            tgt = self.samples.take(self.geo.anchor_ref.take(pos), axis=0)
+            vals, g, norms = self.huber(self.moved[0].take(pos, axis=0) - tgt)
+        w = self.geo.w.take(pos)
         gvec = (self.cfg.weight_cam * w)[:, None] * g if self.grad else None
-        return float(np.sum(w * vals)), pos, gvec, norms
+        return float(np.add.reduce(w * vals)), pos, gvec, norms
 
     @cached_property
     def anchor(self):
-        """Anchor term: (value, positions, a, gvec, norms)."""
+        """Anchor term: (value, positions, candidates, a, gvec, norms).
+
+        candidates are the gated entries of a_pos, positions their samples.
+        """
         geo = self.geo
-        sel = self.gate(geo.flat[geo.a_pos], "anchor consistency")
-        pos = geo.a_pos[sel]
-        yv, a = transform_samples(self.problem.base, self.step, geo.tt[pos], self.samples[pos])
-        vals, g, norms = self.huber(yv - self.samples[geo.anchor_ref[pos]])
-        w = geo.a_w[sel]
+        candidates = np.flatnonzero(self.gate(geo.a_flat, "anchor consistency"))
+        pos = geo.a_pos.take(candidates)
+        samples = self.samples
+        yv, a = transform_samples(self.problem.base, self.step, geo.tt.take(pos),
+                                  samples.take(pos, axis=0))
+        vals, g, norms = self.huber(yv - samples.take(geo.anchor_ref.take(pos), axis=0))
+        w = geo.a_w.take(candidates)
         gvec = (self.cfg.weight_anchor * w)[:, None] * g if self.grad else None
-        return float(np.sum(w * vals)), pos, a, gvec, norms
+        return float(np.add.reduce(w * vals)), pos, candidates, a, gvec, norms
 
 
 # Sub-terms: each returns its unweighted value and, with a tape, adds its
@@ -299,7 +346,7 @@ class _Pass:
 def _cons_pointmap(ps: _Pass):
     value, coeff, _ = ps.cons
     if ps.tape is not None:
-        ps.add_grids(-coeff, None)
+        ps.add_grids(-coeff)
     return value
 
 
@@ -314,7 +361,7 @@ def _cam_track(ps: _Pass):
     value, g, _ = ps.cam_track
     if ps.tape is not None:
         coeff = (ps.cfg.weight_cam * ps.geo.w)[:, None] * g
-        gp = np.einsum("mji,mj->mi", np.take(ps.r_cur, ps.geo.tt, axis=0), coeff)
+        gp = np.einsum("mji,mj->mi", ps.r_cur.take(ps.geo.tt, axis=0), coeff)
         ps.scatter_tracks(gp)
     return value
 
@@ -322,15 +369,15 @@ def _cam_track(ps: _Pass):
 def _cam_pose(ps: _Pass):
     value, pos, gvec, _ = ps.cam_pose
     if ps.tape is not None and pos.size:
-        ps.scatter_poses(ps.geo.tt[pos], ps.moved[1][pos], gvec)
+        ps.scatter_poses(ps.geo.tt.take(pos), ps.moved[1].take(pos, axis=0), gvec)
     return value
 
 
 def _anchor(ps: _Pass):
-    value, pos, a, gvec, _ = ps.anchor
+    value, pos, candidates, a, gvec, _ = ps.anchor
     if ps.tape is not None and pos.size:
-        ps.scatter_poses(ps.geo.tt[pos], a, gvec)
-        ps.add_grids(-gvec, ps.geo.anchor_ref[pos])
+        ps.scatter_poses(ps.geo.tt.take(pos), a, gvec)
+        ps.add_grids(-gvec, candidates)
     return value
 
 
@@ -343,8 +390,8 @@ def _cam_stats(ps: _Pass):
 
 
 def _anchor_stats(ps: _Pass):
-    n, t = ps.problem.visibility.shape
-    return ps.anchor[4], n * (t - 1) - ps.anchor[1].size
+    n, t = ps.geo.shape
+    return ps.anchor[-1], n * (t - 1) - ps.anchor[1].size
 
 
 TERMS = {
@@ -390,8 +437,7 @@ def _run_group(ps: _Pass, group: _Group) -> TermStats:
     return _stats(group.slot, value, *group.stats(ps))
 
 
-def _reprojection_mask(geo, shape, grid_stack, base, step, tau, scale_quantile=0.4,
-                       scale_factor=3.0):
+def _reprojection_mask(geo, grid_stack, base, step, tau, scale_quantile=0.4, scale_factor=3.0):
     """Provisional static mask from reprojection stability under current poses.
 
     Visible samples are reprojected into the anchor frame through
@@ -404,7 +450,7 @@ def _reprojection_mask(geo, shape, grid_stack, base, step, tau, scale_quantile=0
     while genuinely dynamic samples sit far above their frame's quantile
     and are rejected; as the poses converge the threshold tightens to tau.
     """
-    n, t = shape
+    n, t = geo.shape
     if geo.flat.size == 0:
         return np.zeros((n, t), dtype=bool)
     repro, _ = transform_samples(base, step, geo.tt, geo.sampler.gather(grid_stack))
@@ -477,8 +523,9 @@ class CouplingProblem:
     static mask that refresh_static_mask computes.  query_pixels, visibility
     and anchor are fixed for the problem's lifetime (their geometry is
     compiled once, for the grid shape of the first store evaluated, which
-    every later store shares); static_mask, targets, base poses, config
-    and tau_static may be reassigned between evaluations.
+    every later store must share); static_mask, targets, base poses, config
+    and tau_static may be reassigned between evaluations.  A store, static
+    mask or targets of another shape raises ValueError.
     """
 
     base: Pose
@@ -491,10 +538,15 @@ class CouplingProblem:
     anchor: int = 0
     _geometry: Optional[_Geometry] = field(default=None, init=False, repr=False, compare=False)
 
-    def geometry(self, grid_shape) -> _Geometry:
-        """The sample geometry, compiled for the grid shape of the first store evaluated."""
+    def geometry(self, store: ParamStore) -> _Geometry:
+        """The sample geometry, compiled for the grid shape of the first store evaluated.
+
+        A store whose blocks have other shapes than those raises ValueError.
+        """
         if self._geometry is None:
-            self._geometry = _compile(grid_shape, self.query_pixels, self.visibility, self.anchor)
+            self._geometry = _compile(store.view(GRIDS).shape, self.query_pixels,
+                                      self.visibility, self.anchor)
+        self._geometry.check(store)
         return self._geometry
 
     def evaluate(self, store: ParamStore, tape: Optional[Tape] = None) -> LossBreakdown:
@@ -523,10 +575,9 @@ class CouplingProblem:
 
     def refresh_static_mask(self, store: ParamStore):
         """Recompute the provisional static mask from the current state."""
-        grid_stack = store.view(GRIDS)
         self.static_mask = _reprojection_mask(
-            self.geometry(grid_stack.shape), self.visibility.shape, grid_stack, self.base,
-            exp_map(store.view(POSES)), self.tau_static,
+            self.geometry(store), store.view(GRIDS), self.base, exp_map(store.view(POSES)),
+            self.tau_static,
         )
 
     def current_poses(self, store: ParamStore) -> Pose:

@@ -84,12 +84,15 @@ class BilinearSampler:
     as an (M, T*H*W) CSR matrix over those arrays, four entries per row in
     corner order; a grid 1 pixel wide or high repeats a corner within a
     row, and S keeps both entries unsummed.  ``gather`` applies S and
-    ``adjoint`` S^T.  This is the single sampling path of the package
+    ``adjoint`` S^T, over the samples or over the samples followed by a
+    column list compiled with them, whose corner arrays begin with the
+    samples' own.  This is the single sampling path of the package
     (generator, losses and static masks), so equal inputs give bitwise
     equal samples.
     """
 
-    def __init__(self, shape, frames, x, y):
+    def __init__(self, shape, frames, x, y, columns=None):
+        """columns optionally lists samples (repeats allowed) whose corners follow the samples'."""
         n_frames, height, width = shape[:3]
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -103,15 +106,20 @@ class BilinearSampler:
         bottom = (base + y1) * width
         index = np.int32 if n_frames * height * width * 3 < 2**31 else np.int64
         self.n_points = n_frames * height * width
-        self.rows = np.stack([top + x0, top + x1, bottom + x0, bottom + x1], axis=-1).astype(index)
-        self.weights = np.stack(
-            [(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx], axis=-1
-        )
+        rows = np.stack([top + x0, top + x1, bottom + x0, bottom + x1], axis=-1).astype(index)
+        weights = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx], axis=-1)
+        m = len(rows)
+        if columns is not None:
+            rows = np.concatenate([rows, rows[columns]])
+            weights = np.concatenate([weights, weights[columns]])
+        # the samples' own corners are the head of the arrays of every column
+        self.rows, self.weights = rows[:m], weights[:m]
         self._transpose = self._transposed(self.rows, self.weights)
+        self._columns_transpose = self._transposed(rows, weights)
         self.matrix = self._transpose.T  # CSR over the same three arrays
 
     def _transposed(self, rows, weights):
-        """S^T of the samples with these corner rows and weights, as a CSC matrix.
+        """S^T of the columns with these corner rows and weights, as a CSC matrix.
 
         Built from data, indices and indptr as they are, sharing memory with
         rows and weights; a COO pass would sum a sample's repeated corners.
@@ -125,20 +133,18 @@ class BilinearSampler:
         """S @ grids: the (M, 3) samples of a (T, H, W, 3) stack."""
         return self.matrix @ np.asarray(grids, dtype=np.float64).reshape(-1, 3)
 
-    def adjoint(self, coeff, index=None):
+    def adjoint(self, coeff):
         """S^T @ coeff as the dense (T*H*W*3,) grid-block gradient.
 
-        coeff is (M, 3), one row per sample, or per entry of ``index`` when
-        that selects (or repeats) samples.  S^T is a CSC matrix, whose
-        product adds sample by sample, then corner, then component: each
-        grid value accumulates in per-sample order, as a per-sample
+        coeff is (M, 3), one row per sample, or (M + C, 3), followed by one
+        row per entry of the C compiled ``columns``.  S^T is a CSC matrix,
+        whose product adds column by column, then corner, then component:
+        each grid value accumulates in column order, as a per-sample
         ``np.add.at`` scatter would.
         """
-        if index is None:
-            op = self._transpose
-        else:
-            op = self._transposed(self.rows[index], self.weights[index])
-        return (op @ np.asarray(coeff, dtype=np.float64)).reshape(-1)
+        coeff = np.asarray(coeff, dtype=np.float64)
+        op = self._transpose if len(coeff) == len(self.rows) else self._columns_transpose
+        return (op @ coeff).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

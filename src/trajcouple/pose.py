@@ -27,6 +27,10 @@ REORTHO_PERIOD = 64
 # Below this angle the Rodrigues terms switch to their Taylor expansions.
 _SMALL_ANGLE = 1e-8
 
+# The identity that the Rodrigues formulas add to, shared read-only.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
 # ICP stops after this many iterations or when the mean residual changes by less than ICP_TOL.
 ICP_MAX_ITER = 20
 ICP_TOL = 1e-6
@@ -56,12 +60,12 @@ def _so3_parts(omega):
 def so3_exp(omega):
     """Rodrigues' formula over (..., 3) tangents, exact identity at omega == 0."""
     theta, small, S, S2 = _so3_parts(omega)
-    c1 = np.sin(theta) / theta
+    # I + S + S^2/2 below the small angle, error O(theta^3); 1.0 * S is S bit for bit
+    c1 = np.where(small, 1.0, np.sin(theta) / theta)
     # float_power is C pow per element, like ** on a Python float in the scalar formula
     # (tests/oracles.py); ** on an array squares, which rounds differently ~1 time in 1000
-    c2 = (1.0 - np.cos(theta)) / np.float_power(theta, 2)
-    # I + S + S^2/2 below the small angle, error O(theta^3)
-    return np.where(small, np.eye(3) + S + 0.5 * S2, np.eye(3) + c1 * S + c2 * S2)
+    c2 = np.where(small, 0.5, (1.0 - np.cos(theta)) / np.float_power(theta, 2))
+    return _EYE3 + c1 * S + c2 * S2
 
 
 def so3_log(rotation):
@@ -86,7 +90,7 @@ def so3_left_jacobian(omega):
     theta, small, S, S2 = _so3_parts(omega)
     t2 = theta * theta
     c1, c2 = (1.0 - np.cos(theta)) / t2, (theta - np.sin(theta)) / (t2 * theta)
-    return np.where(small, np.eye(3) + 0.5 * S + S2 / 6.0, np.eye(3) + c1 * S + c2 * S2)
+    return np.where(small, _EYE3 + 0.5 * S + S2 / 6.0, _EYE3 + c1 * S + c2 * S2)
 
 
 def project_rotation(M):

@@ -2,10 +2,10 @@
 
 The metric oracles are straightforward loops over 4x4 matrices and raw
 arrays, sharing no code with the package beyond numpy/scipy primitives.
-The sampling, grid-gradient, Huber, tape, geometric-median, SO(3),
-single-pose, reprojection-mask, row-file and point-cloud references below
-are the package's earlier per-call formulations, kept to pin the compiled
-and batched paths bit for bit.
+The sampling, grid-gradient, Huber, pass-kernel, tape, geometric-median,
+SO(3), single-pose, reprojection-mask, row-file and point-cloud references
+below are the package's earlier per-call formulations, kept to pin the
+compiled and batched paths bit for bit.
 """
 
 import math
@@ -19,7 +19,7 @@ from trajcouple.grad import GRIDS, Tape
 from trajcouple.losses import _Pass, transform_samples
 from trajcouple.metrics import PointmapResult, _smallest_eigenvectors
 from trajcouple.pointmap import BilinearSampler, check_domain
-from trajcouple.pose import _SMALL_ANGLE, REORTHO_PERIOD, Pose, Similarity, umeyama
+from trajcouple.pose import _SMALL_ANGLE, REORTHO_PERIOD, Pose, Similarity, _so3_parts, umeyama
 from trajcouple.tracks import MIN_VISIBLE_WEIGHT
 
 
@@ -151,6 +151,32 @@ def accumulate(grad, indices, partials):
 
 
 # ---------------------------------------------------------------------------
+# The kernels of a coupled-objective pass, in their library formulations.
+
+def residual_norms(res):
+    """Row lengths of (M, 3) residuals."""
+    return np.linalg.norm(res, axis=1)
+
+
+def cross(a, b):
+    """Row-wise cross products of (M, 3) arrays."""
+    return np.cross(a, b)
+
+
+def residual_figures(norms):
+    """(residual_mean, residual_max) of a term's residual norms."""
+    return float(np.mean(norms)), float(np.max(norms))
+
+
+def so3_exp_two_branch(omega):
+    """Batched Rodrigues with both branches built in full and selected per angle."""
+    theta, small, S, S2 = _so3_parts(omega)
+    c1 = np.sin(theta) / theta
+    c2 = (1.0 - np.cos(theta)) / np.float_power(theta, 2)
+    return np.where(small, np.eye(3) + S + 0.5 * S2, np.eye(3) + c1 * S + c2 * S2)
+
+
+# ---------------------------------------------------------------------------
 # Grid-block gradient: the earlier per-term scatter of the grid-writing terms.
 
 GRID_TERMS = ("cons_pointmap", "anchor")
@@ -171,7 +197,7 @@ def grid_gradient(problem, store, terms):
         if term == "cons_pointmap":
             coeff, index = -ps.cons[1], None
         else:
-            _, pos, _, gvec, _ = ps.anchor
+            _, pos, _, _, gvec, _ = ps.anchor
             if not pos.size:
                 continue
             coeff, index = -gvec, ps.geo.anchor_ref[pos]

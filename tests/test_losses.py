@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -19,9 +20,11 @@ from trajcouple.losses import (
     LossConfig,
     TermStats,
     _compile,
+    _cross,
     _huber_batch,
     _Pass,
     _reprojection_mask,
+    _stats,
 )
 from trajcouple.optimize import ABLATIONS
 from trajcouple.pose import (
@@ -115,6 +118,46 @@ class TestHuber:
             assert norms[k] == pytest.approx(np.linalg.norm(r), rel=1e-15)
         value_only, no_grad, _ = _huber_batch(res, delta, grad=False)
         assert no_grad is None and np.array_equal(value_only, vals)
+
+
+def special_residuals(rng, m=300):
+    """(M, 3) rows over magnitudes 1e-150..1e150, with zero, -0.0, 1e+-150 and NaN rows."""
+    res = rng.standard_normal((m, 3)) * 10.0 ** rng.uniform(-150, 150, size=(m, 1))
+    res[:7] = [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 2.0, -0.0],
+               [1e150, -1e150, 1e150], [-1e-150, 1e-150, 1e-150], [1e150, 1e-150, -0.0],
+               [np.nan, 1.0, 0.0]]
+    return res
+
+
+class TestPassKernels:
+    """The pass's kernels equal their library formulations (tests/oracles.py) bit for bit."""
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_norms_match_linalg_norm(self, grad):
+        res = special_residuals(np.random.default_rng(30))
+        _, _, norms = _huber_batch(res, 0.3, grad)
+        assert np.array_equal(norms, oracles.residual_norms(res), equal_nan=True)
+        assert norms[1] == 0.0 and not np.signbit(norms[1]) and np.isnan(norms[6])
+
+    def test_cross_matches_np_cross(self):
+        rng = np.random.default_rng(31)
+        a, b = special_residuals(rng), special_residuals(rng)
+        b[7:14] = -0.0
+        for x, y in ((a, b), (b, a), (a, a[::-1])):
+            got, ref = _cross(x, y), oracles.cross(x, y)
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("m", [1, 3, 8, 9, 200, 5000])
+    def test_term_figures_match_mean_and_max(self, m):
+        # sizes below, at and above numpy's pairwise-summation blocks
+        rng = np.random.default_rng(32 + m)
+        for norms in (np.abs(rng.standard_normal(m)) * 10.0 ** rng.uniform(-150, 150, m),
+                      rng.uniform(0.0, 1.0, m),
+                      oracles.residual_norms(special_residuals(rng, max(m, 7))[-m:])):
+            stats = _stats("cons", 1.0, norms, 0)
+            assert np.array_equal([stats.residual_mean, stats.residual_max],
+                                  oracles.residual_figures(norms), equal_nan=True)
 
 
 class TestLossCons:
@@ -445,6 +488,45 @@ class TestCompiledProblem:
             problem.refresh_static_mask(store)
 
 
+class TestShapeChecks:
+    """A problem compiled for one store rejects a store, mask or targets of other shapes."""
+
+    def test_grid_block_of_another_shape_raises(self):
+        problem, store = random_coupling_fixture(7, n_frames=4, height=12, width=12)
+        problem.evaluate(store)
+        reshaped = ParamStore({GRIDS: store.view(GRIDS).reshape(4, 8, 18, 3),
+                               TRACKS: store.view(TRACKS), POSES: store.view(POSES)})
+        message = r"'grids' has shape \(4, 8, 18, 3\).*\(4, 12, 12, 3\)"
+        for call in (problem.evaluate, problem.refresh_static_mask,
+                     lambda s: problem.evaluate(s, Tape(s))):
+            with pytest.raises(ValueError, match=message):
+                call(reshaped)
+        with pytest.raises(OutOfDomain):  # a fresh problem compiles for it, and rejects its pixels
+            replace(problem).evaluate(reshaped)
+
+    @pytest.mark.parametrize("block", [TRACKS, POSES])
+    def test_track_or_pose_block_of_another_shape_raises(self, block):
+        problem, store = random_coupling_fixture(8)
+        blocks = dict(store.blocks)
+        shape = blocks[block].shape
+        blocks[block] = blocks[block].reshape(shape[::-1])  # same size, axes swapped
+        with pytest.raises(ValueError, match=rf"'{block}' has shape {re.escape(str(shape[::-1]))}"):
+            problem.evaluate(ParamStore(blocks))
+
+    @pytest.mark.parametrize("selfsup", [False, True])
+    def test_transposed_static_mask_raises(self, selfsup):
+        problem, store = random_coupling_fixture(9, selfsup=selfsup)  # 5 tracks, 4 frames
+        problem.static_mask = problem.static_mask.T
+        with pytest.raises(ValueError, match=r"static_mask has shape \(4, 5\).*\(5, 4\)"):
+            problem.evaluate(store)
+
+    def test_targets_of_another_shape_raise(self):
+        problem, store = random_coupling_fixture(10)
+        problem.targets = problem.targets.reshape(4, 5, 3)
+        with pytest.raises(ValueError, match=r"targets have shape \(4, 5, 3\).*\(5, 4, 3\)"):
+            problem.evaluate(store)
+
+
 def random_base_poses(rng, t):
     """(T,) base poses with random ages below REORTHO_PERIOD."""
     poses = []
@@ -516,7 +598,7 @@ class TestPassSharing:
         monkeypatch.setattr(losses, "_huber_batch",
                             lambda res, *args: sizes.append(len(res)) or real(res, *args))
         problem.evaluate(store, Tape(store))
-        n_valid = problem.geometry(store.view(GRIDS).shape).flat.size
+        n_valid = problem.geometry(store).flat.size
         assert sizes == [n_valid, n_valid]  # cons, then cam; the pose half indexes cam's
 
     def test_jacobians_only_for_gradients(self, monkeypatch):
@@ -552,6 +634,55 @@ class TestGridGradientOrder:
                 ref = oracles.grid_gradient(problem, store, [term])
                 assert np.array_equal(tape.grad(GRIDS), ref)
 
+    @pytest.mark.parametrize("state", ["gated", "slack", "zero_residuals"])
+    def test_compiled_anchor_operator_matches_per_term_scatter(self, state):
+        # gated-out candidates and anchor references repeated along each track
+        # in every state; corner weights below zero within the domain slack;
+        # exactly zero residuals, whose queued coefficients are -0.0
+        for seed in range(3):
+            problem, store = random_coupling_fixture(40 + seed)
+            t = problem.visibility.shape[1]
+            if state == "slack":
+                h = store.view(GRIDS).shape[1]
+                problem.query_pixels = problem.query_pixels.copy()
+                problem.query_pixels[:, 1::2, 0] = -5e-10
+                problem.query_pixels[:, 2::2, 1] = h - 1 + 5e-10
+            elif state == "zero_residuals":
+                # identity poses, equal frames and, on even tracks, one pixel
+                # throughout and track points on their samples
+                problem.base = exp_map(np.zeros((t, 6)))
+                store.view(POSES)[:] = 0.0
+                grids = store.view(GRIDS)
+                grids[:] = grids[problem.anchor]
+                problem.query_pixels = problem.query_pixels.copy()
+                problem.query_pixels[::2] = problem.query_pixels[::2, problem.anchor, None]
+            geo = problem.geometry(store)
+            if state == "zero_residuals":
+                even = geo.flat // t % 2 == 0
+                samples = _Pass(problem, store, None).samples
+                store.view(TRACKS).reshape(-1, 3)[geo.flat[even]] = samples[even]
+            for ablation in ("selfsup", "full"):
+                problem.config = replace(problem.config, **ABLATIONS[ablation])
+                ps = _Pass(problem, store, Tape(store))
+                _, pos, _, _, gvec, _ = ps.anchor
+                assert not np.asarray(problem.static_mask).reshape(-1)[geo.a_flat].all()
+                assert np.unique(geo.anchor_ref[pos]).size < pos.size
+                if state == "slack":
+                    assert geo.sampler.weights.min() < 0.0
+                if state == "zero_residuals":
+                    for coeff in (-gvec, -ps.cons[1]):
+                        assert np.any((coeff == 0.0) & np.signbit(coeff))
+                tape = Tape(store)
+                problem.evaluate(store, tape)
+                ref = oracles.grid_gradient(problem, store, oracles.GRID_TERMS)
+                assert np.array_equal(tape.grad(GRIDS), ref)
+                assert np.array_equal(np.signbit(tape.grad(GRIDS)), np.signbit(ref))
+                tape = Tape(store)
+                problem.evaluate_term(store, "anchor", tape)
+                ref = oracles.grid_gradient(problem, store, ["anchor"])
+                assert np.array_equal(tape.grad(GRIDS), ref)
+                assert np.array_equal(np.signbit(tape.grad(GRIDS)), np.signbit(ref))
+
 
 @st.composite
 def mask_cases(draw):
@@ -583,8 +714,8 @@ class TestReprojectionMask:
             expected = oracles.reprojection_mask(*case, scale_quantile=quantile)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            geo, shape, grids, base, tangents, tau = case
-            got = _reprojection_mask(geo, shape, grids, base, exp_map(tangents), tau,
+            geo, _, grids, base, tangents, tau = case
+            got = _reprojection_mask(geo, grids, base, exp_map(tangents), tau,
                                      scale_quantile=quantile)
         assert got.dtype == bool
         assert np.array_equal(got, expected)

@@ -188,38 +188,74 @@ class TestBilinearSampler:
 
     @pytest.mark.parametrize("use_index", [False, True])
     def test_adjoint_identity(self, use_index):
-        # <S[index] g, c> == <g, S[index]^T c>, a repeating index included
+        # <S[index] g, c> == <g, S[index]^T c>, over a repeating column list
+        # compiled after the samples, whose own rows of coeff are zero
         for shape in SHAPES:
             rng = np.random.default_rng(22 + sum(shape))
             frames, xs, ys = random_queries(rng, shape, 120)
-            op = BilinearSampler(shape, frames, xs, ys)
-            g = rng.standard_normal(shape + (3,))
             index = rng.integers(0, 120, size=200) if use_index else None
+            op = BilinearSampler(shape, frames, xs, ys, columns=index)
+            g = rng.standard_normal(shape + (3,))
             rows = op.gather(g) if index is None else op.gather(g)[index]
             c = rng.standard_normal(rows.shape)
-            st_c = op.adjoint(c, index)
+            st_c = op.adjoint(c if index is None else np.concatenate([np.zeros((120, 3)), c]))
             assert st_c.shape == (g.size,)
             lhs = float(np.sum(rows * c))
             rhs = float(g.reshape(-1) @ st_c)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_adjoint_matches_reference_scatter(self):
-        # bitwise equal to the reference per-sample np.add.at scatter, with and
-        # without a repeating index; a CSR that merged the repeated corners of
-        # 1-pixel-wide or -high grids would add them in another order
+        # bitwise equal, sign of zero included, to the reference per-sample
+        # np.add.at scatter, over the samples and over the samples followed by
+        # a compiled column list (repeating anchor columns, some gated out and
+        # so zero-filled); a CSR that merged the repeated corners of 1-pixel-wide
+        # or -high grids would add them in another order.  Pixels just outside
+        # the domain, within its slack, give corner weights below zero.
         for shape in SHAPES:
+            t, h, w = shape
+            m, k = 90, 150
             rng = np.random.default_rng(23 + sum(shape))
-            frames, xs, ys = random_queries(rng, shape, 90)
-            op = BilinearSampler(shape, frames, xs, ys)
+            frames, xs, ys = random_queries(rng, shape, m)
+            xs[5::9], ys[6::9] = -5e-10, h - 1 + 5e-10
+            anchors = rng.integers(0, m, size=k)
+            op = BilinearSampler(shape, frames, xs, ys, columns=anchors)
+            plain = BilinearSampler(shape, frames, xs, ys)
+            assert np.array_equal(op.rows, plain.rows) and np.array_equal(op.weights, plain.weights)
             _, rows, cols, weights = bilinear_gather(np.zeros(shape + (3,)), frames, xs, ys)
-            base = ((frames[:, None] * shape[1] + rows) * shape[2] + cols) * 3
-            for index in (None, rng.integers(0, 90, size=150)):
-                pick = slice(None) if index is None else index
-                coeff = rng.standard_normal((len(base[pick]), 3))
-                ref = np.zeros(int(np.prod(shape)) * 3)
-                np.add.at(ref, (base[pick][:, :, None] + np.arange(3)).reshape(-1),
-                          (weights[pick][:, :, None] * coeff[:, None, :]).reshape(-1))
-                got = op.adjoint(coeff, index)
+            if w > 1:
+                assert weights.min() < 0.0
+            base = ((frames[:, None] * h + rows) * w + cols) * 3
+
+            def scatter(picks, coeff):
+                ref = np.zeros(t * h * w * 3)
+                np.add.at(ref, (base[picks][:, :, None] + np.arange(3)).reshape(-1),
+                          (weights[picks][:, :, None] * coeff[:, None, :]).reshape(-1))
+                return ref
+
+            def signed_coeff(n):
+                coeff = rng.standard_normal((n, 3))
+                coeff[rng.random((n, 3)) < 0.2] = -0.0
+                coeff[::7] = -0.0
+                return coeff
+
+            samples = np.arange(m)
+            coeff = signed_coeff(m)
+            got, ref = op.adjoint(coeff), scatter(samples, coeff)
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+            for with_samples in (True, False):
+                kept = np.flatnonzero(rng.random(k) < 0.6)
+                sample_coeff, anchor_coeff = signed_coeff(m), signed_coeff(kept.size)
+                full = np.zeros((m + k, 3))
+                if with_samples:
+                    full[:m] = sample_coeff
+                full[m + kept] = anchor_coeff
+                got = op.adjoint(full)
+                picks, coeffs = anchors[kept], anchor_coeff
+                if with_samples:
+                    picks = np.concatenate([samples, picks])
+                    coeffs = np.concatenate([sample_coeff, coeffs])
+                ref = scatter(picks, coeffs)
                 assert np.array_equal(got, ref)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
 

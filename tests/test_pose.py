@@ -8,6 +8,7 @@ import oracles
 from oracles import pose_matrix
 from trajcouple.errors import DegenerateConfiguration, FileFormatError, LogNearPi
 from trajcouple.pose import (
+    _SMALL_ANGLE,
     REORTHO_PERIOD,
     Pose,
     Similarity,
@@ -243,6 +244,23 @@ class TestBatchedSO3:
         for fn, oracle in ((so3_exp, oracles.so3_exp),
                            (so3_left_jacobian, oracles.so3_left_jacobian)):
             assert np.array_equal(fn(omega), np.stack([oracle(w) for w in omega]))
+
+    def test_exp_matches_two_branch_formula(self):
+        # one sum with the branch coefficients selected equals both branches
+        # built and selected: 1.0 * S is S, for angles on either side of and
+        # at the small-angle switch, zero and -0.0 components included
+        rng = np.random.default_rng(6)
+        axes = rng.standard_normal((20000, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        edge = [_SMALL_ANGLE, np.nextafter(_SMALL_ANGLE, 0.0), np.nextafter(_SMALL_ANGLE, 1.0)]
+        angles = np.concatenate([10.0 ** rng.uniform(-12, np.log10(3.0), 19000),
+                                 np.repeat(edge, 300), np.zeros(100)])
+        omega = axes * angles[:, None]
+        omega[::11, rng.integers(0, 3)] = -0.0
+        omega[-50:] = -0.0
+        got, ref = so3_exp(omega), oracles.so3_exp_two_branch(omega)
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+        assert np.array_equal(so3_exp(omega[7]), ref[7])
 
     def test_leading_axes(self):
         rng = np.random.default_rng(5)
