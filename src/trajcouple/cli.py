@@ -15,6 +15,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import sys
 import threading
@@ -83,6 +84,11 @@ def _parse_seeds(text):
     return seeds
 
 
+def _check_jobs(jobs):
+    if jobs < 1:
+        raise ConfigInvalid("jobs", f"must be >= 1, got {jobs}")
+
+
 def _map_jobs(fn, work, jobs):
     """[fn(item) for item in work], in that order, over jobs processes when jobs > 1."""
     if jobs <= 1:
@@ -110,6 +116,7 @@ def _gen_one(args):
 def cmd_gen(args):
     config = SceneConfig.from_json_file(args.config) if args.config else SceneConfig()
     seeds = _parse_seeds(args.seeds)
+    _check_jobs(args.jobs)
     out_dir = args.out or _default_out("scenes")
     os.makedirs(out_dir, exist_ok=True)
 
@@ -133,6 +140,7 @@ def _optimize_one(args):
 def cmd_optimize(args):
     base = OptimConfig.from_json_file(args.config) if args.config else OptimConfig()
     cfg = ablation_config(args.ablation, base)
+    _check_jobs(args.jobs)
     scenes = scene_dirs(args.scenes)
     out_dir = args.out or _default_out(f"optimize_{args.ablation}")
     os.makedirs(out_dir, exist_ok=True)
@@ -340,6 +348,12 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     if args.fixtures < 1:
         raise ConfigInvalid("fixtures", f"must be >= 1, got {args.fixtures}")
+    if args.seed < 0:
+        raise ConfigInvalid("seed", f"must be >= 0, got {args.seed}")
+    for name in ("h", "tol"):
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigInvalid(name, f"must be a positive finite number, got {value}")
     rows = []
     failed = False
     for k in range(args.fixtures):
@@ -434,7 +448,7 @@ def main(argv=None):
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileFormatError, FileNotFoundError) as exc:
+    except (FileFormatError, OSError) as exc:  # an OSError's message names its file
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
     except TrajCoupleError as exc:

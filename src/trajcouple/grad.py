@@ -114,17 +114,19 @@ class Tape:
         ]))
 
 
-def finite_diff_check(
-    loss_fn, store: ParamStore, block, sample_indices, h, rel_floor=1e-6, scale_h=True
-):
+# Floor of the relative error's denominator in finite_diff_check
+REL_FLOOR = 1e-6
+
+
+def finite_diff_check(loss_fn, store: ParamStore, block, sample_indices, h):
     """Max relative error between tape gradients and central differences.
 
     ``loss_fn(store, tape=None) -> float`` must be deterministic.  The
     analytic gradient is taken from one taped evaluation; each sampled
-    index is then perturbed by ``+/- h`` (scaled by the parameter magnitude
-    when scale_h is set) and compared.  The relative error uses
-    ``|a - n| / max(|a|, |n|, rel_floor)`` so that zero-gradient entries
-    whose numeric difference is pure roundoff do not explode.
+    index is then perturbed by ``+/- h * max(1, |theta|)`` and compared.
+    The relative error uses ``|a - n| / max(|a|, |n|, REL_FLOOR)`` so that
+    zero-gradient entries whose numeric difference is pure roundoff do not
+    explode.
     """
     tape = Tape(store)
     loss_fn(store, tape)
@@ -135,7 +137,7 @@ def finite_diff_check(
         if not 0 <= idx < arr.size:
             raise IndexOutOfRange(f"index {idx} outside block {block!r}")
         theta = arr[idx]
-        step = h * max(1.0, abs(theta)) if scale_h else h
+        step = h * max(1.0, abs(theta))
         arr[idx] = theta + step
         up = loss_fn(store, None)
         arr[idx] = theta - step
@@ -143,6 +145,6 @@ def finite_diff_check(
         arr[idx] = theta
         numeric = (up - down) / (2.0 * step)
         a = analytic[idx]
-        err = abs(a - numeric) / max(abs(a), abs(numeric), rel_floor)
+        err = abs(a - numeric) / max(abs(a), abs(numeric), REL_FLOOR)
         worst = max(worst, err)
     return worst

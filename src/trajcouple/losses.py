@@ -1,6 +1,6 @@
 """Coupling objectives linking tracks, pointmaps, and relative camera poses.
 
-Three terms, each a weighted Huber sum over (track, frame) samples:
+Three terms, each a visibility-weighted Huber sum over (track, frame) samples:
 
 * bidirectional track-pointmap consistency: the tracked 3D point and the
   pointmap sampled at the track's pixel must agree; one half updates only
@@ -91,7 +91,7 @@ def transform_samples(base: Pose, step: Pose, frames, pts):
 
 @dataclass
 class TermStats:
-    """Value and residual statistics of one loss term (value is unweighted)."""
+    """Value and residual statistics of one loss term."""
 
     name: str
     value: float
@@ -282,7 +282,7 @@ class _Pass:
     @cached_property
     def cons(self):
         vals, g, norms = self.huber(self.tracked - self.samples)
-        coeff = (self.cfg.weight_cons * self.geo.w)[:, None] * g if self.grad else None
+        coeff = self.geo.w[:, None] * g if self.grad else None
         return float(np.add.reduce(self.geo.w * vals)), coeff, norms
 
     @cached_property
@@ -319,7 +319,7 @@ class _Pass:
             tgt = self.samples.take(self.geo.anchor_ref.take(pos), axis=0)
             vals, g, norms = self.huber(self.moved[0].take(pos, axis=0) - tgt)
         w = self.geo.w.take(pos)
-        gvec = (self.cfg.weight_cam * w)[:, None] * g if self.grad else None
+        gvec = w[:, None] * g if self.grad else None
         return float(np.add.reduce(w * vals)), pos, gvec, norms
 
     @cached_property
@@ -336,11 +336,11 @@ class _Pass:
                                   samples.take(pos, axis=0))
         vals, g, norms = self.huber(yv - samples.take(geo.anchor_ref.take(pos), axis=0))
         w = geo.a_w.take(candidates)
-        gvec = (self.cfg.weight_anchor * w)[:, None] * g if self.grad else None
+        gvec = w[:, None] * g if self.grad else None
         return float(np.add.reduce(w * vals)), pos, candidates, a, gvec, norms
 
 
-# Sub-terms: each returns its unweighted value and, with a tape, adds its
+# Sub-terms: each returns its value and, with a tape, adds its
 # partials to the blocks TERM_BLOCKS lists for it.
 
 def _cons_pointmap(ps: _Pass):
@@ -360,8 +360,7 @@ def _cons_track(ps: _Pass):
 def _cam_track(ps: _Pass):
     value, g, _ = ps.cam_track
     if ps.tape is not None:
-        coeff = (ps.cfg.weight_cam * ps.geo.w)[:, None] * g
-        gp = np.einsum("mji,mj->mi", ps.r_cur.take(ps.geo.tt, axis=0), coeff)
+        gp = np.einsum("mji,mj->mi", ps.r_cur.take(ps.geo.tt, axis=0), ps.geo.w[:, None] * g)
         ps.scatter_tracks(gp)
     return value
 
@@ -413,20 +412,19 @@ TERM_BLOCKS = {
 
 
 class _Group(NamedTuple):
-    """One LossBreakdown slot: its config toggle and weight, sub-terms, statistics."""
+    """One LossBreakdown slot: its config toggle, sub-terms, statistics."""
 
     slot: str
     toggle: str
-    weight: str
     terms: tuple
     stats: Callable
 
 
 # The term table that drives every evaluation.
 GROUPS = (
-    _Group("cons", "use_cons", "weight_cons", ("cons_pointmap", "cons_track"), _cons_stats),
-    _Group("cam", "use_cam", "weight_cam", ("cam_pose", "cam_track"), _cam_stats),
-    _Group("anchor", "use_anchor", "weight_anchor", ("anchor",), _anchor_stats),
+    _Group("cons", "use_cons", ("cons_pointmap", "cons_track"), _cons_stats),
+    _Group("cam", "use_cam", ("cam_pose", "cam_track"), _cam_stats),
+    _Group("anchor", "use_anchor", ("anchor",), _anchor_stats),
 )
 
 
@@ -481,24 +479,18 @@ def _reprojection_mask(geo, grid_stack, base, step, tau, scale_quantile=0.4, sca
 
 @dataclass
 class LossConfig(ConfigDocument):
-    """Term toggles, weights, Huber delta and pose target of the coupled objective."""
+    """Term toggles, Huber delta and pose target of the coupled objective."""
 
     delta: float = DEFAULT_DELTA
     use_cons: bool = True
     use_cam: bool = True
     use_anchor: bool = False
-    weight_cons: float = 1.0
-    weight_cam: float = 1.0
-    weight_anchor: float = 1.0
     pose_target: str = "gt"  # or "anchor_sample"
     gate_static: bool = True
 
     def validate(self):
         if self.delta <= 0.0:
             raise ConfigInvalid("delta", "must be positive")
-        for name in ("weight_cons", "weight_cam", "weight_anchor"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigInvalid(name, "must be positive")
         if self.pose_target not in ("gt", "anchor_sample"):
             raise ConfigInvalid("pose_target", "must be 'gt' or 'anchor_sample'")
         return self
@@ -506,7 +498,7 @@ class LossConfig(ConfigDocument):
 
 @dataclass
 class LossBreakdown:
-    """Statistics of the enabled term groups, keyed by GROUPS slot, and the weighted total."""
+    """Statistics of the enabled term groups, keyed by GROUPS slot, and their total."""
 
     terms: dict
     total: float
@@ -556,19 +548,18 @@ class CouplingProblem:
         for group in GROUPS:
             if getattr(self.config, group.toggle):
                 terms[group.slot] = _run_group(ps, group)
-                total += getattr(self.config, group.weight) * terms[group.slot].value
+                total += terms[group.slot].value
         ps.flush_grids()
         return LossBreakdown(terms, total)
 
     def evaluate_term(self, store: ParamStore, term: str, tape: Optional[Tape] = None) -> float:
-        """One sub-term in isolation, weighted (for gradient verification)."""
-        group = next((g for g in GROUPS if term in g.terms), None)
-        if group is None:
+        """One sub-term in isolation (for gradient verification)."""
+        if term not in TERMS:
             raise ValueError(f"unknown term {term!r}")
         ps = _Pass(self, store, tape)
         value = TERMS[term](ps)
         ps.flush_grids()
-        return getattr(self.config, group.weight) * value
+        return value
 
     def active_terms(self):
         return [t for g in GROUPS if getattr(self.config, g.toggle) for t in g.terms]

@@ -7,11 +7,10 @@ Conventions (one per metric family, fixed across the package):
 * depth AbsRel and the delta < 1.25 inlier rate are plain fractions;
 * accuracy thresholds are strict ("error < threshold").
 
-Alignment conventions are explicit arguments: ATE aligns the estimated
-trajectory with a similarity (scale included) by default; point-cloud
-metrics align with a similarity, optionally refined by rigid ICP; depth is
-aligned by a median-ratio scale or a least-squares scale-and-shift, per
-image or per sequence.
+ATE aligns the estimated trajectory with a similarity (scale included);
+point-cloud metrics align index-paired clouds with a similarity, optionally
+refined by rigid ICP; depth is aligned by a median-ratio scale or a
+least-squares scale-and-shift, per image or per sequence.
 """
 
 from __future__ import annotations
@@ -24,9 +23,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateConfiguration, EmptyValidMask
-from .pose import Pose, Similarity, _icp, compose, inverse, rotation_angle, umeyama
+from .pose import Pose, _icp, compose, inverse, rotation_angle, umeyama
 
-DEFAULT_TRACK_THRESHOLDS = (0.01, 0.02, 0.04, 0.08, 0.16)
+# TAPVid-3D distance thresholds, each scaled per sample by the ground-truth |z|
+TRACK_THRESHOLDS = (0.01, 0.02, 0.04, 0.08, 0.16)
+
+# Largest threshold in degrees of RRA / RTA, and the range of the AUC
+POSE_MAX_THRESHOLD = 30
+
+# Neighbors of each plane fit behind the normal consistency
+K_NORMALS = 16
 
 
 @dataclass
@@ -46,21 +52,12 @@ class TrajectoryPair:
         return len(self.est)
 
 
-def ate(pair: TrajectoryPair, align="similarity") -> float:
-    """RMS translation error after aligning the estimate onto the ground truth.
-
-    align: "similarity" (Umeyama with scale, the monocular default),
-    "rigid" (no scale), or "none".
-    """
-    if len(pair) < 3 and align != "none":
+def ate(pair: TrajectoryPair) -> float:
+    """RMS translation error after a similarity (Umeyama, scale included) aligns the estimate."""
+    if len(pair) < 3:
         raise DegenerateConfiguration("ATE alignment needs at least 3 poses")
     est, gt = pair.est.translation, pair.gt.translation
-    if align == "similarity":
-        est = umeyama(est, gt, with_scale=True).apply(est)
-    elif align == "rigid":
-        est = umeyama(est, gt, with_scale=False).apply(est)
-    elif align != "none":
-        raise ValueError(f"unknown align mode {align!r}")
+    est = umeyama(est, gt).apply(est)
     return float(np.sqrt(np.mean(np.sum((est - gt) ** 2, axis=1))))
 
 
@@ -97,7 +94,7 @@ class RelPoseAccuracy:
     n_skipped: int
 
 
-def rel_pose_accuracy(pair: TrajectoryPair, max_threshold=30) -> RelPoseAccuracy:
+def rel_pose_accuracy(pair: TrajectoryPair) -> RelPoseAccuracy:
     """Relative rotation / translation-direction accuracy over all frame pairs.
 
     Rotation error is the relative-rotation angle between estimate and
@@ -107,7 +104,7 @@ def rel_pose_accuracy(pair: TrajectoryPair, max_threshold=30) -> RelPoseAccuracy
     estimate with a near-zero relative translation against a valid ground
     truth scores the maximum error of 180 degrees.  AUC integrates the
     pointwise min of the two accuracy curves over integer thresholds
-    1..max_threshold with trapezoidal weights.
+    1..POSE_MAX_THRESHOLD with trapezoidal weights.
     """
     if len(pair) < 2:
         raise ValueError("need at least 2 frames")
@@ -139,14 +136,14 @@ def rel_pose_accuracy(pair: TrajectoryPair, max_threshold=30) -> RelPoseAccuracy
     if n_pairs == 0:
         return RelPoseAccuracy(0.0, 0.0, 0.0, 0, n_skipped)
 
-    thresholds = np.arange(1, max_threshold + 1, dtype=np.float64)
+    thresholds = np.arange(1, POSE_MAX_THRESHOLD + 1, dtype=np.float64)
     acc_r = np.array([np.mean(rot_err < th) for th in thresholds])
     acc_t = np.array([np.mean(trans_err < th) for th in thresholds])
     curve = np.minimum(acc_r, acc_t)
     auc = float(np.trapezoid(curve, thresholds) / (thresholds[-1] - thresholds[0]))
     return RelPoseAccuracy(
-        100.0 * float(np.mean(rot_err < max_threshold)),
-        100.0 * float(np.mean(trans_err < max_threshold)),
+        100.0 * float(np.mean(rot_err < POSE_MAX_THRESHOLD)),
+        100.0 * float(np.mean(trans_err < POSE_MAX_THRESHOLD)),
         100.0 * auc,
         int(n_pairs),
         int(n_skipped),
@@ -160,16 +157,12 @@ class Tapvid3DResult:
     oa: float
 
 
-def tapvid3d_metrics(
-    est_tracks, est_visibility, gt_tracks, gt_visibility,
-    thresholds=DEFAULT_TRACK_THRESHOLDS, depth_scaled=True,
-) -> Tapvid3DResult:
+def tapvid3d_metrics(est_tracks, est_visibility, gt_tracks, gt_visibility) -> Tapvid3DResult:
     """3D tracking scores: threshold-averaged Jaccard, position accuracy, occlusion accuracy.
 
-    Visibilities are binarized at 0.5.  With depth_scaled the per-sample
-    distance threshold is scaled by the ground-truth |z| (a metric
-    tolerance proportional to depth); otherwise thresholds are absolute.
-    Results are percentages.
+    Visibilities are binarized at 0.5.  Each of TRACK_THRESHOLDS is scaled
+    per sample by the ground-truth |z| (a metric tolerance proportional to
+    depth).  Results are percentages.
     """
     est_tracks = np.asarray(est_tracks, dtype=np.float64)
     gt_tracks = np.asarray(gt_tracks, dtype=np.float64)
@@ -179,12 +172,12 @@ def tapvid3d_metrics(
         raise ValueError(f"track shapes differ: {est_tracks.shape} vs {gt_tracks.shape}")
 
     dist = np.linalg.norm(est_tracks - gt_tracks, axis=-1)
-    depth = np.abs(gt_tracks[..., 2]) if depth_scaled else np.ones_like(dist)
+    depth = np.abs(gt_tracks[..., 2])
 
     jaccards = []
     fractions = []
     n_gt_visible = int(np.sum(gt_vis))
-    for th in thresholds:
+    for th in TRACK_THRESHOLDS:
         within = dist < th * depth
         tp = float(np.sum(gt_vis & est_vis & within))
         fn = float(np.sum(gt_vis & ~(est_vis & within)))
@@ -278,17 +271,16 @@ def _smallest_eigenvectors(cov):
     return normals
 
 
-def pointmap_metrics(
-    pred, gt, align=True, use_icp=False, k_normals=16
-) -> PointmapResult:
-    """Accuracy / completion / normal consistency between point clouds.
+def pointmap_metrics(pred, gt, use_icp=False) -> PointmapResult:
+    """Accuracy / completion / normal consistency between index-paired point clouds.
 
-    With align the prediction is first fit to the ground truth by a
-    similarity transform over index-paired points (the pixel-aligned
-    protocol; requires equal sizes), optionally refined with point-to-point
-    ICP.  Accuracy is the nearest-neighbor distance pred -> gt, completion
-    the reverse, and normal consistency the absolute cosine between local
-    plane-fit normals of matched pred -> gt pairs.
+    The prediction is first fit to the ground truth by a similarity
+    transform over index-paired points (the pixel-aligned protocol; umeyama
+    raises ValueError on clouds of unequal size), optionally refined with
+    point-to-point ICP.  Accuracy is the nearest-neighbor distance
+    pred -> gt, completion the reverse, and normal consistency the absolute
+    cosine between local plane-fit normals (K_NORMALS neighbors) of matched
+    pred -> gt pairs.
 
     Each cloud gets one KD-tree, shared by ICP, the nearest-neighbor
     queries and the normal fits; ICP's final matches serve as the accuracy
@@ -300,25 +292,18 @@ def pointmap_metrics(
     if pred.shape[0] < 3 or gt.shape[0] < 3:
         raise DegenerateConfiguration("point clouds need at least 3 points")
     gt_tree = cKDTree(gt)
-    sim = matches = None
-    if align:
-        if pred.shape[0] != gt.shape[0]:
-            raise DegenerateConfiguration(
-                "similarity alignment needs index-paired clouds of equal size"
-            )
-        sim = umeyama(pred, gt, with_scale=True)
+    sim, matches = umeyama(pred, gt), None
     if use_icp:
-        sim, matches = _icp(pred, gt_tree, Similarity.identity() if sim is None else sim)
-    if sim is not None:
-        pred = sim.apply(pred)
+        sim, matches = _icp(pred, gt_tree, sim)
+    pred = sim.apply(pred)
 
     acc_d, acc_idx = gt_tree.query(pred) if matches is None else matches
     pred_tree = cKDTree(pred)
     comp_d, _ = pred_tree.query(gt)
 
-    normals_pred = _plane_normals(pred, pred_tree, k_normals)
+    normals_pred = _plane_normals(pred, pred_tree, K_NORMALS)
     matched, slot = np.unique(acc_idx, return_inverse=True)
-    normals_gt = _plane_normals(gt, gt_tree, k_normals, at=matched)
+    normals_gt = _plane_normals(gt, gt_tree, K_NORMALS, at=matched)
     cosines = np.abs(np.sum(normals_pred * normals_gt[slot], axis=1))
 
     return PointmapResult(
@@ -335,15 +320,10 @@ class DepthResult:
 
 
 def _as_image_list(x):
-    x = [np.asarray(v, dtype=np.float64) for v in (x if isinstance(x, (list, tuple)) else [x])]
-    out = []
-    for v in x:
-        if v.ndim == 3:
-            out.extend(v[k] for k in range(v.shape[0]))
-        elif v.ndim == 2:
-            out.append(v)
-        else:
-            raise ValueError(f"depth maps must be 2D or stacked 3D, got shape {v.shape}")
+    out = [np.asarray(v, dtype=np.float64) for v in x]
+    for v in out:
+        if v.ndim != 2:
+            raise ValueError(f"depth maps must be 2D, got shape {v.shape}")
     return out
 
 
@@ -362,16 +342,15 @@ def _fit_scale_shift(pred, gt):
     return float(sol[0]), float(sol[1])
 
 
-def depth_metrics(
-    pred, gt, mode="scale", per="sequence", masks=None
-) -> DepthResult:
+def depth_metrics(pred, gt, mode="scale", per="sequence") -> DepthResult:
     """AbsRel and the delta < 1.25 inlier rate after depth alignment.
 
-    mode "scale" aligns with the median ratio gt/pred; "scale_and_shift"
-    with a least-squares affine fit.  per "sequence" fits one alignment
-    over all frames, per "image" fits each frame independently.  Valid
-    pixels have positive finite ground truth (intersected with masks when
-    given); metrics pool all valid pixels after alignment.
+    pred and gt are per-frame lists of 2-D depth maps.  mode "scale" aligns
+    with the median ratio gt/pred; "scale_and_shift" with a least-squares
+    affine fit.  per "sequence" fits one alignment over all frames, per
+    "image" fits each frame independently.  Valid pixels have positive
+    finite ground truth and a finite prediction; metrics pool all valid
+    pixels after alignment.
     """
     if mode not in ("scale", "scale_and_shift"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -381,17 +360,7 @@ def depth_metrics(
     gts = _as_image_list(gt)
     if len(preds) != len(gts):
         raise ValueError(f"frame counts differ: {len(preds)} vs {len(gts)}")
-    if masks is None:
-        mask_list = [None] * len(preds)
-    else:
-        mask_list = [np.asarray(m, dtype=bool) for m in _as_image_list(masks)]
-
-    valids = []
-    for p, g, m in zip(preds, gts, mask_list):
-        ok = np.isfinite(g) & (g > 0) & np.isfinite(p)
-        if m is not None:
-            ok &= m
-        valids.append(ok)
+    valids = [np.isfinite(g) & (g > 0) & np.isfinite(p) for p, g in zip(preds, gts)]
 
     fit = _fit_scale if mode == "scale" else _fit_scale_shift
 

@@ -27,6 +27,7 @@ from . import metrics as _metrics
 
 _BLOCK_STEP_FIELDS = {GRIDS: "step_grids", TRACKS: "step_tracks", POSES: "step_poses"}
 STEP_GROWTH = 2.0  # factor of the shared step scale after an accepted step
+TOL_WINDOW = 5  # accepted epochs over which the relative loss drop is compared with tol
 MAX_STEP_SCALE = 1024.0  # cap of the shared step scale
 GRAD_TOL = 1e-12  # a largest gradient entry below this is stationary
 
@@ -40,7 +41,6 @@ class OptimConfig(ConfigDocument):
     step_poses: float = 0.01
     max_epochs: int = 200
     tol: float = 1e-8
-    tol_window: int = 5
     max_backtracks: int = 20
     loss: LossConfig = field(default_factory=LossConfig)
 
@@ -50,8 +50,6 @@ class OptimConfig(ConfigDocument):
                 raise ConfigInvalid(name, "must be positive")
         if self.max_epochs < 1:
             raise ConfigInvalid("max_epochs", "must be >= 1")
-        if self.tol_window < 1:
-            raise ConfigInvalid("tol_window", "must be >= 1")
         if self.max_backtracks < 0:
             raise ConfigInvalid("max_backtracks", "must be >= 0")
         self.loss.validate()
@@ -218,7 +216,7 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
         step_scale = trial
 
         window.append(loss)
-        if len(window) > cfg.tol_window:
+        if len(window) > TOL_WINDOW:
             window.pop(0)
             drop = (window[0] - loss) / max(abs(window[0]), 1e-300)
             if drop < cfg.tol:

@@ -161,10 +161,10 @@ class Pose:
     def copy(self):
         return Pose(self.rotation.copy(), self.translation.copy(), self.age)
 
-    def is_orthonormal(self, tol=1e-9):
-        """(...) bools: R^T R within tol of I (Frobenius norm) and det R > 0."""
+    def is_orthonormal(self):
+        """(...) bools: R^T R within 1e-6 of I (Frobenius norm) and det R > 0."""
         gram = np.swapaxes(self.rotation, -1, -2) @ self.rotation - np.eye(3)
-        return (np.linalg.norm(gram, axis=(-2, -1)) < tol) & (np.linalg.det(self.rotation) > 0.0)
+        return (np.linalg.norm(gram, axis=(-2, -1)) < 1e-6) & (np.linalg.det(self.rotation) > 0.0)
 
     def __repr__(self):
         return f"Pose(R={self.rotation.tolist()}, t={self.translation.tolist()})"
@@ -240,10 +240,6 @@ class Similarity:
         if self.scale <= 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
-    @classmethod
-    def identity(cls):
-        return cls(1.0, np.eye(3), np.zeros(3))
-
     def apply(self, pts):
         pts = np.asarray(pts, dtype=np.float64)
         if pts.ndim == 1:
@@ -259,14 +255,14 @@ class Similarity:
         )
 
 
-def umeyama(src, dst, with_scale=True) -> Similarity:
+def umeyama(src, dst) -> Similarity:
     """Least-squares similarity aligning src onto dst (paired points).
 
     Minimizes sum ||dst_i - s R src_i - t||^2 over rotation R, scale s > 0
-    (fixed to 1 when with_scale is False), and translation t.  Closed-form
-    via SVD of the cross-covariance.  Raises DegenerateConfiguration for
-    fewer than 3 pairs or (near-)collinear/coincident source or target
-    points, where the rotation is not determined.
+    and translation t.  Closed-form via SVD of the cross-covariance.
+    Raises DegenerateConfiguration for fewer than 3 pairs or
+    (near-)collinear/coincident source or target points, where the rotation
+    is not determined.
     """
     src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
@@ -295,13 +291,10 @@ def umeyama(src, dst, with_scale=True) -> Similarity:
         S[2, 2] = -1.0
     R = U @ S @ Vt
 
-    if with_scale:
-        var_src = float(np.mean(np.sum(X * X, axis=1)))
-        s = float(np.trace(np.diag(D) @ S)) / var_src
-        if s <= 0.0:
-            raise DegenerateConfiguration(f"non-positive scale {s} from alignment")
-    else:
-        s = 1.0
+    var_src = float(np.mean(np.sum(X * X, axis=1)))
+    s = float(np.trace(np.diag(D) @ S)) / var_src
+    if s <= 0.0:
+        raise DegenerateConfiguration(f"non-positive scale {s} from alignment")
     t = mu_d - s * (R @ mu_s)
     return Similarity(s, R, t)
 
@@ -355,9 +348,10 @@ def write_poses(path, poses: Pose):
 def read_poses(path) -> Pose:
     """Read the pose stack written by write_poses.
 
-    A line that is not an integer index plus 12 finite numbers, or whose
-    rotation is not orthonormal, raises FileFormatError naming that line; a
-    file that is not text raises it naming the file.
+    A line that is not its index k (the k-th pose line, from 0) plus 12
+    finite numbers, or whose rotation is not orthonormal, raises
+    FileFormatError naming that line; a file that is not text raises it
+    naming the file.
     """
     with open_text(path) as fh:
         raw = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
@@ -375,14 +369,16 @@ def read_poses(path) -> Pose:
         if len(parts) != 13:
             raise FileFormatError(path, f"expected 13 fields, got {len(parts)}", line=ln_no)
         try:
-            int(parts[0])
+            index = int(parts[0])
             vals[k] = [float(v) for v in parts[1:]]
         except ValueError:
             raise FileFormatError(path, f"bad pose row {ln!r}", line=ln_no) from None
+        if index != k:
+            raise FileFormatError(path, f"pose index {index}, expected {k}", line=ln_no)
         if not np.all(np.isfinite(vals[k])):
             raise FileFormatError(path, "pose values must be finite", line=ln_no)
     poses = Pose(vals[:, :9].reshape(-1, 3, 3), np.ascontiguousarray(vals[:, 9:]))
-    bad = np.flatnonzero(~poses.is_orthonormal(tol=1e-6))
+    bad = np.flatnonzero(~poses.is_orthonormal())
     if bad.size:
         raise FileFormatError(path, "rotation not orthonormal", line=raw[1 + bad[0]][0])
     return poses

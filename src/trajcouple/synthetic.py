@@ -124,11 +124,11 @@ class SyntheticScene:
         return self.gt_tracks.shape[1]
 
 
-def _lookat(eye, target, up=(0.0, 0.0, 1.0)):
-    """Camera-to-world rotation of a camera at eye looking at target."""
+def _lookat(eye, target):
+    """Camera-to-world rotation of a camera at eye looking at target, +z up (+y if along z)."""
     f = np.asarray(target, dtype=np.float64) - eye
     f = f / np.linalg.norm(f)
-    up = np.asarray(up, dtype=np.float64)
+    up = np.array([0.0, 0.0, 1.0])
     if abs(float(f @ up)) > 0.999:
         up = np.array([0.0, 1.0, 0.0])
     x = np.cross(up, f)

@@ -675,6 +675,10 @@ def plane_normals(cloud, tree, k, at=None):
     return _smallest_eigenvectors(centered.transpose(0, 2, 1) @ centered)
 
 
+def identity_similarity():
+    return Similarity(1.0, np.eye(3), np.zeros(3))
+
+
 def icp_refine(src, dst, init, max_iter=20, tol=1e-6):
     src = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     dst = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
@@ -710,12 +714,12 @@ def pointmap_metrics(pred, gt, align=True, use_icp=False, k_normals=16):
     if align:
         if pred.shape[0] != gt.shape[0]:
             raise DegenerateConfiguration("similarity alignment needs equal sizes")
-        sim = umeyama(pred, gt, with_scale=True)
+        sim = umeyama(pred, gt)
         if use_icp:
             sim = icp_refine(pred, gt, sim)
         pred = sim.apply(pred)
     elif use_icp:
-        pred = icp_refine(pred, gt, Similarity.identity()).apply(pred)
+        pred = icp_refine(pred, gt, identity_similarity()).apply(pred)
     acc_d, acc_idx = cKDTree(gt).query(pred)
     comp_d, _ = cKDTree(pred).query(gt)
     normals_pred = estimate_normals(pred, k_normals)

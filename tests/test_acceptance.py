@@ -241,7 +241,7 @@ def test_criterion_8_metric_oracle_equivalence():
     pm = pointmap_metrics(cloud, cloud)
     exact &= pm.acc_mean < 1e-12 and pm.comp_mean < 1e-12 and pm.nc_mean == 1.0
     g = rng.uniform(1, 3, (4, 4))
-    d = depth_metrics(g, g)
+    d = depth_metrics([g], [g])
     exact &= d.abs_rel == 0.0 and d.delta_125 == 1.0
     vis = np.ones((3, 4))
     tv = tapvid3d_metrics(

@@ -205,6 +205,7 @@ class TestOptimize:
         ("tracks.txt", 4, 6, "nan"),  # px of one sample
         ("rel_poses.txt", 2, 4, "x"),  # rotation entry
         ("rel_poses.txt", 2, 11, "nan"),  # translation
+        ("rel_poses.txt", 2, 0, "7"),  # index of the second pose
     ])
     def test_bad_row_file_exit_3_names_path(self, tmp_path, capsys, file, line, field, value):
         scenes = self.run_gen(tmp_path)
@@ -409,12 +410,14 @@ class TestConfigDocuments:
         ("optimize", {"loss": {"min_weight": NAN}}, "min_weight"),
         ("optimize", {"loss": {"use_cam": 1}}, "use_cam"),
         ("optimize", {"loss": [1]}, "loss"),
-        ("optimize", {"tol_window": 0}, "tol_window"),
+        ("optimize", {"tol_window": 0}, "tol_window"),  # no longer a field
         ("optimize", {"wat": 1}, "wat"),
         ("optimize", {"loss": {"gate_static": False}}, "gate_static"),  # set by the ablation
         ("optimize", {"mode": "selfsup"}, "mode"),  # no longer a field
         ("optimize", {"clip_norm": 1.0}, "clip_norm"),  # no longer a field
         ("optimize", {"step_growth": 2.0}, "step_growth"),  # no longer a field
+        ("optimize", {"loss": {"weight_cons": 2.5}}, "weight_cons"),  # no longer a field
+        ("optimize", {"loss": {"weight_anchor": 1.0}}, "weight_anchor"),  # no longer a field
     ])
     def test_bad_field_exit_2_names_field(
         self, tmp_path, capsys, noisy_scenes, command, doc, field
@@ -433,6 +436,56 @@ class TestConfigDocuments:
         cfg.write_bytes(content)
         assert main(config_argv(command, str(cfg), noisy_scenes, tmp_path / "o")) == 3
         assert str(cfg) in capsys.readouterr().err
+
+
+class TestFlagValues:
+    """A command-line value that can never work exits 2 before any output is written."""
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("gen", "--jobs", "0"),
+        ("gen", "--jobs", "-3"),
+        ("optimize", "--jobs", "-3"),
+        ("gradcheck", "--h", "0"),
+        ("gradcheck", "--h", "-0.5"),
+        ("gradcheck", "--h", "nan"),
+        ("gradcheck", "--tol", "0"),
+        ("gradcheck", "--tol", "inf"),
+        ("gradcheck", "--seed", "-1"),
+    ])
+    def test_out_of_range_exit_2_names_field(
+        self, tmp_path, capsys, noisy_scenes, command, flag, value
+    ):
+        out = tmp_path / "o"
+        argv = {"gen": ["gen"], "optimize": ["optimize", "--scenes", str(noisy_scenes)],
+                "gradcheck": ["gradcheck", "--fixtures", "1"]}[command]
+        assert main(argv + ["--out", str(out), flag, value]) == 2
+        assert f"'{flag[2:]}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOsErrors:
+    @pytest.mark.parametrize("case", ["gen_config_is_dir", "gen_out_is_file", "eval_tracks_is_dir"])
+    def test_os_error_exit_3_names_path(self, tmp_path, capsys, case):
+        if case == "gen_config_is_dir":
+            bad = tmp_path / "cfg"
+            bad.mkdir()
+            argv = ["gen", "--config", str(bad), "--out", str(tmp_path / "o")]
+        elif case == "gen_out_is_file":
+            bad = tmp_path / "o"
+            bad.write_text("a file\n")
+            argv = ["gen", "--out", str(bad)]
+        else:
+            cfg = write_json(tmp_path / "scene.json", SMALL_SCENE)
+            assert main(["gen", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+            scene = tmp_path / "s" / "seed_0000"
+            bad = scene / "est" / "tracks.txt"
+            os.remove(bad)
+            bad.mkdir()
+            argv = ["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                    "--metrics", "tracks3d", "--out", str(tmp_path / "e")]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestEval:
@@ -515,7 +568,8 @@ class TestEval:
         assert code == 3
         assert bad in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value", [(4, "x"), (0, "1.5"), (11, "nan"), (12, "-inf")])
+    @pytest.mark.parametrize(
+        "field,value", [(4, "x"), (0, "1.5"), (11, "nan"), (12, "-inf"), (0, "7")])
     def test_bad_pose_file_exit_3_names_line(self, tmp_path, capsys, field, value):
         scene = self.make_dirs(tmp_path)
         bad = poison_row_file(scene / "est" / "rel_poses.txt", 2, field, value)

@@ -391,14 +391,6 @@ class TestTotalLoss:
             cons_only.terms["cons"].value + cam_only.terms["cam"].value, rel=1e-12
         )
 
-    def test_weighted_sum_matches_manual(self):
-        problem, store = random_coupling_fixture(1)
-        cfg = LossConfig(weight_cons=2.5, weight_cam=0.7, delta=problem.config.delta)
-        bd = self.evaluate_with(problem, store, cfg)
-        cons, cam = bd.terms["cons"].value, bd.terms["cam"].value
-        assert bd.total == pytest.approx(2.5 * cons + 0.7 * cam, rel=1e-12)
-        assert cons >= 0 and cam >= 0
-
     def test_quadratic_scale_behavior(self):
         # scaling geometry and delta by s multiplies small-residual losses by s^2
         s = 2.0

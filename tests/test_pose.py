@@ -433,7 +433,7 @@ class TestIcp:
         true = Similarity(1.0, so3_exp(np.array([0.0, 0.0, 0.05])), np.array([0.03, -0.02, 0.01]))
         dst = true.apply(src)
         rng.shuffle(dst)  # destroy index correspondence
-        refined = _icp(src, cKDTree(dst), Similarity.identity())[0]
+        refined = _icp(src, cKDTree(dst), oracles.identity_similarity())[0]
         res = np.mean(np.linalg.norm(refined.apply(src)[:, None] - dst[None], axis=2).min(axis=1))
         assert res < 1e-6
 
@@ -454,10 +454,10 @@ class TestIcp:
         rng = np.random.default_rng(22)
         src = rng.uniform(-1, 1, size=(200, 3)) * [1.0, 1.0, 0.2]
         tree = cKDTree(src + [0.01, 0.0, 0.0])
-        sim, matches = _icp(src, tree, Similarity.identity())
+        sim, matches = _icp(src, tree, oracles.identity_similarity())
         dists, idx = tree.query(sim.apply(src))
         assert np.array_equal(matches[0], dists) and np.array_equal(matches[1], idx)
-        assert _icp(src, tree, Similarity.identity(), max_iter=1)[1] is None
+        assert _icp(src, tree, oracles.identity_similarity(), max_iter=1)[1] is None
 
 
 class TestPoseFileIo:
@@ -467,6 +467,8 @@ class TestPoseFileIo:
         (11, "nan", "finite"),
         (12, "inf", "finite"),
         (2, "nan", "finite"),
+        (0, "7", "pose index 7, expected 1"),  # write_poses numbers the lines 0, 1, 2
+        (0, "0", "pose index 0, expected 1"),
     ])
     def test_malformed_row_names_line(self, tmp_path, field, value, message):
         rng = np.random.default_rng(20)
