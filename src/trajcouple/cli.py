@@ -81,6 +81,9 @@ def _parse_seeds(text):
         raise ConfigInvalid("seeds", f"not a comma-separated integer list: {text!r}")
     if not seeds or min(seeds) < 0:
         raise ConfigInvalid("seeds", f"need one or more seeds, each >= 0: {text!r}")
+    if len(set(seeds)) < len(seeds):
+        # each seed names one output directory, which two workers must not share
+        raise ConfigInvalid("seeds", f"a seed is repeated: {text!r}")
     return seeds
 
 

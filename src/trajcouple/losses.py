@@ -21,6 +21,15 @@ Pose gradients are taken w.r.t. per-frame tangents ``(omega, upsilon)``
 around held base poses, with the transform acting as
 ``x -> exp_so3(omega) @ (base @ x) + upsilon``; the chain rule through
 ``omega`` uses the SO(3) left Jacobian and is exact at any tangent value.
+Each pass composes ``exp(omega) * base`` once per frame, so every sample
+is mapped by one rotation, and ``J_l(omega)^T`` is applied once per frame
+to that frame's summed per-sample partials.  The optimizer folds the
+tangents after every accepted step, so its taped passes and mask refreshes
+run at zero tangents, where ``exp`` and ``J_l`` are exactly the identity:
+there the outputs are byte-identical to mapping each sample through base
+and then ``exp(omega)``, with ``J_l`` applied per sample.  Away from the
+chart origin (line-search trials, gradient checks) the two orders agree to
+rounding.
 
 A CouplingProblem compiles its sample geometry (valid samples, their
 bilinear sampling operator S, anchor references, and S^T over the samples
@@ -34,7 +43,6 @@ S^T once, over all of them in term order, at its end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -42,7 +50,7 @@ import numpy as np
 from .errors import ConfigDocument, ConfigInvalid, MissingTargets
 from .grad import GRIDS, POSES, TRACKS, ParamStore, Tape
 from .pointmap import BilinearSampler
-from .pose import Pose, compose, exp_map, so3_left_jacobian
+from .pose import Pose, compose, exp_map, so3_exp, so3_left_jacobian
 from .tracks import MIN_VISIBLE_WEIGHT
 
 DEFAULT_DELTA = 0.05
@@ -72,21 +80,51 @@ def _cross(a, b):
     return out
 
 
-def transform_samples(base: Pose, step: Pose, frames, pts):
-    """Apply each sample's frame of step * base; returns (y, a).
+def transform_samples(pose: Pose, frames, pts):
+    """R_f p + t_f: each sample p mapped by its frame f's transform of the (T,) stack pose.
 
-    y = step.rotation @ (base @ p) + step.translation is the transformed
-    point and a = y - step.translation is the rotated part needed by the
-    omega chain rule.  This is the single code path for pose application
-    inside the losses, shared with the synthetic generator for bitwise
-    reproducibility.
+    Inside the losses pose is a pass's composed stack exp(omega) * base, so
+    each sample gets one rotation.  This is the single code path for pose
+    application inside the losses, shared with the synthetic generator for
+    bitwise reproducibility.
     """
     frames = np.asarray(frames, dtype=np.int64)
     pts = np.asarray(pts, dtype=np.float64)
-    z = np.einsum("mij,mj->mi", base.rotation.take(frames, axis=0), pts)
-    z += base.translation.take(frames, axis=0)
-    a = np.einsum("mij,mj->mi", step.rotation.take(frames, axis=0), z)
-    return a + step.translation.take(frames, axis=0), a
+    y = np.einsum("mij,mj->mi", pose.rotation.take(frames, axis=0), pts)
+    y += pose.translation.take(frames, axis=0)
+    return y
+
+
+def _current_stack(base: Pose, tangents):
+    """exp_map(tangents) * base as one (T,) stack, one composition per frame.
+
+    Unlike pose.compose it neither ages nor re-projects the result, which
+    lives for one pass.  With zero tangents exp and the products are exact,
+    so every finite value equals base's (a zero may change sign).
+    """
+    step = so3_exp(tangents[:, :3])
+    return Pose(np.einsum("tij,tjk->tik", step, base.rotation),
+                (step @ base.translation[..., None])[..., 0] + tangents[:, 3:])
+
+
+class _once:
+    """cached_property without its lock: the first access stores the value on the instance.
+
+    A non-data descriptor, so the instance attribute then shadows it.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass
@@ -178,19 +216,23 @@ class _Pass:
         self.grad = tape is not None  # value-only passes skip the Huber gradients
         self.grid_samples = None  # (M, 3) grid coefficients queued by cons_pointmap
         self.grid_anchors = None  # (candidates k into a_pos, (K, 3) coefficients) of anchor
+        self.omega_sums = None  # (T, 3) per-frame sums of a x g queued by scatter_poses
 
-    def scatter_poses(self, frames, a_sel, gvec):
+    def scatter_poses(self, frames, y_sel, gvec):
         """Accumulate d(loss)/d(omega, upsilon) for selected samples.
 
         For y = exp(omega) z + upsilon and downstream gradient g:
-        d/d upsilon = g and d/d omega = J_l(omega)^T (a x g) with a = exp(omega) z.
+        d/d upsilon = g, scattered per sample, and d/d omega = J_l(omega)^T (a x g)
+        with a = exp(omega) z = y - upsilon.  J_l depends only on the frame,
+        so a x g is summed per frame here, sample by sample from +0.0 and
+        term after term, and flush applies J_l^T once per frame.
         """
-        pose_base = frames * 6
-        ups_idx = (pose_base[:, None] + np.arange(3, 6)).reshape(-1)
-        self.tape.scatter(POSES, ups_idx, gvec.reshape(-1))
-        gw = np.einsum("mji,mj->mi", self.left_jac.take(frames, axis=0), _cross(a_sel, gvec))
-        om_idx = (pose_base[:, None] + np.arange(3)).reshape(-1)
-        self.tape.scatter(POSES, om_idx, gw.reshape(-1))
+        self.tape.scatter(POSES, (frames[:, None] * 6 + np.arange(3, 6)).reshape(-1),
+                          gvec.reshape(-1))
+        if self.omega_sums is None:
+            self.omega_sums = np.zeros((self.tangents.shape[0], 3))
+        a = y_sel - self.tangents[:, 3:].take(frames, axis=0)
+        np.add.at(self.omega_sums, frames, _cross(a, gvec))
 
     def scatter_tracks(self, coeff):
         """Accumulate (M, 3) per-sample partials into the tracks block."""
@@ -203,19 +245,28 @@ class _Pass:
         else:
             self.grid_anchors = (candidates, coeff)
 
-    def flush_grids(self):
-        """Add the queued grid gradients to the tape with one S^T product.
+    def flush(self):
+        """Add the queued pose and grid gradients to the tape.
 
-        The product runs over the samples, then the anchor candidates: the
-        term order, so each grid value accumulates term by term and, within a
-        term, sample by sample; a product per term, summed, would associate
-        the additions differently.  With the anchor term queued, the sampler's
-        compiled S^T acts on one zero-filled (M + Ma, 3) array, whose
-        rows of an absent term or of a gated-out candidate stay zero.  A zero
+        The omega partials are J_l(omega_f)^T times each frame's queued sum.
+        At zero tangents J_l is exactly the identity, and a tape that starts
+        at zero then holds the per-sample sums bit for bit.
+
+        The grid gradients are one S^T product.  It runs over the samples,
+        then the anchor candidates: the term order, so each grid value
+        accumulates term by term and, within a term, sample by sample; a
+        product per term, summed, would associate the additions differently.
+        With the anchor term queued, the sampler's compiled S^T acts on one
+        zero-filled (M + Ma, 3) array, whose rows of an absent term or of a
+        gated-out candidate stay zero.  A zero
         coefficient adds +-0.0, which leaves every accumulator unchanged: a
         CSC product starts from +0.0, and a round-to-nearest sum is -0.0
         only when both addends are, so no accumulator ever holds -0.0.
         """
+        if self.omega_sums is not None:
+            grad = np.zeros(self.tangents.shape)
+            grad[:, :3] = np.einsum("tji,tj->ti", self.left_jac, self.omega_sums)
+            self.tape.add(POSES, grad)
         coeff = self.grid_samples
         if self.grid_anchors is not None:
             m = self.geo.tt.size
@@ -247,7 +298,7 @@ class _Pass:
                              f"the visibility is {self.geo.shape}")
         return mask.reshape(-1).take(flat)
 
-    @cached_property
+    @_once
     def targets(self):
         if self.problem.targets is None:
             raise MissingTargets("camera consistency needs anchor targets")
@@ -257,50 +308,46 @@ class _Pass:
                              f"the visibility needs {self.geo.shape + (3,)}")
         return targets.reshape(-1, 3).take(self.geo.flat, axis=0)
 
-    @cached_property
-    def step(self):
-        """exp_map of the pose tangents: the transforms left of the base poses."""
-        return exp_map(self.tangents)
+    @_once
+    def current(self):
+        """The current relative poses exp(omega) * base: one (T,) stack per pass."""
+        return _current_stack(self.problem.base, self.tangents)
 
-    @cached_property
+    @_once
     def left_jac(self):  # (T, 3, 3)
         return so3_left_jacobian(self.tangents[:, :3])
 
-    @cached_property
-    def r_cur(self):  # (T, 3, 3)  the current rotations step.rotation @ base.rotation
-        return np.einsum("tij,tjk->tik", self.step.rotation, self.problem.base.rotation)
-
-    @cached_property
+    @_once
     def samples(self):
         """The pointmaps sampled at every valid sample (S @ grids)."""
         return self.geo.sampler.gather(self.grid_stack)
 
-    @cached_property
+    @_once
     def tracked(self):
         return self.track_pts.reshape(-1, 3).take(self.geo.flat, axis=0)
 
-    @cached_property
+    @_once
     def cons(self):
         vals, g, norms = self.huber(self.tracked - self.samples)
         coeff = self.geo.w[:, None] * g if self.grad else None
         return float(np.add.reduce(self.geo.w * vals)), coeff, norms
 
-    @cached_property
+    @_once
     def moved(self):
-        """Track points through the current relative poses: (y, a)."""
-        return transform_samples(self.problem.base, self.step, self.geo.tt, self.tracked)
+        """Track points through the current relative poses."""
+        return transform_samples(self.current, self.geo.tt, self.tracked)
 
-    @cached_property
+    @_once
     def cam_residual(self):
         """Huber (values, gradients, norms) of every moved track point against its target."""
-        return self.huber(self.moved[0] - self.targets)
+        return self.huber(self.moved - self.targets)
 
-    @cached_property
+    @_once
     def cam_track(self):
         vals, g, norms = self.cam_residual
         return float(np.add.reduce(self.geo.w * vals)), g, norms
 
-    @cached_property
+    @_once
     def cam_pose(self):
         """Pose half: (value, gated positions, gvec, norms)."""
         target = self.cfg.pose_target
@@ -317,14 +364,14 @@ class _Pass:
             vals, g, norms = (None if x is None else x.take(pos, axis=0) for x in self.cam_residual)
         else:
             tgt = self.samples.take(self.geo.anchor_ref.take(pos), axis=0)
-            vals, g, norms = self.huber(self.moved[0].take(pos, axis=0) - tgt)
+            vals, g, norms = self.huber(self.moved.take(pos, axis=0) - tgt)
         w = self.geo.w.take(pos)
         gvec = w[:, None] * g if self.grad else None
         return float(np.add.reduce(w * vals)), pos, gvec, norms
 
-    @cached_property
+    @_once
     def anchor(self):
-        """Anchor term: (value, positions, candidates, a, gvec, norms).
+        """Anchor term: (value, positions, candidates, reprojections, gvec, norms).
 
         candidates are the gated entries of a_pos, positions their samples.
         """
@@ -332,12 +379,11 @@ class _Pass:
         candidates = np.flatnonzero(self.gate(geo.a_flat, "anchor consistency"))
         pos = geo.a_pos.take(candidates)
         samples = self.samples
-        yv, a = transform_samples(self.problem.base, self.step, geo.tt.take(pos),
-                                  samples.take(pos, axis=0))
+        yv = transform_samples(self.current, geo.tt.take(pos), samples.take(pos, axis=0))
         vals, g, norms = self.huber(yv - samples.take(geo.anchor_ref.take(pos), axis=0))
         w = geo.a_w.take(candidates)
         gvec = w[:, None] * g if self.grad else None
-        return float(np.add.reduce(w * vals)), pos, candidates, a, gvec, norms
+        return float(np.add.reduce(w * vals)), pos, candidates, yv, gvec, norms
 
 
 # Sub-terms: each returns its value and, with a tape, adds its
@@ -360,7 +406,8 @@ def _cons_track(ps: _Pass):
 def _cam_track(ps: _Pass):
     value, g, _ = ps.cam_track
     if ps.tape is not None:
-        gp = np.einsum("mji,mj->mi", ps.r_cur.take(ps.geo.tt, axis=0), ps.geo.w[:, None] * g)
+        gp = np.einsum("mji,mj->mi", ps.current.rotation.take(ps.geo.tt, axis=0),
+                       ps.geo.w[:, None] * g)
         ps.scatter_tracks(gp)
     return value
 
@@ -368,14 +415,14 @@ def _cam_track(ps: _Pass):
 def _cam_pose(ps: _Pass):
     value, pos, gvec, _ = ps.cam_pose
     if ps.tape is not None and pos.size:
-        ps.scatter_poses(ps.geo.tt.take(pos), ps.moved[1].take(pos, axis=0), gvec)
+        ps.scatter_poses(ps.geo.tt.take(pos), ps.moved.take(pos, axis=0), gvec)
     return value
 
 
 def _anchor(ps: _Pass):
-    value, pos, candidates, a, gvec, _ = ps.anchor
+    value, pos, candidates, yv, gvec, _ = ps.anchor
     if ps.tape is not None and pos.size:
-        ps.scatter_poses(ps.geo.tt.take(pos), a, gvec)
+        ps.scatter_poses(ps.geo.tt.take(pos), yv, gvec)
         ps.add_grids(-gvec, candidates)
     return value
 
@@ -435,12 +482,12 @@ def _run_group(ps: _Pass, group: _Group) -> TermStats:
     return _stats(group.slot, value, *group.stats(ps))
 
 
-def _reprojection_mask(geo, grid_stack, base, step, tau, scale_quantile=0.4, scale_factor=3.0):
+def _reprojection_mask(geo, grid_stack, pose, tau, scale_quantile=0.4, scale_factor=3.0):
     """Provisional static mask from reprojection stability under current poses.
 
-    Visible samples are reprojected into the anchor frame through
-    step * base; a sample counts as static when it stays within tau_eff of
-    its track's temporal median.
+    Visible samples are reprojected into the anchor frame through the
+    (T,) stack pose, the current relative poses; a sample counts as static
+    when it stays within tau_eff of its track's temporal median.
     tau_eff is per frame: tau inflated to scale_factor times a low quantile
     of that frame's deviations.  Early in an optimization, pose error alone
     moves every reprojection of a frame coherently, so a per-frame scale
@@ -451,7 +498,7 @@ def _reprojection_mask(geo, grid_stack, base, step, tau, scale_quantile=0.4, sca
     n, t = geo.shape
     if geo.flat.size == 0:
         return np.zeros((n, t), dtype=bool)
-    repro, _ = transform_samples(base, step, geo.tt, geo.sampler.gather(grid_stack))
+    repro = transform_samples(pose, geo.tt, geo.sampler.gather(grid_stack))
 
     repro_full = np.full((n, t, 3), np.nan)
     repro_full.reshape(n * t, 3)[geo.flat] = repro
@@ -549,7 +596,7 @@ class CouplingProblem:
             if getattr(self.config, group.toggle):
                 terms[group.slot] = _run_group(ps, group)
                 total += terms[group.slot].value
-        ps.flush_grids()
+        ps.flush()
         return LossBreakdown(terms, total)
 
     def evaluate_term(self, store: ParamStore, term: str, tape: Optional[Tape] = None) -> float:
@@ -558,7 +605,7 @@ class CouplingProblem:
             raise ValueError(f"unknown term {term!r}")
         ps = _Pass(self, store, tape)
         value = TERMS[term](ps)
-        ps.flush_grids()
+        ps.flush()
         return value
 
     def active_terms(self):
@@ -567,7 +614,7 @@ class CouplingProblem:
     def refresh_static_mask(self, store: ParamStore):
         """Recompute the provisional static mask from the current state."""
         self.static_mask = _reprojection_mask(
-            self.geometry(store), store.view(GRIDS), self.base, exp_map(store.view(POSES)),
+            self.geometry(store), store.view(GRIDS), _current_stack(self.base, store.view(POSES)),
             self.tau_static,
         )
 

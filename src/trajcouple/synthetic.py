@@ -314,8 +314,7 @@ def anchor_targets(gt_tracks, rel_poses: Pose):
     """(N, T, 3) camera tracks pushed through the relative poses by the losses' transform chain."""
     n, t, _ = gt_tracks.shape
     frames = np.tile(np.arange(t), n)
-    return transform_samples(rel_poses, exp_map(np.zeros((t, 6))), frames,
-                             gt_tracks.reshape(-1, 3))[0].reshape(n, t, 3)
+    return transform_samples(rel_poses, frames, gt_tracks.reshape(-1, 3)).reshape(n, t, 3)
 
 
 def perturb(scene: SyntheticScene, sigma_pointmap, sigma_track, sigma_pose, seed):

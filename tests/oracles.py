@@ -2,8 +2,9 @@
 
 The metric oracles are straightforward loops over 4x4 matrices and raw
 arrays, sharing no code with the package beyond numpy/scipy primitives.
-The sampling, grid-gradient, Huber, pass-kernel, tape, geometric-median,
-SO(3), single-pose, reprojection-mask, row-file and point-cloud references
+The sampling, pose-application, pose- and grid-gradient, Huber,
+pass-kernel, tape, geometric-median, SO(3), single-pose,
+reprojection-mask, row-file and point-cloud references
 below are the package's earlier per-call formulations, kept to pin the
 compiled and batched paths bit for bit.
 """
@@ -15,8 +16,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from trajcouple.errors import DegenerateConfiguration, LogNearPi
-from trajcouple.grad import GRIDS, Tape
-from trajcouple.losses import _Pass, transform_samples
+from trajcouple.grad import GRIDS, POSES, Tape
+from trajcouple.losses import _cross, _Pass, transform_samples
 from trajcouple.metrics import PointmapResult, _smallest_eigenvectors
 from trajcouple.pointmap import BilinearSampler, check_domain
 from trajcouple.pose import _SMALL_ANGLE, REORTHO_PERIOD, Pose, Similarity, _so3_parts, umeyama
@@ -174,6 +175,61 @@ def so3_exp_two_branch(omega):
     c1 = np.sin(theta) / theta
     c2 = (1.0 - np.cos(theta)) / np.float_power(theta, 2)
     return np.where(small, np.eye(3) + S + 0.5 * S2, np.eye(3) + c1 * S + c2 * S2)
+
+
+# ---------------------------------------------------------------------------
+# Pose application and the pose-block gradient: the earlier two-stage
+# transform and per-sample omega chain rule.
+
+def two_stage_transform(base, step, frames, pts):
+    """(y, a) of each sample's frame of step * base, applied as base, then step.
+
+    y = step.rotation @ (base @ p) + step.translation and a = y minus the
+    step's translation: two (M, 3, 3) gathers and contractions per call.
+    """
+    frames = np.asarray(frames, dtype=np.int64)
+    pts = np.asarray(pts, dtype=np.float64)
+    z = np.einsum("mij,mj->mi", base.rotation.take(frames, axis=0), pts)
+    z += base.translation.take(frames, axis=0)
+    a = np.einsum("mij,mj->mi", step.rotation.take(frames, axis=0), z)
+    return a + step.translation.take(frames, axis=0), a
+
+
+def scatter_poses_per_sample(tape, left_jac, frames, a, gvec):
+    """d/d upsilon = g and d/d omega = J_l(omega)^T (a x g), each scattered per sample."""
+    pose_base = frames * 6
+    ups_idx = (pose_base[:, None] + np.arange(3, 6)).reshape(-1)
+    tape.scatter(POSES, ups_idx, gvec.reshape(-1))
+    gw = np.einsum("mji,mj->mi", left_jac.take(frames, axis=0), _cross(a, gvec))
+    om_idx = (pose_base[:, None] + np.arange(3)).reshape(-1)
+    tape.scatter(POSES, om_idx, gw.reshape(-1))
+
+
+def pose_gradient(problem, store):
+    """The pose block a fresh tape holds after the enabled pose-writing terms.
+
+    Each term's a comes from the two-stage transform and its omega partials
+    go through each sample's own J_l, scattered sample by sample in term
+    order.  The downstream gradients are the pass's own intermediates.
+    """
+    ps = _Pass(problem, store, Tape(store))
+    exp_rot, left_jac, upsilon = step_stacks(store.view(POSES))
+    step = Pose(exp_rot, upsilon)
+    tape = Tape(store)
+    for term in problem.active_terms():
+        if term == "cam_pose":
+            _, pos, gvec, _ = ps.cam_pose
+            pts = ps.tracked
+        elif term == "anchor":
+            _, pos, _, _, gvec, _ = ps.anchor
+            pts = ps.samples
+        else:
+            continue
+        if pos.size:
+            frames = ps.geo.tt.take(pos)
+            _, a = two_stage_transform(problem.base, step, frames, pts.take(pos, axis=0))
+            scatter_poses_per_sample(tape, left_jac, frames, a, gvec)
+    return tape.grad(POSES)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +415,19 @@ def step_stacks(tangents):
     return exp_rot, left_jac, tangents[:, 3:].copy()
 
 
+def current_stack(base_poses, tangents):
+    """exp_map(tangent) * base one frame at a time, unaged, as one (T,) stack.
+
+    The pass's composition: its rotation product in einsum's summation,
+    its translation exp_rot @ t + upsilon.
+    """
+    exp_rot, _, upsilon = step_stacks(tangents)
+    frames = [Pose(np.einsum("ij,jk->ik", exp_rot[t], base.rotation),
+                   exp_rot[t] @ base.translation + upsilon[t])
+              for t, base in enumerate(base_poses)]
+    return stack(frames)
+
+
 def current_rel_poses(base_poses, tangents):
     """compose(exp_map(tangent), base) per frame, as a list."""
     tangents = np.asarray(tangents, dtype=np.float64).reshape(len(base_poses), 6)
@@ -372,9 +441,8 @@ def reprojection_mask(
     n, t = shape
     if geo.flat.size == 0:
         return np.zeros((n, t), dtype=bool)
-    exp_rot, _, upsilon = step_stacks(tangents)
-    repro, _ = transform_samples(stack(base_poses), Pose(exp_rot, upsilon), geo.tt,
-                                 geo.sampler.gather(grid_stack))
+    repro = transform_samples(current_stack(base_poses, tangents), geo.tt,
+                              geo.sampler.gather(grid_stack))
 
     repro_full = np.full((n * t, 3), np.nan)
     repro_full[geo.flat] = repro

@@ -444,6 +444,8 @@ class TestFlagValues:
     @pytest.mark.parametrize("command,flag,value", [
         ("gen", "--jobs", "0"),
         ("gen", "--jobs", "-3"),
+        ("gen", "--seeds", "1,1"),
+        ("gen", "--seeds", "3,1,3"),
         ("optimize", "--jobs", "-3"),
         ("gradcheck", "--h", "0"),
         ("gradcheck", "--h", "-0.5"),

@@ -21,10 +21,12 @@ from trajcouple.losses import (
     TermStats,
     _compile,
     _cross,
+    _current_stack,
     _huber_batch,
     _Pass,
     _reprojection_mask,
     _stats,
+    transform_samples,
 )
 from trajcouple.optimize import ABLATIONS
 from trajcouple.pose import (
@@ -539,10 +541,10 @@ class TestBatchedPoseWork:
         store.view(POSES)[:] = tangents
         ps = _Pass(problem, store, Tape(store))
         exp_rot, left_jac, upsilon = oracles.step_stacks(tangents)
-        assert np.array_equal(ps.step.rotation, exp_rot)
-        assert np.array_equal(ps.step.translation, upsilon)
+        expected = oracles.current_stack(base, tangents)
+        assert np.array_equal(ps.current.rotation, expected.rotation)
+        assert np.array_equal(ps.current.translation, expected.translation)
         assert np.array_equal(ps.left_jac, left_jac)
-        assert np.array_equal(ps.r_cur, np.einsum("tij,tjk->tik", exp_rot, base.rotation))
         assert_poses_equal(problem.current_poses(store), oracles.current_rel_poses(base, tangents))
         assert problem.base is base
 
@@ -574,9 +576,120 @@ class TestBatchedPoseWork:
         problem.evaluate(store, Tape(store))
         problem.evaluate(store)
         problem.refresh_static_mask(store)
-        assert [p.shape for p in made] == [(5,)] * 3  # one exp_map each, no per-frame poses
+        assert [p.shape for p in made] == [(5,)] * 3  # one composed stack each, no per-frame poses
         problem.fold_pose_tangents(store)
         assert problem.base.shape == (5,) and all(p.shape == (5,) for p in made)
+
+
+def with_signed_zeros(rng, arr, share):
+    """Set about share of arr's entries to exact zeros, half of them -0.0."""
+    hit = rng.random(arr.shape) < share
+    arr[hit] = np.where(rng.random(np.count_nonzero(hit)) < 0.5, -0.0, 0.0)
+
+
+@st.composite
+def composed_stack_cases(draw):
+    """A full-ablation (problem, store) with random bases and points, tangents left to the test.
+
+    With zeros: exact +-0.0 in base rotations and translations (whole
+    translations of some frames -0.0), in whole track points and in grid
+    values, so that transformed points and their rotated parts hit zero.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    t = draw(st.integers(2, 8))
+    problem, store = random_coupling_fixture(seed, n_tracks=draw(st.integers(1, 8)), n_frames=t)
+    target = draw(st.sampled_from(["gt", "anchor_sample"]))
+    problem.config = replace(problem.config, pose_target=target, **ABLATIONS["full"])
+    problem.base = base = random_base_poses(rng, t)
+    if draw(st.booleans()):
+        with_signed_zeros(rng, base.rotation, 0.3)
+        with_signed_zeros(rng, base.translation, 0.5)
+        base.translation[rng.random(t) < 0.3] = -0.0
+        tracks = store.view(TRACKS)
+        tracks[rng.random(tracks.shape[:2]) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+        with_signed_zeros(rng, store.view(GRIDS), 0.3)
+    return problem, store
+
+
+def two_stage(ps, pts):
+    """The oracle's (y, a) of pts at the pass's samples: through base, then exp(omega)."""
+    exp_rot, _, upsilon = oracles.step_stacks(ps.tangents)
+    return oracles.two_stage_transform(ps.problem.base, Pose(exp_rot, upsilon), ps.geo.tt, pts)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestComposedStack:
+    """One composed stack per pass and J_l per frame against the two-stage, per-sample oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(composed_stack_cases(), st.sampled_from([0.0, -0.0]))
+    def test_zero_tangents_match_oracle_bit_for_bit(self, case, zero):
+        # the optimizer's taped passes and mask refreshes all run here, after a fold
+        problem, store = case
+        store.view(POSES)[:] = zero
+        ps = _Pass(problem, store, Tape(store))
+        for pts in (ps.tracked, ps.samples):
+            y, a = two_stage(ps, pts)
+            got = transform_samples(ps.current, ps.geo.tt, pts)
+            assert np.array_equal(bits(got), bits(y))
+            assert np.array_equal(bits(got - ps.tangents[ps.geo.tt, 3:]), bits(a))
+        tape = Tape(store)
+        problem.evaluate(store, tape)
+        assert np.array_equal(bits(tape.grad(POSES)), bits(oracles.pose_gradient(problem, store)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(composed_stack_cases(), tangent_stacks(max_frames=8), st.sampled_from([1.0, 10.0]))
+    def test_nonzero_tangents_agree_to_rounding(self, case, tangents, translation_scale):
+        # Both orders compute R_f p + t_f through 3-term products of rows of
+        # norm 1: the oracle rounds z = B p + t_b, exp(w) z and the sum with
+        # upsilon; the pass rounds exp(w) B, exp(w) t_b + upsilon and R_f p + t_f.
+        # Bounding each 3-term dot product by 3 eps times its absolute terms
+        # bounds the difference by about 16 eps times |p| + |t_b| + |upsilon|
+        # per component; 800 scratch cases (angles up to pi - 1e-3) reached 1.4.
+        problem, store = case
+        t = store.view(POSES).shape[0]
+        tangents = np.resize(tangents, (t, 6))
+        tangents[:, 3:] *= translation_scale
+        store.view(POSES)[:] = tangents
+        ps = _Pass(problem, store, Tape(store))
+        eps = np.finfo(np.float64).eps
+
+        def scale(frames, pts):
+            return (np.linalg.norm(pts, axis=1)
+                    + np.linalg.norm(problem.base.translation, axis=1)[frames]
+                    + np.linalg.norm(tangents[frames, 3:], axis=1))
+
+        for pts in (ps.tracked, ps.samples):
+            y, _ = two_stage(ps, pts)
+            got = transform_samples(ps.current, ps.geo.tt, pts)
+            assert np.all(np.abs(got - y) <= 16 * eps * scale(ps.geo.tt, pts)[:, None])
+        # The pose block: |dy| above moves each a x g and, the Huber gradient
+        # being 1-Lipschitz, each g; ||J_l|| <= 1, and summing a frame's
+        # partials before J_l^T rounds within eps of their absolute sum.  The
+        # bound per frame is 16 eps sum_m s_m (w_m + |g_m| + w_m |a_m|) + |a_m| |g_m|,
+        # with s_m the scale above; the same cases reached 0.008 of it.
+        bound = np.zeros(t)
+        for term in ("cam_pose", "anchor"):
+            if term == "cam_pose":
+                _, pos, gvec, _ = ps.cam_pose
+                pts, w = ps.tracked, ps.geo.w.take(pos)
+            else:
+                _, pos, candidates, _, gvec, _ = ps.anchor
+                pts, w = ps.samples, ps.geo.a_w.take(candidates)
+            if pos.size:
+                frames, p = ps.geo.tt.take(pos), pts.take(pos, axis=0)
+                s = scale(frames, p)
+                a = np.linalg.norm(two_stage(ps, pts)[1].take(pos, axis=0), axis=1)
+                g = np.linalg.norm(gvec, axis=1)
+                np.add.at(bound, frames, s * (w + g + w * a) + a * g)
+        tape = Tape(store)
+        problem.evaluate(store, tape)
+        diff = np.abs(tape.grad(POSES) - oracles.pose_gradient(problem, store)).reshape(t, 6)
+        assert np.all(diff <= 16 * eps * bound[:, None])
 
 
 class TestPassSharing:
@@ -592,6 +705,24 @@ class TestPassSharing:
         problem.evaluate(store, Tape(store))
         n_valid = problem.geometry(store).flat.size
         assert sizes == [n_valid, n_valid]  # cons, then cam; the pose half indexes cam's
+
+    def test_per_sample_contractions(self, monkeypatch):
+        # one rotation per sample: the moved track points and the anchor
+        # reprojections, plus cam_track's R^T g on a taped pass; J_l and the
+        # composition act on (T, 3, 3) stacks
+        problem, store = random_coupling_fixture(13, n_tracks=8, n_frames=4)
+        problem.config = replace(problem.config, **ABLATIONS["full"])
+        t = store.view(POSES).shape[0]
+        shapes = []
+        real = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda spec, *ops, **kw: shapes.append(
+            [np.shape(op) for op in ops]) or real(spec, *ops, **kw))
+        for tape in (Tape(store), None):
+            shapes.clear()
+            problem.evaluate(store, tape)
+            per_sample = [s for s in shapes if len(s[0]) == 3 and s[0][0] != t]
+            assert len(per_sample) == (3 if tape is not None else 2)
+            assert all(s[0][1:] == (3, 3) and s[0][0] > t for s in per_sample)
 
     def test_jacobians_only_for_gradients(self, monkeypatch):
         problem, store = random_coupling_fixture(12, selfsup=True)
@@ -707,7 +838,7 @@ class TestReprojectionMask:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             geo, _, grids, base, tangents, tau = case
-            got = _reprojection_mask(geo, grids, base, exp_map(tangents), tau,
+            got = _reprojection_mask(geo, grids, _current_stack(base, tangents), tau,
                                      scale_quantile=quantile)
         assert got.dtype == bool
         assert np.array_equal(got, expected)
