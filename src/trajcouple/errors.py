@@ -10,6 +10,10 @@ from dataclasses import MISSING
 class TrajCoupleError(Exception):
     """Base class for all package-specific errors."""
 
+    def __reduce__(self):
+        # rebuilt without __init__ (subclasses change its signature): crosses process pools
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class LogNearPi(TrajCoupleError):
     """Rotation log requested too close to the pi singularity."""
@@ -36,11 +40,12 @@ class MissingTargets(TrajCoupleError):
 
 
 class ConfigInvalid(TrajCoupleError):
-    """A configuration document failed validation."""
+    """A configuration document failed validation; path names its file, if it was read from one."""
 
-    def __init__(self, field, message):
-        self.field = field
-        super().__init__(f"invalid config field '{field}': {message}")
+    def __init__(self, field, message, path=None):
+        self.field, self.message = field, message
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}invalid config field '{field}': {message}")
 
 
 class Diverged(TrajCoupleError):
@@ -99,8 +104,16 @@ class ConfigDocument:
         return cls(**values).validate()
 
     @classmethod
+    def from_file_doc(cls, doc, path):
+        """from_dict of doc, read from the file at path, which a bad field's error names."""
+        try:
+            return cls.from_dict(doc)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(exc.field, exc.message, path) from None
+
+    @classmethod
     def from_json_file(cls, path):
-        return cls.from_dict(read_json_object(path))
+        return cls.from_file_doc(read_json_object(path), path)
 
 
 def read_json_object(path):

@@ -8,12 +8,12 @@ The optimization state lives in three named blocks:
   held base poses, ``(T, 6)``
 
 The tape holds one flat gradient per block, indexed like the block's flat
-(C-order) view.
-
-Losses scatter analytic partial derivatives into a Tape, or add a dense
-block-sized gradient.  The tape adds whatever it is given; a detached
-factor gets no gradient because no sub-term forms partials for it (see
-``losses.TERM_BLOCKS``).
+(C-order) view: ``add`` adds a dense block-sized gradient, and
+``grad(name)`` is the block's own array.  A taped loss pass adds the pose
+and grid blocks once each, and the tracks block once per track term, so a
+tape that sums passes without ``reset`` sums their per-pass pose and grid
+gradients.  A detached factor gets no gradient because no sub-term forms
+partials for it (see ``losses.TERM_BLOCKS``).
 """
 
 from __future__ import annotations
@@ -80,22 +80,6 @@ class Tape:
             return self.grads[name]
         except KeyError:
             raise UnknownBlock(f"unknown block {name!r}")
-
-    def scatter(self, block, indices, partials):
-        """Add partials at flat indices of the block.
-
-        Repeated indices accumulate, in the order given (np.add.at).
-        """
-        g = self.grad(block)
-        indices = np.asarray(indices).reshape(-1)
-        if indices.dtype.kind not in "iu":
-            indices = indices.astype(np.int64)
-        partials = np.asarray(partials, dtype=np.float64).reshape(-1)
-        if indices.size == 0:
-            return
-        if indices.min() < 0 or indices.max() >= g.size:
-            raise IndexOutOfRange(f"indices outside block {block!r} ({g.size})")
-        np.add.at(g, indices, partials)
 
     def add(self, block, values):
         """Add a dense block-sized gradient."""

@@ -36,8 +36,9 @@ bilinear sampling operator S, anchor references, and S^T over the samples
 followed by the anchor samples) from the grid shape of the first store it
 evaluates, and rejects a later store of other shapes; every term then runs
 through one shared pass per evaluation, driven by one term table.  The
-grid-writing terms queue their sample coefficients, and the pass applies
-S^T once, over all of them in term order, at its end.
+track terms add their partials to the tape at once; the pose and grid
+terms queue theirs, and at its end the pass adds each of those blocks to
+the tape once, the grids as one S^T product over all queued coefficients.
 """
 
 from __future__ import annotations
@@ -216,27 +217,27 @@ class _Pass:
         self.grad = tape is not None  # value-only passes skip the Huber gradients
         self.grid_samples = None  # (M, 3) grid coefficients queued by cons_pointmap
         self.grid_anchors = None  # (candidates k into a_pos, (K, 3) coefficients) of anchor
-        self.omega_sums = None  # (T, 3) per-frame sums of a x g queued by scatter_poses
+        self.pose_sums = None  # (T, 6) per-frame sums of (a x g, g) queued by add_poses
 
-    def scatter_poses(self, frames, y_sel, gvec):
-        """Accumulate d(loss)/d(omega, upsilon) for selected samples.
+    def add_poses(self, frames, y_sel, gvec):
+        """Queue d(loss)/d(omega, upsilon) of selected samples as per-frame sums.
 
-        For y = exp(omega) z + upsilon and downstream gradient g:
-        d/d upsilon = g, scattered per sample, and d/d omega = J_l(omega)^T (a x g)
-        with a = exp(omega) z = y - upsilon.  J_l depends only on the frame,
-        so a x g is summed per frame here, sample by sample from +0.0 and
-        term after term, and flush applies J_l^T once per frame.
+        For y = exp(omega) z + upsilon and downstream gradient g, d/d upsilon = g
+        and d/d omega = J_l(omega)^T (a x g), a = exp(omega) z = y - upsilon.  J_l
+        depends only on the frame, so (a x g, g) is summed per frame here, sample
+        by sample from +0.0 and term after term; flush applies J_l^T per frame.
         """
-        self.tape.scatter(POSES, (frames[:, None] * 6 + np.arange(3, 6)).reshape(-1),
-                          gvec.reshape(-1))
-        if self.omega_sums is None:
-            self.omega_sums = np.zeros((self.tangents.shape[0], 3))
+        if self.pose_sums is None:
+            self.pose_sums = np.zeros(self.tangents.shape)
+        sums = self.pose_sums.reshape(-1)
+        idx = (frames[:, None] * 6 + np.arange(3)).reshape(-1)
         a = y_sel - self.tangents[:, 3:].take(frames, axis=0)
-        np.add.at(self.omega_sums, frames, _cross(a, gvec))
+        np.add.at(sums, idx, _cross(a, gvec).reshape(-1))
+        np.add.at(sums[3:], idx, gvec.reshape(-1))  # upsilon: the same indices, offset by 3
 
-    def scatter_tracks(self, coeff):
-        """Accumulate (M, 3) per-sample partials into the tracks block."""
-        self.tape.scatter(TRACKS, self.geo.track_idx, coeff.reshape(-1))
+    def add_tracks(self, coeff):
+        """Add (M, 3) per-sample partials at the samples' distinct entries of the tracks block."""
+        np.add.at(self.tape.grad(TRACKS), self.geo.track_idx, coeff.reshape(-1))
 
     def add_grids(self, coeff, candidates=None):
         """Queue grid coefficients: a row per sample, or per entry of candidates (into a_pos)."""
@@ -246,11 +247,11 @@ class _Pass:
             self.grid_anchors = (candidates, coeff)
 
     def flush(self):
-        """Add the queued pose and grid gradients to the tape.
+        """Add the queued pose and grid gradients to the tape, one Tape.add per block.
 
-        The omega partials are J_l(omega_f)^T times each frame's queued sum.
-        At zero tangents J_l is exactly the identity, and a tape that starts
-        at zero then holds the per-sample sums bit for bit.
+        The omega sums become J_l(omega_f)^T times each frame's sum.  At
+        zero tangents J_l is exactly the identity, and a tape that starts at
+        zero then holds the per-sample sums bit for bit.
 
         The grid gradients are one S^T product.  It runs over the samples,
         then the anchor candidates: the term order, so each grid value
@@ -263,10 +264,10 @@ class _Pass:
         CSC product starts from +0.0, and a round-to-nearest sum is -0.0
         only when both addends are, so no accumulator ever holds -0.0.
         """
-        if self.omega_sums is not None:
-            grad = np.zeros(self.tangents.shape)
-            grad[:, :3] = np.einsum("tji,tj->ti", self.left_jac, self.omega_sums)
-            self.tape.add(POSES, grad)
+        sums = self.pose_sums
+        if sums is not None:
+            sums[:, :3] = np.einsum("tji,tj->ti", self.left_jac, sums[:, :3])
+            self.tape.add(POSES, sums)
         coeff = self.grid_samples
         if self.grid_anchors is not None:
             m = self.geo.tt.size
@@ -399,7 +400,7 @@ def _cons_pointmap(ps: _Pass):
 def _cons_track(ps: _Pass):
     value, coeff, _ = ps.cons
     if ps.tape is not None:
-        ps.scatter_tracks(coeff)
+        ps.add_tracks(coeff)
     return value
 
 
@@ -408,21 +409,21 @@ def _cam_track(ps: _Pass):
     if ps.tape is not None:
         gp = np.einsum("mji,mj->mi", ps.current.rotation.take(ps.geo.tt, axis=0),
                        ps.geo.w[:, None] * g)
-        ps.scatter_tracks(gp)
+        ps.add_tracks(gp)
     return value
 
 
 def _cam_pose(ps: _Pass):
     value, pos, gvec, _ = ps.cam_pose
     if ps.tape is not None and pos.size:
-        ps.scatter_poses(ps.geo.tt.take(pos), ps.moved.take(pos, axis=0), gvec)
+        ps.add_poses(ps.geo.tt.take(pos), ps.moved.take(pos, axis=0), gvec)
     return value
 
 
 def _anchor(ps: _Pass):
     value, pos, candidates, yv, gvec, _ = ps.anchor
     if ps.tape is not None and pos.size:
-        ps.scatter_poses(ps.geo.tt.take(pos), yv, gvec)
+        ps.add_poses(ps.geo.tt.take(pos), yv, gvec)
         ps.add_grids(-gvec, candidates)
     return value
 

@@ -107,7 +107,7 @@ def rel_pose_accuracy(pair: TrajectoryPair) -> RelPoseAccuracy:
     1..POSE_MAX_THRESHOLD with trapezoidal weights.
     """
     if len(pair) < 2:
-        raise ValueError("need at least 2 frames")
+        raise DegenerateConfiguration("relative pose accuracy needs at least 2 frames")
     rot_err = []
     trans_err = []
     n_skipped = 0

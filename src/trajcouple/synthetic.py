@@ -489,7 +489,7 @@ def load_scene(scene_dir) -> SyntheticScene:
     doc = read_json_object(cfg_path)
     if not isinstance(doc.get("config"), dict):
         raise FileFormatError(cfg_path, "needs a 'config' object")
-    config = SceneConfig.from_dict(doc["config"])
+    config = SceneConfig.from_file_doc(doc["config"], cfg_path)
     n, t = config.n_static + config.n_dynamic, config.n_frames
 
     gt, est = (os.path.join(scene_dir, sub) for sub in ("gt", "est"))

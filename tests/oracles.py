@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from trajcouple.errors import DegenerateConfiguration, LogNearPi
-from trajcouple.grad import GRIDS, POSES, Tape
+from trajcouple.grad import GRIDS, POSES, TRACKS, Tape
 from trajcouple.losses import _cross, _Pass, transform_samples
 from trajcouple.metrics import PointmapResult, _smallest_eigenvectors
 from trajcouple.pointmap import BilinearSampler, check_domain
@@ -196,13 +196,13 @@ def two_stage_transform(base, step, frames, pts):
 
 
 def scatter_poses_per_sample(tape, left_jac, frames, a, gvec):
-    """d/d upsilon = g and d/d omega = J_l(omega)^T (a x g), each scattered per sample."""
+    """d/d upsilon = g and d/d omega = J_l(omega)^T (a x g), each added per sample (np.add.at)."""
     pose_base = frames * 6
     ups_idx = (pose_base[:, None] + np.arange(3, 6)).reshape(-1)
-    tape.scatter(POSES, ups_idx, gvec.reshape(-1))
+    np.add.at(tape.grad(POSES), ups_idx, gvec.reshape(-1))
     gw = np.einsum("mji,mj->mi", left_jac.take(frames, axis=0), _cross(a, gvec))
     om_idx = (pose_base[:, None] + np.arange(3)).reshape(-1)
-    tape.scatter(POSES, om_idx, gw.reshape(-1))
+    np.add.at(tape.grad(POSES), om_idx, gw.reshape(-1))
 
 
 def pose_gradient(problem, store):
@@ -230,6 +230,32 @@ def pose_gradient(problem, store):
             _, a = two_stage_transform(problem.base, step, frames, pts.take(pos, axis=0))
             scatter_poses_per_sample(tape, left_jac, frames, a, gvec)
     return tape.grad(POSES)
+
+
+# ---------------------------------------------------------------------------
+# Tracks-block gradient: the earlier per-term scatter of the track-writing terms.
+
+TRACK_TERMS = ("cons_track", "cam_track")
+
+
+def track_gradient(problem, store, terms, grad=None):
+    """The tracks block a tape holds after the given track-writing terms: fresh, or grad.
+
+    Each term's (M, 3) per-sample partials are added with a 1-D np.add.at
+    at the samples' entries, in term order, as the tape's scatter did.  The
+    partials are the pass's own intermediates.
+    """
+    ps = _Pass(problem, store, Tape(store))
+    grad = np.zeros(store[TRACKS].size) if grad is None else grad
+    for term in terms:
+        if term == "cons_track":
+            coeff = ps.cons[1]
+        else:
+            g = ps.cam_track[1]
+            coeff = np.einsum("mji,mj->mi", ps.current.rotation.take(ps.geo.tt, axis=0),
+                              ps.geo.w[:, None] * g)
+        np.add.at(grad, ps.geo.track_idx, coeff.reshape(-1))
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ class TestGen:
     def test_invalid_config_exit_2_names_field(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "scene.json", {"n_frames": 0})
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "n_frames" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "n_frames" in err and str(cfg) in err
 
     @pytest.mark.parametrize("seeds", ["-1", "3,-2"])
     def test_negative_seed_exit_2_names_field(self, tmp_path, capsys, seeds):
@@ -272,7 +273,7 @@ class TestOptimize:
         code = main(argv + [str(tmp_path / "opt")])
         err = capsys.readouterr().err
         if case == "bad_field":
-            assert code == 2 and "'n_frames'" in err
+            assert code == 2 and "'n_frames'" in err and str(path) in err
         elif case.startswith("tau_"):
             assert code == 0 and err == ""
             assert tree_digest(tmp_path / "opt") == tree_digest(tmp_path / "clean")
@@ -299,6 +300,27 @@ class TestOptimize:
         assert str(bad) in capsys.readouterr().err
         if case == "seed_abc":  # found before any scene is refined
             assert not (tmp_path / "opt").exists()
+
+    @pytest.mark.parametrize("case", ["bad_field", "est_tracks_2_short"])
+    def test_bad_scene_same_error_under_jobs(self, tmp_path, capsys, case):
+        # a worker's error crosses the process pool intact
+        scenes = self.run_gen(tmp_path, seeds="4,5", scene={
+            "n_frames": 4, "n_static": 12, "n_dynamic": 4, "height": 16, "width": 16,
+        })
+        if case == "bad_field":
+            bad = scenes / "seed_0005" / "scene_config.json"
+            doc = json.loads(bad.read_text())
+            bad.write_text(json.dumps({**doc, "config": {**doc["config"], "height": 1}}))
+        else:
+            bad = damage_scene(scenes / "seed_0005", case)
+        runs = []
+        for jobs in ("1", "2"):
+            capsys.readouterr()
+            code = main(["optimize", "--scenes", str(scenes), "--ablation", "cons_cam",
+                         "--jobs", jobs, "--out", str(tmp_path / f"opt_{jobs}")])
+            runs.append((code, capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (2 if case == "bad_field" else 3) and str(bad) in runs[0][1]
 
     def test_parallel_jobs_identical_output(self, tmp_path):
         scenes = self.run_gen(tmp_path, seeds="1,2,3")
@@ -560,6 +582,18 @@ class TestEval:
                      "--metrics", metrics, "--out", str(tmp_path / "e")])
         assert code == 3
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metrics,message", [("relpose", "needs at least 2 frames"),
+                                                 ("ate", "needs at least 3 poses")])
+    def test_one_frame_scene_exit_2(self, tmp_path, capsys, metrics, message):
+        cfg = write_json(tmp_path / "scene.json", {**SMALL_SCENE, "n_frames": 1})
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+        scene = tmp_path / "s" / "seed_0000"
+        capsys.readouterr()
+        code = main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                     "--metrics", metrics, "--out", str(tmp_path / "e")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1.5"])
     def test_bad_visibility_exit_3_names_path(self, tmp_path, capsys, value):

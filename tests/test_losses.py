@@ -618,6 +618,23 @@ def two_stage(ps, pts):
     return oracles.two_stage_transform(ps.problem.base, Pose(exp_rot, upsilon), ps.geo.tt, pts)
 
 
+class UfuncSpy:
+    """A numpy ufunc that records the array each of its at() calls writes."""
+
+    def __init__(self, ufunc, targets):
+        self.ufunc, self.targets = ufunc, targets
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+    def at(self, arr, *args):
+        self.targets.append(arr)
+        return self.ufunc.at(arr, *args)
+
+
 def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
@@ -724,6 +741,44 @@ class TestPassSharing:
             assert len(per_sample) == (3 if tape is not None else 2)
             assert all(s[0][1:] == (3, 3) and s[0][0] > t for s in per_sample)
 
+    def test_block_writes(self, monkeypatch):
+        # tracks by one 1-D np.add.at per track term at the samples' entries,
+        # poses and grids by one Tape.add each; the per-frame pose sums take
+        # 1-D np.add.at only
+        problem, store = random_coupling_fixture(13, n_tracks=8, n_frames=4)
+        problem.config = replace(problem.config, **ABLATIONS["full"])
+        tape, targets, added = Tape(store), [], []
+        monkeypatch.setattr(np, "add", UfuncSpy(np.add, targets))
+        real_add = Tape.add
+        monkeypatch.setattr(Tape, "add", lambda tp, block, values: added.append(block)
+                            or real_add(tp, block, values))
+        problem.evaluate(store, tape)
+        assert [arr.ndim for arr in targets] == [1] * 6  # 2 per pose term, 1 per track term
+        blocks = (GRIDS, TRACKS, POSES)
+        written = [b for arr in targets for b in blocks if np.shares_memory(arr, tape.grad(b))]
+        assert written == [TRACKS, TRACKS] and added == [POSES, GRIDS]
+
+    def test_unreset_tape_sums_passes(self):
+        # a pass adds its pose and grid blocks once each, so one tape over
+        # two passes holds the sum of two fresh tapes there, bit for bit; the
+        # track terms of the second pass add to the first's one after another
+        problem, store = random_coupling_fixture(14)
+        problem.config = replace(problem.config, **ABLATIONS["full"])
+        other = store.copy()
+        for name in (GRIDS, TRACKS, POSES):
+            other[name][:] += np.random.default_rng(3).normal(0.0, 0.01, other[name].size)
+        both, fresh = Tape(store), []
+        for s in (store, other):
+            problem.evaluate(s, both)
+            fresh.append(Tape(s))
+            problem.evaluate(s, fresh[-1])
+        for block in (GRIDS, POSES):
+            summed = fresh[0].grad(block) + fresh[1].grad(block)
+            assert np.array_equal(bits(both.grad(block)), bits(summed)), block
+        tracks = oracles.track_gradient(problem, other, oracles.TRACK_TERMS,
+                                        fresh[0].grad(TRACKS).copy())
+        assert np.array_equal(bits(both.grad(TRACKS)), bits(tracks))
+
     def test_jacobians_only_for_gradients(self, monkeypatch):
         problem, store = random_coupling_fixture(12, selfsup=True)
         calls = []
@@ -805,6 +860,28 @@ class TestGridGradientOrder:
                 ref = oracles.grid_gradient(problem, store, ["anchor"])
                 assert np.array_equal(tape.grad(GRIDS), ref)
                 assert np.array_equal(np.signbit(tape.grad(GRIDS)), np.signbit(ref))
+
+
+class TestTrackGradientOrder:
+    """The tracks block of a pass equals the earlier per-term np.add.at, bit for bit."""
+
+    @pytest.mark.parametrize("pose_target", ["gt", "anchor_sample"])
+    @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+    def test_pass_track_block_matches_per_term_scatter(self, ablation, pose_target):
+        for seed in range(3):
+            problem, store = random_coupling_fixture(20 + seed)
+            problem.config = replace(problem.config, pose_target=pose_target,
+                                     **ABLATIONS[ablation])
+            tape = Tape(store)
+            problem.evaluate(store, tape)
+            active = [t for t in oracles.TRACK_TERMS if t in problem.active_terms()]
+            ref = oracles.track_gradient(problem, store, active)
+            assert np.array_equal(bits(tape.grad(TRACKS)), bits(ref))
+            for term in oracles.TRACK_TERMS:
+                tape = Tape(store)
+                problem.evaluate_term(store, term, tape)
+                ref = oracles.track_gradient(problem, store, [term])
+                assert np.array_equal(bits(tape.grad(TRACKS)), bits(ref))
 
 
 @st.composite
