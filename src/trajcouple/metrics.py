@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateConfiguration, EmptyValidMask
 from .pose import Pose, _icp, compose, inverse, rotation_angle, umeyama
@@ -271,6 +270,13 @@ def _smallest_eigenvectors(cov):
     return normals
 
 
+def _kdtree(points):
+    """KD-tree over (n, 3) points; scipy.spatial loads with the first tree, not with the package."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
+
+
 def pointmap_metrics(pred, gt, use_icp=False) -> PointmapResult:
     """Accuracy / completion / normal consistency between index-paired point clouds.
 
@@ -291,14 +297,14 @@ def pointmap_metrics(pred, gt, use_icp=False) -> PointmapResult:
     gt = np.asarray(gt, dtype=np.float64).reshape(-1, 3)
     if pred.shape[0] < 3 or gt.shape[0] < 3:
         raise DegenerateConfiguration("point clouds need at least 3 points")
-    gt_tree = cKDTree(gt)
+    gt_tree = _kdtree(gt)
     sim, matches = umeyama(pred, gt), None
     if use_icp:
         sim, matches = _icp(pred, gt_tree, sim)
     pred = sim.apply(pred)
 
     acc_d, acc_idx = gt_tree.query(pred) if matches is None else matches
-    pred_tree = cKDTree(pred)
+    pred_tree = _kdtree(pred)
     comp_d, _ = pred_tree.query(gt)
 
     normals_pred = _plane_normals(pred, pred_tree, K_NORMALS)

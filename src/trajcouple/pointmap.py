@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
 from .errors import FileFormatError, OutOfDomain
 
@@ -123,7 +122,10 @@ class BilinearSampler:
 
         Built from data, indices and indptr as they are, sharing memory with
         rows and weights; a COO pass would sum a sample's repeated corners.
+        scipy.sparse loads with the first sampler, not with the package.
         """
+        from scipy.sparse import csc_matrix
+
         indptr = np.arange(0, rows.size + 1, 4, dtype=rows.dtype)
         return csc_matrix(
             (weights.reshape(-1), rows.reshape(-1), indptr), shape=(self.n_points, len(rows))

@@ -162,9 +162,15 @@ class Pose:
         return Pose(self.rotation.copy(), self.translation.copy(), self.age)
 
     def is_orthonormal(self):
-        """(...) bools: R^T R within 1e-6 of I (Frobenius norm) and det R > 0."""
-        gram = np.swapaxes(self.rotation, -1, -2) @ self.rotation - np.eye(3)
-        return (np.linalg.norm(gram, axis=(-2, -1)) < 1e-6) & (np.linalg.det(self.rotation) > 0.0)
+        """(...) bools: R^T R within 1e-6 of I (Frobenius norm) and det R > 0.
+
+        An entry above 1 + 1e-6 in magnitude (none of an orthonormal R is)
+        fails first, before the products, which could overflow.
+        """
+        bounded = np.all(np.abs(self.rotation) <= 1.0 + 1e-6, axis=(-2, -1))
+        r = np.where(bounded[..., None, None], self.rotation, 0.0)
+        gram = np.swapaxes(r, -1, -2) @ r - np.eye(3)
+        return bounded & (np.linalg.norm(gram, axis=(-2, -1)) < 1e-6) & (np.linalg.det(r) > 0.0)
 
     def __repr__(self):
         return f"Pose(R={self.rotation.tolist()}, t={self.translation.tolist()})"

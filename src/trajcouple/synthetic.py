@@ -412,6 +412,44 @@ def _frame_path(frame_dir, t):
     return os.path.join(frame_dir, "pointmaps", f"frame_{t:03d}.pm")
 
 
+_FRAME_FILE = re.compile(r"frame_([0-9]+)\.pm")
+
+
+def _frame_names(t):
+    """The names frame_000.pm ... of a t-frame scene, lazily and in name (sorted) order.
+
+    A name sorts before its own extensions ('.' < '0'), so after each
+    k >= 100 come the k' < t whose digits extend k's: a depth-first walk.
+    """
+    stack = [f"{k:03d}" for k in reversed(range(min(t, 1000)))]
+    while stack:
+        digits = stack.pop()
+        yield f"frame_{digits}.pm"
+        if digits[0] != "0":
+            stack.extend(digits + d for d in "9876543210" if int(digits + d) < t)
+
+
+def _check_frame_names(frame_dir, frames, t):
+    """Raise FileFormatError unless frames (path -> grid, in name order) are exactly t's frames.
+
+    The error names the first path, in name order, that is missing or not a
+    frame of the scene.  The work grows with the frames found, not with t,
+    which comes from a file and can be any size.
+    """
+    def foreign(path):
+        match = _FRAME_FILE.fullmatch(os.path.basename(path))
+        return not (match and f"{int(match[1]):03d}" == match[1] and int(match[1]) < t)
+
+    extra = next((path for path in frames if foreign(path)), None)
+    if extra is None and len(frames) == t:
+        return
+    names = (os.path.join(frame_dir, "pointmaps", name) for name in _frame_names(t))
+    missing = next((path for path in names if path not in frames), None)
+    path = min(p for p in (extra, missing) if p is not None)
+    raise FileFormatError(path, "missing pointmap frame" if path == missing
+                          else f"not a frame of a {t}-frame scene")
+
+
 def write_frames(frame_dir, grids, points, visibility, query_pixels, rel_poses):
     """Write a frame directory: each of the (T, H, W, 3) grids, the tracks, the relative poses."""
     os.makedirs(os.path.join(frame_dir, "pointmaps"), exist_ok=True)
@@ -495,10 +533,9 @@ def load_scene(scene_dir) -> SyntheticScene:
     gt, est = (os.path.join(scene_dir, sub) for sub in ("gt", "est"))
     grids = []
     for frame_dir in (gt, est):
-        frames, paths = read_frames(frame_dir), [_frame_path(frame_dir, k) for k in range(t)]
-        for path in sorted(frames.keys() ^ set(paths)):
-            raise FileFormatError(path, "missing pointmap frame" if path in paths
-                                  else f"not a frame of a {t}-frame scene")
+        frames = read_frames(frame_dir)
+        _check_frame_names(frame_dir, frames, t)
+        paths = [_frame_path(frame_dir, k) for k in range(t)]
         for k, path in enumerate(paths):
             _fits(path, "H x W", frames[path].points.shape[:2], (config.height, config.width))
             _fits(path, "the header frame index", frames[path].frame_index, k)

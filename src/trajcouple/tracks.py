@@ -9,7 +9,6 @@ mask, which static_mask derives from world-coordinate ground-truth tracks.
 from __future__ import annotations
 
 import warnings
-from itertools import product
 
 import numpy as np
 
@@ -81,14 +80,34 @@ def static_mask(world_points, tau: float, visibility):
 # except in pseudo 2D track files, which hold x = y = z = nan) and static
 # masks one 0 or 1.
 
-def _write_rows(path, values, fmt):
-    """Write (N, T, k) values as one "i t v1 ... vk" row per sample, values as fmt."""
+# rows formatted per write, so that one block's strings, not the file's, are alive at once
+_ROWS_PER_WRITE = 256
+
+
+def _write_rows(path, values):
+    """Write (N, T, k) values as one "i t v1 ... vk" row per sample, each number as its repr.
+
+    The repr of a float round-trips, and that of an int is its "%d".  Each
+    block of tracks is one join over cells: i, t and the k values, each
+    followed by a space, or by the newline that ends the row.
+    """
     n, t, k = values.shape
-    row = "%d %d" + f" {fmt}" * k + "\n"
-    samples = product(range(n), range(t))
+    width = 2 * k + 4
+    frames = list(map(repr, range(t)))
+    per_write = max(1, _ROWS_PER_WRITE // max(t, 1))
     with open(path, "w") as fh:
         fh.write(f"{n} {t}\n")
-        fh.writelines(row % (*it, *v.tolist()) for it, v in zip(samples, values.reshape(n * t, k)))
+        for i0 in range(0, n, per_write):
+            block = values[i0:i0 + per_write]
+            m = block.shape[0]
+            cells = [" "] * (m * t * width)
+            cells[0::width] = [i for i in map(repr, range(i0, i0 + m)) for _ in frames]
+            cells[2::width] = frames * m
+            numbers = list(map(repr, block.reshape(-1).tolist()))
+            for c in range(k):
+                cells[4 + 2 * c::width] = numbers[c::k]
+            cells[width - 1::width] = ["\n"] * (m * t)
+            fh.write("".join(cells))
 
 
 def _read_rows(path, k, dtype=np.float64, rules=()):
@@ -164,7 +183,7 @@ def write_tracks(path, points, visibility, query_pixels):
     visibility = np.asarray(visibility, dtype=np.float64)
     columns = (np.asarray(points, dtype=np.float64), visibility[..., None],
                np.asarray(query_pixels, dtype=np.float64))
-    _write_rows(path, np.concatenate(columns, axis=2), "%r")
+    _write_rows(path, np.concatenate(columns, axis=2))
 
 
 _TRACK_RULES = (
@@ -186,7 +205,7 @@ def read_tracks(path, pseudo=False):
 
 
 def write_static_mask(path, mask):
-    _write_rows(path, np.asarray(mask).astype(int)[..., None], "%d")
+    _write_rows(path, np.asarray(mask).astype(int)[..., None])
 
 
 def read_static_mask(path):

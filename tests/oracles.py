@@ -11,6 +11,7 @@ compiled and batched paths bit for bit.
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -518,6 +519,16 @@ def write_static_mask(path, mask):
             lines.append(f"{i} {f} {mask[i, f]}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_rows(path, values, fmt):
+    """(N, T, k) values as one "%d %d" + k * " fmt" formatted line per sample."""
+    n, t, k = values.shape
+    row = "%d %d" + f" {fmt}" * k + "\n"
+    samples = product(range(n), range(t))
+    with open(path, "w") as fh:
+        fh.write(f"{n} {t}\n")
+        fh.writelines(row % (*it, *v.tolist()) for it, v in zip(samples, values.reshape(n * t, k)))
 
 
 def naive_umeyama(src, dst, with_scale=True):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -35,6 +36,25 @@ def write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return str(path)
+
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))  # the directory that holds the package
+
+# run by fresh_python: the CLI's exit code, then the scipy modules the process loaded on stdout
+RUN_CLI = """
+import sys
+from trajcouple.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
+def fresh_python(code, *args, timeout=120, **env):
+    """Run code with args in a new interpreter that imports this package."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                          text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 SMALL_SCENE = {
@@ -614,6 +634,14 @@ class TestEval:
         assert code == 3
         assert f"{bad}:3" in capsys.readouterr().err
 
+    def test_huge_rotation_entry_exit_3_under_warnings_as_errors(self, tmp_path):
+        scene = self.make_dirs(tmp_path)
+        bad = poison_row_file(scene / "est" / "rel_poses.txt", 2, 5, "1e200")
+        run = fresh_python(RUN_CLI, "eval", "--pred", scene / "est", "--gt", scene / "gt",
+                           "--metrics", "ate", "--out", tmp_path / "e", PYTHONWARNINGS="error")
+        assert run.returncode == 3
+        assert run.stderr == f"io error: {bad}:3: rotation not orthonormal\n"
+
     @pytest.mark.parametrize("where", ["start", "last_line"])
     @pytest.mark.parametrize("file,metrics", [("tracks.txt", "tracks3d"), ("rel_poses.txt", "ate")])
     def test_non_utf8_file_exit_3_names_path(self, tmp_path, capsys, file, metrics, where):
@@ -806,3 +834,65 @@ class TestReproducibility:
                   "--out", str(root / "eval")])
             trees.append(tree_digest(root))
         assert trees[0] == trees[1]
+
+
+class TestColdStart:
+    """Each command loads only the scipy parts it uses, and only when it first uses them."""
+
+    def test_import_loads_no_scipy(self):
+        run = fresh_python("import sys, trajcouple.cli\n"
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert (run.returncode, run.stdout) == (0, "[]\n")
+
+    def test_gen_loads_no_spatial(self, tmp_path):
+        cfg = write_json(tmp_path / "scene.json", SMALL_SCENE)
+        run = fresh_python(RUN_CLI, "gen", "--config", cfg, "--out", tmp_path / "o", "--seeds", "1")
+        assert run.returncode == 0
+        loaded = run.stdout.split()
+        assert "scipy.sparse" in loaded  # the sampler's operator
+        assert not any(m.startswith("scipy.spatial") for m in loaded)
+
+    def test_eval_without_pointmaps_loads_neither(self, tmp_path):
+        cfg = write_json(tmp_path / "scene.json", SMALL_SCENE)
+        main(["gen", "--config", cfg, "--out", str(tmp_path / "o"), "--seeds", "1"])
+        scene = tmp_path / "o" / "seed_0001"
+        run = fresh_python(RUN_CLI, "eval", "--pred", scene / "est", "--gt", scene / "gt",
+                           "--metrics", "ate,rpe,relpose,tracks3d,depth", "--out", tmp_path / "e")
+        assert run.returncode == 0 and (tmp_path / "e" / "metrics.json").exists()
+        loaded = run.stdout.split()
+        assert not any(m.startswith(("scipy.sparse", "scipy.spatial")) for m in loaded)
+
+
+# run by fresh_python under a 2 GiB address-space cap: load_scene or the CLI on the arguments
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+from trajcouple.cli import main
+from trajcouple.errors import FileFormatError
+from trajcouple.synthetic import load_scene
+if sys.argv[1] == "load_scene":
+    try:
+        load_scene(sys.argv[2])
+    except FileFormatError as exc:
+        print(exc, file=sys.stderr)
+        sys.exit(3)
+    sys.exit(0)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestHugeFrameCount:
+    @pytest.mark.parametrize("entry", ["load_scene", "optimize"])
+    def test_exit_3_names_first_missing_frame(self, tmp_path, entry):
+        cfg = write_json(tmp_path / "scene.json", {**SMALL_SCENE, "n_frames": 3})
+        main(["gen", "--config", cfg, "--out", str(tmp_path / "scenes"), "--seeds", "0"])
+        scene = tmp_path / "scenes" / "seed_0000"
+        doc = json.loads((scene / "scene_config.json").read_text())
+        doc["config"]["n_frames"] = 2**62
+        (scene / "scene_config.json").write_text(json.dumps(doc))
+        args = (["load_scene", scene] if entry == "load_scene" else
+                ["optimize", "--scenes", tmp_path / "scenes", "--out", tmp_path / "opt"])
+        run = fresh_python(CAPPED, *args, timeout=60, OPENBLAS_NUM_THREADS="1")
+        message = f"{scene / 'gt' / 'pointmaps' / 'frame_003.pm'}: missing pointmap frame\n"
+        assert run.returncode == 3
+        assert run.stderr == (message if entry == "load_scene" else f"io error: {message}")

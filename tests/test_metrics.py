@@ -406,7 +406,7 @@ class TestPointmapSharedTrees:
         matched = np.unique(cKDTree(gt).query(sim.apply(pred))[1]).size
         expected_gt = icp_tree.queries + ([] if converges else [(n, 1)]) + [(matched, 17)]
         CountingTree.built = []
-        monkeypatch.setattr(metrics, "cKDTree", CountingTree)
+        monkeypatch.setattr(metrics, "_kdtree", CountingTree)
         pointmap_metrics(pred, gt, use_icp=True)
         gt_tree, pred_tree = CountingTree.built
         assert gt_tree.queries == expected_gt  # re-queried only after max_iter

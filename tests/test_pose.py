@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -469,6 +471,9 @@ class TestPoseFileIo:
         (2, "nan", "finite"),
         (0, "7", "pose index 7, expected 1"),  # write_poses numbers the lines 0, 1, 2
         (0, "0", "pose index 0, expected 1"),
+        (5, "1e200", "rotation not orthonormal"),  # rejected before its Gram product overflows
+        (5, "-1e200", "rotation not orthonormal"),
+        (5, "1.0000011", "rotation not orthonormal"),
     ])
     def test_malformed_row_names_line(self, tmp_path, field, value, message):
         rng = np.random.default_rng(20)
@@ -479,9 +484,25 @@ class TestPoseFileIo:
         fields[field] = value
         lines[2] = " ".join(fields)
         path.write_text("\n\n".join(lines) + "\n")  # blank lines do not shift line numbers
-        with pytest.raises(FileFormatError, match=message) as err:
-            read_poses(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError, match=message) as err:
+                read_poses(path)
         assert err.value.line == 5
+
+    def test_orthonormal_check_within_entry_bound(self):
+        # entries within the bound keep the Gram and determinant test
+        rng = np.random.default_rng(22)
+        base = oracles.stack([random_pose(rng) for _ in range(64)]).rotation
+        scale = np.repeat([0.0, 1e-8, 1e-7, 1e-6, 1e-3], [12, 13, 13, 13, 13])
+        rot = base + scale[:, None, None] * rng.standard_normal(base.shape)
+        rot[::5, :, 0] *= -1.0  # reflections
+        rot = np.clip(rot, -1.0, 1.0)
+        gram = np.swapaxes(rot, -1, -2) @ rot - np.eye(3)
+        want = (np.linalg.norm(gram, axis=(-2, -1)) < 1e-6) & (np.linalg.det(rot) > 0.0)
+        got = Pose(rot, np.zeros((64, 3))).is_orthonormal()
+        assert np.array_equal(got, want)
+        assert want.any() and not want.all()
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(19)

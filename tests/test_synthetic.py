@@ -1,4 +1,5 @@
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from trajcouple.pointmap import BilinearSampler
 from trajcouple.pose import compose, inverse, log_map
 from trajcouple.synthetic import (
     SceneConfig,
+    _frame_names,
     build_problem,
     generate,
     initial_store,
@@ -255,7 +257,7 @@ class TestSceneIo:
         n, t = scene.visibility.shape
         write_tracks(tmp_path / "s" / "gt" / "world_tracks.txt", scene.world_tracks,
                      np.ones((n, t)), np.full((n, t, 2), np.nan))
-        tracks._write_rows(tmp_path / "s" / "gt" / "targets.txt", scene.targets + 1.0, "%r")
+        tracks._write_rows(tmp_path / "s" / "gt" / "targets.txt", scene.targets + 1.0)
         path = tmp_path / "s" / "scene_config.json"
         doc = json.loads(path.read_text())
         doc["derived"] = {"tau_static": 0.5, "diagonal": 1.0}
@@ -266,6 +268,14 @@ class TestSceneIo:
         assert np.array_equal(back.gt_tracks, scene.gt_tracks)
         v1 = build_problem(scene).evaluate(initial_store(scene)).total
         assert build_problem(back).evaluate(initial_store(back)).total == v1
+
+    @pytest.mark.parametrize("t", [1, 7, 100, 101, 999, 1000, 1001, 1010, 1100, 12345])
+    def test_frame_names_in_sorted_order(self, t):
+        assert list(_frame_names(t)) == sorted(f"frame_{k:03d}.pm" for k in range(t))
+
+    def test_frame_names_of_a_huge_scene_are_lazy(self):
+        names = _frame_names(2**62)
+        assert list(islice(names, 100, 103)) == ["frame_100.pm", "frame_1000.pm", "frame_10000.pm"]
 
     def test_loaded_scene_reproduces_loss(self, tmp_path):
         scene = generate(small_config(sigma_pointmap=0.02, sigma_pose=0.03))

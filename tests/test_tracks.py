@@ -324,6 +324,22 @@ class TestRowFiles:
         oracle(tmp_path / "old.txt", values)
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
+    @pytest.mark.parametrize("shape", [(3, 4, 6), (0, 4, 6), (3, 0, 6), (5, 2, 1), (0, 0, 1),
+                                       (300, 7, 6), (2, 1500, 1)])  # several blocks per file
+    @pytest.mark.parametrize("kind", ["float", "int"])
+    def test_row_writer_matches_per_row_formatter_bytes(self, tmp_path, shape, kind):
+        rng = np.random.default_rng(15)
+        if kind == "int":  # k = 1 holds a static mask
+            values, fmt = rng.integers(0, 2 if shape[2] == 1 else 1000, size=shape), "%d"
+        else:
+            values, fmt = rng.standard_normal(shape), "%r"
+            special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e308]
+            flat = values.reshape(-1)
+            flat[: len(special)] = special[: flat.size]
+        tracks._write_rows(tmp_path / "new.txt", values)
+        oracles.write_rows(tmp_path / "old.txt", values, fmt)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
     @pytest.mark.parametrize("name", ROW_FILES)
     def test_rows_in_any_order_with_blank_lines(self, tmp_path, name):
         path, lines = row_lines(tmp_path, name)
