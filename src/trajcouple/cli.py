@@ -93,7 +93,12 @@ def _check_jobs(jobs):
 
 
 def _map_jobs(fn, work, jobs):
-    """[fn(item) for item in work], in that order, over jobs processes when jobs > 1."""
+    """[fn(item) for item in work], in that order, over min(jobs, len(work)) processes.
+
+    A pool starts all its workers at its first submit, so it gets no more than
+    there are items; a single item or job runs in this process.
+    """
+    jobs = min(jobs, len(work))
     if jobs <= 1:
         return [fn(item) for item in work]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -21,15 +21,16 @@ Pose gradients are taken w.r.t. per-frame tangents ``(omega, upsilon)``
 around held base poses, with the transform acting as
 ``x -> exp_so3(omega) @ (base @ x) + upsilon``; the chain rule through
 ``omega`` uses the SO(3) left Jacobian and is exact at any tangent value.
-Each pass composes ``exp(omega) * base`` once per frame, so every sample
-is mapped by one rotation, and ``J_l(omega)^T`` is applied once per frame
-to that frame's summed per-sample partials.  The optimizer folds the
-tangents after every accepted step, so its taped passes and mask refreshes
-run at zero tangents, where ``exp`` and ``J_l`` are exactly the identity:
-there the outputs are byte-identical to mapping each sample through base
-and then ``exp(omega)``, with ``J_l`` applied per sample.  Away from the
-chart origin (line-search trials, gradient checks) the two orders agree to
-rounding.
+Each pass composes ``exp(omega) * base`` once per frame, as ``current_poses``
+does, so every sample is mapped by one rotation, and ``J_l(omega)^T`` is
+applied once per frame to that frame's summed per-sample partials.  The
+optimizer folds the tangents after every accepted step (every
+``REORTHO_PERIOD``-th fold re-projects the base rotations onto SO(3)), so
+its taped passes and mask refreshes run at zero tangents, where ``exp`` and
+``J_l`` are exactly the identity: there the outputs are byte-identical to
+mapping each sample through base and then ``exp(omega)``, with ``J_l``
+applied per sample.  Away from the chart origin (line-search trials,
+gradient checks) the two orders agree to rounding.
 
 A CouplingProblem compiles its sample geometry (valid samples, their
 bilinear sampling operator S, anchor references, and S^T over the samples
@@ -51,7 +52,7 @@ import numpy as np
 from .errors import ConfigDocument, ConfigInvalid, MissingTargets
 from .grad import GRIDS, POSES, TRACKS, ParamStore, Tape
 from .pointmap import BilinearSampler
-from .pose import Pose, compose, exp_map, so3_exp, so3_left_jacobian
+from .pose import REORTHO_PERIOD, Pose, compose, exp_map, project_rotation, so3_left_jacobian
 from .tracks import MIN_VISIBLE_WEIGHT
 
 DEFAULT_DELTA = 0.05
@@ -94,18 +95,6 @@ def transform_samples(pose: Pose, frames, pts):
     y = np.einsum("mij,mj->mi", pose.rotation.take(frames, axis=0), pts)
     y += pose.translation.take(frames, axis=0)
     return y
-
-
-def _current_stack(base: Pose, tangents):
-    """exp_map(tangents) * base as one (T,) stack, one composition per frame.
-
-    Unlike pose.compose it neither ages nor re-projects the result, which
-    lives for one pass.  With zero tangents exp and the products are exact,
-    so every finite value equals base's (a zero may change sign).
-    """
-    step = so3_exp(tangents[:, :3])
-    return Pose(np.einsum("tij,tjk->tik", step, base.rotation),
-                (step @ base.translation[..., None])[..., 0] + tangents[:, 3:])
 
 
 class _once:
@@ -311,8 +300,11 @@ class _Pass:
 
     @_once
     def current(self):
-        """The current relative poses exp(omega) * base: one (T,) stack per pass."""
-        return _current_stack(self.problem.base, self.tangents)
+        """exp(omega) * base, one (T,) stack per pass; base's values at zero tangents.
+
+        exp and the products are then exact, so only a zero may change sign.
+        """
+        return compose(exp_map(self.tangents), self.problem.base)
 
     @_once
     def left_jac(self):  # (T, 3, 3)
@@ -577,6 +569,7 @@ class CouplingProblem:
     tau_static: float
     anchor: int = 0
     _geometry: Optional[_Geometry] = field(default=None, init=False, repr=False, compare=False)
+    _folds: int = field(default=0, init=False, repr=False, compare=False)
 
     def geometry(self, store: ParamStore) -> _Geometry:
         """The sample geometry, compiled for the grid shape of the first store evaluated.
@@ -615,8 +608,7 @@ class CouplingProblem:
     def refresh_static_mask(self, store: ParamStore):
         """Recompute the provisional static mask from the current state."""
         self.static_mask = _reprojection_mask(
-            self.geometry(store), store.view(GRIDS), _current_stack(self.base, store.view(POSES)),
-            self.tau_static,
+            self.geometry(store), store.view(GRIDS), self.current_poses(store), self.tau_static,
         )
 
     def current_poses(self, store: ParamStore) -> Pose:
@@ -624,9 +616,15 @@ class CouplingProblem:
         return compose(exp_map(store.view(POSES)), self.base)
 
     def fold_pose_tangents(self, store: ParamStore):
-        """Fold the tangent block into the base poses and zero the block."""
+        """Fold a nonzero tangent block into the base poses and zero the block.
+
+        Every REORTHO_PERIOD-th such fold re-projects the base rotations onto SO(3).
+        """
         tangents = store.view(POSES)
         if not np.any(tangents):
             return
         self.base = self.current_poses(store)
+        self._folds += 1
+        if self._folds % REORTHO_PERIOD == 0:
+            self.base.rotation = project_rotation(self.base.rotation)
         tangents.fill(0.0)

@@ -3,8 +3,10 @@
 A Pose is a stack of transforms, each a full 3x3 rotation matrix plus a
 translation vector mapping points as ``R @ x + t``; per-frame poses are one
 (T,) stack.  Camera poses are camera-to-world; world-to-camera is
-``inverse(pose)``.  Long composition chains are kept orthonormal by a polar
-re-projection every ``REORTHO_PERIOD`` compositions.
+``inverse(pose)``.  A Pose is a plain value: ``compose`` and ``inverse`` are
+the bare products.  Code that builds a long chain of compositions (the
+optimizer's fold, the random-walk camera path) re-projects it onto SO(3)
+with ``project_rotation`` every ``REORTHO_PERIOD`` steps.
 
 The tangent parameterization is deliberately decoupled: ``exp_map`` maps a
 tangent ``(omega, upsilon)`` to ``(exp_so3(omega), upsilon)``, so a
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateConfiguration, FileFormatError, LogNearPi, open_text
 
-# Compositions between orthonormality re-projections.
+# Steps of a composition chain between orthonormality re-projections.
 REORTHO_PERIOD = 64
 
 # Below this angle the Rodrigues terms switch to their Taylor expansions.
@@ -102,16 +104,15 @@ def project_rotation(M):
 
 
 class Pose:
-    """A stack of rigid transforms: rotation (..., 3, 3), translation (..., 3), age (...).
+    """A stack of rigid transforms: rotation (..., 3, 3), translation (..., 3).
 
-    A single pose is the () case.  age counts each transform's compositions
-    since its last re-orthonormalization.  len, indexing and iteration run
-    over the leading axis and give Poses that view the stack's arrays.
+    A single pose is the () case.  len, indexing and iteration run over the
+    leading axis and give Poses that view the stack's arrays.
     """
 
-    __slots__ = ("rotation", "translation", "age")
+    __slots__ = ("rotation", "translation")
 
-    def __init__(self, rotation=None, translation=None, age=0):
+    def __init__(self, rotation=None, translation=None):
         self.rotation = np.eye(3) if rotation is None else np.asarray(rotation, dtype=np.float64)
         shape = self.rotation.shape[:-2]
         self.translation = (
@@ -122,11 +123,6 @@ class Pose:
             raise ValueError(f"rotation must be (..., 3, 3), got {self.rotation.shape}")
         if self.translation.shape != shape + (3,):
             raise ValueError(f"translation must be {shape + (3,)}, got {self.translation.shape}")
-        self.age = np.full(shape, age, dtype=np.int64)
-
-    @classmethod
-    def identity(cls):
-        return cls()
 
     @property
     def shape(self):
@@ -140,13 +136,12 @@ class Pose:
     def __getitem__(self, index):
         if not self.shape:
             raise TypeError("a single Pose cannot be indexed")
-        return Pose(self.rotation[index], self.translation[index], self.age[index])
+        return Pose(self.rotation[index], self.translation[index])
 
     def __setitem__(self, index, pose):
         if not self.shape:
             raise TypeError("a single Pose cannot be indexed")
         self.rotation[index], self.translation[index] = pose.rotation, pose.translation
-        self.age[index] = pose.age
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
@@ -159,7 +154,7 @@ class Pose:
         return pts @ np.swapaxes(self.rotation, -1, -2) + self.translation[..., None, :]
 
     def copy(self):
-        return Pose(self.rotation.copy(), self.translation.copy(), self.age)
+        return Pose(self.rotation.copy(), self.translation.copy())
 
     def is_orthonormal(self):
         """(...) bools: R^T R within 1e-6 of I (Frobenius norm) and det R > 0.
@@ -177,23 +172,14 @@ class Pose:
 
 
 def compose(a: Pose, b: Pose) -> Pose:
-    """Composition a * b: apply b first, then a; a single pose broadcasts against a stack.
-
-    Each result's age is a.age + b.age + 1; a rotation whose age reaches
-    REORTHO_PERIOD is re-projected onto SO(3) and its age reset to 0.
-    """
-    R = a.rotation @ b.rotation
-    t = (a.rotation @ b.translation[..., None])[..., 0] + a.translation
-    age = a.age + b.age + 1
-    due = age >= REORTHO_PERIOD
-    if np.any(due):
-        R[due] = project_rotation(R[due])
-    return Pose(R, t, np.where(due, 0, age))
+    """Composition a * b: apply b first, then a; a single pose broadcasts against a stack."""
+    return Pose(a.rotation @ b.rotation,
+                (a.rotation @ b.translation[..., None])[..., 0] + a.translation)
 
 
 def inverse(p: Pose) -> Pose:
     Rt = np.swapaxes(p.rotation, -1, -2)
-    return Pose(Rt, -(Rt @ p.translation[..., None])[..., 0], p.age)
+    return Pose(Rt, -(Rt @ p.translation[..., None])[..., 0])
 
 
 def relative_pose(c_t: Pose, c_x: Pose) -> Pose:

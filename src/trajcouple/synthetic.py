@@ -38,7 +38,8 @@ from .errors import (ConfigDocument, ConfigInvalid, FileFormatError, OutOfDomain
 from .grad import GRIDS, POSES, TRACKS, ParamStore
 from .losses import CouplingProblem, LossConfig, transform_samples
 from .pointmap import BilinearSampler, PointMapGrid, check_domain, read_pointmap, write_pointmap
-from .pose import Pose, compose, exp_map, inverse, read_poses, relative_pose, write_poses
+from .pose import (REORTHO_PERIOD, Pose, compose, exp_map, inverse, project_rotation,
+                   read_poses, relative_pose, write_poses)
 from .tracks import read_static_mask, read_tracks, write_static_mask, write_tracks
 from .tracks import static_mask as tracks_static_mask
 
@@ -193,12 +194,15 @@ def _camera_eyes(config, center, rng):
         rotation = _lookat(start + 0.5 * config.camera_magnitude * direction, center)
         return Pose(np.repeat(rotation[None], config.n_frames, axis=0),
                     start + (config.camera_magnitude * (t_axis / denom))[:, None] * direction)
-    # random-walk: small pose increments composed onto an initial look-at
+    # random-walk: small pose increments composed onto an initial look-at, the
+    # chain re-projected onto SO(3) every REORTHO_PERIOD steps
     poses = Pose(np.empty((config.n_frames, 3, 3)), np.empty((config.n_frames, 3)))
     poses[0] = Pose(_lookat(start, center), start)
     step = config.camera_magnitude / max(config.n_frames, 1)
     for k in range(1, config.n_frames):
         poses[k] = compose(poses[k - 1], exp_map(step * rng.standard_normal(6)))
+        if k % REORTHO_PERIOD == 0:
+            poses.rotation[k] = project_rotation(poses.rotation[k])
     return poses
 
 
@@ -249,7 +253,7 @@ def generate(config: SceneConfig) -> SyntheticScene:
     cam_poses = _camera_eyes(config, center, rng)
     rel_poses = relative_pose(cam_poses, cam_poses[config.anchor])
     # the anchor's own relative pose is the identity by definition
-    rel_poses[config.anchor] = Pose.identity()
+    rel_poses[config.anchor] = Pose()
 
     # frame by frame: a batched product here frees two grid-sized temporaries,
     # after which refining the large benchmark scene page-faults some 400x more
@@ -400,7 +404,8 @@ def scene_dirs(root):
     found = []
     for name in sorted(entry for entry in os.listdir(root) if entry.startswith("seed_")):
         path, match = os.path.join(root, name), _SEED_DIR.fullmatch(name)
-        if not (match and os.path.isdir(path)):
+        # only the name scene_dir writes: seed_00005 would be a second scene of seed 5
+        if not (match and os.path.isdir(path) and scene_dir(root, int(match[1])) == path):
             raise FileFormatError(path, "not a seed_NNNN scene directory")
         found.append((int(match[1]), path))
     if not found:

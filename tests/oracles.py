@@ -21,7 +21,7 @@ from trajcouple.grad import GRIDS, POSES, TRACKS, Tape
 from trajcouple.losses import _cross, _Pass, transform_samples
 from trajcouple.metrics import PointmapResult, _smallest_eigenvectors
 from trajcouple.pointmap import BilinearSampler, check_domain
-from trajcouple.pose import _SMALL_ANGLE, REORTHO_PERIOD, Pose, Similarity, _so3_parts, umeyama
+from trajcouple.pose import _SMALL_ANGLE, Pose, Similarity, _so3_parts, umeyama
 from trajcouple.tracks import MIN_VISIBLE_WEIGHT
 
 
@@ -379,8 +379,7 @@ def so3_left_jacobian(omega):
 
 def stack(poses):
     """One (T,) Pose of a list of single poses."""
-    return Pose(np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses]),
-                [p.age for p in poses])
+    return Pose(np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses]))
 
 
 def project_rotation(M):
@@ -395,19 +394,13 @@ def project_rotation(M):
 
 
 def compose(a, b):
-    """One pose a * b, re-projected when its age reaches REORTHO_PERIOD."""
-    R = a.rotation @ b.rotation
-    t = a.rotation @ b.translation + a.translation
-    age = int(a.age) + int(b.age) + 1
-    if age >= REORTHO_PERIOD:
-        R = project_rotation(R)
-        age = 0
-    return Pose(R, t, age)
+    """One pose a * b."""
+    return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
 def inverse(p):
     Rt = p.rotation.T
-    return Pose(Rt, -(Rt @ p.translation), p.age)
+    return Pose(Rt, -(Rt @ p.translation))
 
 
 def apply(p, pts):
@@ -443,22 +436,9 @@ def step_stacks(tangents):
 
 
 def current_stack(base_poses, tangents):
-    """exp_map(tangent) * base one frame at a time, unaged, as one (T,) stack.
-
-    The pass's composition: its rotation product in einsum's summation,
-    its translation exp_rot @ t + upsilon.
-    """
-    exp_rot, _, upsilon = step_stacks(tangents)
-    frames = [Pose(np.einsum("ij,jk->ik", exp_rot[t], base.rotation),
-                   exp_rot[t] @ base.translation + upsilon[t])
-              for t, base in enumerate(base_poses)]
-    return stack(frames)
-
-
-def current_rel_poses(base_poses, tangents):
-    """compose(exp_map(tangent), base) per frame, as a list."""
+    """compose(exp_map(tangent), base) one frame at a time, as one (T,) stack."""
     tangents = np.asarray(tangents, dtype=np.float64).reshape(len(base_poses), 6)
-    return [compose(exp_map(tangents[t]), base) for t, base in enumerate(base_poses)]
+    return stack([compose(exp_map(tangents[t]), base) for t, base in enumerate(base_poses)])
 
 
 def reprojection_mask(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -118,6 +119,44 @@ class TestGen:
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
 
+class SerialPool:
+    """A ProcessPoolExecutor stand-in that maps in this process and records max_workers."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, work):
+        return map(fn, work)
+
+
+class TestMapJobs:
+    @pytest.fixture(autouse=True)
+    def serial_pool(self, monkeypatch):
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(SerialPool, "made", [])
+
+    @pytest.mark.parametrize("jobs, items, workers", [
+        (3, 0, []), (3, 1, []), (1, 4, []), (3, 2, [2]), (2, 5, [2]),
+    ])
+    def test_no_more_workers_than_items(self, jobs, items, workers):
+        assert cli._map_jobs(abs, [-k for k in range(items)], jobs) == list(range(items))
+        assert SerialPool.made == workers
+
+    def test_gen_of_one_seed_runs_in_process(self, tmp_path):
+        cfg = write_json(tmp_path / "scene.json", SMALL_SCENE)
+        assert main(["gen", "--config", cfg, "--out", str(tmp_path / "a"), "--seeds", "0",
+                     "--jobs", "3"]) == 0
+        assert SerialPool.made == [] and (tmp_path / "a" / "seed_0000").is_dir()
+
+
 def poison_pointmap(path, value=float("nan")):
     """Overwrite one float of a .pm file in place (after its 24-byte header)."""
     with open(path, "r+b") as fh:
@@ -194,6 +233,8 @@ def damage_scene(scene, case):
         extra = est / "pointmaps" / "frame_007.pm"
         extra.write_bytes((est / "pointmaps" / "frame_003.pm").read_bytes())
         return extra
+    if case == "seed_00005":  # a second name for seed 5
+        return shutil.copytree(scene, scene.parent / "seed_00005")
     assert case == "seed_abc"
     (scene.parent / "seed_abc").mkdir()
     return scene.parent / "seed_abc"
@@ -305,7 +346,7 @@ class TestOptimize:
         "est_tracks_2_short", "gt_tracks_frame_short", "est_rel_poses_short",
         "static_mask_track_short", "pseudo_tracks_track_short", "gt_pixel_off_domain",
         "est_pixel_differs", "pseudo_pixel_differs", "one_frame_8x8", "all_frames_8x8",
-        "header_index_5", "extra_frame", "seed_abc",
+        "header_index_5", "extra_frame", "seed_abc", "seed_00005",
     ])
     def test_scene_off_config_exit_3_names_file(self, tmp_path, capsys, case, ablation):
         scenes = self.run_gen(tmp_path, scene={
@@ -318,7 +359,7 @@ class TestOptimize:
                      "--out", str(tmp_path / "opt")])
         assert code == 3
         assert str(bad) in capsys.readouterr().err
-        if case == "seed_abc":  # found before any scene is refined
+        if case.startswith("seed_"):  # found before any scene is refined
             assert not (tmp_path / "opt").exists()
 
     @pytest.mark.parametrize("case", ["bad_field", "est_tracks_2_short"])

@@ -21,7 +21,6 @@ from trajcouple.losses import (
     TermStats,
     _compile,
     _cross,
-    _current_stack,
     _huber_batch,
     _Pass,
     _reprojection_mask,
@@ -522,12 +521,8 @@ class TestShapeChecks:
 
 
 def random_base_poses(rng, t):
-    """(T,) base poses with random ages below REORTHO_PERIOD."""
-    poses = []
-    for _ in range(t):
-        p = exp_map(np.concatenate([rng.standard_normal(3), rng.standard_normal(3)]))
-        poses.append(Pose(p.rotation, p.translation, int(rng.integers(0, REORTHO_PERIOD))))
-    return oracles.stack(poses)
+    """(T,) random base poses."""
+    return oracles.stack([exp_map(rng.standard_normal(6)) for _ in range(t)])
 
 
 class TestBatchedPoseWork:
@@ -540,34 +535,35 @@ class TestBatchedPoseWork:
         problem.base = base = random_base_poses(np.random.default_rng(seed), len(tangents))
         store.view(POSES)[:] = tangents
         ps = _Pass(problem, store, Tape(store))
-        exp_rot, left_jac, upsilon = oracles.step_stacks(tangents)
         expected = oracles.current_stack(base, tangents)
-        assert np.array_equal(ps.current.rotation, expected.rotation)
-        assert np.array_equal(ps.current.translation, expected.translation)
-        assert np.array_equal(ps.left_jac, left_jac)
-        assert_poses_equal(problem.current_poses(store), oracles.current_rel_poses(base, tangents))
+        assert_poses_equal(ps.current, expected)
+        assert np.array_equal(ps.left_jac, oracles.step_stacks(tangents)[1])
+        assert_poses_equal(problem.current_poses(store), expected)
         assert problem.base is base
 
     def test_fold_reorthonormalizes_like_oracle(self):
-        # 130 folds cross REORTHO_PERIOD twice
+        # 130 folds cross REORTHO_PERIOD twice; folding a zero block is no fold
         problem, store = random_coupling_fixture(7, n_frames=5)
         tangents = store.view(POSES)
-        expected = list(problem.base)
+        expected = problem.base
         rng = np.random.default_rng(8)
-        resets = 0
-        for _ in range(130):
+        projected = 0
+        for fold in range(1, 131):
             tangents[:] = 0.1 * rng.standard_normal(tangents.shape)
-            expected = oracles.current_rel_poses(expected, tangents)
+            expected = oracles.current_stack(expected, tangents)
             assert_poses_equal(problem.current_poses(store), expected)
+            if fold % REORTHO_PERIOD == 0:
+                rotations = [oracles.project_rotation(r) for r in expected.rotation]
+                projected += not np.array_equal(rotations, expected.rotation)
+                expected = Pose(np.stack(rotations), expected.translation)
             problem.fold_pose_tangents(store)
             assert not np.any(tangents)
+            problem.fold_pose_tangents(store)
             assert_poses_equal(problem.base, expected)
-            resets += all(p.age == 0 for p in expected)
-        assert resets == 2
-        assert problem.base.age.tolist() == [2] * 5
+        assert projected == 2
 
     @pytest.mark.parametrize("selfsup", [False, True])
-    def test_one_pose_stack_per_pass(self, selfsup, monkeypatch):
+    def test_only_frame_stacks_two_per_pass(self, selfsup, monkeypatch):
         problem, store = random_coupling_fixture(9, n_frames=5, selfsup=selfsup)
         assert problem.base.shape == (5,)
         made = []
@@ -576,7 +572,8 @@ class TestBatchedPoseWork:
         problem.evaluate(store, Tape(store))
         problem.evaluate(store)
         problem.refresh_static_mask(store)
-        assert [p.shape for p in made] == [(5,)] * 3  # one composed stack each, no per-frame poses
+        # exp(omega) and exp(omega) * base per pass, no per-frame poses
+        assert [p.shape for p in made] == [(5,)] * 6
         problem.fold_pose_tangents(store)
         assert problem.base.shape == (5,) and all(p.shape == (5,) for p in made)
 
@@ -915,7 +912,7 @@ class TestReprojectionMask:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             geo, _, grids, base, tangents, tau = case
-            got = _reprojection_mask(geo, grids, _current_stack(base, tangents), tau,
+            got = _reprojection_mask(geo, grids, compose(exp_map(tangents), base), tau,
                                      scale_quantile=quantile)
         assert got.dtype == bool
         assert np.array_equal(got, expected)

@@ -4,13 +4,16 @@ from itertools import islice
 import numpy as np
 import pytest
 
+import oracles
 from oracles import pose_matrix
+from test_pose import assert_poses_equal
 from trajcouple import tracks
 from trajcouple.errors import ConfigInvalid
 from trajcouple.grad import Tape
 from trajcouple.losses import LossConfig
+from trajcouple.optimize import OptimConfig, ablation_config, optimize
 from trajcouple.pointmap import BilinearSampler
-from trajcouple.pose import compose, inverse, log_map
+from trajcouple.pose import REORTHO_PERIOD, Pose, compose, inverse, log_map
 from trajcouple.synthetic import (
     SceneConfig,
     _frame_names,
@@ -64,6 +67,24 @@ class TestDeterminism:
         for pa, pb in zip(a.est_rel_poses, b.est_rel_poses):
             assert np.array_equal(pa.rotation, pb.rotation)
             assert np.array_equal(pa.translation, pb.translation)
+
+    def test_random_walk_is_the_oracle_chain(self):
+        # the walk is re-projected onto SO(3) at steps 64 and 128 only, and the
+        # relative poses are the bare products of its poses
+        config = small_config(camera_path="random-walk", n_frames=130)
+        scene = generate(config)
+        rng = np.random.default_rng(config.seed)
+        step = config.camera_magnitude / config.n_frames
+        walk = [scene.cam_poses[0]]
+        for k in range(1, config.n_frames):
+            p = oracles.compose(walk[-1], oracles.exp_map(step * rng.standard_normal(6)))
+            if k % REORTHO_PERIOD == 0:
+                p = Pose(oracles.project_rotation(p.rotation), p.translation)
+            walk.append(p)
+        assert_poses_equal(scene.cam_poses, walk)
+        rel = [oracles.compose(oracles.inverse(walk[config.anchor]), p) for p in walk]
+        rel[config.anchor] = Pose()
+        assert_poses_equal(scene.rel_poses, rel)
 
     def test_different_seeds_differ(self):
         a = generate(small_config(seed=0))
@@ -284,6 +305,16 @@ class TestSceneIo:
         v1 = build_problem(scene).evaluate(initial_store(scene)).total
         v2 = build_problem(back).evaluate(initial_store(back)).total
         assert v1 == v2
+
+    @pytest.mark.parametrize("ablation", ["cons_cam", "full"])
+    def test_loaded_scene_refines_like_generated(self, tmp_path, ablation):
+        # 130 epochs fold the pose tangents past REORTHO_PERIOD twice
+        scene = generate(small_config(sigma_pointmap=0.02, sigma_pose=0.03))
+        save_scene(scene, tmp_path / "s")
+        cfg = ablation_config(ablation, OptimConfig(max_epochs=130, tol=0.0))
+        reports = [json.dumps(optimize(initial_store(s), s, cfg).to_dict())
+                   for s in (scene, load_scene(tmp_path / "s"))]
+        assert reports[0] == reports[1]
 
 
 class TestBuildProblem:

@@ -144,7 +144,7 @@ class TestCameraFramePosition:
 
     def test_identity_camera(self):
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(inverse(Pose.identity()).apply(x), x)
+        assert np.array_equal(inverse(Pose()).apply(x), x)
 
     def test_sign_convention(self):
         # camera 5 units behind the origin on -z, axes aligned: origin is 5 ahead
@@ -170,7 +170,7 @@ class TestAnchorTargets:
     def test_identity_anchor(self):
         rng = np.random.default_rng(7)
         pts = rng.standard_normal((3, 4, 3))
-        out = inverse(Pose.identity()).apply(pts.reshape(-1, 3)).reshape(pts.shape)
+        out = inverse(Pose()).apply(pts.reshape(-1, 3)).reshape(pts.shape)
         assert np.array_equal(out, pts)
 
     def test_static_point_constant_targets(self):
