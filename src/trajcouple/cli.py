@@ -265,8 +265,6 @@ def cmd_eval(args):
     unknown = set(selected) - set(ALL_METRICS)
     if unknown:
         raise ConfigInvalid("metrics", f"unknown metric(s) {sorted(unknown)}")
-    out_dir = args.out or _default_out("eval")
-    os.makedirs(out_dir, exist_ok=True)
 
     # input paths go in the manifest, not the report, so identical runs in
     # different directories stay byte-identical
@@ -337,6 +335,9 @@ def cmd_eval(args):
             report.add("depth_absrel_perimage", res.abs_rel)
             report.add("depth_delta125_perimage", res.delta_125)
 
+    # the directory is made once every input is read and every metric computed
+    out_dir = args.out or _default_out("eval")
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
         fh.write(report.to_json())
     with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
@@ -367,9 +368,7 @@ def cmd_gradcheck(args):
     for k in range(args.fixtures):
         for selfsup in (False, True):
             problem, store = random_coupling_fixture(1000 * k + args.seed, selfsup=selfsup)
-            for row in gradcheck_sweep(
-                problem, store, h=args.h, tol=args.tol, seed=k, corrupt=args.corrupt
-            ):
+            for row in gradcheck_sweep(problem, store, h=args.h, tol=args.tol, seed=k):
                 rows.append(
                     [k, "selfsup" if selfsup else "supervised", row["term"],
                      row["block"], row["max_rel_err"], "pass" if row["passed"] else "FAIL"]
@@ -436,10 +435,6 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="optional output directory for the CSV table")
-    p.add_argument(
-        "--corrupt", action="store_true",
-        help="test hook: corrupt one analytic gradient entry per row (must fail)",
-    )
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

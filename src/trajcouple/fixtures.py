@@ -98,14 +98,10 @@ def pick_indices(problem, store, term, block, rng, count=6):
     return rng.integers(0, store[block].size, size=count)
 
 
-def gradcheck_sweep(
-    problem, store, h=1e-5, tol=1e-4, n_indices=6, seed=0, corrupt=False
-):
+def gradcheck_sweep(problem, store, h=1e-5, tol=1e-4, n_indices=6, seed=0):
     """Finite-difference verification rows for every active (term, block) pair.
 
     Returns a list of dicts with keys term, block, max_rel_err, passed.
-    With corrupt=True a bias is added to one analytic gradient entry per
-    row, which must flip the row to failed (harness self-test hook).
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -114,12 +110,7 @@ def gradcheck_sweep(
             indices = pick_indices(problem, store, term, block, rng, n_indices)
 
             def loss_fn(s, tape=None, _term=term):
-                value = problem.evaluate_term(s, _term, tape)
-                if corrupt and tape is not None:
-                    tape.grad(block)[indices[0]] += 1.0 + abs(
-                        10.0 * tape.grad(block)[indices[0]]
-                    )
-                return value
+                return problem.evaluate_term(s, _term, tape)
 
             err = finite_diff_check(loss_fn, store, block, indices, h)
             rows.append(

@@ -16,13 +16,12 @@ least-squares scale-and-shift, per image or per sequence.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateConfiguration, EmptyValidMask
-from .pose import Pose, _icp, compose, inverse, rotation_angle, umeyama
+from .pose import Pose, _icp, relative_pose, rotation_angle, umeyama
 
 # TAPVid-3D distance thresholds, each scaled per sample by the ground-truth |z|
 TRACK_THRESHOLDS = (0.01, 0.02, 0.04, 0.08, 0.16)
@@ -66,21 +65,35 @@ class RpeResult:
     rot_deg: float
 
 
+def _relative_poses(pair: TrajectoryPair, i, j):
+    """Estimated and ground-truth relative poses inv(pose_i) * pose_j over index arrays i, j."""
+    return relative_pose(pair.est[j], pair.est[i]), relative_pose(pair.gt[j], pair.gt[i])
+
+
+def _rotation_errors(rel_est: Pose, rel_gt: Pose):
+    """Angles in radians between the estimated and ground-truth relative rotations."""
+    return rotation_angle(np.swapaxes(rel_gt.rotation, -1, -2) @ rel_est.rotation)
+
+
+def _row_dots(a, b):
+    """Dot products of the rows of a and b; a row matmul rounds like the BLAS dot of one pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def rpe(pair: TrajectoryPair, step=1) -> RpeResult:
-    """Relative pose error over a fixed frame delta (RMS translation / rotation)."""
+    """Relative pose error over a fixed frame delta (RMS translation / rotation).
+
+    Frame i is paired with frame i + step for every i in [0, T - step).
+    """
     if not 1 <= step < len(pair):
         raise ValueError(f"step {step} must be in [1, {len(pair)})")
-    d_trans = []
-    d_rot = []
-    for i in range(len(pair) - step):
-        rel_gt = compose(inverse(pair.gt[i]), pair.gt[i + step])
-        rel_est = compose(inverse(pair.est[i]), pair.est[i + step])
-        d_trans.append(np.sum((rel_est.translation - rel_gt.translation) ** 2))
-        ang = rotation_angle(rel_gt.rotation.T @ rel_est.rotation)
-        d_rot.append(ang * ang)
+    first = np.arange(len(pair) - step)
+    rel_est, rel_gt = _relative_poses(pair, first, first + step)
+    d_trans = np.sum((rel_est.translation - rel_gt.translation) ** 2, axis=-1)
+    ang = _rotation_errors(rel_est, rel_gt)
     return RpeResult(
         float(np.sqrt(np.mean(d_trans))),
-        float(np.degrees(np.sqrt(np.mean(d_rot)))),
+        float(np.degrees(np.sqrt(np.mean(ang * ang)))),
     )
 
 
@@ -94,58 +107,46 @@ class RelPoseAccuracy:
 
 
 def rel_pose_accuracy(pair: TrajectoryPair) -> RelPoseAccuracy:
-    """Relative rotation / translation-direction accuracy over all frame pairs.
+    """Relative rotation / translation-direction accuracy over all frame pairs i < j.
 
     Rotation error is the relative-rotation angle between estimate and
     ground truth; translation error is the angle between the relative
     translation directions.  Pairs whose ground-truth relative translation
-    is shorter than 1e-9 have no direction and are skipped (counted).  An
-    estimate with a near-zero relative translation against a valid ground
-    truth scores the maximum error of 180 degrees.  AUC integrates the
-    pointwise min of the two accuracy curves over integer thresholds
-    1..POSE_MAX_THRESHOLD with trapezoidal weights.
+    is shorter than 1e-9 have no direction: they are skipped, for both
+    errors, and counted.  An estimate with a near-zero relative translation
+    against a valid ground truth scores the maximum error of 180 degrees.  AUC
+    integrates the pointwise min of the two accuracy curves over integer
+    thresholds 1..POSE_MAX_THRESHOLD with trapezoidal weights.
     """
     if len(pair) < 2:
         raise DegenerateConfiguration("relative pose accuracy needs at least 2 frames")
-    rot_err = []
-    trans_err = []
-    n_skipped = 0
-    for i in range(len(pair)):
-        for j in range(i + 1, len(pair)):
-            rel_gt = compose(inverse(pair.gt[i]), pair.gt[j])
-            rel_est = compose(inverse(pair.est[i]), pair.est[j])
-            t_gt = rel_gt.translation
-            nrm_gt = float(np.linalg.norm(t_gt))
-            if nrm_gt < 1e-9:
-                n_skipped += 1
-                continue
-            rot_err.append(
-                math.degrees(rotation_angle(rel_gt.rotation.T @ rel_est.rotation))
-            )
-            t_est = rel_est.translation
-            nrm_est = float(np.linalg.norm(t_est))
-            if nrm_est < 1e-9:
-                trans_err.append(180.0)
-            else:
-                cosv = float(np.clip(t_gt @ t_est / (nrm_gt * nrm_est), -1.0, 1.0))
-                trans_err.append(math.degrees(math.acos(cosv)))
-    rot_err = np.asarray(rot_err)
-    trans_err = np.asarray(trans_err)
-    n_pairs = rot_err.size
+    rel_est, rel_gt = _relative_poses(pair, *np.triu_indices(len(pair), 1))
+    t_gt, t_est = rel_gt.translation, rel_est.translation
+    nrm_gt = np.sqrt(_row_dots(t_gt, t_gt))
+    kept = ~(nrm_gt < 1e-9)
+    n_pairs = int(np.count_nonzero(kept))
+    n_skipped = len(kept) - n_pairs
     if n_pairs == 0:
         return RelPoseAccuracy(0.0, 0.0, 0.0, 0, n_skipped)
 
+    rot_err = np.degrees(_rotation_errors(rel_est, rel_gt)[kept])
+    t_gt, t_est, nrm_gt = t_gt[kept], t_est[kept], nrm_gt[kept]
+    nrm_est = np.sqrt(_row_dots(t_est, t_est))
+    moved = ~(nrm_est < 1e-9)
+    cosv = np.clip(_row_dots(t_gt, t_est) / (nrm_gt * np.where(moved, nrm_est, 1.0)), -1.0, 1.0)
+    trans_err = np.where(moved, np.degrees(np.arccos(cosv)), 180.0)
+
     thresholds = np.arange(1, POSE_MAX_THRESHOLD + 1, dtype=np.float64)
-    acc_r = np.array([np.mean(rot_err < th) for th in thresholds])
-    acc_t = np.array([np.mean(trans_err < th) for th in thresholds])
+    acc_r = np.mean(rot_err < thresholds[:, None], axis=1)
+    acc_t = np.mean(trans_err < thresholds[:, None], axis=1)
     curve = np.minimum(acc_r, acc_t)
     auc = float(np.trapezoid(curve, thresholds) / (thresholds[-1] - thresholds[0]))
     return RelPoseAccuracy(
         100.0 * float(np.mean(rot_err < POSE_MAX_THRESHOLD)),
         100.0 * float(np.mean(trans_err < POSE_MAX_THRESHOLD)),
         100.0 * auc,
-        int(n_pairs),
-        int(n_skipped),
+        n_pairs,
+        n_skipped,
     )
 
 

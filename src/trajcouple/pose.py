@@ -204,17 +204,20 @@ def log_map(p: Pose):
     return np.concatenate([so3_log(p.rotation), p.translation], axis=-1)
 
 
-def rotation_angle(R) -> float:
-    """Rotation angle in radians of a rotation matrix.
+def rotation_angle(R):
+    """Rotation angles in radians of (..., 3, 3) rotation matrices.
 
     Uses atan2 of the skew part against the trace, which keeps full
-    precision for tiny angles where arccos of the trace saturates.
+    precision for tiny angles where arccos of the trace saturates.  The
+    skew part's norm is a row matmul, which rounds like np.linalg.norm of
+    one vector.
     """
     R = np.asarray(R, dtype=np.float64)
-    v = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    s = float(np.linalg.norm(v))
-    c = float(np.clip(0.5 * (np.trace(R) - 1.0), -1.0, 1.0))
-    return float(np.arctan2(s, c))
+    v = 0.5 * np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
+                        R[..., 1, 0] - R[..., 0, 1]], axis=-1)
+    s = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+    c = np.clip(0.5 * (np.trace(R, axis1=-2, axis2=-1) - 1.0), -1.0, 1.0)
+    return np.arctan2(s, c)
 
 
 @dataclass

@@ -75,8 +75,9 @@ class SceneConfig(ConfigDocument):
             raise ConfigInvalid("n_frames", "must be >= 1")
         if self.height < 2 or self.width < 2:
             raise ConfigInvalid("height" if self.height < 2 else "width", "must be >= 2")
-        if self.n_static < 0 or self.n_dynamic < 0:
-            raise ConfigInvalid("n_static", "track counts must be >= 0")
+        for name in ("n_static", "n_dynamic"):
+            if getattr(self, name) < 0:
+                raise ConfigInvalid(name, "track counts must be >= 0")
         if self.n_static + self.n_dynamic < 1:
             raise ConfigInvalid("n_static", "need at least one track")
         if self.camera_path not in CAMERA_PATHS:

@@ -4,7 +4,7 @@ The metric oracles are straightforward loops over 4x4 matrices and raw
 arrays, sharing no code with the package beyond numpy/scipy primitives.
 The sampling, pose-application, pose- and grid-gradient, Huber,
 pass-kernel, tape, geometric-median, SO(3), single-pose,
-reprojection-mask, row-file and point-cloud references
+reprojection-mask, row-file, relative-pose-metric and point-cloud references
 below are the package's earlier per-call formulations, kept to pin the
 compiled and batched paths bit for bit.
 """
@@ -19,9 +19,12 @@ from scipy.spatial import cKDTree
 from trajcouple.errors import DegenerateConfiguration, LogNearPi
 from trajcouple.grad import GRIDS, POSES, TRACKS, Tape
 from trajcouple.losses import _cross, _Pass, transform_samples
-from trajcouple.metrics import PointmapResult, _smallest_eigenvectors
+from trajcouple.metrics import (POSE_MAX_THRESHOLD, PointmapResult, RelPoseAccuracy, RpeResult,
+                                _smallest_eigenvectors)
 from trajcouple.pointmap import BilinearSampler, check_domain
 from trajcouple.pose import _SMALL_ANGLE, Pose, Similarity, _so3_parts, umeyama
+from trajcouple.pose import compose as compose_stack
+from trajcouple.pose import inverse as inverse_stack
 from trajcouple.tracks import MIN_VISIBLE_WEIGHT
 
 
@@ -600,6 +603,77 @@ def naive_rel_pose_accuracy(est_mats, gt_mats, max_threshold=30):
         area += 0.5 * (curve[k] + curve[k + 1])
     auc = 100.0 * area / (max_threshold - 1)
     return rra, rta, auc, skipped
+
+
+# ---------------------------------------------------------------------------
+# Relative pose error and accuracy, one frame pair at a time: the package's
+# earlier loops over Pose pairs, kept to pin the stacked metrics bit for bit.
+
+def rotation_angle(R):
+    """Rotation angle in radians of one rotation matrix."""
+    R = np.asarray(R, dtype=np.float64)
+    v = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    s = float(np.linalg.norm(v))
+    c = float(np.clip(0.5 * (np.trace(R) - 1.0), -1.0, 1.0))
+    return float(np.arctan2(s, c))
+
+
+def rpe(pair, step=1):
+    d_trans = []
+    d_rot = []
+    for i in range(len(pair) - step):
+        rel_gt = compose_stack(inverse_stack(pair.gt[i]), pair.gt[i + step])
+        rel_est = compose_stack(inverse_stack(pair.est[i]), pair.est[i + step])
+        d_trans.append(np.sum((rel_est.translation - rel_gt.translation) ** 2))
+        ang = rotation_angle(rel_gt.rotation.T @ rel_est.rotation)
+        d_rot.append(ang * ang)
+    return RpeResult(
+        float(np.sqrt(np.mean(d_trans))),
+        float(np.degrees(np.sqrt(np.mean(d_rot)))),
+    )
+
+
+def rel_pose_accuracy(pair):
+    rot_err = []
+    trans_err = []
+    n_skipped = 0
+    for i in range(len(pair)):
+        for j in range(i + 1, len(pair)):
+            rel_gt = compose_stack(inverse_stack(pair.gt[i]), pair.gt[j])
+            rel_est = compose_stack(inverse_stack(pair.est[i]), pair.est[j])
+            t_gt = rel_gt.translation
+            nrm_gt = float(np.linalg.norm(t_gt))
+            if nrm_gt < 1e-9:
+                n_skipped += 1
+                continue
+            rot_err.append(
+                math.degrees(rotation_angle(rel_gt.rotation.T @ rel_est.rotation))
+            )
+            t_est = rel_est.translation
+            nrm_est = float(np.linalg.norm(t_est))
+            if nrm_est < 1e-9:
+                trans_err.append(180.0)
+            else:
+                cosv = float(np.clip(t_gt @ t_est / (nrm_gt * nrm_est), -1.0, 1.0))
+                trans_err.append(math.degrees(math.acos(cosv)))
+    rot_err = np.asarray(rot_err)
+    trans_err = np.asarray(trans_err)
+    n_pairs = rot_err.size
+    if n_pairs == 0:
+        return RelPoseAccuracy(0.0, 0.0, 0.0, 0, n_skipped)
+
+    thresholds = np.arange(1, POSE_MAX_THRESHOLD + 1, dtype=np.float64)
+    acc_r = np.array([np.mean(rot_err < th) for th in thresholds])
+    acc_t = np.array([np.mean(trans_err < th) for th in thresholds])
+    curve = np.minimum(acc_r, acc_t)
+    auc = float(np.trapezoid(curve, thresholds) / (thresholds[-1] - thresholds[0]))
+    return RelPoseAccuracy(
+        100.0 * float(np.mean(rot_err < POSE_MAX_THRESHOLD)),
+        100.0 * float(np.mean(trans_err < POSE_MAX_THRESHOLD)),
+        100.0 * auc,
+        int(n_pairs),
+        int(n_skipped),
+    )
 
 
 def naive_tapvid3d(est, est_vis, gt, gt_vis, thresholds, depth_scaled=True):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from trajcouple import cli
 from trajcouple.cli import main
 from trajcouple.errors import DegenerateConfiguration
+from trajcouple.grad import Tape
 from trajcouple.metrics import TrajectoryPair, ate, pointmap_metrics
 from trajcouple.pointmap import PointMapGrid, read_pointmap, write_pointmap
 from trajcouple.pose import read_poses, write_poses
@@ -87,11 +89,12 @@ class TestGen:
             docs.append(doc)
         assert docs[0] == docs[1]
 
-    def test_invalid_config_exit_2_names_field(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "scene.json", {"n_frames": 0})
+    @pytest.mark.parametrize("field,value", [("n_frames", 0), ("n_static", -1), ("n_dynamic", -1)])
+    def test_invalid_config_exit_2_names_field(self, tmp_path, capsys, field, value):
+        cfg = write_json(tmp_path / "scene.json", {field: value})
         assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "n_frames" in err and str(cfg) in err
+        assert f"invalid config field '{field}'" in err and str(cfg) in err
 
     @pytest.mark.parametrize("seeds", ["-1", "3,-2"])
     def test_negative_seed_exit_2_names_field(self, tmp_path, capsys, seeds):
@@ -742,6 +745,17 @@ class TestEval:
                      "--rpe-step", step, "--out", str(tmp_path / "e")]) == 2
         assert "'rpe_step'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["rpe_step", "missing_pred"])
+    def test_rejected_eval_leaves_no_out_dir(self, tmp_path, case):
+        scene = self.make_dirs(tmp_path)  # 5 frames
+        pred, extra, code = scene / "est", ["--rpe-step", "9"], 2
+        if case == "missing_pred":
+            pred, extra, code = tmp_path / "no_such_dir", [], 3
+        out = tmp_path / "e"
+        assert main(["eval", "--pred", str(pred), "--gt", str(scene / "gt"), *extra,
+                     "--out", str(out)]) == code
+        assert not out.exists()
+
     def test_unknown_metric_exit_2(self, tmp_path):
         scene = self.make_dirs(tmp_path)
         assert main(["eval", "--pred", str(scene / "gt"), "--gt", str(scene / "gt"),
@@ -849,8 +863,16 @@ class TestGradcheck:
         assert main(["gradcheck", "--fixtures", "3", "--out", str(out)]) == 0
         assert (out / "gradcheck.csv").exists()
 
-    def test_corrupted_gradient_fails(self):
-        assert main(["gradcheck", "--fixtures", "1", "--corrupt"]) == 4
+    def test_corrupted_gradient_fails(self, tmp_path, monkeypatch, capsys):
+        # the pose and grid blocks reach the tape through Tape.add, the tracks block does not
+        add = Tape.add
+        monkeypatch.setattr(Tape, "add", lambda tape, block, values: add(tape, block, 1.5 * values))
+        assert main(["gradcheck", "--fixtures", "1", "--out", str(tmp_path)]) == 4
+        with open(tmp_path / "gradcheck.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and {(r["block"], r["status"]) for r in rows} == {
+            ("poses", "FAIL"), ("grids", "FAIL"), ("tracks", "pass")}
+        assert "FAIL" in capsys.readouterr().out
 
     def test_no_fixtures_exit_2_names_field(self, capsys):
         assert main(["gradcheck", "--fixtures", "0"]) == 2

@@ -1,9 +1,10 @@
 import tracemalloc
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -163,6 +164,56 @@ class TestRelPoseAccuracy:
             assert res.rta == pytest.approx(rta, abs=1e-9)
             assert res.auc == pytest.approx(auc, abs=1e-9)
             assert res.n_skipped == skipped
+
+
+def trajectory_case(kind, n, seed):
+    """(est, gt) of n frames; kind shapes them for one branch of the pose metrics.
+
+    random: a perturbed random trajectory; repeats: some ground-truth frames
+    repeat their predecessor's translation (zero baselines, skipped pairs);
+    static: a rotating camera that never moves (every pair skipped);
+    coincident: some estimated frames repeat their predecessor's
+    translation (the 180 degree rule).
+    """
+    rng = np.random.default_rng(seed)
+    gt = random_trajectory(rng, n, rot=rng.uniform(0.0, 1.0))
+    est = compose(random_trajectory(rng, n, rng.uniform(0.0, 0.6), rng.uniform(0.0, 0.5)), gt)
+    if kind == "static":
+        gt.translation[:] = gt.translation[0]
+    elif kind in ("repeats", "coincident"):
+        moved = gt if kind == "repeats" else est
+        for k in np.flatnonzero(rng.random(n) < 0.4):
+            moved.translation[k] = moved.translation[k - 1]
+    return est, gt
+
+
+class TestStackedPoseMetrics:
+    """rpe and rel_pose_accuracy over whole stacks equal the per-pair loops field for field.
+
+    Compared bit for bit, as the reported fields: single angles may differ by
+    an ulp, since np.arccos and math.acos round differently.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(("random", "repeats", "static", "coincident")),
+           n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    @example(kind="random", n=2, seed=0)
+    @example(kind="static", n=2, seed=1)
+    @example(kind="coincident", n=2, seed=2)
+    def test_fields_equal_loop_oracle(self, kind, n, seed):
+        pair = TrajectoryPair(*trajectory_case(kind, n, seed))
+        got = rel_pose_accuracy(pair)
+        assert astuple(got) == astuple(oracles.rel_pose_accuracy(pair))
+        if kind == "static":
+            assert astuple(got) == (0.0, 0.0, 0.0, 0, n * (n - 1) // 2)
+        for step in range(1, n):
+            assert astuple(rpe(pair, step)) == astuple(oracles.rpe(pair, step))
+
+    def test_coincident_estimate_scores_180_degrees(self):
+        gt = on_x_axis(4)
+        est = Pose(gt.rotation, np.zeros((4, 3)))
+        res = rel_pose_accuracy(TrajectoryPair(est, gt))
+        assert (res.rra, res.rta, res.auc, res.n_pairs, res.n_skipped) == (100.0, 0.0, 0.0, 6, 0)
 
 
 class TestTapvid3D:
@@ -477,7 +528,7 @@ class TestConventionInvariants:
     def test_percent_ranges(self):
         rng = np.random.default_rng(25)
         gt = random_trajectory(rng, 6)
-        est = [compose(random_pose(rng, 0.3, 0.5), p) for p in gt]
+        est = oracles.stack([compose(random_pose(rng, 0.3, 0.5), p) for p in gt])
         res = rel_pose_accuracy(TrajectoryPair(est, gt))
         assert 0.0 <= res.rta <= 100.0
         assert 0.0 <= res.rra <= 100.0

@@ -346,6 +346,15 @@ class TestExpLog:
     def test_rotation_angle(self):
         assert rotation_angle(rot_z(0.7)) == pytest.approx(0.7, abs=1e-12)
 
+    def test_rotation_angle_of_a_stack_equals_per_matrix_oracle(self):
+        rng = np.random.default_rng(13)
+        axes = rng.standard_normal((len(ANGLES), 3))
+        axes *= np.array(ANGLES)[:, None] / np.linalg.norm(axes, axis=1, keepdims=True)
+        rotations = so3_exp(np.concatenate([axes, rng.standard_normal((50, 3))]))
+        got = rotation_angle(rotations.reshape(9, 7, 3, 3))
+        assert got.shape == (9, 7)
+        assert got.reshape(-1).tolist() == [oracles.rotation_angle(R) for R in rotations]
+
 
 class TestUmeyama:
     def test_identity_case(self):
