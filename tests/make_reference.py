@@ -63,10 +63,8 @@ def evaluate_case(seed, ablation, pose_target):
     problem.config = replace(problem.config, **ABLATIONS[ablation], pose_target=pose_target)
     tape = Tape(store)
     bd = problem.evaluate(store, tape)
-    grads = {}
-    for block, g in tape.grads.items():
-        grads[block] = {"sum": float(np.sum(g)), "sumsq": float(g @ g),
-                        "maxabs": float(np.max(np.abs(g))), "size": int(g.size)}
+    grads = {block: {"sum": float(np.sum(g)), "sumsq": float(g @ g),
+                     "maxabs": float(np.max(np.abs(g)))} for block, g in tape.grads.items()}
     slots = {slot: {k: v for k, v in asdict(stats).items() if k != "name"}
              for slot, stats in bd.terms.items()}
     return {"total": bd.total, "slots": slots, "grads": grads}
