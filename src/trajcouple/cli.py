@@ -126,8 +126,8 @@ def cmd_gen(args):
     seeds = _parse_seeds(args.seeds)
     _check_jobs(args.jobs)
     out_dir = args.out or _default_out("scenes")
-    os.makedirs(out_dir, exist_ok=True)
 
+    # save_scene makes out_dir with the first seed directory, so a failed generation leaves none
     _map_jobs(_gen_one, [(config.to_dict(), seed, out_dir) for seed in seeds], args.jobs)
     _write_manifest(out_dir, "gen", config.to_dict(), args.config, seeds)
     print(f"wrote {len(seeds)} scene(s) under {out_dir}")
@@ -151,9 +151,9 @@ def cmd_optimize(args):
     _check_jobs(args.jobs)
     scenes = scene_dirs(args.scenes)
     out_dir = args.out or _default_out(f"optimize_{args.ablation}")
-    os.makedirs(out_dir, exist_ok=True)
-
+    # the directory is made once every scene is read and refined
     results = _map_jobs(_optimize_one, [(path, cfg) for _, path in scenes], args.jobs)
+    os.makedirs(out_dir, exist_ok=True)
 
     any_diverged = False
     summary_rows = []

@@ -14,11 +14,11 @@ Construction rules that the coupling losses rely on:
   consistency residuals of an unperturbed scene are exactly zero;
 * anchor targets are defined by pushing those camera tracks through the
   ground-truth relative poses with the losses' own transform chain, so the
-  camera-consistency residuals of an unperturbed scene are exactly zero
-  (both inputs round-trip exactly through the scene files, so a loaded
-  scene derives the same targets and none are stored);
+  camera-consistency residuals of an unperturbed scene are exactly zero;
+  build_problem derives them for the supervised problem, so a scene, like
+  its directory, holds none;
 * world tracks are bilinear samples of the world lattice, so static tracks
-  are bit-for-bit constant over time.
+  are bit-for-bit constant over time; of them, a scene keeps the static mask.
 
 Scale is normalized so the surface bounding-box diagonal is 1.
 """
@@ -29,7 +29,6 @@ import json
 import os
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -107,11 +106,9 @@ class SyntheticScene:
     rel_poses: Pose  # (T,) frame -> anchor-frame transforms
     gt_grids: np.ndarray  # (T, H, W, 3)
     gt_tracks: np.ndarray  # (N, T, 3) camera-frame
-    world_tracks: Optional[np.ndarray]  # (N, T, 3); None in a loaded scene
     query_pixels: np.ndarray  # (N, T, 2)
     visibility: np.ndarray  # (N, T)
-    static_mask: Optional[np.ndarray]  # (N, T) bool
-    targets: Optional[np.ndarray]  # (N, T, 3), anchor-frame
+    static_mask: np.ndarray  # (N, T) bool
     pseudo_visibility: np.ndarray  # (N, T)
     est_grids: np.ndarray = None
     est_tracks: np.ndarray = None
@@ -222,12 +219,9 @@ def _sample_queries(rng, count, cell_ok, height, width):
     return out
 
 
-def generate(config: SceneConfig) -> SyntheticScene:
-    """Deterministically build a scene plus noisy estimates from config.seed."""
-    config.validate()
-    rng = np.random.default_rng(config.seed)
+def _world(config):
+    """The (T, H, W, 3) world lattice per frame, the (H, W) taper and the center; no RNG."""
     h, w, t_frames = config.height, config.width, config.n_frames
-
     # world lattice, normalized to unit bounding-box diagonal
     xs = np.linspace(-0.5, 0.5, w)
     ys = np.linspace(-0.5, 0.5, h)
@@ -249,7 +243,15 @@ def generate(config: SceneConfig) -> SyntheticScene:
     direction = np.array([1.0, 0.4, 0.25])
     direction /= np.linalg.norm(direction)
     disp = _displacements(config, direction * diagonal, np.arange(t_frames, dtype=np.float64))
-    world_stack = lattice[None] + taper[None, :, :, None] * disp[:, None, None, :]
+    return lattice[None] + taper[None, :, :, None] * disp[:, None, None, :], taper, center
+
+
+def generate(config: SceneConfig) -> SyntheticScene:
+    """Deterministically build a scene plus noisy estimates from config.seed."""
+    config.validate()
+    rng = np.random.default_rng(config.seed)
+    h, w, t_frames = config.height, config.width, config.n_frames
+    world_stack, taper, center = _world(config)
 
     cam_poses = _camera_eyes(config, center, rng)
     rel_poses = relative_pose(cam_poses, cam_poses[config.anchor])
@@ -286,11 +288,11 @@ def generate(config: SceneConfig) -> SyntheticScene:
     ii = np.repeat(np.arange(n), t_frames)
     tt = np.tile(np.arange(t_frames), n)
     sampler = BilinearSampler(gt_grids.shape, tt, query_pixels[ii, tt, 0], query_pixels[ii, tt, 1])
-    world_tracks = sampler.gather(world_stack).reshape(n, t_frames, 3)
     gt_tracks = sampler.gather(gt_grids).reshape(n, t_frames, 3)
 
     # the diagonal is 1, so tau_scale is the static threshold in scene units
-    static = tracks_static_mask(world_tracks, config.tau_scale, visibility)
+    static = tracks_static_mask(sampler.gather(world_stack).reshape(n, t_frames, 3),
+                                config.tau_scale, visibility)
 
     scene = SyntheticScene(
         config=config,
@@ -298,11 +300,9 @@ def generate(config: SceneConfig) -> SyntheticScene:
         rel_poses=rel_poses,
         gt_grids=gt_grids,
         gt_tracks=gt_tracks,
-        world_tracks=world_tracks,
         query_pixels=query_pixels,
         visibility=visibility,
         static_mask=static,
-        targets=anchor_targets(gt_tracks, rel_poses),
         pseudo_visibility=visibility.copy(),
     )
     est_grids, est_tracks, est_rel = perturb(
@@ -358,16 +358,18 @@ def build_problem(scene: SyntheticScene, loss_cfg: LossConfig = None) -> Couplin
     """Coupled objective over the scene, supervised exactly when the camera term is on.
 
     The camera term is the only consumer of 3D ground truth: with it the
-    problem takes the targets, the ground-truth static mask and the track
-    visibility; without it, the pseudo 2D track visibility, no targets and
-    an all-static mask (which optimize refreshes when the anchor term is
-    gated).  Both masks use the scene's tau_scale as their threshold.
+    problem takes the anchor targets derived here, the ground-truth static
+    mask and the track visibility; without it, the pseudo 2D track
+    visibility, no targets and an all-static mask (which optimize refreshes
+    when the anchor term is gated).  Both masks use the scene's tau_scale as
+    their threshold.
     """
     if loss_cfg is None:
         loss_cfg = LossConfig()
     loss_cfg.validate()
     if loss_cfg.use_cam:
-        visibility, targets, mask = scene.visibility, scene.targets, scene.static_mask
+        visibility, mask = scene.visibility, scene.static_mask
+        targets = anchor_targets(scene.gt_tracks, scene.rel_poses)
     else:
         visibility, targets = scene.pseudo_visibility, None
         mask = np.ones_like(scene.visibility, dtype=bool)
@@ -518,16 +520,15 @@ def _fits(path, what, got, want):
 
 
 def load_scene(scene_dir) -> SyntheticScene:
-    """Read a scene written by save_scene; its world tracks are not stored (None).
+    """Read a scene written by save_scene, equal to the saved one field by field.
 
     Each file must fit scene_config.json: N x T samples in the track,
     pseudo-track and static-mask files, gt/tracks.txt's query pixels inside
     the H x W domain and the other two track files' equal to them, T poses
     in each pose file, and in each pointmaps/ exactly the frames
-    frame_000 ... frame_{T-1}, each H x W with header frame index t.  The
-    anchor targets are derived from the ground-truth tracks and relative
-    poses.  Files and keys that earlier versions also wrote
-    (gt/targets.txt, the 'derived' object of scene_config.json) are ignored.
+    frame_000 ... frame_{T-1}, each H x W with header frame index t.  Files
+    and keys that earlier versions also wrote (gt/world_tracks.txt,
+    gt/targets.txt, the 'derived' object of scene_config.json) are ignored.
     """
     cfg_path = os.path.join(scene_dir, "scene_config.json")
     doc = read_json_object(cfg_path)
@@ -576,8 +577,7 @@ def load_scene(scene_dir) -> SyntheticScene:
 
     return SyntheticScene(
         config=config, cam_poses=cam_poses, rel_poses=rel_poses, gt_grids=grids[0],
-        gt_tracks=gt_pts, world_tracks=None, query_pixels=pixels, visibility=visibility,
-        static_mask=static, targets=anchor_targets(gt_pts, rel_poses),
+        gt_tracks=gt_pts, query_pixels=pixels, visibility=visibility, static_mask=static,
         pseudo_visibility=pseudo_vis, est_grids=grids[1], est_tracks=est_pts,
         est_rel_poses=est_rel,
     )

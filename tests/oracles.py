@@ -6,7 +6,8 @@ The sampling, pose-application, pose- and grid-gradient, Huber,
 pass-kernel, tape, geometric-median, SO(3), single-pose,
 reprojection-mask, row-file, relative-pose-metric and point-cloud references
 below are the package's earlier per-call formulations, kept to pin the
-compiled and batched paths bit for bit.
+compiled and batched paths bit for bit.  forbid_anchor_targets guards the
+tests that must run without 3D labels.
 """
 
 import math
@@ -16,6 +17,7 @@ from itertools import product
 import numpy as np
 from scipy.spatial import cKDTree
 
+from trajcouple import synthetic
 from trajcouple.errors import DegenerateConfiguration, LogNearPi
 from trajcouple.grad import GRIDS, POSES, TRACKS, Tape
 from trajcouple.losses import _cross, _Pass, transform_samples
@@ -889,3 +891,14 @@ def pointmap_metrics(pred, gt, align=True, use_icp=False, k_normals=16):
         float(np.mean(comp_d)), float(np.median(comp_d)),
         float(np.mean(cosines)), float(np.median(cosines)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Self-supervision guard.
+
+def forbid_anchor_targets(monkeypatch):
+    """Make synthetic.anchor_targets, the one way 3D labels enter a problem, raise."""
+    def refuse(*args):
+        raise AssertionError("3D anchor targets derived on a self-supervised path")
+
+    monkeypatch.setattr(synthetic, "anchor_targets", refuse)

@@ -153,13 +153,12 @@ def test_criterion_6_dynamic_robustness():
     report(6, ok, f"static gating beats ungated on {wins}/10 half-dynamic scenes")
 
 
-def test_criterion_7_selfsup_direction():
+def test_criterion_7_selfsup_direction(monkeypatch):
+    oracles.forbid_anchor_targets(monkeypatch)  # the self-supervised path must never need them
     wins = 0
     reductions = []
     for seed in range(10):
         scene = generate(scene_cfg(seed, sigma_pose=0.05))
-        scene.targets = None  # the self-supervised path must never need these
-        scene.world_tracks = None
         store = initial_store(scene)
         rep = optimize(store, scene, ablation_config("selfsup", OptimConfig(**ACCEPT_OPTIM)))
         red = 1.0 - rep.final_metrics["pose_tangent_rms"] / rep.initial_metrics["pose_tangent_rms"]

@@ -96,6 +96,14 @@ class TestGen:
         err = capsys.readouterr().err
         assert f"invalid config field '{field}'" in err and str(cfg) in err
 
+    def test_layout_error_leaves_no_out_dir(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "scene.json",
+                         {"height": 2, "width": 2, "n_static": 1, "n_dynamic": 1})
+        out = tmp_path / "o"
+        assert main(["gen", "--config", cfg, "--out", str(out)]) == 2
+        assert "grid too small" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seeds", ["-1", "3,-2"])
     def test_negative_seed_exit_2_names_field(self, tmp_path, capsys, seeds):
         cfg = write_json(tmp_path / "scene.json", SMALL_SCENE)
@@ -439,6 +447,15 @@ class TestOptimize:
     def test_unknown_ablation_exit_2(self, tmp_path, capsys):
         scenes = self.run_gen(tmp_path)
         assert main(["optimize", "--scenes", str(scenes), "--ablation", "wat"]) == 2
+
+    def test_unloadable_scene_leaves_no_out_dir(self, tmp_path, capsys):
+        scenes = self.run_gen(tmp_path)
+        bad = scenes / "seed_0005" / "est" / "rel_poses.txt"
+        bad.write_text("garbage\n")
+        out = tmp_path / "opt"
+        assert main(["optimize", "--scenes", str(scenes), "--out", str(out)]) == 3
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scenes_exit_3(self, tmp_path):
         assert main(["optimize", "--scenes", str(tmp_path / "nope"),

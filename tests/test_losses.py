@@ -325,12 +325,10 @@ class TestSelfSupervised:
         assert bd.terms["cons"].value == 0.0  # shared sampling path: bitwise
         assert bd.terms["anchor"].value < 1e-24  # anchor chain: fp roundoff only
 
-    def test_no_targets_consumed(self):
+    def test_no_targets_consumed(self, monkeypatch):
+        oracles.forbid_anchor_targets(monkeypatch)  # generating, building, evaluating
         scene, problem, store = self.make_scene()
         assert problem.targets is None
-        # wipe every 3D ground-truth field; evaluation must not notice
-        scene.targets = None
-        scene.world_tracks = None
         tape = Tape(store)
         bd = problem.evaluate(store, tape)
         assert bd.total > 0.0

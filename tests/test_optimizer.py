@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from trajcouple.errors import ConfigInvalid, Diverged
 from trajcouple.grad import GRIDS, POSES, TRACKS
 from trajcouple.losses import CouplingProblem, LossConfig
@@ -177,10 +178,9 @@ class TestFullAblation:
 
 
 class TestSelfSupMode:
-    def test_selfsup_reduces_pose_error_without_targets(self):
+    def test_selfsup_reduces_pose_error_without_targets(self, monkeypatch):
+        oracles.forbid_anchor_targets(monkeypatch)
         scene = noisy_scene(seed=8, sigma_pointmap=0.0, sigma_pose=0.05, n_frames=6)
-        scene.targets = None
-        scene.world_tracks = None
         store = initial_store(scene)
         report = optimize(store, scene, ablation_config("selfsup", quick_optim(max_epochs=200)))
         assert (

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import tempfile
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import pose_matrix
@@ -15,8 +19,13 @@ from trajcouple.optimize import OptimConfig, ablation_config, optimize
 from trajcouple.pointmap import BilinearSampler
 from trajcouple.pose import REORTHO_PERIOD, Pose, compose, inverse, log_map
 from trajcouple.synthetic import (
+    CAMERA_PATHS,
+    MOTIONS,
     SceneConfig,
+    SyntheticScene,
     _frame_names,
+    _world,
+    anchor_targets,
     build_problem,
     generate,
     initial_store,
@@ -32,6 +41,34 @@ def small_config(**kw):
                 motion_speed=0.3)
     base.update(kw)
     return SceneConfig(**base)
+
+
+def sample_tracks(scene, grids):
+    """(N, T, 3) bilinear samples of the (T, H, W, 3) grids at the scene's query pixels."""
+    n, t = scene.visibility.shape
+    ii, tt = np.repeat(np.arange(n), t), np.tile(np.arange(t), n)
+    return BilinearSampler(
+        grids.shape, tt, scene.query_pixels[ii, tt, 0], scene.query_pixels[ii, tt, 1],
+    ).gather(grids).reshape(n, t, 3)
+
+
+def world_tracks(scene):
+    """The generator's world tracks: the scene's pixels sampled from its world lattice."""
+    return sample_tracks(scene, _world(scene.config)[0])
+
+
+@st.composite
+def small_scene_configs(draw):
+    """Small scenes on every camera path and motion, each sigma 0 or the benchmark's noise."""
+    n_frames = draw(st.integers(2, 6))
+    return SceneConfig(
+        n_frames=n_frames, n_static=8, n_dynamic=draw(st.sampled_from([0, 4])),
+        height=draw(st.integers(6, 12)), width=draw(st.integers(6, 12)),
+        camera_path=draw(st.sampled_from(CAMERA_PATHS)), motion=draw(st.sampled_from(MOTIONS)),
+        occlusion_span=draw(st.sampled_from([0, 1])), anchor=draw(st.integers(0, n_frames - 1)),
+        sigma_pointmap=draw(st.sampled_from([0.0, 0.01])),
+        sigma_track=draw(st.sampled_from([0.0, 0.01])),
+        sigma_pose=draw(st.sampled_from([0.0, 0.05])), seed=draw(st.integers(0, 1000)))
 
 
 class TestConfigValidation:
@@ -114,40 +151,32 @@ class TestGroundTruthConsistency:
     def test_camera_tracks_match_camera_frame_positions(self):
         scene = generate(small_config())
         for t, cam in enumerate(scene.cam_poses):
-            expected = inverse(cam).apply(scene.world_tracks[:, t, :])
+            expected = inverse(cam).apply(world_tracks(scene)[:, t, :])
             assert np.allclose(scene.gt_tracks[:, t, :], expected, atol=1e-12)
 
     def test_static_world_tracks_exactly_constant(self):
         scene = generate(small_config())
         n_static = scene.config.n_static
-        static_part = scene.world_tracks[:n_static]
+        static_part = world_tracks(scene)[:n_static]
         assert np.array_equal(static_part, np.repeat(static_part[:, :1], scene.n_frames, axis=1))
 
     def test_dynamic_tracks_actually_move(self):
         scene = generate(small_config())
-        dyn = scene.world_tracks[scene.config.n_static:]
+        dyn = world_tracks(scene)[scene.config.n_static:]
         moves = np.linalg.norm(dyn - dyn[:, :1], axis=2).max(axis=1)
         assert np.all(moves > scene.config.tau_scale)
 
     def test_pseudo_tracks_recover_camera_positions(self):
         scene = generate(small_config())
-        n, t = scene.visibility.shape
-        ii = np.repeat(np.arange(n), t)
-        tt = np.tile(np.arange(t), n)
-        vals = BilinearSampler(
-            scene.gt_grids.shape, tt,
-            scene.query_pixels[ii, tt, 0], scene.query_pixels[ii, tt, 1],
-        ).gather(scene.gt_grids)
-        err = np.linalg.norm(vals.reshape(n, t, 3) - scene.gt_tracks, axis=2)
+        err = np.linalg.norm(sample_tracks(scene, scene.gt_grids) - scene.gt_tracks, axis=2)
         assert err.max() < 1e-3
 
     def test_targets_match_anchor_transform_oracle(self):
         scene = generate(small_config())
         anchor_cam = scene.cam_poses[scene.config.anchor]
-        expected = inverse(anchor_cam).apply(
-            scene.world_tracks.reshape(-1, 3)
-        ).reshape(scene.world_tracks.shape)
-        assert np.allclose(scene.targets, expected, atol=1e-12)
+        world = world_tracks(scene)
+        expected = inverse(anchor_cam).apply(world.reshape(-1, 3)).reshape(world.shape)
+        assert np.allclose(build_problem(scene).targets, expected, atol=1e-12)
 
     def test_anchor_rel_pose_is_identity(self):
         scene = generate(small_config(anchor=2))
@@ -253,7 +282,7 @@ class TestSceneIo:
         assert np.array_equal(back.visibility, scene.visibility)
         assert np.array_equal(back.query_pixels, scene.query_pixels)
         assert np.array_equal(back.static_mask, scene.static_mask)
-        assert np.array_equal(back.targets, scene.targets)
+        assert np.array_equal(build_problem(back).targets, build_problem(scene).targets)
         assert np.array_equal(back.est_grids, scene.est_grids)
         assert np.array_equal(back.est_tracks, scene.est_tracks)
         for a, b in zip(back.est_rel_poses, scene.est_rel_poses):
@@ -270,22 +299,45 @@ class TestSceneIo:
         for rel in files:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_scene_configs())
+    def test_loaded_scene_equals_generated(self, config):
+        try:
+            scene = generate(config)
+        except ConfigInvalid:
+            reject()  # the grid has no cell for a dynamic track
+        with tempfile.TemporaryDirectory() as root:
+            save_scene(scene, root)
+            back = load_scene(root)
+        for field in dataclasses.fields(SyntheticScene):
+            a, b = getattr(scene, field.name), getattr(back, field.name)
+            assert type(a) is type(b), field.name
+            if isinstance(a, np.ndarray):
+                a, b = [a], [b]
+            elif isinstance(a, Pose):
+                a, b = [a.rotation, a.translation], [b.rotation, b.translation]
+            else:
+                assert a == b, field.name
+                continue
+            for x, y in zip(a, b):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field.name
+
     def test_old_scene_directory_loads(self, tmp_path):
         # earlier versions also wrote gt/world_tracks.txt, gt/targets.txt and a
         # 'derived' object (tau_static, diagonal); all of them are ignored
         scene = generate(small_config(sigma_pose=0.02))
         save_scene(scene, tmp_path / "s")
         n, t = scene.visibility.shape
-        write_tracks(tmp_path / "s" / "gt" / "world_tracks.txt", scene.world_tracks,
+        write_tracks(tmp_path / "s" / "gt" / "world_tracks.txt", scene.gt_tracks,
                      np.ones((n, t)), np.full((n, t, 2), np.nan))
-        tracks._write_rows(tmp_path / "s" / "gt" / "targets.txt", scene.targets + 1.0)
+        tracks._write_rows(tmp_path / "s" / "gt" / "targets.txt", scene.gt_tracks + 1.0)
         path = tmp_path / "s" / "scene_config.json"
         doc = json.loads(path.read_text())
         doc["derived"] = {"tau_static": 0.5, "diagonal": 1.0}
         path.write_text(json.dumps(doc))
         back = load_scene(tmp_path / "s")
-        assert back.world_tracks is None and not hasattr(back, "diagonal")
-        assert np.array_equal(back.targets, scene.targets)
+        assert not any(hasattr(back, name) for name in ("world_tracks", "targets", "diagonal"))
+        assert np.array_equal(build_problem(back).targets, build_problem(scene).targets)
         assert np.array_equal(back.gt_tracks, scene.gt_tracks)
         v1 = build_problem(scene).evaluate(initial_store(scene)).total
         assert build_problem(back).evaluate(initial_store(back)).total == v1
@@ -322,7 +374,7 @@ class TestBuildProblem:
         scene = generate(small_config())
         scene.pseudo_visibility = 0.5 * scene.visibility  # tell the two apart
         supervised = build_problem(scene, LossConfig(use_anchor=True))
-        assert supervised.targets is scene.targets
+        assert np.array_equal(supervised.targets, anchor_targets(scene.gt_tracks, scene.rel_poses))
         assert supervised.static_mask is scene.static_mask
         assert supervised.visibility is scene.visibility
         for toggles in ({"use_anchor": True}, {"use_anchor": False}):
