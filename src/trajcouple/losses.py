@@ -529,7 +529,7 @@ class LossConfig(ConfigDocument):
     gate_static: bool = True
 
     def validate(self):
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ConfigInvalid("delta", "must be positive")
         if self.pose_target not in ("gt", "anchor_sample"):
             raise ConfigInvalid("pose_target", "must be 'gt' or 'anchor_sample'")

@@ -46,7 +46,7 @@ class OptimConfig(ConfigDocument):
 
     def validate(self):
         for name in ("step_grids", "step_tracks", "step_poses"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigInvalid(name, "must be positive")
         if self.max_epochs < 1:
             raise ConfigInvalid("max_epochs", "must be >= 1")

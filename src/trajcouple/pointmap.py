@@ -114,7 +114,8 @@ class BilinearSampler:
         # the samples' own corners are the head of the arrays of every column
         self.rows, self.weights = rows[:m], weights[:m]
         self._transpose = self._transposed(self.rows, self.weights)
-        self._columns_transpose = self._transposed(rows, weights)
+        self._columns_transpose = (self._transpose if columns is None
+                                   else self._transposed(rows, weights))
         self.matrix = self._transpose.T  # CSR over the same three arrays
 
     def _transposed(self, rows, weights):

@@ -83,18 +83,18 @@ class SceneConfig(ConfigDocument):
             raise ConfigInvalid("camera_path", f"must be one of {CAMERA_PATHS}")
         if self.motion not in MOTIONS:
             raise ConfigInvalid("motion", f"must be one of {MOTIONS}")
-        if self.camera_magnitude < 0:
+        if not self.camera_magnitude >= 0:
             raise ConfigInvalid("camera_magnitude", "must be >= 0")
-        if self.motion_speed < 0:
+        if not self.motion_speed >= 0:
             raise ConfigInvalid("motion_speed", "must be >= 0")
         for name in ("sigma_pointmap", "sigma_track", "sigma_pose"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigInvalid(name, "must be >= 0")
         if not 0 <= self.occlusion_span < self.n_frames:
             raise ConfigInvalid("occlusion_span", "must be in [0, n_frames)")
         if not 0 <= self.anchor < self.n_frames:
             raise ConfigInvalid("anchor", "must be a valid frame index")
-        if self.tau_scale <= 0:
+        if not self.tau_scale > 0:
             raise ConfigInvalid("tau_scale", "must be positive")
         return self
 
@@ -123,17 +123,18 @@ class SyntheticScene:
         return self.gt_tracks.shape[1]
 
 
-def _lookat(eye, target):
-    """Camera-to-world rotation of a camera at eye looking at target, +z up (+y if along z)."""
-    f = np.asarray(target, dtype=np.float64) - eye
-    f = f / np.linalg.norm(f)
-    up = np.array([0.0, 0.0, 1.0])
-    if abs(float(f @ up)) > 0.999:
-        up = np.array([0.0, 1.0, 0.0])
+def _lookat(eyes, target):
+    """(T, 3, 3) camera-to-world rotations of cameras at (T, 3) eyes looking at target.
+
+    +z is up, or +y where a camera looks along z.  Row norms are matmuls,
+    which round like the BLAS dot in np.linalg.norm of one vector.
+    """
+    f = np.asarray(target, dtype=np.float64) - eyes
+    f = f / np.sqrt(f[:, None, :] @ f[:, :, None])[:, 0]
+    up = np.where(np.abs(f[:, 2:]) > 0.999, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
     x = np.cross(up, f)
-    x = x / np.linalg.norm(x)
-    y = np.cross(f, x)
-    return np.stack([x, y, f], axis=1)
+    x = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    return np.stack([x, np.cross(f, x), f], axis=2)
 
 
 def _surface_height(u, v):
@@ -184,18 +185,18 @@ def _camera_eyes(config, center, rng):
              np.full_like(az, np.sin(elevation))],
             axis=1,
         )
-        return Pose(np.stack([_lookat(e, center) for e in eyes]), eyes)
+        return Pose(_lookat(eyes, center), eyes)
     start = center + radius * np.array([np.cos(elevation), 0.0, np.sin(elevation)])
     if config.camera_path == "line":
         direction = np.array([0.0, 1.0, 0.15])
         direction /= np.linalg.norm(direction)
-        rotation = _lookat(start + 0.5 * config.camera_magnitude * direction, center)
-        return Pose(np.repeat(rotation[None], config.n_frames, axis=0),
+        rotation = _lookat((start + 0.5 * config.camera_magnitude * direction)[None], center)
+        return Pose(np.repeat(rotation, config.n_frames, axis=0),
                     start + (config.camera_magnitude * (t_axis / denom))[:, None] * direction)
     # random-walk: small pose increments composed onto an initial look-at, the
     # chain re-projected onto SO(3) every REORTHO_PERIOD steps
     poses = Pose(np.empty((config.n_frames, 3, 3)), np.empty((config.n_frames, 3)))
-    poses[0] = Pose(_lookat(start, center), start)
+    poses[0] = Pose(_lookat(start[None], center)[0], start)
     step = config.camera_magnitude / max(config.n_frames, 1)
     for k in range(1, config.n_frames):
         poses[k] = compose(poses[k - 1], exp_map(step * rng.standard_normal(6)))

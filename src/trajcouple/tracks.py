@@ -39,10 +39,16 @@ def _geometric_medians(pts, visible, max_iter=100, tol=1e-14):
 
 
 def _weiszfeld(pts, max_iter, tol):
-    """Geometric medians of (m, k, 3) point sets; each set stops at its own step test."""
+    """Geometric medians of (m, k, 3) point sets; each set stops at its own step test.
+
+    Identical points are their own median and skip the iteration; their
+    mean can be an ulp off them.
+    """
     y = pts.mean(axis=1)
+    same = (pts == pts[:, :1]).all(axis=(1, 2))
+    y[same] = pts[same, 0]
     scale = np.abs(pts - y[:, None]).max(axis=(1, 2))
-    live = np.flatnonzero(scale > 0.0)  # coincident points keep their mean
+    live = np.flatnonzero(scale > 0.0)
     pts, scale = pts[live], scale[live]
     for _ in range(max_iter):
         if live.size == 0:
@@ -66,7 +72,7 @@ def static_mask(world_points, tau: float, visibility):
     below tau; the median is robust to outliers and equivariant under
     rigid motion.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     pts = np.asarray(world_points, dtype=np.float64)
     ref = _geometric_medians(pts, np.asarray(visibility, dtype=np.float64) >= MIN_VISIBLE_WEIGHT)

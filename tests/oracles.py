@@ -3,7 +3,7 @@
 The metric oracles are straightforward loops over 4x4 matrices and raw
 arrays, sharing no code with the package beyond numpy/scipy primitives.
 The sampling, pose-application, pose- and grid-gradient, Huber,
-pass-kernel, tape, geometric-median, SO(3), single-pose,
+pass-kernel, tape, geometric-median, look-at, SO(3), single-pose,
 reprojection-mask, row-file, relative-pose-metric and point-cloud references
 below are the package's earlier per-call formulations, kept to pin the
 compiled and batched paths bit for bit.  forbid_anchor_targets guards the
@@ -303,12 +303,10 @@ def grid_gradient(problem, store, terms):
 def geometric_median(points, max_iter=100, tol=1e-14):
     """Weiszfeld iteration for the geometric median of a small point set."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if pts.shape[0] == 1:
+    if np.all(pts == pts[0]):  # identical points are their own median
         return pts[0].copy()
     y = pts.mean(axis=0)
     scale = float(np.max(np.abs(pts - y)))
-    if scale == 0.0:  # all points coincide
-        return y
     for _ in range(max_iter):
         d = np.linalg.norm(pts - y, axis=1)
         d = np.maximum(d, 1e-15 * scale)
@@ -335,6 +333,22 @@ def static_mask(world_points, tau, visibility=None):
     pts = np.asarray(world_points, dtype=np.float64)
     ref = track_medians(pts, visibility)
     return np.linalg.norm(pts - ref[:, None, :], axis=2) < tau
+
+
+# ---------------------------------------------------------------------------
+# The generator's look-at, one frame at a time.
+
+def lookat(eye, target):
+    """Camera-to-world rotation of a camera at eye looking at target, +z up (+y if along z)."""
+    f = np.asarray(target, dtype=np.float64) - eye
+    f = f / np.linalg.norm(f)
+    up = np.array([0.0, 0.0, 1.0])
+    if abs(float(f @ up)) > 0.999:
+        up = np.array([0.0, 1.0, 0.0])
+    x = np.cross(up, f)
+    x = x / np.linalg.norm(x)
+    y = np.cross(f, x)
+    return np.stack([x, y, f], axis=1)
 
 
 # ---------------------------------------------------------------------------

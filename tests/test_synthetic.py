@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import pose_matrix
 from test_pose import assert_poses_equal
-from trajcouple import tracks
+from trajcouple import synthetic, tracks
 from trajcouple.errors import ConfigInvalid
 from trajcouple.grad import Tape
 from trajcouple.losses import LossConfig
@@ -89,9 +89,30 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             SceneConfig(sigma_track=-0.1).validate()
 
+    @pytest.mark.parametrize("config, name", [
+        (SceneConfig, "tau_scale"), (SceneConfig, "sigma_pose"), (SceneConfig, "sigma_pointmap"),
+        (SceneConfig, "sigma_track"), (SceneConfig, "camera_magnitude"),
+        (SceneConfig, "motion_speed"), (LossConfig, "delta"), (OptimConfig, "step_grids"),
+        (OptimConfig, "step_tracks"), (OptimConfig, "step_poses"),
+    ])
+    def test_nan_rejected(self, config, name):
+        with pytest.raises(ConfigInvalid) as err:
+            config(**{name: float("nan")}).validate()
+        assert err.value.field == name
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigInvalid):
             SceneConfig.from_dict({"n_frames": 3, "wat": 1})
+
+
+class TestLookAt:
+    def test_matches_per_frame_oracle(self):
+        rng = np.random.default_rng(4)
+        target = rng.standard_normal(3)
+        eyes = target + rng.standard_normal((64, 3)) * 10.0 ** rng.integers(-3, 3, (64, 1))
+        eyes[:8, :2] = target[:2] + rng.uniform(-1e-4, 1e-4, (8, 2))  # looking along z
+        expected = np.stack([oracles.lookat(e, target) for e in eyes])
+        assert synthetic._lookat(eyes, target).tobytes() == expected.tobytes()
 
 
 class TestDeterminism:
@@ -165,6 +186,27 @@ class TestGroundTruthConsistency:
         dyn = world_tracks(scene)[scene.config.n_static:]
         moves = np.linalg.norm(dyn - dyn[:, :1], axis=2).max(axis=1)
         assert np.all(moves > scene.config.tau_scale)
+
+    def test_static_tracks_static_at_any_positive_tau(self):
+        # motionless tracks sit at distance 0 from their median
+        scene = generate(SceneConfig(n_frames=32, n_static=64, n_dynamic=8, height=32, width=32,
+                                     tau_scale=1e-300, seed=1))
+        assert scene.static_mask[:64].all()
+
+    def test_median_iteration_gets_only_moving_tracks(self, monkeypatch):
+        # the large benchmark shape: its static tracks skip the Weiszfeld loop
+        config = SceneConfig(n_frames=32, n_static=1024, n_dynamic=128, height=64, width=64)
+        pts = world_tracks(generate(config))
+        rows = []
+        norm = np.linalg.norm
+
+        def spy(x, *args, **kw):
+            rows.append(x.shape[0])
+            return norm(x, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        tracks._geometric_medians(pts, np.ones(pts.shape[:2], dtype=bool))
+        assert rows[0] == config.n_dynamic
 
     def test_pseudo_tracks_recover_camera_positions(self):
         scene = generate(small_config())

@@ -75,6 +75,11 @@ class TestStaticMask:
         with pytest.raises(ValueError):
             static_mask(pts, 0.0, all_visible(pts))
 
+    def test_nan_tau_rejected(self):
+        pts = np.zeros((1, 3, 3))
+        with pytest.raises(ValueError):
+            static_mask(pts, np.nan, all_visible(pts))
+
 
 KINDS = ("no_visible", "one_visible", "coincident", "round_off", "dynamic", "cloud")
 
@@ -127,6 +132,14 @@ class TestBatchedMedian:
             static_mask(pts, tau, all_visible(pts) if visibility is None else visibility),
             oracles.static_mask(pts, tau, visibility=visibility),
         )
+
+    def test_identical_points_are_their_own_median(self):
+        # their mean is (0.10000000000000006, 0.20000000000000012, 0.30000000000000016)
+        point = np.array([0.1, 0.2, 0.3])
+        pts = np.tile(point, (1, 32, 1))
+        visible = np.ones((1, 32), dtype=bool)
+        assert tracks._geometric_medians(pts, visible)[0].tobytes() == point.tobytes()
+        assert oracles.geometric_median(pts[0]).tobytes() == point.tobytes()
 
     def test_long_tracks_match(self):
         # more than 128 visible frames: numpy splits the weight sum recursively
