@@ -167,12 +167,8 @@ def cmd_optimize(args):
             continue
         _write_csv(
             os.path.join(out_dir, f"epochs_{name}.csv"),
-            ["epoch", "total", "cons", "cam", "selfsup", "step_scale", "accepted"],
-            [
-                [e["epoch"], e["total"], e["cons"], e["cam"], e["selfsup"],
-                 e["step_scale"], int(e["accepted"])]
-                for e in res["epochs"]
-            ],
+            list(res["epochs"][0]),
+            [list({**e, "accepted": int(e["accepted"])}.values()) for e in res["epochs"]],
         )
         ini, fin = res["initial_metrics"], res["final_metrics"]
         summary_rows.append(

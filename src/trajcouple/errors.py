@@ -2,7 +2,7 @@
 config documents and text files that raises them."""
 
 import json
-import math
+import sys
 from contextlib import contextmanager
 from dataclasses import MISSING
 
@@ -82,13 +82,24 @@ class ConfigDocument:
     Each field's type is taken from its default.  An int field takes an
     integer, a float field a finite int or float, a bool or str field its
     own type (a bool is never a number), and a field whose default is itself
-    a ConfigDocument takes a JSON object of that document.  Values are kept
-    as given, so a resolved config writes back the JSON it was read from.
+    a ConfigDocument takes that document (in from_dict, a JSON object of it).
+    validate checks every field so, for a config built in code as for one
+    read from a file, then applies the subclass's _check_rules.  Values are
+    kept as given, so a resolved config writes back the JSON it was read from.
     """
 
     def to_dict(self):
         doc = {name: getattr(self, name) for name in self.__dataclass_fields__}
         return {k: v.to_dict() if isinstance(v, ConfigDocument) else v for k, v in doc.items()}
+
+    def validate(self):
+        for name, spec in self.__dataclass_fields__.items():
+            _checked_value(name, getattr(self, name), _default(spec))
+        self._check_rules()
+        return self
+
+    def _check_rules(self):
+        """Raise ConfigInvalid for values of the right types that the document rejects."""
 
     @classmethod
     def from_dict(cls, doc):
@@ -98,9 +109,10 @@ class ConfigDocument:
             raise ConfigInvalid(unknown[0], f"unknown {cls.__name__} field")
         values = {}
         for name, value in doc.items():
-            spec = fields[name]
-            default = spec.default if spec.default is not MISSING else spec.default_factory()
-            values[name] = _checked_value(name, value, default)
+            default = _default(fields[name])
+            if isinstance(default, ConfigDocument) and isinstance(value, dict):
+                value = type(default).from_dict(value)
+            values[name] = value
         return cls(**values).validate()
 
     @classmethod
@@ -128,22 +140,26 @@ def read_json_object(path):
     return doc
 
 
+def _default(spec):
+    return spec.default if spec.default is not MISSING else spec.default_factory()
+
+
 def _checked_value(name, value, default):
     if isinstance(default, ConfigDocument):
-        if not isinstance(value, dict):
+        if not isinstance(value, type(default)):
             raise ConfigInvalid(name, "must be a JSON object")
-        return type(default).from_dict(value)
+        value.validate()
+        return
     if isinstance(default, bool):
         ok, want = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
         ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif isinstance(default, float):
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        # an int is exact; math.isfinite would overflow on a huge one
-        ok = number and (isinstance(value, int) or math.isfinite(value))
+        # compares exactly, without converting a huge int (math.isfinite would overflow)
+        ok = number and abs(value) <= sys.float_info.max
         want = "a finite number"
     else:
         ok, want = isinstance(value, type(default)), f"a {type(default).__name__}"
     if not ok:
         raise ConfigInvalid(name, f"must be {want}, got {value!r}")
-    return value

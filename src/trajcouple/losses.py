@@ -528,12 +528,11 @@ class LossConfig(ConfigDocument):
     pose_target: str = "gt"  # or "anchor_sample"
     gate_static: bool = True
 
-    def validate(self):
+    def _check_rules(self):
         if not self.delta > 0.0:
             raise ConfigInvalid("delta", "must be positive")
         if self.pose_target not in ("gt", "anchor_sample"):
             raise ConfigInvalid("pose_target", "must be 'gt' or 'anchor_sample'")
-        return self
 
 
 @dataclass

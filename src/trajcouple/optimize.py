@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigDocument, ConfigInvalid, DegenerateConfiguration, Diverged
 from .grad import GRIDS, POSES, TRACKS, ParamStore, Tape
-from .losses import CouplingProblem, LossConfig
+from .losses import GROUPS, CouplingProblem, LossConfig
 from .pose import Pose, compose, inverse, log_map
 from .synthetic import SyntheticScene, build_problem
 from .tracks import MIN_VISIBLE_WEIGHT
@@ -44,30 +44,34 @@ class OptimConfig(ConfigDocument):
     max_backtracks: int = 20
     loss: LossConfig = field(default_factory=LossConfig)
 
-    def validate(self):
+    def _check_rules(self):
         for name in ("step_grids", "step_tracks", "step_poses"):
             if not getattr(self, name) > 0:
                 raise ConfigInvalid(name, "must be positive")
         if self.max_epochs < 1:
             raise ConfigInvalid("max_epochs", "must be >= 1")
+        if not self.tol >= 0:
+            raise ConfigInvalid("tol", "must be >= 0")
         if self.max_backtracks < 0:
             raise ConfigInvalid("max_backtracks", "must be >= 0")
-        self.loss.validate()
-        return self
 
 
 @dataclass
 class EpochRecord:
+    """One epoch: its loss, each GROUPS slot's value (0.0 for a slot that is off), the
+    step scale, and whether the step was accepted."""
+
     epoch: int
     total: float
-    cons: float
-    cam: float
-    selfsup: float
+    terms: dict
     step_scale: float
     accepted: bool
 
     def to_dict(self):
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
+        """Flat dict: epoch, total, one key per GROUPS slot in GROUPS order, step_scale, accepted."""
+        return {"epoch": self.epoch, "total": self.total,
+                **{g.slot: self.terms[g.slot] for g in GROUPS},
+                "step_scale": self.step_scale, "accepted": self.accepted}
 
 
 @dataclass
@@ -173,11 +177,8 @@ def optimize(store: ParamStore, scene: SyntheticScene, cfg: OptimConfig) -> Opti
             initial_loss = loss
             initial_metrics["loss"] = loss
 
-        value = {slot: stats.value for slot, stats in bd.terms.items()}
-        record = EpochRecord(
-            epoch, loss, value.get("cons", 0.0), value.get("cam", 0.0), value.get("anchor", 0.0),
-            step_scale, False,
-        )
+        terms = {g.slot: bd.terms[g.slot].value if g.slot in bd.terms else 0.0 for g in GROUPS}
+        record = EpochRecord(epoch, loss, terms, step_scale, False)
         epochs.append(record)
 
         if loss == 0.0 or tape.max_abs() < GRAD_TOL:

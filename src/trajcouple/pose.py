@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, FileFormatError, LogNearPi, open_text
+from .errors import DegenerateConfiguration, LogNearPi
+from .tracks import read_rows, write_rows
 
 # Steps of a composition chain between orthonormality re-projections.
 REORTHO_PERIOD = 64
@@ -331,49 +332,21 @@ def _icp(src, tree, init: Similarity, max_iter=ICP_MAX_ITER, tol=ICP_TOL):
 
 
 def write_poses(path, poses: Pose):
-    """Write a pose stack as text: count line, then per line 'index r00..r22 tx ty tz'."""
-    rows = np.concatenate([poses.rotation.reshape(-1, 9), poses.translation], axis=1)
-    lines = [str(len(rows))]
-    for k, vals in enumerate(rows.tolist()):
-        lines.append(" ".join([str(k)] + [repr(v) for v in vals]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a (T,) pose stack as a row file: header T, then rows 't r00 ... r22 tx ty tz'."""
+    write_rows(path, np.concatenate([poses.rotation.reshape(-1, 9), poses.translation], axis=1))
+
+
+_POSE_RULES = (
+    (lambda v: np.isfinite(v).all(axis=1), "pose values must be finite"),
+    (lambda v: Pose(v[:, :9].reshape(-1, 3, 3)).is_orthonormal(), "rotation not orthonormal"),
+)
 
 
 def read_poses(path) -> Pose:
-    """Read the pose stack written by write_poses.
+    """Read the pose stack written by write_poses; its rows may come in any order.
 
-    A line that is not its index k (the k-th pose line, from 0) plus 12
-    finite numbers, or whose rotation is not orthonormal, raises
-    FileFormatError naming that line; a file that is not text raises it
-    naming the file.
+    A row file that is malformed (tracks.read_rows), or holds a value that is
+    not finite or a rotation that is not orthonormal, raises FileFormatError.
     """
-    with open_text(path) as fh:
-        raw = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    if not raw:
-        raise FileFormatError(path, "empty pose file")
-    try:
-        count = int(raw[0][1])
-    except ValueError:
-        raise FileFormatError(path, f"bad count line {raw[0][1]!r}", line=raw[0][0])
-    if len(raw) - 1 != count:
-        raise FileFormatError(path, f"expected {count} pose lines, got {len(raw) - 1}")
-    vals = np.empty((count, 12))
-    for k, (ln_no, ln) in enumerate(raw[1:]):
-        parts = ln.split()
-        if len(parts) != 13:
-            raise FileFormatError(path, f"expected 13 fields, got {len(parts)}", line=ln_no)
-        try:
-            index = int(parts[0])
-            vals[k] = [float(v) for v in parts[1:]]
-        except ValueError:
-            raise FileFormatError(path, f"bad pose row {ln!r}", line=ln_no) from None
-        if index != k:
-            raise FileFormatError(path, f"pose index {index}, expected {k}", line=ln_no)
-        if not np.all(np.isfinite(vals[k])):
-            raise FileFormatError(path, "pose values must be finite", line=ln_no)
-    poses = Pose(vals[:, :9].reshape(-1, 3, 3), np.ascontiguousarray(vals[:, 9:]))
-    bad = np.flatnonzero(~poses.is_orthonormal())
-    if bad.size:
-        raise FileFormatError(path, "rotation not orthonormal", line=raw[1 + bad[0]][0])
-    return poses
+    rows = read_rows(path, 12, rules=_POSE_RULES, index_columns=1)
+    return Pose(rows[:, :9].reshape(-1, 3, 3), np.ascontiguousarray(rows[:, 9:]))

@@ -69,7 +69,7 @@ class SceneConfig(ConfigDocument):
     tau_scale: float = 0.02
     seed: int = 0
 
-    def validate(self):
+    def _check_rules(self):
         if self.n_frames < 1:
             raise ConfigInvalid("n_frames", "must be >= 1")
         if self.height < 2 or self.width < 2:
@@ -96,7 +96,6 @@ class SceneConfig(ConfigDocument):
             raise ConfigInvalid("anchor", "must be a valid frame index")
         if not self.tau_scale > 0:
             raise ConfigInvalid("tau_scale", "must be positive")
-        return self
 
 
 @dataclass

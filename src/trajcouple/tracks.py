@@ -8,6 +8,7 @@ mask, which static_mask derives from world-coordinate ground-truth tracks.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -80,47 +81,53 @@ def static_mask(world_points, tau: float, visibility):
 
 
 # ---------------------------------------------------------------------------
-# Row files (text): a header line "N T", then one line "i t v1 ... vk" per
-# sample; each (i, t) appears exactly once, in any order.  Tracks hold
-# "x y z visibility px py" (visibility in [0, 1], px py finite, x y z finite
-# except in pseudo 2D track files, which hold x = y = z = nan) and static
-# masks one 0 or 1.
+# Row files (text): a header line holding the index shape, "N T" or "T", then
+# one line "i t v1 ... vk" (or "t v1 ... vk") per sample; each index appears
+# exactly once, in any order.  Tracks hold "x y z visibility px py"
+# (visibility in [0, 1], px py finite, x y z finite except in pseudo 2D track
+# files, which hold x = y = z = nan), static masks one 0 or 1, and poses
+# (pose.read_poses, one index column) "r00 ... r22 tx ty tz".
 
 # rows formatted per write, so that one block's strings, not the file's, are alive at once
 _ROWS_PER_WRITE = 256
 
 
-def _write_rows(path, values):
-    """Write (N, T, k) values as one "i t v1 ... vk" row per sample, each number as its repr.
+def write_rows(path, values):
+    """Write (N, T, k) or (T, k) values as one "i t v1 ... vk" or "t v1 ... vk" row per sample.
 
-    The repr of a float round-trips, and that of an int is its "%d".  Each
-    block of tracks is one join over cells: i, t and the k values, each
+    The header is the index shape, and each number is written as its repr:
+    the repr of a float round-trips, and that of an int is its "%d".  Each
+    block of rows is one join over cells: the indices and the k values, each
     followed by a space, or by the newline that ends the row.
     """
-    n, t, k = values.shape
-    width = 2 * k + 4
-    frames = list(map(repr, range(t)))
-    per_write = max(1, _ROWS_PER_WRITE // max(t, 1))
+    *shape, k = values.shape
+    inner = math.prod(shape[1:])  # samples per index of the first axis
+    width = 2 * (len(shape) + k)
+    frames = list(map(repr, range(inner))) if len(shape) == 2 else None
+    per_write = max(1, _ROWS_PER_WRITE // max(inner, 1))
     with open(path, "w") as fh:
-        fh.write(f"{n} {t}\n")
-        for i0 in range(0, n, per_write):
+        fh.write(" ".join(map(str, shape)) + "\n")
+        for i0 in range(0, shape[0], per_write):
             block = values[i0:i0 + per_write]
             m = block.shape[0]
-            cells = [" "] * (m * t * width)
-            cells[0::width] = [i for i in map(repr, range(i0, i0 + m)) for _ in frames]
-            cells[2::width] = frames * m
+            cells = [" "] * (m * inner * width)
+            cells[0::width] = [i for i in map(repr, range(i0, i0 + m)) for _ in range(inner)]
+            if frames is not None:
+                cells[2::width] = frames * m
             numbers = list(map(repr, block.reshape(-1).tolist()))
             for c in range(k):
-                cells[4 + 2 * c::width] = numbers[c::k]
-            cells[width - 1::width] = ["\n"] * (m * t)
+                cells[width - 2 * k + 2 * c::width] = numbers[c::k]
+            cells[width - 1::width] = ["\n"] * (m * inner)
             fh.write("".join(cells))
 
 
-def _read_rows(path, k, dtype=np.float64, rules=()):
-    """Read a row file with k values per sample; returns (N, T, k) values.
+def read_rows(path, k, dtype=np.float64, rules=(), index_columns=2):
+    """Read a row file with k values per sample; returns (N, T, k) values, or (T, k).
 
-    Each rule is (ok, message): ok maps the (rows, k) values in file order to
-    one bool per row; the first row the first failing rule rejects raises
+    index_columns is the length of the header and of each row's index: 2
+    for tracks and masks ("N T", "i t"), 1 for poses ("T", "t").  Each rule
+    is (ok, message): ok maps the (rows, k) values in file order to one bool
+    per row; the first row the first failing rule rejects raises
     FileFormatError, as does a file that is not text.
     """
     with open_text(path) as fh:
@@ -129,57 +136,65 @@ def _read_rows(path, k, dtype=np.float64, rules=()):
                 break
         else:
             raise FileFormatError(path, "empty file")
+        bad_header = FileFormatError(path, f"bad header {head.strip()!r}", line=line)
         try:
-            n, t = map(int, head.split())
-            if n < 0 or t < 0:
-                raise ValueError
+            shape = tuple(map(int, head.split()))
         except ValueError:
-            raise FileFormatError(path, f"bad header {head.strip()!r}", line=line) from None
+            raise bad_header from None
+        if len(shape) != index_columns or min(shape) < 0:
+            raise bad_header
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: counted below
-                body = np.loadtxt(fh, dtype=[("it", np.int64, 2), ("v", dtype, k)],
-                                  comments=None, ndmin=1)
+                body = np.loadtxt(fh, dtype=[("index", np.int64, (index_columns,)),
+                                             ("v", dtype, (k,))], comments=None, ndmin=1)
         except ValueError as exc:
-            raise _bad_row(path, k, dtype, exc) from None
-    if body.shape[0] != n * t:
-        raise FileFormatError(path, f"expected {n * t} rows, got {body.shape[0]}")
-    i, f = body["it"].T
-    flat = np.where((0 <= i) & (i < n) & (0 <= f) & (f < t), i * t + f, n * t)
-    seen = np.zeros(n * t + 1, dtype=bool)
+            raise _bad_row(path, index_columns, k, dtype, exc) from None
+    # counted before any index is formed: a header can name more samples than int64 holds
+    size = math.prod(shape)
+    if body.shape[0] != size:
+        raise FileFormatError(path, f"expected {size} rows, got {body.shape[0]}")
+    try:  # the rows fit, so only an empty file's other extent can be too large
+        values = np.empty(shape + (k,), dtype=dtype)
+    except ValueError:
+        raise bad_header from None
+    index = body["index"]
+    inside = ((0 <= index) & (index < shape)).all(axis=1)
+    flat = np.where(inside, index @ np.array(shape[1:] + (1,), dtype=np.int64), size)
+    seen = np.zeros(size + 1, dtype=bool)
     seen[flat] = True
     if not seen[:-1].all():  # as many rows as samples, so a row is outside or repeats
         first = np.zeros(flat.size, dtype=bool)
         first[np.unique(flat, return_index=True)[1]] = True
-        r = int(np.argmin(first & (flat < n * t)))
-        raise FileFormatError(path, f"sample ({i[r]}, {f[r]}) out of range or repeated",
-                              line=_body_rows(path)[r][0])
+        r = int(np.argmin(first & inside))
+        raise FileFormatError(
+            path, f"sample ({', '.join(map(str, index[r]))}) out of range or repeated",
+            line=_body_rows(path)[r][0])
     for ok, message in rules:
         if not (good := ok(body["v"])).all():
             raise FileFormatError(path, message, line=_body_rows(path)[np.argmin(good)][0])
-    values = np.empty((n * t, k), dtype=dtype)
-    values[flat] = body["v"]
-    return values.reshape(n, t, k)
+    values.reshape(size, k)[flat] = body["v"]
+    return values
 
 
 def _body_rows(path):
     """(line number, fields) of each non-blank line after the header.
 
-    Called only inside _read_rows's open_text block or after the file
+    Called only inside read_rows's open_text block or after the file
     decoded in full, so a byte that does not decode is reported there.
     """
     with open(path) as fh:
         return [(no, ln.split()) for no, ln in enumerate(fh, start=1) if ln.strip()][1:]
 
 
-def _bad_row(path, k, dtype, exc):
-    """FileFormatError naming the first line that is not "i t" plus k values."""
+def _bad_row(path, index_columns, k, dtype, exc):
+    """FileFormatError naming the first line that is not index_columns ints plus k values."""
     cast = int if np.dtype(dtype).kind == "i" else float
     for no, fields in _body_rows(path):
         try:
-            if len(fields) != 2 + k:
+            if len(fields) != index_columns + k:
                 raise ValueError
-            int(fields[0]), int(fields[1]), [cast(v) for v in fields[2:]]
+            [int(v) for v in fields[:index_columns]], [cast(v) for v in fields[index_columns:]]
         except ValueError:
             return FileFormatError(path, f"bad row {' '.join(fields)!r}", line=no)
     return FileFormatError(path, f"bad rows: {exc}")
@@ -189,7 +204,7 @@ def write_tracks(path, points, visibility, query_pixels):
     visibility = np.asarray(visibility, dtype=np.float64)
     columns = (np.asarray(points, dtype=np.float64), visibility[..., None],
                np.asarray(query_pixels, dtype=np.float64))
-    _write_rows(path, np.concatenate(columns, axis=2))
+    write_rows(path, np.concatenate(columns, axis=2))
 
 
 _TRACK_RULES = (
@@ -206,15 +221,15 @@ def read_tracks(path, pseudo=False):
     no 3D points (x = y = z = nan).
     """
     rules = _TRACK_RULES if pseudo else _TRACK_RULES + (_POINT_RULE,)
-    rows = _read_rows(path, 6, rules=rules)
+    rows = read_rows(path, 6, rules=rules)
     return tuple(map(np.ascontiguousarray, (rows[..., :3], rows[..., 3], rows[..., 4:])))
 
 
 def write_static_mask(path, mask):
-    _write_rows(path, np.asarray(mask).astype(int)[..., None])
+    write_rows(path, np.asarray(mask).astype(int)[..., None])
 
 
 def read_static_mask(path):
     rule = (lambda v: (v[:, 0] == 0) | (v[:, 0] == 1), "mask values must be 0 or 1")
-    rows = _read_rows(path, 1, dtype=np.int64, rules=(rule,))
+    rows = read_rows(path, 1, dtype=np.int64, rules=(rule,))
     return rows[..., 0] == 1

@@ -82,8 +82,8 @@ def optimize_case(scene_name, ablation):
     report = optimize(initial_store(scene), scene, cfg)
     out = {"termination": report.termination, "n_epochs": report.n_epochs,
            "initial_metrics": report.initial_metrics, "final_metrics": report.final_metrics}
-    for name in ("accepted", "step_scale", "total", "cons", "cam", "selfsup"):
-        out[name] = [getattr(e, name) for e in report.epochs]
+    for name in ("accepted", "step_scale", "total", "cons", "cam", "anchor"):
+        out[name] = [e.to_dict()[name] for e in report.epochs]
     return out
 
 

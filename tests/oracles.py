@@ -530,6 +530,16 @@ def write_rows(path, values, fmt):
         fh.writelines(row % (*it, *v.tolist()) for it, v in zip(samples, values.reshape(n * t, k)))
 
 
+def write_poses(path, poses):
+    """A (T,) pose stack as a count line, then per pose one 'k r00 ... r22 tx ty tz' line."""
+    rows = np.concatenate([poses.rotation.reshape(-1, 9), poses.translation], axis=1)
+    lines = [str(len(rows))]
+    for k, vals in enumerate(rows.tolist()):
+        lines.append(" ".join([str(k)] + [repr(v) for v in vals]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def naive_umeyama(src, dst, with_scale=True):
     """Textbook closed-form similarity fit; returns (s, R, t)."""
     src = np.asarray(src, dtype=float)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -474,13 +475,13 @@ class TestIcp:
 
 class TestPoseFileIo:
     @pytest.mark.parametrize("field,value,message", [
-        (4, "x", "bad pose row"),
-        (0, "one", "bad pose row"),
+        (4, "x", "bad row"),
+        (0, "one", "bad row"),
         (11, "nan", "finite"),
         (12, "inf", "finite"),
         (2, "nan", "finite"),
-        (0, "7", "pose index 7, expected 1"),  # write_poses numbers the lines 0, 1, 2
-        (0, "0", "pose index 0, expected 1"),
+        (0, "7", "sample (7) out of range or repeated"),  # 3 poses: indices 0, 1, 2
+        (0, "0", "sample (0) out of range or repeated"),  # index 0 is on line 3 already
         (5, "1e200", "rotation not orthonormal"),  # rejected before its Gram product overflows
         (5, "-1e200", "rotation not orthonormal"),
         (5, "1.0000011", "rotation not orthonormal"),
@@ -496,7 +497,7 @@ class TestPoseFileIo:
         path.write_text("\n\n".join(lines) + "\n")  # blank lines do not shift line numbers
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FileFormatError, match=message) as err:
+            with pytest.raises(FileFormatError, match=re.escape(message)) as err:
                 read_poses(path)
         assert err.value.line == 5
 
@@ -525,3 +526,36 @@ class TestPoseFileIo:
         assert np.array_equal(back.translation, poses.translation)
         write_poses(path, poses[:0])
         assert read_poses(path).shape == (0,)
+
+    # a track file's two-extent header; a count no int64 holds, with 3 rows
+    @pytest.mark.parametrize("header", ["3 1", "12345678901234567890123456789012"])
+    def test_header_is_the_pose_count(self, tmp_path, header):
+        rng = np.random.default_rng(25)
+        path = tmp_path / "poses.txt"
+        write_poses(path, oracles.stack([random_pose(rng) for _ in range(3)]))
+        path.write_text("\n".join([header] + path.read_text().splitlines()[1:]) + "\n")
+        with pytest.raises(FileFormatError) as err:
+            read_poses(path)
+        assert err.value.path == str(path)
+
+    def test_lines_in_any_order(self, tmp_path):
+        rng = np.random.default_rng(23)
+        path = tmp_path / "poses.txt"
+        write_poses(path, oracles.stack([random_pose(rng) for _ in range(16)]))
+        expected = read_poses(path)
+        lines = path.read_text().splitlines()
+        body = lines[1:]
+        path.write_text("\n".join(lines[:1] + [body[k] for k in rng.permutation(len(body))]))
+        back = read_poses(path)
+        assert np.array_equal(back.rotation, expected.rotation)
+        assert np.array_equal(back.translation, expected.translation)
+
+    @pytest.mark.parametrize("count", [0, 1, 16, 70])
+    def test_writer_matches_per_line_oracle_bytes(self, tmp_path, count):
+        rng = np.random.default_rng(24)
+        poses = exp_map(rng.standard_normal((count, 6)))
+        special = [-0.0, 1e-300, 5e-324, 1e300, -123456789.123456789]
+        poses.translation.reshape(-1)[:len(special)] = special[:3 * count]
+        write_poses(tmp_path / "new.txt", poses)
+        oracles.write_poses(tmp_path / "old.txt", poses)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()

@@ -93,12 +93,44 @@ class TestConfigValidation:
         (SceneConfig, "tau_scale"), (SceneConfig, "sigma_pose"), (SceneConfig, "sigma_pointmap"),
         (SceneConfig, "sigma_track"), (SceneConfig, "camera_magnitude"),
         (SceneConfig, "motion_speed"), (LossConfig, "delta"), (OptimConfig, "step_grids"),
-        (OptimConfig, "step_tracks"), (OptimConfig, "step_poses"),
+        (OptimConfig, "step_tracks"), (OptimConfig, "step_poses"), (OptimConfig, "tol"),
     ])
     def test_nan_rejected(self, config, name):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigInvalid) as err:
+                config(**{name: value}).validate()
+            assert err.value.field == name
+
+    @pytest.mark.parametrize("doc, name", [
+        ({"n_frames": 2.5}, "n_frames"), ({"camera_path": 3}, "camera_path"),
+        ({"seed": True}, "seed"), ({"camera_magnitude": "0.6"}, "camera_magnitude"),
+        ({"motion_speed": 10**400}, "motion_speed"),  # an int no float holds
+    ])
+    def test_built_in_code_checked_like_a_file(self, doc, name):
+        for build in (SceneConfig.from_dict, lambda d: SceneConfig(**d).validate()):
+            with pytest.raises(ConfigInvalid) as err:
+                build(doc)
+            assert err.value.field == name
+
+    def test_generate_rejects_infinite_camera_magnitude(self):
         with pytest.raises(ConfigInvalid) as err:
-            config(**{name: float("nan")}).validate()
-        assert err.value.field == name
+            generate(SceneConfig(camera_magnitude=float("inf")))
+        assert err.value.field == "camera_magnitude"
+
+    @pytest.mark.parametrize("tol", [-1, -1e-300])
+    def test_negative_tol_rejected(self, tol):
+        with pytest.raises(ConfigInvalid) as err:
+            OptimConfig.from_dict({"tol": tol})
+        assert err.value.field == "tol"
+        assert OptimConfig.from_dict({"tol": 0}).tol == 0
+
+    def test_nested_document_checked(self):
+        with pytest.raises(ConfigInvalid) as err:
+            OptimConfig(loss=LossConfig(delta=float("inf"))).validate()
+        assert err.value.field == "delta"
+        with pytest.raises(ConfigInvalid) as err:
+            OptimConfig.from_dict({"loss": 3})
+        assert err.value.field == "loss"
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -372,7 +404,7 @@ class TestSceneIo:
         n, t = scene.visibility.shape
         write_tracks(tmp_path / "s" / "gt" / "world_tracks.txt", scene.gt_tracks,
                      np.ones((n, t)), np.full((n, t, 2), np.nan))
-        tracks._write_rows(tmp_path / "s" / "gt" / "targets.txt", scene.gt_tracks + 1.0)
+        tracks.write_rows(tmp_path / "s" / "gt" / "targets.txt", scene.gt_tracks + 1.0)
         path = tmp_path / "s" / "scene_config.json"
         doc = json.loads(path.read_text())
         doc["derived"] = {"tau_static": 0.5, "diagonal": 1.0}

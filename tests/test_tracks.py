@@ -320,6 +320,9 @@ BAD_ROWS = {
     "field_count": (lambda ls: ls[:2] + [ls[2] + " 1"] + ls[3:], 3),
     "bad_token": (lambda ls: ls[:6] + [replace_field(ls[6], 2, "x")], 7),
     "empty": (lambda ls: [], None),
+    # no rows, but an extent no array holds
+    "huge_empty_first": (lambda ls: ["123456789012345678901234567890 0"], 1),
+    "huge_empty_second": (lambda ls: ["0 123456789012345678901234567890"], 1),
 }
 
 
@@ -349,7 +352,7 @@ class TestRowFiles:
             special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -1e308]
             flat = values.reshape(-1)
             flat[: len(special)] = special[: flat.size]
-        tracks._write_rows(tmp_path / "new.txt", values)
+        tracks.write_rows(tmp_path / "new.txt", values)
         oracles.write_rows(tmp_path / "old.txt", values, fmt)
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
 
