@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import threading
 from datetime import datetime, timezone
 
 import numpy as np
@@ -42,6 +41,7 @@ from .metrics import (
     tapvid3d_metrics,
 )
 from .optimize import ABLATIONS, OptimConfig, ablation_config, optimize
+from .parallel import map_ordered
 from .synthetic import (SceneConfig, generate, initial_store, load_scene, read_frames,
                         read_pose_file, read_track_file, save_scene, scene_dir, scene_dirs)
 
@@ -212,48 +212,6 @@ def _paired_grids(pred_dir, gt_dir):
     return [(p.points, g.points) for (_, p), (_, g) in pairs]
 
 
-def _map_frames(fn, items):
-    """[fn(x) for x in items], run on every CPU in the process affinity mask.
-
-    The calling thread is one of the participants, so len(mask) - 1 threads
-    are started.  Items are handed out one at a time in order and results are
-    returned in order; fn must release the GIL for the threads to overlap.
-    Once an item fails no more are handed out, so every lower-index item has
-    run and the exception of the lowest-index failure is raised, as a
-    sequential loop would raise it.
-    """
-    lock = threading.Lock()
-    pending = iter(range(len(items)))
-    results = [None] * len(items)
-    errors = {}
-
-    def take():
-        with lock:
-            return None if errors else next(pending, None)
-
-    def work():
-        while (k := take()) is not None:
-            try:
-                results[k] = fn(items[k])
-            except Exception as exc:  # re-raised below, in the calling thread
-                with lock:
-                    errors[k] = exc
-
-    helpers = [threading.Thread(target=work) for _ in range(len(os.sched_getaffinity(0)) - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        with lock:  # an interrupt in the calling thread stops the hand-out too
-            pending = iter(())
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def cmd_eval(args):
     selected = (
         list(ALL_METRICS) if args.metrics == "all" else args.metrics.split(",")
@@ -305,7 +263,7 @@ def cmd_eval(args):
     if {"pointmap", "depth"} & set(selected):
         pairs = _paired_grids(args.pred, args.gt)
         if "pointmap" in selected:
-            per_frame = _map_frames(
+            per_frame = map_ordered(
                 lambda pair: pointmap_metrics(
                     pair[0].reshape(-1, 3), pair[1].reshape(-1, 3), use_icp=args.icp
                 ),

@@ -44,11 +44,13 @@ the tape once, the grids as one S^T product over all queued coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigDocument, ConfigInvalid, MissingTargets
 from .grad import GRIDS, POSES, TRACKS, ParamStore, Tape
 from .pointmap import BilinearSampler
@@ -56,29 +58,58 @@ from .pose import REORTHO_PERIOD, Pose, compose, exp_map, project_rotation, so3_
 from .tracks import MIN_VISIBLE_WEIGHT
 
 DEFAULT_DELTA = 0.05
+# Fewest samples per block of tracks: a pass over fewer than twice this many
+# samples runs as one block, in the calling thread.
+MIN_BLOCK_SAMPLES = 4096
+_XYZ = np.arange(3)
 
 
-def _huber_batch(res, delta, grad=True):
-    """Vectorized Huber values, gradients (None unless grad) and norms of (M, 3) residuals."""
-    sq = res * res
+def _huber_batch(res, delta, grad=True, out=None):
+    """Vectorized Huber values, gradients (None unless grad) and norms of (M, 3) residuals.
+
+    out optionally holds the arrays (vals, g, norms) that receive the
+    results, then (M,) float, (M, 3) float and (M,) bool scratch; g may be
+    res itself.  Without it, fresh arrays.
+    """
+    if out is None:
+        m = len(res)
+        out = (np.empty(m), np.empty((m, 3)), np.empty(m), np.empty(m), np.empty((m, 3)),
+               np.empty(m, dtype=bool))
+    vals, g, norms, scale, sq, quad = out
+    np.multiply(res, res, out=sq)
     # np.linalg.norm(res, axis=1) sums each row as (x^2 + y^2) + z^2 too
-    norms = np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
-    quad = norms <= delta
-    vals = np.where(quad, 0.5 * norms * norms, delta * (norms - 0.5 * delta))
+    np.add(sq[:, 0], sq[:, 1], out=norms)
+    np.add(norms, sq[:, 2], out=norms)
+    np.sqrt(norms, out=norms)
+    np.less_equal(norms, delta, out=quad)
+    # vals = where(quad, 0.5 * norms * norms, delta * (norms - 0.5 * delta))
+    np.multiply(0.5, norms, out=scale)
+    np.multiply(scale, norms, out=scale)
+    np.subtract(norms, 0.5 * delta, out=vals)
+    np.multiply(delta, vals, out=vals)
+    np.copyto(vals, scale, where=quad)
     if not grad:
         return vals, None, norms
-    scale = np.where(quad, 1.0, delta / np.maximum(norms, 1e-300))
-    return vals, res * scale[:, None], norms
+    # g = res * where(quad, 1.0, delta / max(norms, 1e-300))
+    np.maximum(norms, 1e-300, out=scale)
+    np.divide(delta, scale, out=scale)
+    np.copyto(scale, 1.0, where=quad)
+    return vals, np.multiply(res, scale[:, None], out=g), norms
 
 
-def _cross(a, b):
-    """Row-wise a x b of (M, 3) arrays: np.cross's component products, in its order."""
+def _cross(a, b, out=None, scratch=None):
+    """Row-wise a x b of (M, 3) arrays: np.cross's component products, in its order.
+
+    out and scratch optionally receive the result and an (M,) product.
+    """
+    out = np.empty(a.shape) if out is None else out
+    scratch = np.empty(len(a)) if scratch is None else scratch
     a0, a1, a2 = a.T
     b0, b1, b2 = b.T
-    out = np.empty(a.shape)
-    out[:, 0] = a1 * b2 - a2 * b1
-    out[:, 1] = a2 * b0 - a0 * b2
-    out[:, 2] = a0 * b1 - a1 * b0
+    for o, x, y, u, v in zip(out.T, (a1, a2, a0), (b2, b0, b1), (a2, a0, a1), (b1, b2, b0)):
+        np.multiply(x, y, out=o)
+        np.multiply(u, v, out=scratch)
+        np.subtract(o, scratch, out=o)
     return out
 
 
@@ -86,9 +117,10 @@ def transform_samples(pose: Pose, frames, pts):
     """R_f p + t_f: each sample p mapped by its frame f's transform of the (T,) stack pose.
 
     Inside the losses pose is a pass's composed stack exp(omega) * base, so
-    each sample gets one rotation.  This is the single code path for pose
-    application inside the losses, shared with the synthetic generator for
-    bitwise reproducibility.
+    each sample gets one rotation; a pass applies these same operations to
+    its blocks of samples (``_Block.transform``).  The synthetic generator
+    maps its points through this function, so equal inputs map bit for bit
+    alike.
     """
     frames = np.asarray(frames, dtype=np.int64)
     pts = np.asarray(pts, dtype=np.float64)
@@ -140,7 +172,74 @@ def _stats(name, value, norms, n_skipped):
 
 
 # ---------------------------------------------------------------------------
-# Compiled sample geometry and the per-evaluation pass.
+# Compiled sample geometry, its workspace, and the per-evaluation pass.
+
+def _carve(arena, *shapes, dtype=np.float64):
+    """Consecutive views of the given shapes at the head of a float64 arena."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(arena[start:start + size].view(dtype).reshape(shape))
+        start += size
+    return views
+
+
+class _Workspace:
+    """Every array a pass writes, allocated once with the geometry.
+
+    The sample rows (M of them) are split among the blocks by sample range.
+    The compact rows of a selection (the camera term's gated samples, the
+    anchor term's candidates) hold each block's selected samples after the
+    earlier blocks', so the values and norms summed after the join are in
+    sample order.  A block uses the head of its own sample rows of the
+    scratch for its selected samples, and leaves its pose partials in rows
+    that it no longer reads: the camera term's in its tracked points and
+    camera gradients, the anchor term's in its rotations.  Once the blocks
+    have joined, the pose sums take their entry indices from the sampled
+    points' rows, and the S^T product then writes its result over the
+    rotations (the arena).  No array is larger than the rotations or the
+    grid gradient, the largest temporaries of a pass without a workspace.
+    """
+
+    def __init__(self, m, ma, t, n_points):
+        self.samples, self.tracked, self.cam_g, self.s3, self.t3, self.u3 = (
+            np.empty((m, 3)) for _ in range(6))
+        self.arena = np.empty(max(11 * m, 3 * n_points))
+        self.rot, self.v1, self.v2 = _carve(self.arena, (m, 3, 3), (m,), (m,))
+        self.grid_grad = self.arena[:3 * n_points]
+        self.pose_idx = self.samples.view(np.int64)  # entries of the pose sums, after the join
+        self.quad = np.empty(m, dtype=bool)
+        # read after the join: the sample rows' weighted values and norms
+        self.cons_wv, self.cons_norms, self.cam_wv, self.cam_norms = (np.empty(m) for _ in range(4))
+        # compact rows: selections, their weighted values and norms, the partials' frames
+        self.c_sel, self.a_sel = np.empty(m, dtype=bool), np.empty(ma, dtype=bool)
+        self.c_pos, self.a_cand, self.c_frames, self.a_frames = (
+            np.empty(k, dtype=np.int64) for k in (m, ma, m, ma))
+        self.c_wv, self.a_wv, self.a_norms = np.empty(m), np.empty(ma), np.empty(ma)
+        # S^T's coefficient rows: the samples', then the anchor candidates'
+        self.grid_coeff = np.empty((m + ma, 3))
+        self.pose_sums = np.empty((t, 6))
+        self.pose_flat = self.pose_sums.reshape(-1)
+
+
+class _Rows:
+    """One block's rows of the workspace's and the geometry's per-sample arrays.
+
+    Sliced once at compile time, so that a pass, whatever its size, does not
+    pay for slicing them again.
+    """
+
+    WORKSPACE = ("samples", "tracked", "cam_g", "s3", "t3", "u3", "rot", "v1", "quad",
+                 "cons_wv", "cons_norms", "cam_wv", "cam_norms", "grid_coeff")
+    __slots__ = WORKSPACE + ("flat", "tt", "w", "w_col", "track_idx")
+
+    def __init__(self, ws, flat, tt, w, track_idx, lo, hi):
+        for name in self.WORKSPACE:
+            setattr(self, name, getattr(ws, name)[lo:hi])
+        self.flat, self.tt, self.w = flat[lo:hi], tt[lo:hi], w[lo:hi]
+        self.w_col = self.w[:, None]
+        self.track_idx = track_idx[3 * lo:3 * hi]
+
 
 @dataclass
 class _Geometry:
@@ -158,6 +257,12 @@ class _Geometry:
     a_pos: np.ndarray  # (Ma,) positions the anchor term may use (before static gating)
     a_flat: np.ndarray  # (Ma,) their flat rows
     a_w: np.ndarray  # (Ma,) their weights vis[i, t] * vis[i, anchor]
+    bounds: tuple  # (P + 1,) first sample of each of the P blocks of tracks, then M
+    a_bounds: tuple  # (P + 1,) the blocks' bounds in a_pos
+    has_anchor: np.ndarray  # (M,) anchor_ref >= 0
+    positions: np.ndarray  # (M,) 0, 1, ..., M - 1
+    ws: _Workspace
+    rows: tuple  # each block's _Rows
 
     def check(self, store):
         """Raise ValueError unless the store's blocks have the shapes compiled for."""
@@ -169,6 +274,20 @@ class _Geometry:
                                  f"the problem's geometry was compiled for {shape}")
 
 
+def _block_bounds(ii, n, m):
+    """Sample bounds of P blocks of whole tracks, about M / P samples each.
+
+    P = max(1, min(CPUs, N, M // MIN_BLOCK_SAMPLES)).  Samples are ordered
+    track-major (ii is each sample's track), so a block of tracks is a slice
+    of the samples, and a track's anchor sample lies in its own block.
+    Tracks are not split, so a block may come out empty; it is dropped.
+    """
+    p = max(1, min(parallel.cpu_count(), n, m // MIN_BLOCK_SAMPLES))
+    starts = np.searchsorted(ii, np.arange(n + 1))  # each track's first sample, then M
+    cuts = starts[np.searchsorted(starts, m * np.arange(1, p) / p)]
+    return np.concatenate(([0], np.unique(cuts[(cuts > 0) & (cuts < m)]), [m]))
+
+
 def _compile(grid_shape, query_pixels, visibility, anchor):
     visibility = np.asarray(visibility, dtype=np.float64)
     n, t = visibility.shape
@@ -176,8 +295,9 @@ def _compile(grid_shape, query_pixels, visibility, anchor):
         raise ValueError(f"anchor frame {anchor} outside [0, {t})")
     ii, tt = np.nonzero(visibility >= MIN_VISIBLE_WEIGHT)
     flat = ii * t + tt
+    m = flat.size
     position = np.full(n * t, -1, dtype=np.int64)
-    position[flat] = np.arange(flat.size)
+    position[flat] = np.arange(m)
     anchor_ref = position[ii * t + anchor]
     w = visibility[ii, tt]
     # visibility lies in [0, 1], so an admitted pair has both samples valid
@@ -186,14 +306,218 @@ def _compile(grid_shape, query_pixels, visibility, anchor):
     q = np.take(np.asarray(query_pixels, dtype=np.float64).reshape(-1, 2), flat, axis=0)
     # S^T over the samples, then over the anchor sample of each candidate, compiled once
     sampler = BilinearSampler(grid_shape, tt, q[:, 0], q[:, 1], columns=anchor_ref[a_pos])
+    bounds = tuple(_block_bounds(ii, n, m).tolist())
+    track_idx = (flat[:, None] * 3 + np.arange(3)).reshape(-1)
+    ws = _Workspace(m, a_pos.size, t, sampler.n_points)
     return _Geometry(
-        (n, t), tuple(grid_shape), tt, flat, (flat[:, None] * 3 + np.arange(3)).reshape(-1),
-        w, sampler, int(visibility.size - flat.size), anchor_ref, a_pos, flat[a_pos], w_eff[a_pos],
+        (n, t), tuple(grid_shape), tt, flat, track_idx,
+        w, sampler, int(visibility.size - m), anchor_ref, a_pos, flat[a_pos], w_eff[a_pos],
+        bounds, tuple(np.searchsorted(a_pos, bounds).tolist()), anchor_ref >= 0, np.arange(m),
+        ws, tuple(_Rows(ws, flat, tt, w, track_idx, lo, hi)
+                  for lo, hi in zip(bounds[:-1], bounds[1:])),
     )
 
 
-class _Pass:
-    """One evaluation: parameter views, the tape, and intermediates shared by terms."""
+def _positions(sel, positions, out):
+    """np.flatnonzero(sel), written into the head of out."""
+    return positions[:sel.size].compress(sel, out=out[:np.count_nonzero(sel)])
+
+
+class _Block:
+    """Samples [lo, hi) of one block of tracks in a pass; the pass is its own block 0.
+
+    A block writes what it forms into the workspace: its rows of the sample
+    arrays, and its span of the compact rows.  It reads only what the
+    calling thread prepared for the whole pass, so the blocks of a pass run
+    on concurrent threads.  Scratch rows are reused term after term (cons,
+    cam, anchor): the moved track points, for one, do not outlive the
+    anchor term.
+    """
+
+    def __init__(self, ps, b):
+        if ps is not self:  # the pass is its own ps, without a reference cycle
+            self.ps = ps
+        self.b = b
+        self.geo, self.ws, self.grad, self.delta = ps.geo, ps.geo.ws, ps.grad, ps.cfg.delta
+        self.lo, self.hi = self.geo.bounds[b:b + 2]
+        self.rows = self.geo.rows[b]
+
+    def run(self, terms):
+        """The block's share of the given sub-terms (in BLOCK_ORDER), then its grid rows."""
+        for term in terms:
+            TERMS[term](self)
+        if self.ps.queue_grids:
+            rows = self.rows.grid_coeff
+            if "cons_pointmap" in terms:
+                np.negative(rows, out=rows)  # the cons partials, formed in these rows
+            else:
+                rows.fill(0.0)
+
+    def add_tracks(self, coeff):
+        """Add the block's (k, 3) per-sample partials at their entries of the tracks block."""
+        np.add.at(self.ps.tape.grad(TRACKS), self.rows.track_idx, coeff.reshape(-1))
+
+    @_once
+    def samples(self):
+        """The pointmaps sampled at the block's samples: its rows of S @ grids."""
+        return self.geo.sampler.gather_into(self.ps.grid_stack, self.rows.samples, self.lo)
+
+    @_once
+    def tracked(self):
+        return self.ps.track_pts.reshape(-1, 3).take(
+            self.rows.flat, axis=0, out=self.rows.tracked, mode="clip")
+
+    @_once
+    def rot(self):
+        """The rotation of each of the block's samples' frame in the current poses."""
+        return self.ps.current.rotation.take(self.rows.tt, axis=0, out=self.rows.rot, mode="clip")
+
+    def transform(self, pts, out, shift):
+        """transform_samples(current, frames, pts) of the block's samples, written into out.
+
+        shift receives the translations.
+        """
+        np.einsum("mij,mj->mi", self.rot, pts, out=out)
+        self.ps.current.translation.take(self.rows.tt, axis=0, out=shift, mode="clip")
+        return np.add(out, shift, out=out)
+
+    @_once
+    def cons(self):
+        """(w * values, w * gradients, norms); the gradients in the block's grid coefficient rows."""
+        r = self.rows
+        res = np.subtract(self.tracked, self.samples, out=r.grid_coeff)
+        vals, g, norms = _huber_batch(res, self.delta, self.grad,
+                                      (r.cons_wv, res, r.cons_norms, r.v1, r.s3, r.quad))
+        np.multiply(r.w, vals, out=vals)
+        if g is not None:
+            np.multiply(r.w_col, g, out=g)
+        return vals, g, norms
+
+    @_once
+    def moved(self):
+        """Track points through the current relative poses."""
+        return self.transform(self.tracked, self.rows.t3, self.rows.s3)
+
+    @_once
+    def cam_residual(self):
+        """(w * values, gradients, norms) of every moved track point against its target."""
+        r = self.rows
+        res = self.ps.targets.take(r.flat, axis=0, out=r.cam_g, mode="clip")
+        np.subtract(self.moved, res, out=res)
+        vals, g, norms = _huber_batch(res, self.delta, self.grad,
+                                      (r.cam_wv, res, r.cam_norms, r.v1, r.s3, r.quad))
+        np.multiply(r.w, vals, out=vals)
+        return vals, g, norms
+
+    @_once
+    def cam_wg(self):
+        """w * cam_residual's gradients, written in their place."""
+        g = self.cam_residual[1]
+        return np.multiply(self.rows.w_col, g, out=g)
+
+    @_once
+    def cam_pose(self):
+        """Pose half: (w * values, positions, gvec, norms) of the block's gated samples.
+
+        The values and gvec are compact rows; norms is None for the gt target,
+        whose norms are cam_residual's.
+        """
+        ps, ws, geo = self.ps, self.ws, self.geo
+        pos, offsets = ps.cam_positions
+        c = slice(offsets[self.b], offsets[self.b + 1])
+        pos = pos[c]
+        head = slice(self.lo, self.lo + pos.size)
+        gvec = ws.u3[head] if self.grad else None
+        if not pos.size:
+            return ws.c_wv[c], pos, gvec, None
+        if ps.cfg.pose_target == "gt":
+            # the gated subset of cam_residual's; Huber acts per sample
+            self.cam_residual
+            vals = ws.cam_wv.take(pos, out=ws.c_wv[c], mode="clip")
+            if gvec is not None:
+                self.cam_wg
+                ws.cam_g.take(pos, axis=0, out=gvec, mode="clip")
+            return vals, pos, gvec, None
+        self.samples, self.moved
+        y = ws.t3.take(pos, axis=0, out=ws.s3[head], mode="clip")
+        ref = geo.anchor_ref.take(pos, out=ws.c_frames[c], mode="clip")
+        res = ws.samples.take(ref, axis=0, out=ws.u3[head], mode="clip")
+        np.subtract(y, res, out=res)
+        vals, g, norms = _huber_batch(res, self.delta, self.grad, (
+            ws.c_wv[c], res, ws.v2[head], ws.v1[head], ws.t3[head], ws.quad[head]))
+        w = geo.w.take(pos, out=ws.v1[head], mode="clip")
+        np.multiply(w, vals, out=vals)
+        if g is not None:
+            np.multiply(w[:, None], g, out=g)
+        return vals, pos, g, norms
+
+    @_once
+    def anchor(self):
+        """Anchor term: (w * values, positions, candidates, reprojections, gvec, norms).
+
+        candidates are the block's gated entries of a_pos, positions their
+        samples; values, gvec and norms are compact rows.
+        """
+        ps, ws, geo = self.ps, self.ws, self.geo
+        cand, offsets = ps.anchor_candidates
+        a = slice(offsets[self.b], offsets[self.b + 1])
+        cand = cand[a]
+        head = slice(self.lo, self.lo + cand.size)
+        pos = geo.a_pos.take(cand, out=ws.v2[head].view(np.int64), mode="clip")
+        yv = ws.t3[head]
+        if "rot" in self.__dict__:
+            # the camera term took every sample's rotation: reproject them all
+            self.transform(self.samples, self.rows.u3, self.rows.s3)
+            ws.u3.take(pos, axis=0, out=yv, mode="clip")
+        elif pos.size:
+            # transform_samples of the candidates' samples alone
+            current, frames = ps.current, geo.tt.take(pos, out=ws.a_frames[a], mode="clip")
+            rot = current.rotation.take(frames, axis=0, out=ws.rot[head], mode="clip")
+            self.samples
+            pts = ws.samples.take(pos, axis=0, out=ws.u3[head], mode="clip")
+            np.einsum("mij,mj->mi", rot, pts, out=yv)
+            np.add(yv, current.translation.take(frames, axis=0, out=ws.s3[head], mode="clip"),
+                   out=yv)
+        ref = geo.anchor_ref.take(pos, out=ws.a_frames[a], mode="clip")
+        res = ws.samples.take(ref, axis=0, out=ws.s3[head], mode="clip")
+        np.subtract(yv, res, out=res)
+        vals, g, norms = _huber_batch(res, self.delta, self.grad, (
+            ws.a_wv[a], res, ws.a_norms[a], ws.v1[head], ws.u3[head], ws.quad[head]))
+        w = geo.a_w.take(cand, out=ws.v1[head], mode="clip")
+        np.multiply(w, vals, out=vals)
+        gvec = None
+        if g is not None:
+            # the block's rotations are read: its gvec and a x g follow in their rows
+            gvec = self.rot_rows(0, pos.size)
+            np.multiply(w[:, None], g, out=gvec)
+        return vals, pos, cand, yv, gvec, norms
+
+    def rot_rows(self, k, n):
+        """The k-th (n, 3) slab of the block's rotation rows."""
+        start = 9 * self.lo + 3 * k * n
+        return self.ws.rot.reshape(-1)[start:start + 3 * n].reshape(n, 3)
+
+    def pose_partials(self, y, pos, gvec, frames, cross, upsilon):
+        """(frames, a x g, g) of selected samples, for the per-frame sums after the join.
+
+        For y = exp(omega) z + upsilon and downstream gradient g, d/d upsilon = g
+        and d/d omega = J_l(omega)^T (a x g), a = exp(omega) z = y - upsilon.
+        y turns into a, and upsilon receives the samples' upsilon.
+        """
+        self.geo.tt.take(pos, out=frames, mode="clip")
+        self.ps.tangents[:, 3:].take(frames, axis=0, out=upsilon, mode="clip")
+        np.subtract(y, upsilon, out=y)
+        return frames, _cross(y, gvec, cross, self.ws.v1[self.lo:self.lo + pos.size]), gvec
+
+
+class _Pass(_Block):
+    """One evaluation: parameter views, the tape, quantities shared by its blocks.
+
+    The calling thread prepares the pass (current poses, targets, gated
+    positions), runs the blocks, and then does what depends on the order
+    of the samples: each term's sum, the per-frame pose sums, and the one
+    S^T product.
+    """
 
     def __init__(self, problem, store, tape):
         self.problem = problem
@@ -204,81 +528,27 @@ class _Pass:
         self.tangents = store.view(POSES)
         self.tape = tape
         self.grad = tape is not None  # value-only passes skip the Huber gradients
-        self.grid_samples = None  # (M, 3) grid coefficients queued by cons_pointmap
-        self.grid_anchors = None  # (candidates k into a_pos, (K, 3) coefficients) of anchor
-        self.pose_sums = None  # (T, 6) per-frame sums of (a x g, g) queued by add_poses
+        self.queue_grids = self.queue_anchor = False
+        self.pose_parts = {}  # per pose-writing term, each block's (frames, a x g, g) rows
+        super().__init__(self, 0)
 
-    def add_poses(self, frames, y_sel, gvec):
-        """Queue d(loss)/d(omega, upsilon) of selected samples as per-frame sums.
+    @property
+    def ps(self):
+        return self
 
-        For y = exp(omega) z + upsilon and downstream gradient g, d/d upsilon = g
-        and d/d omega = J_l(omega)^T (a x g), a = exp(omega) z = y - upsilon.  J_l
-        depends only on the frame, so (a x g, g) is summed per frame here, sample
-        by sample from +0.0 and term after term; flush applies J_l^T per frame.
-        """
-        if self.pose_sums is None:
-            self.pose_sums = np.zeros(self.tangents.shape)
-        sums = self.pose_sums.reshape(-1)
-        idx = (frames[:, None] * 6 + np.arange(3)).reshape(-1)
-        a = y_sel - self.tangents[:, 3:].take(frames, axis=0)
-        np.add.at(sums, idx, _cross(a, gvec).reshape(-1))
-        np.add.at(sums[3:], idx, gvec.reshape(-1))  # upsilon: the same indices, offset by 3
+    def offsets(self, pos, bounds):
+        """Each block's first compact row of the increasing pos, then len(pos)."""
+        if len(bounds) == 2:
+            return (0, pos.size)
+        return np.searchsorted(pos, bounds)
 
-    def add_tracks(self, coeff):
-        """Add (M, 3) per-sample partials at the samples' distinct entries of the tracks block."""
-        np.add.at(self.tape.grad(TRACKS), self.geo.track_idx, coeff.reshape(-1))
-
-    def add_grids(self, coeff, candidates=None):
-        """Queue grid coefficients: a row per sample, or per entry of candidates (into a_pos)."""
-        if candidates is None:
-            self.grid_samples = coeff
-        else:
-            self.grid_anchors = (candidates, coeff)
-
-    def flush(self):
-        """Add the queued pose and grid gradients to the tape, one Tape.add per block.
-
-        The omega sums become J_l(omega_f)^T times each frame's sum.  At
-        zero tangents J_l is exactly the identity, and a tape that starts at
-        zero then holds the per-sample sums bit for bit.
-
-        The grid gradients are one S^T product.  It runs over the samples,
-        then the anchor candidates: the term order, so each grid value
-        accumulates term by term and, within a term, sample by sample; a
-        product per term, summed, would associate the additions differently.
-        With the anchor term queued, the sampler's compiled S^T acts on one
-        zero-filled (M + Ma, 3) array, whose rows of an absent term or of a
-        gated-out candidate stay zero.  A zero
-        coefficient adds +-0.0, which leaves every accumulator unchanged: a
-        CSC product starts from +0.0, and a round-to-nearest sum is -0.0
-        only when both addends are, so no accumulator ever holds -0.0.
-        """
-        sums = self.pose_sums
-        if sums is not None:
-            sums[:, :3] = np.einsum("tji,tj->ti", self.left_jac, sums[:, :3])
-            self.tape.add(POSES, sums)
-        coeff = self.grid_samples
-        if self.grid_anchors is not None:
-            m = self.geo.tt.size
-            full = np.zeros((m + self.geo.a_pos.size, 3))
-            if coeff is not None:
-                full[:m] = coeff
-            candidates, anchor_coeff = self.grid_anchors
-            full[m + candidates] = anchor_coeff
-            coeff = full
-        if coeff is not None:
-            self.tape.add(GRIDS, self.geo.sampler.adjoint(coeff))
-
-    def huber(self, res):
-        return _huber_batch(res, self.cfg.delta, self.grad)
-
-    def gate(self, flat, what):
-        """Static mask at flat (i * T + t) sample rows; all admitted when ungated.
+    def gate(self, flat, what, out):
+        """Static mask at flat (i * T + t) sample rows, into out; None when ungated.
 
         Read on every pass, so a reassigned static_mask takes effect at once.
         """
         if not self.cfg.gate_static:
-            return np.ones(flat.shape, dtype=bool)
+            return None
         mask = self.problem.static_mask
         if mask is None:
             raise ValueError(f"{what} needs a static mask (use all-ones to disable gating)")
@@ -286,17 +556,42 @@ class _Pass:
         if mask.shape != self.geo.shape:
             raise ValueError(f"static_mask has shape {mask.shape}; "
                              f"the visibility is {self.geo.shape}")
-        return mask.reshape(-1).take(flat)
+        return mask.reshape(-1).take(flat, out=out, mode="clip")
+
+    @_once
+    def cam_positions(self):
+        """(positions, offsets): the samples of the camera term's pose half."""
+        target = self.cfg.pose_target
+        if target not in ("gt", "anchor_sample"):
+            raise ValueError(f"unknown pose_target {target!r}")
+        geo = self.geo
+        sel = self.gate(geo.flat, "camera consistency", self.ws.c_sel)
+        if target == "anchor_sample":
+            sel = geo.has_anchor if sel is None else np.logical_and(sel, geo.has_anchor, out=sel)
+        pos = geo.positions if sel is None else _positions(sel, geo.positions, self.ws.c_pos)
+        return pos, self.offsets(pos, geo.bounds)
+
+    @_once
+    def anchor_candidates(self):
+        """(candidates, offsets): the gated entries of a_pos."""
+        geo = self.geo
+        sel = self.gate(geo.a_flat, "anchor consistency", self.ws.a_sel)
+        if sel is None:
+            return geo.positions[:geo.a_pos.size], geo.a_bounds
+        cand = _positions(sel, geo.positions, self.ws.a_cand)
+        # a_pos is increasing, so the candidates of a block follow the earlier blocks'
+        return cand, self.offsets(cand, geo.a_bounds)
 
     @_once
     def targets(self):
+        """The anchor targets as (N * T, 3) rows."""
         if self.problem.targets is None:
             raise MissingTargets("camera consistency needs anchor targets")
         targets = np.asarray(self.problem.targets, dtype=np.float64)
         if targets.shape != self.geo.shape + (3,):
             raise ValueError(f"targets have shape {targets.shape}; "
                              f"the visibility needs {self.geo.shape + (3,)}")
-        return targets.reshape(-1, 3).take(self.geo.flat, axis=0)
+        return targets.reshape(-1, 3)
 
     @_once
     def current(self):
@@ -307,131 +602,183 @@ class _Pass:
         return compose(exp_map(self.tangents), self.problem.base)
 
     @_once
+    def cons_value(self):  # both halves' value
+        return _value(self.ws.cons_wv)
+
+    @_once
     def left_jac(self):  # (T, 3, 3)
         return so3_left_jacobian(self.tangents[:, :3])
 
-    @_once
-    def samples(self):
-        """The pointmaps sampled at every valid sample (S @ grids)."""
-        return self.geo.sampler.gather(self.grid_stack)
+    def run(self, terms):
+        """The sub-terms' values, in order, with their partials added to the tape."""
+        for term in terms:
+            PREPARE[term](self)
+        order = terms
+        if "cam_pose" in terms and "cam_track" in terms:
+            order = [term for term in BLOCK_ORDER if term in terms]
+        bounds = self.geo.bounds
+        if len(bounds) == 2:
+            _Block.run(self, order)
+        elif terms:
+            blocks = [self] + [_Block(self, b) for b in range(1, len(bounds) - 1)]
+            parallel.map_ordered(lambda bk: _Block.run(bk, order), blocks)
+        values = [VALUES[term](self) for term in terms]
+        self.flush()
+        return values
 
-    @_once
-    def tracked(self):
-        return self.track_pts.reshape(-1, 3).take(self.geo.flat, axis=0)
+    def flush(self):
+        """Add the queued pose and grid gradients to the tape, one Tape.add per block.
 
-    @_once
-    def cons(self):
-        vals, g, norms = self.huber(self.tracked - self.samples)
-        coeff = self.geo.w[:, None] * g if self.grad else None
-        return float(np.add.reduce(self.geo.w * vals)), coeff, norms
+        The pose partials of each term, compact in sample order, are summed
+        per frame from +0.0, sample by sample and term after term; the omega
+        sums then become J_l(omega_f)^T times each frame's sum.  At zero
+        tangents J_l is exactly the identity, and a tape that starts at zero
+        then holds the per-sample sums bit for bit.
 
-    @_once
-    def moved(self):
-        """Track points through the current relative poses."""
-        return transform_samples(self.current, self.geo.tt, self.tracked)
-
-    @_once
-    def cam_residual(self):
-        """Huber (values, gradients, norms) of every moved track point against its target."""
-        return self.huber(self.moved - self.targets)
-
-    @_once
-    def cam_track(self):
-        vals, g, norms = self.cam_residual
-        return float(np.add.reduce(self.geo.w * vals)), g, norms
-
-    @_once
-    def cam_pose(self):
-        """Pose half: (value, gated positions, gvec, norms)."""
-        target = self.cfg.pose_target
-        if target not in ("gt", "anchor_sample"):
-            raise ValueError(f"unknown pose_target {target!r}")
-        sel = self.gate(self.geo.flat, "camera consistency")
-        if target == "anchor_sample":
-            sel &= self.geo.anchor_ref >= 0
-        pos = np.flatnonzero(sel)
-        if pos.size == 0:
-            return 0.0, pos, None, None
-        if target == "gt":
-            # the gated subset of cam_track's residual; Huber acts per sample
-            vals, g, norms = (None if x is None else x.take(pos, axis=0) for x in self.cam_residual)
-        else:
-            tgt = self.samples.take(self.geo.anchor_ref.take(pos), axis=0)
-            vals, g, norms = self.huber(self.moved.take(pos, axis=0) - tgt)
-        w = self.geo.w.take(pos)
-        gvec = w[:, None] * g if self.grad else None
-        return float(np.add.reduce(w * vals)), pos, gvec, norms
-
-    @_once
-    def anchor(self):
-        """Anchor term: (value, positions, candidates, reprojections, gvec, norms).
-
-        candidates are the gated entries of a_pos, positions their samples.
+        The grid gradients are one S^T product.  It runs over the samples,
+        then the anchor candidates: the term order, so each grid value
+        accumulates term by term and, within a term, sample by sample; a
+        product per term, summed, would associate the additions differently.
+        With the anchor term queued, the sampler's compiled S^T acts on the
+        (M + Ma, 3) coefficient rows, whose rows of an absent term or of a
+        gated-out candidate are zero.  A zero
+        coefficient adds +-0.0, which leaves every accumulator unchanged: a
+        CSC product starts from +0.0, and a round-to-nearest sum is -0.0
+        only when both addends are, so no accumulator ever holds -0.0.
         """
-        geo = self.geo
-        candidates = np.flatnonzero(self.gate(geo.a_flat, "anchor consistency"))
-        pos = geo.a_pos.take(candidates)
-        samples = self.samples
-        yv = transform_samples(self.current, geo.tt.take(pos), samples.take(pos, axis=0))
-        vals, g, norms = self.huber(yv - samples.take(geo.anchor_ref.take(pos), axis=0))
-        w = geo.a_w.take(candidates)
-        gvec = w[:, None] * g if self.grad else None
-        return float(np.add.reduce(w * vals)), pos, candidates, yv, gvec, norms
+        ws = self.ws
+        if self.pose_parts:
+            sums, flat = ws.pose_sums, ws.pose_flat
+            sums.fill(0.0)
+            for parts in self.pose_parts.values():
+                for frames, cross, g in filter(None, parts):
+                    # each sample's entries frames * 6 + (0, 1, 2)
+                    idx = ws.pose_idx[:frames.size]
+                    np.multiply(frames[:, None], 6, out=idx)
+                    np.add(idx, _XYZ, out=idx)
+                    idx = idx.reshape(-1)
+                    np.add.at(flat, idx, cross.reshape(-1))
+                    np.add.at(flat[3:], idx, g.reshape(-1))  # upsilon: offset by 3
+            sums[:, :3] = np.einsum("tji,tj->ti", self.left_jac, sums[:, :3])
+            self.tape.add(POSES, sums)
+        if self.queue_grids:
+            coeff = ws.grid_coeff if self.queue_anchor else ws.grid_coeff[:self.geo.tt.size]
+            self.tape.add(GRIDS, self.geo.sampler.adjoint_into(coeff, ws.grid_grad))
 
 
-# Sub-terms: each returns its value and, with a tape, adds its
-# partials to the blocks TERM_BLOCKS lists for it.
+# Sub-terms, each in three parts.  PREPARE runs in the calling thread: the
+# checks, gating and queueing that involve the whole pass.  TERMS runs on
+# each block and adds the track partials to the tape at once.  VALUES reads
+# the term's value after the blocks have joined.
 
-def _cons_pointmap(ps: _Pass):
-    value, coeff, _ = ps.cons
-    if ps.tape is not None:
-        ps.add_grids(-coeff)
-    return value
-
-
-def _cons_track(ps: _Pass):
-    value, coeff, _ = ps.cons
-    if ps.tape is not None:
-        ps.add_tracks(coeff)
-    return value
+def _prepare_cons_pointmap(ps: _Pass):
+    ps.queue_grids |= ps.grad
 
 
-def _cam_track(ps: _Pass):
-    value, g, _ = ps.cam_track
-    if ps.tape is not None:
-        gp = np.einsum("mji,mj->mi", ps.current.rotation.take(ps.geo.tt, axis=0),
-                       ps.geo.w[:, None] * g)
-        ps.add_tracks(gp)
-    return value
+def _prepare_cons_track(ps: _Pass):
+    pass
 
 
-def _cam_pose(ps: _Pass):
-    value, pos, gvec, _ = ps.cam_pose
-    if ps.tape is not None and pos.size:
-        ps.add_poses(ps.geo.tt.take(pos), ps.moved.take(pos, axis=0), gvec)
-    return value
+def _prepare_cam_pose(ps: _Pass):
+    if ps.cam_positions[0].size:
+        if ps.cfg.pose_target == "gt":
+            ps.targets
+        ps.current
+        if ps.grad:
+            ps.pose_parts["cam_pose"] = [None] * (len(ps.geo.bounds) - 1)
 
 
-def _anchor(ps: _Pass):
-    value, pos, candidates, yv, gvec, _ = ps.anchor
-    if ps.tape is not None and pos.size:
-        ps.add_poses(ps.geo.tt.take(pos), yv, gvec)
-        ps.add_grids(-gvec, candidates)
-    return value
+def _prepare_cam_track(ps: _Pass):
+    ps.targets
+    ps.current
 
 
-def _cons_stats(ps: _Pass):
-    return ps.cons[2], ps.geo.n_skipped
+def _prepare_anchor(ps: _Pass):
+    ps.current
+    if ps.grad and ps.anchor_candidates[0].size:
+        ps.pose_parts["anchor"] = [None] * (len(ps.geo.bounds) - 1)
+        ps.queue_grids = ps.queue_anchor = True
 
 
-def _cam_stats(ps: _Pass):
-    return ps.cam_track[2], ps.geo.n_skipped
+def _cons_pointmap(bk: _Block):
+    bk.cons  # its partials are the block's grid coefficient rows, negated at the block's end
 
 
-def _anchor_stats(ps: _Pass):
-    n, t = ps.geo.shape
-    return ps.anchor[-1], n * (t - 1) - ps.anchor[1].size
+def _cons_track(bk: _Block):
+    _, coeff, _ = bk.cons
+    if coeff is not None:
+        bk.add_tracks(coeff)
 
+
+def _cam_track(bk: _Block):
+    bk.cam_residual
+    if bk.grad:
+        bk.add_tracks(np.einsum("mji,mj->mi", bk.rot, bk.cam_wg, out=bk.rows.s3))
+
+
+def _cam_pose(bk: _Block):
+    _, pos, gvec, _ = bk.cam_pose
+    if gvec is not None and pos.size:
+        ps, ws = bk.ps, bk.ws
+        offsets, head = ps.cam_positions[1], slice(bk.lo, bk.lo + pos.size)
+        c = slice(offsets[bk.b], offsets[bk.b + 1])
+        y = ws.s3[head]
+        if ps.cfg.pose_target == "gt":
+            ws.t3.take(pos, axis=0, out=y, mode="clip")  # the moved points
+        # gvec and a x g go to rows that the block no longer reads
+        g = ws.tracked[head]
+        np.copyto(g, gvec)
+        ps.pose_parts["cam_pose"][bk.b] = bk.pose_partials(
+            y, pos, g, ws.c_frames[c], ws.cam_g[head], ws.u3[head])
+
+
+def _anchor(bk: _Block):
+    _, pos, cand, yv, gvec, _ = bk.anchor
+    ps, ws = bk.ps, bk.ws
+    if ps.queue_anchor:
+        offsets, head = ps.anchor_candidates[1], slice(bk.lo, bk.lo + pos.size)
+        a = slice(offsets[bk.b], offsets[bk.b + 1])
+        ps.pose_parts["anchor"][bk.b] = bk.pose_partials(
+            yv, pos, gvec, ws.a_frames[a], bk.rot_rows(1, pos.size), ws.u3[head])
+        rows = ws.grid_coeff[bk.geo.tt.size:]
+        rows[bk.geo.a_bounds[bk.b]:bk.geo.a_bounds[bk.b + 1]].fill(0.0)
+        rows[cand] = np.negative(gvec, out=ws.s3[head])
+
+
+def _value(wv):
+    return float(np.add.reduce(wv))
+
+
+def _cons_value(ps: _Pass):
+    return ps.cons_value
+
+
+def _cam_pose_value(ps: _Pass):
+    k = ps.cam_positions[0].size
+    return _value(ps.ws.c_wv[:k]) if k else 0.0
+
+
+def _cam_track_value(ps: _Pass):
+    return _value(ps.ws.cam_wv)
+
+
+def _anchor_value(ps: _Pass):
+    return _value(ps.ws.a_wv[:ps.anchor_candidates[0].size])
+
+
+# The order a block forms its sub-terms in: the pose half of the camera
+# term after the track half, whose gradients it then writes over.  The pose
+# partials are summed after the join, so the tape's writes keep the terms'
+# order.
+BLOCK_ORDER = ("cons_pointmap", "cons_track", "cam_track", "cam_pose", "anchor")
+
+PREPARE = {
+    "cons_pointmap": _prepare_cons_pointmap,
+    "cons_track": _prepare_cons_track,
+    "cam_pose": _prepare_cam_pose,
+    "cam_track": _prepare_cam_track,
+    "anchor": _prepare_anchor,
+}
 
 TERMS = {
     "cons_pointmap": _cons_pointmap,
@@ -439,6 +786,14 @@ TERMS = {
     "cam_pose": _cam_pose,
     "cam_track": _cam_track,
     "anchor": _anchor,
+}
+
+VALUES = {
+    "cons_pointmap": _cons_value,
+    "cons_track": _cons_value,
+    "cam_pose": _cam_pose_value,
+    "cam_track": _cam_track_value,
+    "anchor": _anchor_value,
 }
 
 # The blocks each sub-term differentiates and writes, its non-detached factors.
@@ -449,6 +804,20 @@ TERM_BLOCKS = {
     "cam_track": (TRACKS,),
     "anchor": (POSES, GRIDS),
 }
+
+
+def _cons_stats(ps: _Pass):
+    return ps.ws.cons_norms, ps.geo.n_skipped
+
+
+def _cam_stats(ps: _Pass):
+    return ps.ws.cam_norms, ps.geo.n_skipped
+
+
+def _anchor_stats(ps: _Pass):
+    n, t = ps.geo.shape
+    k = ps.anchor_candidates[0].size
+    return ps.ws.a_norms[:k], n * (t - 1) - k
 
 
 class _Group(NamedTuple):
@@ -466,13 +835,6 @@ GROUPS = (
     _Group("cam", "use_cam", ("cam_pose", "cam_track"), _cam_stats),
     _Group("anchor", "use_anchor", ("anchor",), _anchor_stats),
 )
-
-
-def _run_group(ps: _Pass, group: _Group) -> TermStats:
-    value = 0.0
-    for term in group.terms:
-        value += TERMS[term](ps)
-    return _stats(group.slot, value, *group.stats(ps))
 
 
 def _reprojection_mask(geo, grid_stack, pose, tau, scale_quantile=0.4, scale_factor=3.0):
@@ -584,22 +946,22 @@ class CouplingProblem:
     def evaluate(self, store: ParamStore, tape: Optional[Tape] = None) -> LossBreakdown:
         """Enabled terms as a breakdown; without a tape no gradients are formed."""
         ps = _Pass(self, store, tape)
+        groups = [g for g in GROUPS if getattr(self.config, g.toggle)]
+        values = iter(ps.run([term for g in groups for term in g.terms]))
         terms, total = {}, 0.0
-        for group in GROUPS:
-            if getattr(self.config, group.toggle):
-                terms[group.slot] = _run_group(ps, group)
-                total += terms[group.slot].value
-        ps.flush()
+        for group in groups:
+            value = 0.0
+            for _ in group.terms:
+                value += next(values)
+            stats = terms[group.slot] = _stats(group.slot, value, *group.stats(ps))
+            total += stats.value
         return LossBreakdown(terms, total)
 
     def evaluate_term(self, store: ParamStore, term: str, tape: Optional[Tape] = None) -> float:
         """One sub-term in isolation (for gradient verification)."""
         if term not in TERMS:
             raise ValueError(f"unknown term {term!r}")
-        ps = _Pass(self, store, tape)
-        value = TERMS[term](ps)
-        ps.flush()
-        return value
+        return _Pass(self, store, tape).run([term])[0]
 
     def active_terms(self):
         return [t for g in GROUPS if getattr(self.config, g.toggle) for t in g.terms]

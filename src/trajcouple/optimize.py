@@ -114,6 +114,20 @@ def pose_tangent_rms(est_poses: Pose, gt_poses: Pose):
     return float(np.sqrt(sq / max(len(est_poses), 1)))
 
 
+def _point_errors(est, ref, slices=8):
+    """np.linalg.norm(est - ref, axis=-1), formed a few leading slices at a time.
+
+    Each norm reads only its own point, so the result is the one-shot
+    expression's bit for bit, without its point-array-sized temporaries
+    (a refinement's workspace is still alive when its last errors are taken).
+    """
+    norms = np.empty(est.shape[:-1])
+    step = max(1, -(-len(est) // slices))
+    for k in range(0, len(est), step):
+        norms[k:k + step] = np.linalg.norm(est[k:k + step] - ref[k:k + step], axis=-1)
+    return norms
+
+
 def scene_error_metrics(scene: SyntheticScene, problem: CouplingProblem, store: ParamStore) -> dict:
     """Errors of the current state against the scene's ground truth."""
     est_grids = store.view(GRIDS)
@@ -122,15 +136,11 @@ def scene_error_metrics(scene: SyntheticScene, problem: CouplingProblem, store: 
 
     out = {
         "pose_tangent_rms": pose_tangent_rms(rel_est, scene.rel_poses),
-        "grid_err": float(
-            np.mean(np.linalg.norm(est_grids - scene.gt_grids, axis=-1))
-        ),
+        "grid_err": float(np.mean(_point_errors(est_grids, scene.gt_grids))),
     }
     vis = scene.visibility >= MIN_VISIBLE_WEIGHT
     if np.any(vis):
-        out["track_err"] = float(
-            np.mean(np.linalg.norm((est_tracks - scene.gt_tracks)[vis], axis=-1))
-        )
+        out["track_err"] = float(np.mean(_point_errors(est_tracks, scene.gt_tracks)[vis]))
     else:
         out["track_err"] = 0.0
     # gauge-fix the relative poses at the ground-truth anchor to get a trajectory

@@ -117,6 +117,9 @@ class BilinearSampler:
         self._columns_transpose = (self._transpose if columns is None
                                    else self._transposed(rows, weights))
         self.matrix = self._transpose.T  # CSR over the same three arrays
+        from scipy.sparse import _sparsetools
+
+        self._kernels = _sparsetools.csr_matvecs, _sparsetools.csc_matvecs
 
     def _transposed(self, rows, weights):
         """S^T of the columns with these corner rows and weights, as a CSC matrix.
@@ -136,6 +139,21 @@ class BilinearSampler:
         """S @ grids: the (M, 3) samples of a (T, H, W, 3) stack."""
         return self.matrix @ np.asarray(grids, dtype=np.float64).reshape(-1, 3)
 
+    def gather_into(self, grids, out, start=0):
+        """Rows [start, start + len(out)) of S @ grids, written into the C-contiguous out.
+
+        The product is scipy's own for ``gather``: its csr_matvecs kernel
+        over S's arrays, accumulating into zeros, so the rows equal
+        gather's bit for bit; a row's sum reads only that row's entries.
+        """
+        m = len(out)
+        out.fill(0.0)
+        csr = self.matrix
+        self._kernels[0](m, self.n_points, 3, csr.indptr[:m + 1],
+                         csr.indices[4 * start:4 * (start + m)], csr.data[4 * start:4 * (start + m)],
+                         np.asarray(grids, dtype=np.float64).reshape(-1), out.reshape(-1))
+        return out
+
     def adjoint(self, coeff):
         """S^T @ coeff as the dense (T*H*W*3,) grid-block gradient.
 
@@ -148,6 +166,18 @@ class BilinearSampler:
         coeff = np.asarray(coeff, dtype=np.float64)
         op = self._transpose if len(coeff) == len(self.rows) else self._columns_transpose
         return (op @ coeff).reshape(-1)
+
+    def adjoint_into(self, coeff, out):
+        """``adjoint(coeff)`` written into the C-contiguous (T*H*W*3,) out, bit for bit.
+
+        The same csc_matvecs kernel that scipy's product calls, accumulating
+        into zeros.
+        """
+        op = self._transpose if len(coeff) == len(self.rows) else self._columns_transpose
+        out.fill(0.0)
+        self._kernels[1](self.n_points, op.shape[1], 3, op.indptr, op.indices, op.data,
+                         coeff.reshape(-1), out)
+        return out
 
 
 # ---------------------------------------------------------------------------

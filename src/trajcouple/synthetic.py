@@ -204,13 +204,19 @@ def _camera_eyes(config, center, rng):
     return poses
 
 
-def _sample_queries(rng, count, cell_ok, height, width):
-    """Rejection-sample continuous pixels inside cells flagged by cell_ok."""
+def _sample_queries(rng, count, cell_ok, field, cells):
+    """Rejection-sample continuous pixels inside cells flagged by cell_ok.
+
+    With no such cell, the config field asking for the tracks is invalid;
+    cells says which corners a cell needs.
+    """
     if count == 0:
         return np.zeros((0, 2))
     rows, cols = np.nonzero(cell_ok)
     if rows.size == 0:
-        raise ConfigInvalid("n_dynamic", "grid too small for the requested track layout")
+        h, w = cell_ok.shape
+        raise ConfigInvalid(field, f"grid too small for the requested track layout: no cell of "
+                                   f"the {h + 1}x{w + 1} grid has {cells}")
     out = np.empty((count, 2))
     for k in range(count):
         c = rng.integers(0, rows.size)
@@ -271,8 +277,12 @@ def generate(config: SceneConfig) -> SyntheticScene:
     )
     static_cells = np.all(cell_taper == 0.0, axis=0)
     dynamic_cells = np.all(cell_taper >= 0.5, axis=0)
-    q_static = _sample_queries(rng, config.n_static, static_cells, h, w)
-    q_dynamic = _sample_queries(rng, config.n_dynamic, dynamic_cells, h, w)
+    q_static = _sample_queries(rng, config.n_static, static_cells, "n_static",
+                               "all four corners at taper 0, outside the dynamic region")
+    q_dynamic = _sample_queries(
+        rng, config.n_dynamic, dynamic_cells, "n_dynamic",
+        f"all four corners at taper >= 0.5, inside the dynamic region x in [{_DYN_X[0]}, "
+        f"{_DYN_X[1]}] * (W - 1), y in [{_DYN_Y[0]}, {_DYN_Y[1]}] * (H - 1)")
     q0 = np.concatenate([q_static, q_dynamic], axis=0)
     n = q0.shape[0]
     query_pixels = np.repeat(q0[:, None, :], t_frames, axis=1)

@@ -257,7 +257,7 @@ def track_gradient(problem, store, terms, grad=None):
         if term == "cons_track":
             coeff = ps.cons[1]
         else:
-            g = ps.cam_track[1]
+            g = ps.cam_residual[1]
             coeff = np.einsum("mji,mj->mi", ps.current.rotation.take(ps.geo.tt, axis=0),
                               ps.geo.w[:, None] * g)
         np.add.at(grad, ps.geo.track_idx, coeff.reshape(-1))

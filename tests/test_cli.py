@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from trajcouple import cli
+from trajcouple import cli, parallel
 from trajcouple.cli import main
 from trajcouple.errors import DegenerateConfiguration
 from trajcouple.grad import Tape
@@ -790,7 +790,7 @@ def run_eval_on_cpus(monkeypatch, scene, out, n_cpus):
 
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
-        patch.setattr(cli.threading, "Thread", Thread)
+        patch.setattr(parallel.threading, "Thread", Thread)
         code = main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
                      "--icp", "--out", str(out)])
     return code, len(started)
@@ -812,6 +812,19 @@ class TestFramePool:
             runs[n_cpus] = tree_digest(out)
         assert runs[1] == runs[4]
         assert set(runs[1]) == {"metrics.json", "metrics.csv"}
+
+    def test_eval_without_affinity_mask(self, tmp_path, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: eval counts os.cpu_count()
+        scene = self.make_scene(tmp_path)
+        assert run_eval_on_cpus(monkeypatch, scene, tmp_path / "mask", 2) == (0, 1)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for cpus, expected in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert parallel.cpu_count() == expected
+        out = tmp_path / "no_mask"
+        assert main(["eval", "--pred", str(scene / "est"), "--gt", str(scene / "gt"),
+                     "--icp", "--out", str(out)]) == 0
+        assert tree_digest(out) == tree_digest(tmp_path / "mask")
 
     def test_degenerate_frame_same_error_on_any_cpu_count(self, tmp_path, monkeypatch, capsys):
         scene = self.make_scene(tmp_path)
@@ -847,7 +860,7 @@ class TestMapFrames:
         sys.setswitchinterval(1e-6)
         try:
             worker = threading.Thread(target=lambda: result.append(
-                cli._map_frames(fn, list(range(3000)))))
+                parallel.map_ordered(fn, list(range(3000)))))
             worker.start()
             worker.join(timeout=60)
         finally:
@@ -869,7 +882,7 @@ class TestMapFrames:
             return k
 
         with pytest.raises(ValueError) as exc:
-            cli._map_frames(fn, list(range(1000)))
+            parallel.map_ordered(fn, list(range(1000)))
         assert exc.value.args == (5,)
         assert set(range(10)) <= set(ran) and len(ran) < 1000  # hand-out stopped
 

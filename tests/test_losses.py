@@ -1,4 +1,7 @@
+import os
 import re
+import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import huber, huber_gradient
 from test_pose import assert_poses_equal, tangent_stacks
-from trajcouple import losses
+from trajcouple import losses, parallel
 from trajcouple.errors import MissingTargets, OutOfDomain
 from trajcouple.fixtures import random_coupling_fixture
 from trajcouple.grad import GRIDS, POSES, TRACKS, ParamStore, Tape
@@ -914,3 +917,111 @@ class TestReprojectionMask:
                                      scale_quantile=quantile)
         assert got.dtype == bool
         assert np.array_equal(got, expected)
+
+
+def on_cpus(monkeypatch, n_cpus, min_block_samples):
+    """Patch the affinity mask to n_cpus CPUs and the block threshold; returns started threads."""
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(losses, "MIN_BLOCK_SAMPLES", min_block_samples)
+    monkeypatch.setattr(parallel.threading, "Thread", Thread)
+    return started
+
+
+def block_fixture(seed, ablation, pose_target):
+    problem, store = random_coupling_fixture(seed, n_tracks=12, n_frames=6)
+    problem.config = replace(problem.config, pose_target=pose_target, **ABLATIONS[ablation])
+    return problem, store
+
+
+def pass_bits(problem, store):
+    """Bits of a taped and a value-only evaluate, then of each sub-term alone."""
+    out = []
+    for tape in (Tape(store), None):
+        out.append(repr(problem.evaluate(store, tape)))
+        if tape is not None:
+            out += [bits(tape.grad(b)).tobytes() for b in (GRIDS, TRACKS, POSES)]
+    for term in losses.TERMS:
+        tape = Tape(store)
+        out.append(bits(problem.evaluate_term(store, term, tape)).tobytes())
+        out += [bits(tape.grad(b)).tobytes() for b in (GRIDS, TRACKS, POSES)]
+    return out
+
+
+class TestTrackBlocks:
+    """A pass split into blocks of tracks on several threads equals the one-block pass bit for bit."""
+
+    @pytest.mark.parametrize("pose_target", ["gt", "anchor_sample"])
+    @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+    def test_any_block_count_matches_one_block(self, monkeypatch, ablation, pose_target):
+        for seed in range(3):
+            expected = None
+            for n_blocks in (1, 2, 3, 5):
+                with monkeypatch.context() as patch:
+                    on_cpus(patch, n_blocks, 1)
+                    problem, store = block_fixture(seed, ablation, pose_target)
+                    got = pass_bits(problem, store)
+                    assert len(problem.geometry(store).bounds) - 1 == n_blocks
+                expected = expected or got
+                assert got == expected, (seed, n_blocks)
+
+    @pytest.mark.parametrize("case", ["mask_shape", "missing_targets"])
+    def test_errors_match_one_block(self, monkeypatch, case):
+        messages = []
+        for n_blocks in (1, 3):
+            with monkeypatch.context() as patch:
+                on_cpus(patch, n_blocks, 1)
+                problem, store = block_fixture(4, "full", "gt")
+                if case == "mask_shape":
+                    problem.static_mask = np.ones(problem.visibility.shape[::-1], dtype=bool)
+                else:
+                    problem.targets = None
+                with pytest.raises((ValueError, MissingTargets)) as err:
+                    problem.evaluate(store, Tape(store))
+                messages.append((type(err.value), str(err.value)))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("n_cpus,min_block_samples,threads", [
+        (1, 1, 0),  # one CPU: one block
+        (4, losses.MIN_BLOCK_SAMPLES, 0),  # under the threshold: one block
+        (3, 1, 2),  # three blocks, the calling thread runs one
+    ])
+    def test_threads_only_for_several_blocks(self, monkeypatch, n_cpus, min_block_samples,
+                                             threads):
+        started = on_cpus(monkeypatch, n_cpus, min_block_samples)
+        problem, store = block_fixture(5, "full", "gt")
+        problem.evaluate(store, Tape(store))
+        assert len(started) == threads
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_second_taped_pass_allocates_no_block_sized_arrays(self, monkeypatch, n_cpus):
+        # after the first pass has compiled the geometry and its workspace, a
+        # taped pass allocates less than the (M, 3) samples plus the grid
+        # gradient (a pass without a workspace allocates each of them) plus a
+        # tenth of (M, 3)
+        scene = generate(SceneConfig(n_frames=16, n_static=512, n_dynamic=64, height=32,
+                                     width=32, seed=3, sigma_pointmap=0.01, sigma_track=0.01,
+                                     sigma_pose=0.05))
+        on_cpus(monkeypatch, n_cpus, losses.MIN_BLOCK_SAMPLES)
+        problem = build_problem(scene, LossConfig(**ABLATIONS["full"]))
+        store = initial_store(scene)
+        tape = Tape(store)
+        problem.evaluate(store, tape)
+        m = problem.geometry(store).tt.size
+        assert m >= 2 * losses.MIN_BLOCK_SAMPLES
+        assert len(problem.geometry(store).bounds) - 1 == n_cpus
+        tracemalloc.start()
+        try:
+            problem.evaluate(store, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = m * 3 * 8
+        assert peak <= samples + store[GRIDS].nbytes + samples / 10

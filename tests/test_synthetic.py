@@ -136,6 +136,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             SceneConfig.from_dict({"n_frames": 3, "wat": 1})
 
+    def test_layout_rejection_names_the_dynamic_cells(self):
+        # the taper spans 3.6 of 7 rows, of which only the middle one reaches
+        # 0.5, so no cell qualifies however wide the grid; 6 rows have two
+        with pytest.raises(ConfigInvalid) as err:
+            generate(small_config(n_static=8, n_dynamic=4, height=7, width=16))
+        assert str(err.value) == (
+            "invalid config field 'n_dynamic': grid too small for the requested track layout: "
+            "no cell of the 7x16 grid has all four corners at taper >= 0.5, inside the dynamic "
+            "region x in [0.5, 0.95] * (W - 1), y in [0.2, 0.8] * (H - 1)")
+        generate(small_config(n_static=8, n_dynamic=4, height=6, width=10))
+
 
 class TestLookAt:
     def test_matches_per_frame_oracle(self):
