@@ -213,8 +213,7 @@ class _Workspace:
         self.cons_wv, self.cons_norms, self.cam_wv, self.cam_norms = (np.empty(m) for _ in range(4))
         # compact rows: selections, their weighted values and norms, the partials' frames
         self.c_sel, self.a_sel = np.empty(m, dtype=bool), np.empty(ma, dtype=bool)
-        self.c_pos, self.a_cand, self.c_frames, self.a_frames = (
-            np.empty(k, dtype=np.int64) for k in (m, ma, m, ma))
+        self.c_frames, self.a_frames = np.empty(m, dtype=np.int64), np.empty(ma, dtype=np.int64)
         self.c_wv, self.a_wv, self.a_norms = np.empty(m), np.empty(ma), np.empty(ma)
         # S^T's coefficient rows: the samples', then the anchor candidates'
         self.grid_coeff = np.empty((m + ma, 3))
@@ -318,11 +317,6 @@ def _compile(grid_shape, query_pixels, visibility, anchor):
     )
 
 
-def _positions(sel, positions, out):
-    """np.flatnonzero(sel), written into the head of out."""
-    return positions[:sel.size].compress(sel, out=out[:np.count_nonzero(sel)])
-
-
 class _Block:
     """Samples [lo, hi) of one block of tracks in a pass; the pass is its own block 0.
 
@@ -335,18 +329,22 @@ class _Block:
     """
 
     def __init__(self, ps, b):
-        if ps is not self:  # the pass is its own ps, without a reference cycle
+        if ps is not self:  # the pass is its own block 0, without a reference to itself
             self.ps = ps
         self.b = b
         self.geo, self.ws, self.grad, self.delta = ps.geo, ps.geo.ws, ps.grad, ps.cfg.delta
         self.lo, self.hi = self.geo.bounds[b:b + 2]
         self.rows = self.geo.rows[b]
 
+    def __getattr__(self, name):
+        """What the pass shares (poses, targets, selections, the tape) is read through it."""
+        return getattr(self.ps, name)
+
     def run(self, terms):
         """The block's share of the given sub-terms (in BLOCK_ORDER), then its grid rows."""
         for term in terms:
             TERMS[term](self)
-        if self.ps.queue_grids:
+        if self.queue_grids:
             rows = self.rows.grid_coeff
             if "cons_pointmap" in terms:
                 np.negative(rows, out=rows)  # the cons partials, formed in these rows
@@ -355,22 +353,22 @@ class _Block:
 
     def add_tracks(self, coeff):
         """Add the block's (k, 3) per-sample partials at their entries of the tracks block."""
-        np.add.at(self.ps.tape.grad(TRACKS), self.rows.track_idx, coeff.reshape(-1))
+        np.add.at(self.tape.grad(TRACKS), self.rows.track_idx, coeff.reshape(-1))
 
     @_once
     def samples(self):
         """The pointmaps sampled at the block's samples: its rows of S @ grids."""
-        return self.geo.sampler.gather_into(self.ps.grid_stack, self.rows.samples, self.lo)
+        return self.geo.sampler.gather_into(self.grid_stack, self.rows.samples, self.lo)
 
     @_once
     def tracked(self):
-        return self.ps.track_pts.reshape(-1, 3).take(
+        return self.track_pts.reshape(-1, 3).take(
             self.rows.flat, axis=0, out=self.rows.tracked, mode="clip")
 
     @_once
     def rot(self):
         """The rotation of each of the block's samples' frame in the current poses."""
-        return self.ps.current.rotation.take(self.rows.tt, axis=0, out=self.rows.rot, mode="clip")
+        return self.current.rotation.take(self.rows.tt, axis=0, out=self.rows.rot, mode="clip")
 
     def transform(self, pts, out, shift):
         """transform_samples(current, frames, pts) of the block's samples, written into out.
@@ -378,7 +376,7 @@ class _Block:
         shift receives the translations.
         """
         np.einsum("mij,mj->mi", self.rot, pts, out=out)
-        self.ps.current.translation.take(self.rows.tt, axis=0, out=shift, mode="clip")
+        self.current.translation.take(self.rows.tt, axis=0, out=shift, mode="clip")
         return np.add(out, shift, out=out)
 
     @_once
@@ -402,7 +400,7 @@ class _Block:
     def cam_residual(self):
         """(w * values, gradients, norms) of every moved track point against its target."""
         r = self.rows
-        res = self.ps.targets.take(r.flat, axis=0, out=r.cam_g, mode="clip")
+        res = self.targets.take(r.flat, axis=0, out=r.cam_g, mode="clip")
         np.subtract(self.moved, res, out=res)
         vals, g, norms = _huber_batch(res, self.delta, self.grad,
                                       (r.cam_wv, res, r.cam_norms, r.v1, r.s3, r.quad))
@@ -422,7 +420,7 @@ class _Block:
         The values and gvec are compact rows; norms is None for the gt target,
         whose norms are cam_residual's.
         """
-        ps, ws, geo = self.ps, self.ws, self.geo
+        ps, ws, geo = self, self.ws, self.geo
         pos, offsets = ps.cam_positions
         c = slice(offsets[self.b], offsets[self.b + 1])
         pos = pos[c]
@@ -458,7 +456,7 @@ class _Block:
         candidates are the block's gated entries of a_pos, positions their
         samples; values, gvec and norms are compact rows.
         """
-        ps, ws, geo = self.ps, self.ws, self.geo
+        ps, ws, geo = self, self.ws, self.geo
         cand, offsets = ps.anchor_candidates
         a = slice(offsets[self.b], offsets[self.b + 1])
         cand = cand[a]
@@ -505,7 +503,7 @@ class _Block:
         y turns into a, and upsilon receives the samples' upsilon.
         """
         self.geo.tt.take(pos, out=frames, mode="clip")
-        self.ps.tangents[:, 3:].take(frames, axis=0, out=upsilon, mode="clip")
+        self.tangents[:, 3:].take(frames, axis=0, out=upsilon, mode="clip")
         np.subtract(y, upsilon, out=y)
         return frames, _cross(y, gvec, cross, self.ws.v1[self.lo:self.lo + pos.size]), gvec
 
@@ -532,9 +530,8 @@ class _Pass(_Block):
         self.pose_parts = {}  # per pose-writing term, each block's (frames, a x g, g) rows
         super().__init__(self, 0)
 
-    @property
-    def ps(self):
-        return self
+    def __getattr__(self, name):
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def offsets(self, pos, bounds):
         """Each block's first compact row of the increasing pos, then len(pos)."""
@@ -568,7 +565,7 @@ class _Pass(_Block):
         sel = self.gate(geo.flat, "camera consistency", self.ws.c_sel)
         if target == "anchor_sample":
             sel = geo.has_anchor if sel is None else np.logical_and(sel, geo.has_anchor, out=sel)
-        pos = geo.positions if sel is None else _positions(sel, geo.positions, self.ws.c_pos)
+        pos = geo.positions if sel is None else np.flatnonzero(sel)
         return pos, self.offsets(pos, geo.bounds)
 
     @_once
@@ -578,7 +575,7 @@ class _Pass(_Block):
         sel = self.gate(geo.a_flat, "anchor consistency", self.ws.a_sel)
         if sel is None:
             return geo.positions[:geo.a_pos.size], geo.a_bounds
-        cand = _positions(sel, geo.positions, self.ws.a_cand)
+        cand = np.flatnonzero(sel)
         # a_pos is increasing, so the candidates of a block follow the earlier blocks'
         return cand, self.offsets(cand, geo.a_bounds)
 
@@ -719,7 +716,7 @@ def _cam_track(bk: _Block):
 def _cam_pose(bk: _Block):
     _, pos, gvec, _ = bk.cam_pose
     if gvec is not None and pos.size:
-        ps, ws = bk.ps, bk.ws
+        ps, ws = bk, bk.ws
         offsets, head = ps.cam_positions[1], slice(bk.lo, bk.lo + pos.size)
         c = slice(offsets[bk.b], offsets[bk.b + 1])
         y = ws.s3[head]
@@ -734,7 +731,7 @@ def _cam_pose(bk: _Block):
 
 def _anchor(bk: _Block):
     _, pos, cand, yv, gvec, _ = bk.anchor
-    ps, ws = bk.ps, bk.ws
+    ps, ws = bk, bk.ws
     if ps.queue_anchor:
         offsets, head = ps.anchor_candidates[1], slice(bk.lo, bk.lo + pos.size)
         a = slice(offsets[bk.b], offsets[bk.b + 1])
