@@ -37,14 +37,17 @@ bilinear sampling operator S, anchor references, and S^T over the samples
 followed by the anchor samples) from the grid shape of the first store it
 evaluates, and rejects a later store of other shapes; every term then runs
 through one shared pass per evaluation, driven by one term table.  The
-track terms add their partials to the tape at once; the pose and grid
-terms queue theirs, and at its end the pass adds each of those blocks to
-the tape once, the grids as one S^T product over all queued coefficients.
+geometry also compiles the pass's workspace and splits the samples into
+blocks of whole tracks, one per CPU on a large problem (MIN_BLOCK_SAMPLES):
+the blocks run on concurrent threads and write disjoint rows.  The track
+terms add their partials to the tape at once, each block at its own
+tracks; the pose and grid terms queue theirs, and after the blocks have
+joined the pass adds each of those blocks of the tape once, in sample
+order, the grids as one S^T product over all queued coefficients.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -174,16 +177,6 @@ def _stats(name, value, norms, n_skipped):
 # ---------------------------------------------------------------------------
 # Compiled sample geometry, its workspace, and the per-evaluation pass.
 
-def _carve(arena, *shapes, dtype=np.float64):
-    """Consecutive views of the given shapes at the head of a float64 arena."""
-    views, start = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(arena[start:start + size].view(dtype).reshape(shape))
-        start += size
-    return views
-
-
 class _Workspace:
     """Every array a pass writes, allocated once with the geometry.
 
@@ -197,16 +190,17 @@ class _Workspace:
     camera gradients, the anchor term's in its rotations.  Once the blocks
     have joined, the pose sums take their entry indices from the sampled
     points' rows, and the S^T product then writes its result over the
-    rotations (the arena).  No array is larger than the rotations or the
+    rotations and the two vector scratch rows.  No array is larger than the rotations or the
     grid gradient, the largest temporaries of a pass without a workspace.
     """
 
     def __init__(self, m, ma, t, n_points):
         self.samples, self.tracked, self.cam_g, self.s3, self.t3, self.u3 = (
             np.empty((m, 3)) for _ in range(6))
-        self.arena = np.empty(max(11 * m, 3 * n_points))
-        self.rot, self.v1, self.v2 = _carve(self.arena, (m, 3, 3), (m,), (m,))
-        self.grid_grad = self.arena[:3 * n_points]
+        arena = np.empty(max(11 * m, 3 * n_points))
+        self.rot = arena[:9 * m].reshape(m, 3, 3)
+        self.v1, self.v2 = arena[9 * m:10 * m], arena[10 * m:11 * m]
+        self.grid_grad = arena[:3 * n_points]
         self.pose_idx = self.samples.view(np.int64)  # entries of the pose sums, after the join
         self.quad = np.empty(m, dtype=bool)
         # read after the join: the sample rows' weighted values and norms
@@ -358,7 +352,7 @@ class _Block:
     @_once
     def samples(self):
         """The pointmaps sampled at the block's samples: its rows of S @ grids."""
-        return self.geo.sampler.gather_into(self.grid_stack, self.rows.samples, self.lo)
+        return self.geo.sampler.gather(self.grid_stack, self.rows.samples, self.lo)
 
     @_once
     def tracked(self):
@@ -417,18 +411,18 @@ class _Block:
     def cam_pose(self):
         """Pose half: (w * values, positions, gvec, norms) of the block's gated samples.
 
-        The values and gvec are compact rows; norms is None for the gt target,
-        whose norms are cam_residual's.
+        The values are compact rows, gvec the head of the block's u3 rows;
+        norms is None for the gt target, whose norms are cam_residual's.
         """
-        ps, ws, geo = self, self.ws, self.geo
-        pos, offsets = ps.cam_positions
+        ws, geo = self.ws, self.geo
+        pos, offsets = self.cam_positions
         c = slice(offsets[self.b], offsets[self.b + 1])
         pos = pos[c]
         head = slice(self.lo, self.lo + pos.size)
         gvec = ws.u3[head] if self.grad else None
         if not pos.size:
             return ws.c_wv[c], pos, gvec, None
-        if ps.cfg.pose_target == "gt":
+        if self.cfg.pose_target == "gt":
             # the gated subset of cam_residual's; Huber acts per sample
             self.cam_residual
             vals = ws.cam_wv.take(pos, out=ws.c_wv[c], mode="clip")
@@ -454,10 +448,11 @@ class _Block:
         """Anchor term: (w * values, positions, candidates, reprojections, gvec, norms).
 
         candidates are the block's gated entries of a_pos, positions their
-        samples; values, gvec and norms are compact rows.
+        samples; values and norms are compact rows, gvec follows in the
+        block's rotation rows once the reprojections have read them.
         """
-        ps, ws, geo = self, self.ws, self.geo
-        cand, offsets = ps.anchor_candidates
+        ws, geo = self.ws, self.geo
+        cand, offsets = self.anchor_candidates
         a = slice(offsets[self.b], offsets[self.b + 1])
         cand = cand[a]
         head = slice(self.lo, self.lo + cand.size)
@@ -469,7 +464,7 @@ class _Block:
             ws.u3.take(pos, axis=0, out=yv, mode="clip")
         elif pos.size:
             # transform_samples of the candidates' samples alone
-            current, frames = ps.current, geo.tt.take(pos, out=ws.a_frames[a], mode="clip")
+            current, frames = self.current, geo.tt.take(pos, out=ws.a_frames[a], mode="clip")
             rot = current.rotation.take(frames, axis=0, out=ws.rot[head], mode="clip")
             self.samples
             pts = ws.samples.take(pos, axis=0, out=ws.u3[head], mode="clip")
@@ -626,8 +621,8 @@ class _Pass(_Block):
     def flush(self):
         """Add the queued pose and grid gradients to the tape, one Tape.add per block.
 
-        The pose partials of each term, compact in sample order, are summed
-        per frame from +0.0, sample by sample and term after term; the omega
+        The pose partials are summed per frame from +0.0, term after term and,
+        within a term, block after block and sample by sample; the omega
         sums then become J_l(omega_f)^T times each frame's sum.  At zero
         tangents J_l is exactly the identity, and a tape that starts at zero
         then holds the per-sample sums bit for bit.
@@ -660,7 +655,7 @@ class _Pass(_Block):
             self.tape.add(POSES, sums)
         if self.queue_grids:
             coeff = ws.grid_coeff if self.queue_anchor else ws.grid_coeff[:self.geo.tt.size]
-            self.tape.add(GRIDS, self.geo.sampler.adjoint_into(coeff, ws.grid_grad))
+            self.tape.add(GRIDS, self.geo.sampler.adjoint(coeff, ws.grid_grad))
 
 
 # Sub-terms, each in three parts.  PREPARE runs in the calling thread: the
@@ -691,8 +686,9 @@ def _prepare_cam_track(ps: _Pass):
 
 
 def _prepare_anchor(ps: _Pass):
+    k = ps.anchor_candidates[0].size
     ps.current
-    if ps.grad and ps.anchor_candidates[0].size:
+    if ps.grad and k:
         ps.pose_parts["anchor"] = [None] * (len(ps.geo.bounds) - 1)
         ps.queue_grids = ps.queue_anchor = True
 
@@ -716,26 +712,26 @@ def _cam_track(bk: _Block):
 def _cam_pose(bk: _Block):
     _, pos, gvec, _ = bk.cam_pose
     if gvec is not None and pos.size:
-        ps, ws = bk, bk.ws
-        offsets, head = ps.cam_positions[1], slice(bk.lo, bk.lo + pos.size)
+        ws = bk.ws
+        offsets, head = bk.cam_positions[1], slice(bk.lo, bk.lo + pos.size)
         c = slice(offsets[bk.b], offsets[bk.b + 1])
         y = ws.s3[head]
-        if ps.cfg.pose_target == "gt":
+        if bk.cfg.pose_target == "gt":
             ws.t3.take(pos, axis=0, out=y, mode="clip")  # the moved points
         # gvec and a x g go to rows that the block no longer reads
         g = ws.tracked[head]
         np.copyto(g, gvec)
-        ps.pose_parts["cam_pose"][bk.b] = bk.pose_partials(
+        bk.pose_parts["cam_pose"][bk.b] = bk.pose_partials(
             y, pos, g, ws.c_frames[c], ws.cam_g[head], ws.u3[head])
 
 
 def _anchor(bk: _Block):
     _, pos, cand, yv, gvec, _ = bk.anchor
-    ps, ws = bk, bk.ws
-    if ps.queue_anchor:
-        offsets, head = ps.anchor_candidates[1], slice(bk.lo, bk.lo + pos.size)
+    ws = bk.ws
+    if bk.queue_anchor:
+        offsets, head = bk.anchor_candidates[1], slice(bk.lo, bk.lo + pos.size)
         a = slice(offsets[bk.b], offsets[bk.b + 1])
-        ps.pose_parts["anchor"][bk.b] = bk.pose_partials(
+        bk.pose_parts["anchor"][bk.b] = bk.pose_partials(
             yv, pos, gvec, ws.a_frames[a], bk.rot_rows(1, pos.size), ws.u3[head])
         rows = ws.grid_coeff[bk.geo.tt.size:]
         rows[bk.geo.a_bounds[bk.b]:bk.geo.a_bounds[bk.b + 1]].fill(0.0)

@@ -85,7 +85,8 @@ class BilinearSampler:
     row, and S keeps both entries unsummed.  ``gather`` applies S and
     ``adjoint`` S^T, over the samples or over the samples followed by a
     column list compiled with them, whose corner arrays begin with the
-    samples' own.  This is the single sampling path of the package
+    samples' own; either writes into a given array, so a caller that
+    holds its buffers allocates nothing.  This is the single sampling path of the package
     (generator, losses and static masks), so equal inputs give bitwise
     equal samples.
     """
@@ -135,49 +136,50 @@ class BilinearSampler:
             (weights.reshape(-1), rows.reshape(-1), indptr), shape=(self.n_points, len(rows))
         )
 
-    def gather(self, grids):
-        """S @ grids: the (M, 3) samples of a (T, H, W, 3) stack."""
-        return self.matrix @ np.asarray(grids, dtype=np.float64).reshape(-1, 3)
+    def gather(self, grids, out=None, start=0):
+        """S @ grids: the (M, 3) samples of a (T, H, W, 3) stack.
 
-    def gather_into(self, grids, out, start=0):
-        """Rows [start, start + len(out)) of S @ grids, written into the C-contiguous out.
-
-        The product is scipy's own for ``gather``: its csr_matvecs kernel
-        over S's arrays, accumulating into zeros, so the rows equal
-        gather's bit for bit; a row's sum reads only that row's entries.
+        With out (C-contiguous), rows [start, start + len(out)) of it are
+        written there instead.  The product is scipy's own for ``matrix @
+        grids``: its csr_matvecs kernel over S's arrays, accumulating into
+        zeros.  A row's sum reads only that row's entries, so a block of
+        rows equals those rows of the whole product bit for bit.
         """
-        m = len(out)
+        if out is None:
+            out = np.empty((len(self.rows), 3))
+        _check_out(out)
+        m, csr = len(out), self.matrix
         out.fill(0.0)
-        csr = self.matrix
         self._kernels[0](m, self.n_points, 3, csr.indptr[:m + 1],
                          csr.indices[4 * start:4 * (start + m)], csr.data[4 * start:4 * (start + m)],
-                         np.asarray(grids, dtype=np.float64).reshape(-1), out.reshape(-1))
+                         np.asarray(grids, dtype=np.float64).ravel(), out.reshape(-1))
         return out
 
-    def adjoint(self, coeff):
-        """S^T @ coeff as the dense (T*H*W*3,) grid-block gradient.
+    def adjoint(self, coeff, out=None):
+        """S^T @ coeff as the dense (T*H*W*3,) grid-block gradient, in out if given.
 
         coeff is (M, 3), one row per sample, or (M + C, 3), followed by one
         row per entry of the C compiled ``columns``.  S^T is a CSC matrix,
         whose product adds column by column, then corner, then component:
         each grid value accumulates in column order, as a per-sample
-        ``np.add.at`` scatter would.
+        ``np.add.at`` scatter would.  The product is scipy's csc_matvecs
+        kernel, accumulating into zeros, as ``S^T @ coeff`` computes it.
         """
         coeff = np.asarray(coeff, dtype=np.float64)
         op = self._transpose if len(coeff) == len(self.rows) else self._columns_transpose
-        return (op @ coeff).reshape(-1)
-
-    def adjoint_into(self, coeff, out):
-        """``adjoint(coeff)`` written into the C-contiguous (T*H*W*3,) out, bit for bit.
-
-        The same csc_matvecs kernel that scipy's product calls, accumulating
-        into zeros.
-        """
-        op = self._transpose if len(coeff) == len(self.rows) else self._columns_transpose
+        if out is None:
+            out = np.empty(self.n_points * 3)
+        _check_out(out)
         out.fill(0.0)
         self._kernels[1](self.n_points, op.shape[1], 3, op.indptr, op.indices, op.data,
-                         coeff.reshape(-1), out)
+                         coeff.ravel(), out.reshape(-1))
         return out
+
+
+def _check_out(out):
+    """The kernels write through out's buffer, so it must be one C-contiguous block."""
+    if not out.flags.c_contiguous:
+        raise ValueError("the output of a sampling product must be C-contiguous")
 
 
 # ---------------------------------------------------------------------------
