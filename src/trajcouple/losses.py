@@ -190,8 +190,9 @@ class _Workspace:
     camera gradients, the anchor term's in its rotations.  Once the blocks
     have joined, the pose sums take their entry indices from the sampled
     points' rows, and the S^T product then writes its result over the
-    rotations and the two vector scratch rows.  No array is larger than the rotations or the
-    grid gradient, the largest temporaries of a pass without a workspace.
+    rotations and the two vector scratch rows.  No array is larger than the
+    rotations or the grid gradient, the largest temporaries of a pass
+    without a workspace.
     """
 
     def __init__(self, m, ma, t, n_points):
@@ -204,7 +205,8 @@ class _Workspace:
         self.pose_idx = self.samples.view(np.int64)  # entries of the pose sums, after the join
         self.quad = np.empty(m, dtype=bool)
         # read after the join: the sample rows' weighted values and norms
-        self.cons_wv, self.cons_norms, self.cam_wv, self.cam_norms = (np.empty(m) for _ in range(4))
+        self.cons_wv, self.cons_norms, self.cam_wv, self.cam_norms = (
+            np.empty(m) for _ in range(4))
         # compact rows: selections, their weighted values and norms, the partials' frames
         self.c_sel, self.a_sel = np.empty(m, dtype=bool), np.empty(ma, dtype=bool)
         self.c_frames, self.a_frames = np.empty(m, dtype=np.int64), np.empty(ma, dtype=np.int64)
@@ -375,7 +377,7 @@ class _Block:
 
     @_once
     def cons(self):
-        """(w * values, w * gradients, norms); the gradients in the block's grid coefficient rows."""
+        """(w * values, w * gradients, norms); the gradients in the block's grid rows."""
         r = self.rows
         res = np.subtract(self.tracked, self.samples, out=r.grid_coeff)
         vals, g, norms = _huber_batch(res, self.delta, self.grad,

@@ -118,8 +118,8 @@ def _point_errors(est, ref, slices=8):
     """np.linalg.norm(est - ref, axis=-1), formed a few leading slices at a time.
 
     Each norm reads only its own point, so the result is the one-shot
-    expression's bit for bit, without its point-array-sized temporaries
-    (a refinement's workspace is still alive when its last errors are taken).
+    expression's bit for bit, without its grid-sized temporaries (a
+    refinement's workspace is still alive when its last errors are taken).
     """
     norms = np.empty(est.shape[:-1])
     step = max(1, -(-len(est) // slices))
@@ -140,7 +140,9 @@ def scene_error_metrics(scene: SyntheticScene, problem: CouplingProblem, store: 
     }
     vis = scene.visibility >= MIN_VISIBLE_WEIGHT
     if np.any(vis):
-        out["track_err"] = float(np.mean(_point_errors(est_tracks, scene.gt_tracks)[vis]))
+        out["track_err"] = float(
+            np.mean(np.linalg.norm((est_tracks - scene.gt_tracks)[vis], axis=-1))
+        )
     else:
         out["track_err"] = 0.0
     # gauge-fix the relative poses at the ground-truth anchor to get a trajectory

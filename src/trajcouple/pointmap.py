@@ -149,10 +149,11 @@ class BilinearSampler:
             out = np.empty((len(self.rows), 3))
         _check_out(out)
         m, csr = len(out), self.matrix
+        entries = slice(4 * start, 4 * (start + m))
         out.fill(0.0)
-        self._kernels[0](m, self.n_points, 3, csr.indptr[:m + 1],
-                         csr.indices[4 * start:4 * (start + m)], csr.data[4 * start:4 * (start + m)],
-                         np.asarray(grids, dtype=np.float64).ravel(), out.reshape(-1))
+        self._kernels[0](m, self.n_points, 3, csr.indptr[:m + 1], csr.indices[entries],
+                         csr.data[entries], np.asarray(grids, dtype=np.float64).ravel(),
+                         out.reshape(-1))
         return out
 
     def adjoint(self, coeff, out=None):

@@ -955,7 +955,7 @@ def pass_bits(problem, store):
 
 
 class TestTrackBlocks:
-    """A pass split into blocks of tracks on several threads equals the one-block pass bit for bit."""
+    """A pass in blocks of tracks on several threads equals the one-block pass bit for bit."""
 
     @pytest.mark.parametrize("pose_target", ["gt", "anchor_sample"])
     @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
