@@ -1,5 +1,6 @@
 import os
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -970,6 +971,27 @@ class TestTrackBlocks:
                     assert len(problem.geometry(store).bounds) - 1 == n_blocks
                 expected = expected or got
                 assert got == expected, (seed, n_blocks)
+
+    @pytest.mark.parametrize("ablation", ["full", "selfsup"])
+    def test_more_blocks_than_cores_under_switching(self, monkeypatch, ablation):
+        # eight threads on a short switch interval: a block that wrote another
+        # block's rows, or a sum taken before every block had joined, shows
+        # up as a difference from the one-block pass
+        with monkeypatch.context() as patch:
+            on_cpus(patch, 1, 1)
+            expected = pass_bits(*block_fixture(6, ablation, "anchor_sample"))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                with monkeypatch.context() as patch:
+                    started = on_cpus(patch, 8, 1)
+                    problem, store = block_fixture(6, ablation, "anchor_sample")
+                    assert pass_bits(problem, store) == expected
+                    assert len(problem.geometry(store).bounds) - 1 == 8
+                    assert started and not any(t.is_alive() for t in started)
+        finally:
+            sys.setswitchinterval(old)
 
     @pytest.mark.parametrize("case", ["mask_shape", "missing_targets"])
     def test_errors_match_one_block(self, monkeypatch, case):
