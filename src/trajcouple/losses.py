@@ -62,8 +62,9 @@ from .tracks import MIN_VISIBLE_WEIGHT
 
 DEFAULT_DELTA = 0.05
 # Fewest samples per block of tracks: a pass over fewer than twice this many
-# samples runs as one block, in the calling thread.
-MIN_BLOCK_SAMPLES = 4096
+# samples runs as one block, in the calling thread.  On two CPUs, two blocks
+# were slower than one at 8,192 samples and faster from about 16,384.
+MIN_BLOCK_SAMPLES = 8192
 _XYZ = np.arange(3)
 
 
@@ -217,25 +218,6 @@ class _Workspace:
         self.pose_flat = self.pose_sums.reshape(-1)
 
 
-class _Rows:
-    """One block's rows of the workspace's and the geometry's per-sample arrays.
-
-    Sliced once at compile time, so that a pass, whatever its size, does not
-    pay for slicing them again.
-    """
-
-    WORKSPACE = ("samples", "tracked", "cam_g", "s3", "t3", "u3", "rot", "v1", "quad",
-                 "cons_wv", "cons_norms", "cam_wv", "cam_norms", "grid_coeff")
-    __slots__ = WORKSPACE + ("flat", "tt", "w", "w_col", "track_idx")
-
-    def __init__(self, ws, flat, tt, w, track_idx, lo, hi):
-        for name in self.WORKSPACE:
-            setattr(self, name, getattr(ws, name)[lo:hi])
-        self.flat, self.tt, self.w = flat[lo:hi], tt[lo:hi], w[lo:hi]
-        self.w_col = self.w[:, None]
-        self.track_idx = track_idx[3 * lo:3 * hi]
-
-
 @dataclass
 class _Geometry:
     """Sample geometry of a problem: pixels, visibility and anchor, for one grid shape."""
@@ -257,7 +239,6 @@ class _Geometry:
     has_anchor: np.ndarray  # (M,) anchor_ref >= 0
     positions: np.ndarray  # (M,) 0, 1, ..., M - 1
     ws: _Workspace
-    rows: tuple  # each block's _Rows
 
     def check(self, store):
         """Raise ValueError unless the store's blocks have the shapes compiled for."""
@@ -308,8 +289,7 @@ def _compile(grid_shape, query_pixels, visibility, anchor):
         (n, t), tuple(grid_shape), tt, flat, track_idx,
         w, sampler, int(visibility.size - m), anchor_ref, a_pos, flat[a_pos], w_eff[a_pos],
         bounds, tuple(np.searchsorted(a_pos, bounds).tolist()), anchor_ref >= 0, np.arange(m),
-        ws, tuple(_Rows(ws, flat, tt, w, track_idx, lo, hi)
-                  for lo, hi in zip(bounds[:-1], bounds[1:])),
+        ws,
     )
 
 
@@ -330,7 +310,7 @@ class _Block:
         self.b = b
         self.geo, self.ws, self.grad, self.delta = ps.geo, ps.geo.ws, ps.grad, ps.cfg.delta
         self.lo, self.hi = self.geo.bounds[b:b + 2]
-        self.rows = self.geo.rows[b]
+        self.s = slice(self.lo, self.hi)  # the block's rows of every per-sample array
 
     def __getattr__(self, name):
         """What the pass shares (poses, targets, selections, the tape) is read through it."""
@@ -341,7 +321,7 @@ class _Block:
         for term in terms:
             TERMS[term](self)
         if self.queue_grids:
-            rows = self.rows.grid_coeff
+            rows = self.ws.grid_coeff[self.s]
             if "cons_pointmap" in terms:
                 np.negative(rows, out=rows)  # the cons partials, formed in these rows
             else:
@@ -349,22 +329,24 @@ class _Block:
 
     def add_tracks(self, coeff):
         """Add the block's (k, 3) per-sample partials at their entries of the tracks block."""
-        np.add.at(self.tape.grad(TRACKS), self.rows.track_idx, coeff.reshape(-1))
+        np.add.at(self.tape.grad(TRACKS), self.geo.track_idx[3 * self.lo:3 * self.hi],
+                  coeff.reshape(-1))
 
     @_once
     def samples(self):
         """The pointmaps sampled at the block's samples: its rows of S @ grids."""
-        return self.geo.sampler.gather(self.grid_stack, self.rows.samples, self.lo)
+        return self.geo.sampler.gather(self.grid_stack, self.ws.samples[self.s], self.lo)
 
     @_once
     def tracked(self):
         return self.track_pts.reshape(-1, 3).take(
-            self.rows.flat, axis=0, out=self.rows.tracked, mode="clip")
+            self.geo.flat[self.s], axis=0, out=self.ws.tracked[self.s], mode="clip")
 
     @_once
     def rot(self):
         """The rotation of each of the block's samples' frame in the current poses."""
-        return self.current.rotation.take(self.rows.tt, axis=0, out=self.rows.rot, mode="clip")
+        return self.current.rotation.take(self.geo.tt[self.s], axis=0, out=self.ws.rot[self.s],
+                                          mode="clip")
 
     def transform(self, pts, out, shift):
         """transform_samples(current, frames, pts) of the block's samples, written into out.
@@ -372,42 +354,43 @@ class _Block:
         shift receives the translations.
         """
         np.einsum("mij,mj->mi", self.rot, pts, out=out)
-        self.current.translation.take(self.rows.tt, axis=0, out=shift, mode="clip")
+        self.current.translation.take(self.geo.tt[self.s], axis=0, out=shift, mode="clip")
         return np.add(out, shift, out=out)
 
     @_once
     def cons(self):
         """(w * values, w * gradients, norms); the gradients in the block's grid rows."""
-        r = self.rows
-        res = np.subtract(self.tracked, self.samples, out=r.grid_coeff)
-        vals, g, norms = _huber_batch(res, self.delta, self.grad,
-                                      (r.cons_wv, res, r.cons_norms, r.v1, r.s3, r.quad))
-        np.multiply(r.w, vals, out=vals)
+        ws, s = self.ws, self.s
+        res = np.subtract(self.tracked, self.samples, out=ws.grid_coeff[s])
+        vals, g, norms = _huber_batch(res, self.delta, self.grad, (
+            ws.cons_wv[s], res, ws.cons_norms[s], ws.v1[s], ws.s3[s], ws.quad[s]))
+        w = self.geo.w[s]
+        np.multiply(w, vals, out=vals)
         if g is not None:
-            np.multiply(r.w_col, g, out=g)
+            np.multiply(w[:, None], g, out=g)
         return vals, g, norms
 
     @_once
     def moved(self):
         """Track points through the current relative poses."""
-        return self.transform(self.tracked, self.rows.t3, self.rows.s3)
+        return self.transform(self.tracked, self.ws.t3[self.s], self.ws.s3[self.s])
 
     @_once
     def cam_residual(self):
         """(w * values, gradients, norms) of every moved track point against its target."""
-        r = self.rows
-        res = self.targets.take(r.flat, axis=0, out=r.cam_g, mode="clip")
+        ws, s = self.ws, self.s
+        res = self.targets.take(self.geo.flat[s], axis=0, out=ws.cam_g[s], mode="clip")
         np.subtract(self.moved, res, out=res)
-        vals, g, norms = _huber_batch(res, self.delta, self.grad,
-                                      (r.cam_wv, res, r.cam_norms, r.v1, r.s3, r.quad))
-        np.multiply(r.w, vals, out=vals)
+        vals, g, norms = _huber_batch(res, self.delta, self.grad, (
+            ws.cam_wv[s], res, ws.cam_norms[s], ws.v1[s], ws.s3[s], ws.quad[s]))
+        np.multiply(self.geo.w[s], vals, out=vals)
         return vals, g, norms
 
     @_once
     def cam_wg(self):
         """w * cam_residual's gradients, written in their place."""
         g = self.cam_residual[1]
-        return np.multiply(self.rows.w_col, g, out=g)
+        return np.multiply(self.geo.w[self.s, None], g, out=g)
 
     @_once
     def cam_pose(self):
@@ -460,12 +443,8 @@ class _Block:
         head = slice(self.lo, self.lo + cand.size)
         pos = geo.a_pos.take(cand, out=ws.v2[head].view(np.int64), mode="clip")
         yv = ws.t3[head]
-        if "rot" in self.__dict__:
-            # the camera term took every sample's rotation: reproject them all
-            self.transform(self.samples, self.rows.u3, self.rows.s3)
-            ws.u3.take(pos, axis=0, out=yv, mode="clip")
-        elif pos.size:
-            # transform_samples of the candidates' samples alone
+        if pos.size:
+            # transform_samples of the candidates' samples
             current, frames = self.current, geo.tt.take(pos, out=ws.a_frames[a], mode="clip")
             rot = current.rotation.take(frames, axis=0, out=ws.rot[head], mode="clip")
             self.samples
@@ -708,7 +687,7 @@ def _cons_track(bk: _Block):
 def _cam_track(bk: _Block):
     bk.cam_residual
     if bk.grad:
-        bk.add_tracks(np.einsum("mji,mj->mi", bk.rot, bk.cam_wg, out=bk.rows.s3))
+        bk.add_tracks(np.einsum("mji,mj->mi", bk.rot, bk.cam_wg, out=bk.ws.s3[bk.s]))
 
 
 def _cam_pose(bk: _Block):

@@ -127,14 +127,19 @@ class BilinearSampler:
 
         Built from data, indices and indptr as they are, sharing memory with
         rows and weights; a COO pass would sum a sample's repeated corners.
-        scipy.sparse loads with the first sampler, not with the package.
+        gather takes a block's entries at four per sample, so the matrix must
+        keep them so.  scipy.sparse loads with the first sampler, not with
+        the package.
         """
         from scipy.sparse import csc_matrix
 
         indptr = np.arange(0, rows.size + 1, 4, dtype=rows.dtype)
-        return csc_matrix(
+        op = csc_matrix(
             (weights.reshape(-1), rows.reshape(-1), indptr), shape=(self.n_points, len(rows))
         )
+        if not np.array_equal(op.indptr, indptr):
+            raise RuntimeError("scipy.sparse did not keep four entries per sample of S")
+        return op
 
     def gather(self, grids, out=None, start=0):
         """S @ grids: the (M, 3) samples of a (T, H, W, 3) stack.

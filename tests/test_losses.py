@@ -1028,7 +1028,7 @@ class TestTrackBlocks:
         # taped pass allocates less than the (M, 3) samples plus the grid
         # gradient (a pass without a workspace allocates each of them) plus a
         # tenth of (M, 3)
-        scene = generate(SceneConfig(n_frames=16, n_static=512, n_dynamic=64, height=32,
+        scene = generate(SceneConfig(n_frames=16, n_static=960, n_dynamic=64, height=32,
                                      width=32, seed=3, sigma_pointmap=0.01, sigma_track=0.01,
                                      sigma_pose=0.05))
         on_cpus(monkeypatch, n_cpus, losses.MIN_BLOCK_SAMPLES)

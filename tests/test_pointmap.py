@@ -259,6 +259,38 @@ class TestBilinearSampler:
                 assert np.array_equal(got, ref)
                 assert np.array_equal(np.signbit(got), np.signbit(ref))
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_products_equal_scipys_bit_for_bit(self, shape):
+        # gather and adjoint call scipy's private matvec kernels; they must give
+        # the bits of the public products, whole and for blocks of rows written
+        # into a larger buffer
+        from scipy.sparse import hstack
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        rng = np.random.default_rng(31 + sum(shape))
+        m, k = 97, 40
+        frames, xs, ys = random_queries(rng, shape, m)
+        columns = rng.integers(0, m, size=k)
+        op = BilinearSampler(shape, frames, xs, ys, columns=columns)
+        stack = rng.standard_normal(shape + (3,))
+        whole = op.matrix @ stack.reshape(-1, 3)
+        assert np.array_equal(bits(op.gather(stack)), bits(whole))
+        buffer = np.full((m + 10, 3), np.nan)
+        for lo, hi in ((0, 30), (30, 31), (31, 97), (50, 50)):
+            got = op.gather(stack, buffer[lo + 5:hi + 5], start=lo)
+            assert got.base is buffer and np.array_equal(bits(got), bits(whole[lo:hi]))
+        coeff = rng.standard_normal((m, 3))
+        coeff[rng.random((m, 3)) < 0.2] = -0.0
+        ref = (op.matrix.T @ coeff).reshape(-1)
+        assert np.array_equal(bits(op.adjoint(coeff)), bits(ref))
+        extended = np.concatenate([coeff, rng.standard_normal((k, 3))])
+        columns_op = hstack([op.matrix.T, op.matrix[columns].T], format="csc")
+        assert columns_op.nnz == 4 * (m + k)  # repeated corners kept unsummed
+        ref = (columns_op @ extended).reshape(-1)
+        assert np.array_equal(bits(op.adjoint(extended, np.empty(ref.size))), bits(ref))
+
     # a non-finite pixel is outside too, though NaN compares false with every bound
     @pytest.mark.parametrize("x,y", [(-0.5, 1.0), (1.0, -0.5), (4.2, 1.0), (1.0, 3.5),
                                      (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, -np.inf)])
