@@ -4,8 +4,8 @@ Each fixture is a small coupled problem with random grids, tracks, pose
 tangents (deliberately nonzero, so the left-Jacobian chain is exercised),
 targets, gating, and a mix of visible/occluded samples.  The Huber delta
 is chosen away from every residual norm so central differences stay in a
-smooth region.  The sweep checks each sub-term only against the blocks
-``losses.TERM_BLOCKS`` lists for it: a detached factor has no derivative to check.
+smooth region.  The sweep checks each sub-term only against the blocks it
+writes (``losses.TERMS``): a detached factor has no derivative to check.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .grad import GRIDS, POSES, TRACKS, ParamStore, finite_diff_check
-from .losses import TERM_BLOCKS, CouplingProblem, LossConfig, _Pass
+from .losses import TERMS, CouplingProblem, LossConfig, _Block, _Pass
 from .pose import exp_map
 
 
@@ -78,9 +78,10 @@ def random_coupling_fixture(
 
     # Residual norms of every active term's Huber, for the delta kink guard,
     # from a copy: the returned problem compiles its geometry on first use.
-    ps = _Pass(replace(problem), store, None)
-    live = ps.anchor if selfsup else ps.cam_residual
-    norms = np.concatenate([ps.cons[-1], live[-1]])
+    # The fixture's samples are far fewer than a block's, so block 0 holds them all.
+    bk = _Block(_Pass(replace(problem), store, None), 0)
+    live = bk.anchor if selfsup else bk.cam_residual
+    norms = np.concatenate([bk.cons[-1], live[-1]])
     problem.config = replace(config, delta=_pick_safe_delta(norms))
     return problem, store
 
@@ -106,7 +107,7 @@ def gradcheck_sweep(problem, store, h=1e-5, tol=1e-4, n_indices=6, seed=0):
     rng = np.random.default_rng(seed)
     rows = []
     for term in problem.active_terms():
-        for block in TERM_BLOCKS[term]:
+        for block in TERMS[term].writes:
             indices = pick_indices(problem, store, term, block, rng, n_indices)
 
             def loss_fn(s, tape=None, _term=term):

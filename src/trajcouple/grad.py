@@ -13,7 +13,7 @@ The tape holds one flat gradient per block, indexed like the block's flat
 and grid blocks once each, and the tracks block once per track term, so a
 tape that sums passes without ``reset`` sums their per-pass pose and grid
 gradients.  A detached factor gets no gradient because no sub-term forms
-partials for it (see ``losses.TERM_BLOCKS``).
+partials for it (see the ``writes`` of each sub-term in ``losses.TERMS``).
 """
 
 from __future__ import annotations

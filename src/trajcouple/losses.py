@@ -14,7 +14,7 @@ Three terms, each a visibility-weighted Huber sum over (track, frame) samples:
   through the comparison side.  No 3D ground truth is consumed.
 
 Detachment is structural: each sub-term forms partials only for the
-blocks TERM_BLOCKS lists for it; acceptance criterion 2 and
+blocks its record in TERMS writes; acceptance criterion 2 and
 TestRoutingZeroTests check that every other block stays bitwise zero.
 
 Pose gradients are taken w.r.t. per-frame tangents ``(omega, upsilon)``
@@ -36,7 +36,7 @@ A CouplingProblem compiles its sample geometry (valid samples, their
 bilinear sampling operator S, anchor references, and S^T over the samples
 followed by the anchor samples) from the grid shape of the first store it
 evaluates, and rejects a later store of other shapes; every term then runs
-through one shared pass per evaluation, driven by one term table.  The
+through one shared pass per evaluation, driven by the one table TERMS.  The
 geometry also compiles the pass's workspace and splits the samples into
 blocks of whole tracks, one per CPU on a large problem (MIN_BLOCK_SAMPLES):
 the blocks run on concurrent threads and write disjoint rows.  The track
@@ -68,17 +68,12 @@ MIN_BLOCK_SAMPLES = 8192
 _XYZ = np.arange(3)
 
 
-def _huber_batch(res, delta, grad=True, out=None):
+def _huber_batch(res, delta, grad, out):
     """Vectorized Huber values, gradients (None unless grad) and norms of (M, 3) residuals.
 
-    out optionally holds the arrays (vals, g, norms) that receive the
-    results, then (M,) float, (M, 3) float and (M,) bool scratch; g may be
-    res itself.  Without it, fresh arrays.
+    out holds the arrays (vals, g, norms) that receive the results, then
+    (M,) float, (M, 3) float and (M,) bool scratch; g may be res itself.
     """
-    if out is None:
-        m = len(res)
-        out = (np.empty(m), np.empty((m, 3)), np.empty(m), np.empty(m), np.empty((m, 3)),
-               np.empty(m, dtype=bool))
     vals, g, norms, scale, sq, quad = out
     np.multiply(res, res, out=sq)
     # np.linalg.norm(res, axis=1) sums each row as (x^2 + y^2) + z^2 too
@@ -101,13 +96,11 @@ def _huber_batch(res, delta, grad=True, out=None):
     return vals, np.multiply(res, scale[:, None], out=g), norms
 
 
-def _cross(a, b, out=None, scratch=None):
+def _cross(a, b, out, scratch):
     """Row-wise a x b of (M, 3) arrays: np.cross's component products, in its order.
 
-    out and scratch optionally receive the result and an (M,) product.
+    out and scratch receive the result and an (M,) product.
     """
-    out = np.empty(a.shape) if out is None else out
-    scratch = np.empty(len(a)) if scratch is None else scratch
     a0, a1, a2 = a.T
     b0, b1, b2 = b.T
     for o, x, y, u, v in zip(out.T, (a1, a2, a0), (b2, b0, b1), (a2, a0, a1), (b1, b2, b0)):
@@ -294,67 +287,82 @@ def _compile(grid_shape, query_pixels, visibility, anchor):
 
 
 class _Block:
-    """Samples [lo, hi) of one block of tracks in a pass; the pass is its own block 0.
+    """Samples [lo, hi) of one block of tracks in the pass ps.
 
     A block writes what it forms into the workspace: its rows of the sample
-    arrays, and its span of the compact rows.  It reads only what the
-    calling thread prepared for the whole pass, so the blocks of a pass run
-    on concurrent threads.  Scratch rows are reused term after term (cons,
-    cam, anchor): the moved track points, for one, do not outlive the
+    arrays, and its span of the compact rows.  What the calling thread
+    prepared for the whole pass it reads through ps, so the blocks of a pass
+    run on concurrent threads.  Scratch rows are reused term after term
+    (cons, cam, anchor): the moved track points, for one, do not outlive the
     anchor term.
     """
 
     def __init__(self, ps, b):
-        if ps is not self:  # the pass is its own block 0, without a reference to itself
-            self.ps = ps
-        self.b = b
-        self.geo, self.ws, self.grad, self.delta = ps.geo, ps.geo.ws, ps.grad, ps.cfg.delta
+        self.ps, self.b = ps, b
+        self.geo, self.ws, self.grad, self.delta = ps.geo, ps.ws, ps.grad, ps.cfg.delta
         self.lo, self.hi = self.geo.bounds[b:b + 2]
         self.s = slice(self.lo, self.hi)  # the block's rows of every per-sample array
 
-    def __getattr__(self, name):
-        """What the pass shares (poses, targets, selections, the tape) is read through it."""
-        return getattr(self.ps, name)
-
     def run(self, terms):
-        """The block's share of the given sub-terms (in BLOCK_ORDER), then its grid rows."""
+        """The block's share of the given sub-terms (in TERMS order), then its grid rows."""
         for term in terms:
-            TERMS[term](self)
-        if self.queue_grids:
+            TERMS[term].block(self)
+        if self.ps.queue_grids:
             rows = self.ws.grid_coeff[self.s]
             if "cons_pointmap" in terms:
                 np.negative(rows, out=rows)  # the cons partials, formed in these rows
             else:
                 rows.fill(0.0)
 
+    def span(self, entries, bounds):
+        """(entries, compact rows, head rows): the block's share of increasing entries.
+
+        bounds split the rows the entries index among the blocks; the head
+        rows are as many of the block's own sample rows.
+        """
+        c = slice(0, entries.size)
+        if len(bounds) > 2:
+            c = slice(*np.searchsorted(entries, bounds[self.b:self.b + 2]).tolist())
+        return entries[c], c, slice(self.lo, self.lo + c.stop - c.start)
+
+    @_once
+    def cam_span(self):
+        """The span of the camera term's pose-half samples."""
+        return self.span(self.ps.cam_positions, self.geo.bounds)
+
+    @_once
+    def anchor_span(self):
+        """The span of the anchor term's candidates."""
+        return self.span(self.ps.anchor_candidates, self.geo.a_bounds)
+
     def add_tracks(self, coeff):
         """Add the block's (k, 3) per-sample partials at their entries of the tracks block."""
-        np.add.at(self.tape.grad(TRACKS), self.geo.track_idx[3 * self.lo:3 * self.hi],
+        np.add.at(self.ps.tape.grad(TRACKS), self.geo.track_idx[3 * self.lo:3 * self.hi],
                   coeff.reshape(-1))
 
     @_once
     def samples(self):
         """The pointmaps sampled at the block's samples: its rows of S @ grids."""
-        return self.geo.sampler.gather(self.grid_stack, self.ws.samples[self.s], self.lo)
+        return self.geo.sampler.gather(self.ps.grid_stack, self.ws.samples[self.s], self.lo)
 
     @_once
     def tracked(self):
-        return self.track_pts.reshape(-1, 3).take(
+        return self.ps.track_pts.reshape(-1, 3).take(
             self.geo.flat[self.s], axis=0, out=self.ws.tracked[self.s], mode="clip")
 
     @_once
     def rot(self):
         """The rotation of each of the block's samples' frame in the current poses."""
-        return self.current.rotation.take(self.geo.tt[self.s], axis=0, out=self.ws.rot[self.s],
-                                          mode="clip")
+        return self.ps.current.rotation.take(self.geo.tt[self.s], axis=0,
+                                             out=self.ws.rot[self.s], mode="clip")
 
-    def transform(self, pts, out, shift):
-        """transform_samples(current, frames, pts) of the block's samples, written into out.
+    def transform(self, frames, rot, pts, out, shift):
+        """transform_samples(current, frames, pts), written into out.
 
-        shift receives the translations.
+        rot holds the frames' rotations, and shift receives the translations.
         """
-        np.einsum("mij,mj->mi", self.rot, pts, out=out)
-        self.current.translation.take(self.geo.tt[self.s], axis=0, out=shift, mode="clip")
+        np.einsum("mij,mj->mi", rot, pts, out=out)
+        self.ps.current.translation.take(frames, axis=0, out=shift, mode="clip")
         return np.add(out, shift, out=out)
 
     @_once
@@ -373,13 +381,14 @@ class _Block:
     @_once
     def moved(self):
         """Track points through the current relative poses."""
-        return self.transform(self.tracked, self.ws.t3[self.s], self.ws.s3[self.s])
+        s = self.s
+        return self.transform(self.geo.tt[s], self.rot, self.tracked, self.ws.t3[s], self.ws.s3[s])
 
     @_once
     def cam_residual(self):
         """(w * values, gradients, norms) of every moved track point against its target."""
         ws, s = self.ws, self.s
-        res = self.targets.take(self.geo.flat[s], axis=0, out=ws.cam_g[s], mode="clip")
+        res = self.ps.targets.take(self.geo.flat[s], axis=0, out=ws.cam_g[s], mode="clip")
         np.subtract(self.moved, res, out=res)
         vals, g, norms = _huber_batch(res, self.delta, self.grad, (
             ws.cam_wv[s], res, ws.cam_norms[s], ws.v1[s], ws.s3[s], ws.quad[s]))
@@ -400,14 +409,11 @@ class _Block:
         norms is None for the gt target, whose norms are cam_residual's.
         """
         ws, geo = self.ws, self.geo
-        pos, offsets = self.cam_positions
-        c = slice(offsets[self.b], offsets[self.b + 1])
-        pos = pos[c]
-        head = slice(self.lo, self.lo + pos.size)
+        pos, c, head = self.cam_span
         gvec = ws.u3[head] if self.grad else None
         if not pos.size:
             return ws.c_wv[c], pos, gvec, None
-        if self.cfg.pose_target == "gt":
+        if self.ps.cfg.pose_target == "gt":
             # the gated subset of cam_residual's; Huber acts per sample
             self.cam_residual
             vals = ws.cam_wv.take(pos, out=ws.c_wv[c], mode="clip")
@@ -437,21 +443,15 @@ class _Block:
         block's rotation rows once the reprojections have read them.
         """
         ws, geo = self.ws, self.geo
-        cand, offsets = self.anchor_candidates
-        a = slice(offsets[self.b], offsets[self.b + 1])
-        cand = cand[a]
-        head = slice(self.lo, self.lo + cand.size)
+        cand, a, head = self.anchor_span
         pos = geo.a_pos.take(cand, out=ws.v2[head].view(np.int64), mode="clip")
         yv = ws.t3[head]
         if pos.size:
-            # transform_samples of the candidates' samples
-            current, frames = self.current, geo.tt.take(pos, out=ws.a_frames[a], mode="clip")
-            rot = current.rotation.take(frames, axis=0, out=ws.rot[head], mode="clip")
+            frames = geo.tt.take(pos, out=ws.a_frames[a], mode="clip")
+            rot = self.ps.current.rotation.take(frames, axis=0, out=ws.rot[head], mode="clip")
             self.samples
             pts = ws.samples.take(pos, axis=0, out=ws.u3[head], mode="clip")
-            np.einsum("mij,mj->mi", rot, pts, out=yv)
-            np.add(yv, current.translation.take(frames, axis=0, out=ws.s3[head], mode="clip"),
-                   out=yv)
+            self.transform(frames, rot, pts, yv, ws.s3[head])
         ref = geo.anchor_ref.take(pos, out=ws.a_frames[a], mode="clip")
         res = ws.samples.take(ref, axis=0, out=ws.s3[head], mode="clip")
         np.subtract(yv, res, out=res)
@@ -479,12 +479,12 @@ class _Block:
         y turns into a, and upsilon receives the samples' upsilon.
         """
         self.geo.tt.take(pos, out=frames, mode="clip")
-        self.tangents[:, 3:].take(frames, axis=0, out=upsilon, mode="clip")
+        self.ps.tangents[:, 3:].take(frames, axis=0, out=upsilon, mode="clip")
         np.subtract(y, upsilon, out=y)
         return frames, _cross(y, gvec, cross, self.ws.v1[self.lo:self.lo + pos.size]), gvec
 
 
-class _Pass(_Block):
+class _Pass:
     """One evaluation: parameter views, the tape, quantities shared by its blocks.
 
     The calling thread prepares the pass (current poses, targets, gated
@@ -497,6 +497,7 @@ class _Pass(_Block):
         self.problem = problem
         self.cfg = problem.config
         self.geo = problem.geometry(store)
+        self.ws = self.geo.ws
         self.track_pts = store.view(TRACKS)
         self.grid_stack = store.view(GRIDS)
         self.tangents = store.view(POSES)
@@ -504,16 +505,6 @@ class _Pass(_Block):
         self.grad = tape is not None  # value-only passes skip the Huber gradients
         self.queue_grids = self.queue_anchor = False
         self.pose_parts = {}  # per pose-writing term, each block's (frames, a x g, g) rows
-        super().__init__(self, 0)
-
-    def __getattr__(self, name):
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def offsets(self, pos, bounds):
-        """Each block's first compact row of the increasing pos, then len(pos)."""
-        if len(bounds) == 2:
-            return (0, pos.size)
-        return np.searchsorted(pos, bounds)
 
     def gate(self, flat, what, out):
         """Static mask at flat (i * T + t) sample rows, into out; None when ungated.
@@ -533,7 +524,7 @@ class _Pass(_Block):
 
     @_once
     def cam_positions(self):
-        """(positions, offsets): the samples of the camera term's pose half."""
+        """The samples of the camera term's pose half."""
         target = self.cfg.pose_target
         if target not in ("gt", "anchor_sample"):
             raise ValueError(f"unknown pose_target {target!r}")
@@ -541,19 +532,14 @@ class _Pass(_Block):
         sel = self.gate(geo.flat, "camera consistency", self.ws.c_sel)
         if target == "anchor_sample":
             sel = geo.has_anchor if sel is None else np.logical_and(sel, geo.has_anchor, out=sel)
-        pos = geo.positions if sel is None else np.flatnonzero(sel)
-        return pos, self.offsets(pos, geo.bounds)
+        return geo.positions if sel is None else np.flatnonzero(sel)
 
     @_once
     def anchor_candidates(self):
-        """(candidates, offsets): the gated entries of a_pos."""
+        """The gated entries of a_pos."""
         geo = self.geo
         sel = self.gate(geo.a_flat, "anchor consistency", self.ws.a_sel)
-        if sel is None:
-            return geo.positions[:geo.a_pos.size], geo.a_bounds
-        cand = np.flatnonzero(sel)
-        # a_pos is increasing, so the candidates of a block follow the earlier blocks'
-        return cand, self.offsets(cand, geo.a_bounds)
+        return geo.positions[:geo.a_pos.size] if sel is None else np.flatnonzero(sel)
 
     @_once
     def targets(self):
@@ -585,17 +571,14 @@ class _Pass(_Block):
     def run(self, terms):
         """The sub-terms' values, in order, with their partials added to the tape."""
         for term in terms:
-            PREPARE[term](self)
-        order = terms
-        if "cam_pose" in terms and "cam_track" in terms:
-            order = [term for term in BLOCK_ORDER if term in terms]
-        bounds = self.geo.bounds
-        if len(bounds) == 2:
-            _Block.run(self, order)
+            TERMS[term].prepare(self)
+        order = [term for term in TERMS if term in terms]
+        blocks = [_Block(self, b) for b in range(len(self.geo.bounds) - 1)]
+        if len(blocks) == 1:
+            blocks[0].run(order)
         elif terms:
-            blocks = [self] + [_Block(self, b) for b in range(1, len(bounds) - 1)]
-            parallel.map_ordered(lambda bk: _Block.run(bk, order), blocks)
-        values = [VALUES[term](self) for term in terms]
+            parallel.map_ordered(lambda bk: bk.run(order), blocks)
+        values = [TERMS[term].value(self) for term in terms]
         self.flush()
         return values
 
@@ -639,21 +622,14 @@ class _Pass(_Block):
             self.tape.add(GRIDS, self.geo.sampler.adjoint(coeff, ws.grid_grad))
 
 
-# Sub-terms, each in three parts.  PREPARE runs in the calling thread: the
-# checks, gating and queueing that involve the whole pass.  TERMS runs on
-# each block and adds the track partials to the tape at once.  VALUES reads
-# the term's value after the blocks have joined.
+# The parts of each sub-term (see _Term).
 
 def _prepare_cons_pointmap(ps: _Pass):
     ps.queue_grids |= ps.grad
 
 
-def _prepare_cons_track(ps: _Pass):
-    pass
-
-
 def _prepare_cam_pose(ps: _Pass):
-    if ps.cam_positions[0].size:
+    if ps.cam_positions.size:
         if ps.cfg.pose_target == "gt":
             ps.targets
         ps.current
@@ -667,7 +643,7 @@ def _prepare_cam_track(ps: _Pass):
 
 
 def _prepare_anchor(ps: _Pass):
-    k = ps.anchor_candidates[0].size
+    k = ps.anchor_candidates.size
     ps.current
     if ps.grad and k:
         ps.pose_parts["anchor"] = [None] * (len(ps.geo.bounds) - 1)
@@ -694,25 +670,23 @@ def _cam_pose(bk: _Block):
     _, pos, gvec, _ = bk.cam_pose
     if gvec is not None and pos.size:
         ws = bk.ws
-        offsets, head = bk.cam_positions[1], slice(bk.lo, bk.lo + pos.size)
-        c = slice(offsets[bk.b], offsets[bk.b + 1])
+        _, c, head = bk.cam_span
         y = ws.s3[head]
-        if bk.cfg.pose_target == "gt":
+        if bk.ps.cfg.pose_target == "gt":
             ws.t3.take(pos, axis=0, out=y, mode="clip")  # the moved points
         # gvec and a x g go to rows that the block no longer reads
         g = ws.tracked[head]
         np.copyto(g, gvec)
-        bk.pose_parts["cam_pose"][bk.b] = bk.pose_partials(
+        bk.ps.pose_parts["cam_pose"][bk.b] = bk.pose_partials(
             y, pos, g, ws.c_frames[c], ws.cam_g[head], ws.u3[head])
 
 
 def _anchor(bk: _Block):
     _, pos, cand, yv, gvec, _ = bk.anchor
     ws = bk.ws
-    if bk.queue_anchor:
-        offsets, head = bk.anchor_candidates[1], slice(bk.lo, bk.lo + pos.size)
-        a = slice(offsets[bk.b], offsets[bk.b + 1])
-        bk.pose_parts["anchor"][bk.b] = bk.pose_partials(
+    if bk.ps.queue_anchor:
+        _, a, head = bk.anchor_span
+        bk.ps.pose_parts["anchor"][bk.b] = bk.pose_partials(
             yv, pos, gvec, ws.a_frames[a], bk.rot_rows(1, pos.size), ws.u3[head])
         rows = ws.grid_coeff[bk.geo.tt.size:]
         rows[bk.geo.a_bounds[bk.b]:bk.geo.a_bounds[bk.b + 1]].fill(0.0)
@@ -728,8 +702,7 @@ def _cons_value(ps: _Pass):
 
 
 def _cam_pose_value(ps: _Pass):
-    k = ps.cam_positions[0].size
-    return _value(ps.ws.c_wv[:k]) if k else 0.0
+    return _value(ps.ws.c_wv[:ps.cam_positions.size])
 
 
 def _cam_track_value(ps: _Pass):
@@ -737,46 +710,35 @@ def _cam_track_value(ps: _Pass):
 
 
 def _anchor_value(ps: _Pass):
-    return _value(ps.ws.a_wv[:ps.anchor_candidates[0].size])
+    return _value(ps.ws.a_wv[:ps.anchor_candidates.size])
 
 
-# The order a block forms its sub-terms in: the pose half of the camera
-# term after the track half, whose gradients it then writes over.  The pose
-# partials are summed after the join, so the tape's writes keep the terms'
-# order.
-BLOCK_ORDER = ("cons_pointmap", "cons_track", "cam_track", "cam_pose", "anchor")
+class _Term(NamedTuple):
+    """One sub-term: the blocks it writes, and the three parts a pass runs it in.
 
-PREPARE = {
-    "cons_pointmap": _prepare_cons_pointmap,
-    "cons_track": _prepare_cons_track,
-    "cam_pose": _prepare_cam_pose,
-    "cam_track": _prepare_cam_track,
-    "anchor": _prepare_anchor,
-}
+    writes are the blocks the sub-term differentiates, its non-detached
+    factors.  prepare runs in the calling thread: the checks, gating and
+    queueing that involve the whole pass.  block runs on each block of
+    tracks and adds the track partials to the tape at once.  value reads
+    the sub-term's value after the blocks have joined.
+    """
 
+    writes: tuple
+    prepare: Callable
+    block: Callable
+    value: Callable
+
+
+# The sub-term table, in the order a block forms the sub-terms: the pose
+# half of the camera term after the track half, whose gradients it then
+# writes over.  The pose partials are summed after the join, so the tape's
+# writes keep the terms' order.
 TERMS = {
-    "cons_pointmap": _cons_pointmap,
-    "cons_track": _cons_track,
-    "cam_pose": _cam_pose,
-    "cam_track": _cam_track,
-    "anchor": _anchor,
-}
-
-VALUES = {
-    "cons_pointmap": _cons_value,
-    "cons_track": _cons_value,
-    "cam_pose": _cam_pose_value,
-    "cam_track": _cam_track_value,
-    "anchor": _anchor_value,
-}
-
-# The blocks each sub-term differentiates and writes, its non-detached factors.
-TERM_BLOCKS = {
-    "cons_pointmap": (GRIDS,),
-    "cons_track": (TRACKS,),
-    "cam_pose": (POSES,),
-    "cam_track": (TRACKS,),
-    "anchor": (POSES, GRIDS),
+    "cons_pointmap": _Term((GRIDS,), _prepare_cons_pointmap, _cons_pointmap, _cons_value),
+    "cons_track": _Term((TRACKS,), lambda ps: None, _cons_track, _cons_value),
+    "cam_track": _Term((TRACKS,), _prepare_cam_track, _cam_track, _cam_track_value),
+    "cam_pose": _Term((POSES,), _prepare_cam_pose, _cam_pose, _cam_pose_value),
+    "anchor": _Term((POSES, GRIDS), _prepare_anchor, _anchor, _anchor_value),
 }
 
 
@@ -790,7 +752,7 @@ def _cam_stats(ps: _Pass):
 
 def _anchor_stats(ps: _Pass):
     n, t = ps.geo.shape
-    k = ps.anchor_candidates[0].size
+    k = ps.anchor_candidates.size
     return ps.ws.a_norms[:k], n * (t - 1) - k
 
 
@@ -803,7 +765,8 @@ class _Group(NamedTuple):
     stats: Callable
 
 
-# The term table that drives every evaluation.
+# The breakdown's slots, each a group of sub-terms; a slot's value sums its
+# sub-terms' in this order.
 GROUPS = (
     _Group("cons", "use_cons", ("cons_pointmap", "cons_track"), _cons_stats),
     _Group("cam", "use_cam", ("cam_pose", "cam_track"), _cam_stats),
@@ -893,6 +856,10 @@ class CouplingProblem:
     every later store must share); static_mask, targets, base poses, config
     and tau_static may be reassigned between evaluations.  A store, static
     mask or targets of another shape raises ValueError.
+
+    The pass workspace belongs to the problem, so a problem runs one
+    evaluation at a time; a pass's intermediates hold only until its flush,
+    which reuses the samples rows for the pose sums' indices.
     """
 
     base: Pose

@@ -4,7 +4,7 @@ Run from the repository root, with the package to record on the path:
 
     PYTHONPATH=src python tests/make_reference.py
 
-It writes three files under tests/reference/, with sorted keys and floats as
+It writes four files under tests/reference/, with sorted keys and floats as
 their repr:
 
 * evaluate.json: CouplingProblem.evaluate with a tape, for every ablation and
@@ -15,7 +15,11 @@ their repr:
   every ablation: termination, the accepted steps and their step scales, the
   epoch losses, and the initial and final metrics;
 * eval.json: the values and metadata of ``eval --metrics all --icp`` on the
-  EVAL_SCENE that ``gen`` writes.
+  EVAL_SCENE that ``gen`` writes;
+* gradcheck.json: the rows of ``gradcheck --fixtures GRADCHECK_FIXTURES``'s
+  CSV, in order: fixture, mode, term, block and status.  max_rel_err is left
+  out: a ratio of finite differences whose last digits depend on the numpy
+  build, so RTOL would not hold across builds.
 
 A change that alters any of these regenerates the files in the same commit.
 """
@@ -23,6 +27,7 @@ A change that alters any of these regenerates the files in the same commit.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -55,6 +60,8 @@ OPTIM_SCENES = {
 EVAL_SCENE = dict(n_frames=8, n_static=48, n_dynamic=8, height=16, width=16,
                   sigma_pointmap=0.01, sigma_track=0.01, sigma_pose=0.05)
 EVAL_SEED = 4
+
+GRADCHECK_FIXTURES = 3
 
 
 def evaluate_case(seed, ablation, pose_target):
@@ -110,6 +117,17 @@ def eval_reference(work_dir):
         return json.load(fh)
 
 
+def gradcheck_reference(work_dir):
+    """The rows of gradcheck.csv written under work_dir, without max_rel_err."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["gradcheck", "--fixtures", str(GRADCHECK_FIXTURES), "--out", work_dir])
+    if code != 0:
+        raise RuntimeError(f"gradcheck exited {code}")
+    with open(os.path.join(work_dir, "gradcheck.csv"), newline="") as fh:
+        return [{"fixture": int(row["fixture"]), "mode": row["mode"], "term": row["term"],
+                 "block": row["block"], "status": row["status"]} for row in csv.DictReader(fh)]
+
+
 def write_reference(name, doc):
     os.makedirs(REFERENCE_DIR, exist_ok=True)
     path = os.path.join(REFERENCE_DIR, f"{name}.json")
@@ -122,7 +140,7 @@ def write_reference(name, doc):
 def main():
     with tempfile.TemporaryDirectory() as work_dir:
         docs = {"evaluate": evaluate_reference(), "optimize": optimize_reference(),
-                "eval": eval_reference(work_dir)}
+                "eval": eval_reference(work_dir), "gradcheck": gradcheck_reference(work_dir)}
     for name, doc in docs.items():
         print(write_reference(name, doc), file=sys.stderr)
 

@@ -7,7 +7,9 @@ pass-kernel, tape, geometric-median, look-at, SO(3), single-pose,
 reprojection-mask, row-file, relative-pose-metric and point-cloud references
 below are the package's earlier per-call formulations, kept to pin the
 compiled and batched paths bit for bit.  forbid_anchor_targets guards the
-tests that must run without 3D labels.
+tests that must run without 3D labels.  pass_huber, pass_cross and
+one_block give tests the pass's kernels on fresh arrays and its per-sample
+intermediates.
 """
 
 import math
@@ -20,7 +22,7 @@ from scipy.spatial import cKDTree
 from trajcouple import synthetic
 from trajcouple.errors import DegenerateConfiguration, LogNearPi
 from trajcouple.grad import GRIDS, POSES, TRACKS, Tape
-from trajcouple.losses import _cross, _Pass, transform_samples
+from trajcouple.losses import _Block, _cross, _huber_batch, _Pass, transform_samples
 from trajcouple.metrics import (POSE_MAX_THRESHOLD, PointmapResult, RelPoseAccuracy, RpeResult,
                                 _smallest_eigenvectors)
 from trajcouple.pointmap import BilinearSampler, check_domain
@@ -170,6 +172,28 @@ def cross(a, b):
     return np.cross(a, b)
 
 
+def pass_huber(res, delta, grad=True):
+    """The pass's Huber kernel (losses._huber_batch) into fresh arrays."""
+    m = len(res)
+    return _huber_batch(res, delta, grad, (np.empty(m), np.empty((m, 3)), np.empty(m),
+                                           np.empty(m), np.empty((m, 3)), np.empty(m, dtype=bool)))
+
+
+def pass_cross(a, b):
+    """The pass's cross product (losses._cross) into fresh arrays."""
+    return _cross(a, b, np.empty(a.shape), np.empty(len(a)))
+
+
+def one_block(problem, store, tape=None):
+    """Block 0 of a pass over a problem whose samples form one block.
+
+    Its per-sample intermediates are then the whole pass's.
+    """
+    bk = _Block(_Pass(problem, store, tape), 0)
+    assert bk.hi == bk.geo.tt.size
+    return bk
+
+
 def residual_figures(norms):
     """(residual_mean, residual_max) of a term's residual norms."""
     return float(np.mean(norms)), float(np.max(norms))
@@ -206,7 +230,7 @@ def scatter_poses_per_sample(tape, left_jac, frames, a, gvec):
     pose_base = frames * 6
     ups_idx = (pose_base[:, None] + np.arange(3, 6)).reshape(-1)
     np.add.at(tape.grad(POSES), ups_idx, gvec.reshape(-1))
-    gw = np.einsum("mji,mj->mi", left_jac.take(frames, axis=0), _cross(a, gvec))
+    gw = np.einsum("mji,mj->mi", left_jac.take(frames, axis=0), pass_cross(a, gvec))
     om_idx = (pose_base[:, None] + np.arange(3)).reshape(-1)
     np.add.at(tape.grad(POSES), om_idx, gw.reshape(-1))
 
@@ -218,21 +242,21 @@ def pose_gradient(problem, store):
     go through each sample's own J_l, scattered sample by sample in term
     order.  The downstream gradients are the pass's own intermediates.
     """
-    ps = _Pass(problem, store, Tape(store))
+    bk = one_block(problem, store, Tape(store))
     exp_rot, left_jac, upsilon = step_stacks(store.view(POSES))
     step = Pose(exp_rot, upsilon)
     tape = Tape(store)
     for term in problem.active_terms():
         if term == "cam_pose":
-            _, pos, gvec, _ = ps.cam_pose
-            pts = ps.tracked
+            _, pos, gvec, _ = bk.cam_pose
+            pts = bk.tracked
         elif term == "anchor":
-            _, pos, _, _, gvec, _ = ps.anchor
-            pts = ps.samples
+            _, pos, _, _, gvec, _ = bk.anchor
+            pts = bk.samples
         else:
             continue
         if pos.size:
-            frames = ps.geo.tt.take(pos)
+            frames = bk.geo.tt.take(pos)
             _, a = two_stage_transform(problem.base, step, frames, pts.take(pos, axis=0))
             scatter_poses_per_sample(tape, left_jac, frames, a, gvec)
     return tape.grad(POSES)
@@ -251,16 +275,16 @@ def track_gradient(problem, store, terms, grad=None):
     at the samples' entries, in term order, as the tape's scatter did.  The
     partials are the pass's own intermediates.
     """
-    ps = _Pass(problem, store, Tape(store))
+    bk = one_block(problem, store, Tape(store))
     grad = np.zeros(store[TRACKS].size) if grad is None else grad
     for term in terms:
         if term == "cons_track":
-            coeff = ps.cons[1]
+            coeff = bk.cons[1]
         else:
-            g = ps.cam_residual[1]
-            coeff = np.einsum("mji,mj->mi", ps.current.rotation.take(ps.geo.tt, axis=0),
-                              ps.geo.w[:, None] * g)
-        np.add.at(grad, ps.geo.track_idx, coeff.reshape(-1))
+            g = bk.cam_residual[1]
+            coeff = np.einsum("mji,mj->mi", bk.ps.current.rotation.take(bk.geo.tt, axis=0),
+                              bk.geo.w[:, None] * g)
+        np.add.at(grad, bk.geo.track_idx, coeff.reshape(-1))
     return grad
 
 
@@ -278,17 +302,17 @@ def grid_gradient(problem, store, terms):
     scatter did before S^T became one product per pass.  The coefficients
     are the pass's own intermediates.
     """
-    ps = _Pass(problem, store, Tape(store))
-    sampler = ps.geo.sampler
+    bk = one_block(problem, store, Tape(store))
+    sampler = bk.geo.sampler
     grad = np.zeros(store[GRIDS].size)
     for term in terms:
         if term == "cons_pointmap":
-            coeff, index = -ps.cons[1], None
+            coeff, index = -bk.cons[1], None
         else:
-            _, pos, _, _, gvec, _ = ps.anchor
+            _, pos, _, _, gvec, _ = bk.anchor
             if not pos.size:
                 continue
-            coeff, index = -gvec, ps.geo.anchor_ref[pos]
+            coeff, index = -gvec, bk.geo.anchor_ref[pos]
         rows, weights = sampler.rows, sampler.weights
         if index is not None:
             rows, weights = rows[index], weights[index]

@@ -15,9 +15,9 @@ import pytest
 import oracles
 from oracles import pose_matrix
 from trajcouple.cli import main as cli_main
-from trajcouple.fixtures import TERM_BLOCKS, gradcheck_sweep, random_coupling_fixture
+from trajcouple.fixtures import gradcheck_sweep, random_coupling_fixture
 from trajcouple.grad import GRIDS, POSES, TRACKS, Tape
-from trajcouple.losses import LossConfig
+from trajcouple.losses import TERMS, LossConfig
 from trajcouple.metrics import (
     TrajectoryPair,
     ate,
@@ -58,7 +58,7 @@ def test_criterion_1_gradient_suite():
             worst[key] = max(worst.get(key, 0.0), row["max_rel_err"])
     elapsed = time.monotonic() - t0
     covered = set(worst)
-    expected = {(t, b) for t, blocks in TERM_BLOCKS.items() for b in blocks}
+    expected = {(t, b) for t, term in TERMS.items() for b in term.writes}
     ok = covered == expected and all(v < 1e-4 for v in worst.values()) and elapsed < 60
     detail = ", ".join(f"{t}/{b}:{v:.1e}" for (t, b), v in sorted(worst.items()))
     report(1, ok, f"analytic vs central differences on 50 fixtures "

@@ -24,8 +24,6 @@ from trajcouple.losses import (
     LossConfig,
     TermStats,
     _compile,
-    _cross,
-    _huber_batch,
     _Pass,
     _reprojection_mask,
     _stats,
@@ -116,12 +114,12 @@ class TestHuber:
         delta = 0.3
         res = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-3, 1, size=(200, 1))
         res[:4] = [[0.0, 0.0, 0.0], [delta, 0.0, 0.0], [0.0, -delta, 0.0], [1e-200, 0.0, 0.0]]
-        vals, grads, norms = _huber_batch(res, delta)
+        vals, grads, norms = oracles.pass_huber(res, delta)
         for k, r in enumerate(res):
             assert vals[k] == pytest.approx(huber(r, delta), rel=1e-14, abs=1e-300)
             assert np.allclose(grads[k], huber_gradient(r, delta), rtol=1e-14, atol=0)
             assert norms[k] == pytest.approx(np.linalg.norm(r), rel=1e-15)
-        value_only, no_grad, _ = _huber_batch(res, delta, grad=False)
+        value_only, no_grad, _ = oracles.pass_huber(res, delta, grad=False)
         assert no_grad is None and np.array_equal(value_only, vals)
 
 
@@ -140,7 +138,7 @@ class TestPassKernels:
     @pytest.mark.parametrize("grad", [True, False])
     def test_norms_match_linalg_norm(self, grad):
         res = special_residuals(np.random.default_rng(30))
-        _, _, norms = _huber_batch(res, 0.3, grad)
+        _, _, norms = oracles.pass_huber(res, 0.3, grad)
         assert np.array_equal(norms, oracles.residual_norms(res), equal_nan=True)
         assert norms[1] == 0.0 and not np.signbit(norms[1]) and np.isnan(norms[6])
 
@@ -149,7 +147,7 @@ class TestPassKernels:
         a, b = special_residuals(rng), special_residuals(rng)
         b[7:14] = -0.0
         for x, y in ((a, b), (b, a), (a, a[::-1])):
-            got, ref = _cross(x, y), oracles.cross(x, y)
+            got, ref = oracles.pass_cross(x, y), oracles.cross(x, y)
             assert np.array_equal(got, ref, equal_nan=True)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 
@@ -647,12 +645,12 @@ class TestComposedStack:
         # the optimizer's taped passes and mask refreshes all run here, after a fold
         problem, store = case
         store.view(POSES)[:] = zero
-        ps = _Pass(problem, store, Tape(store))
-        for pts in (ps.tracked, ps.samples):
-            y, a = two_stage(ps, pts)
-            got = transform_samples(ps.current, ps.geo.tt, pts)
+        bk = oracles.one_block(problem, store, Tape(store))
+        for pts in (bk.tracked, bk.samples):
+            y, a = two_stage(bk.ps, pts)
+            got = transform_samples(bk.ps.current, bk.geo.tt, pts)
             assert np.array_equal(bits(got), bits(y))
-            assert np.array_equal(bits(got - ps.tangents[ps.geo.tt, 3:]), bits(a))
+            assert np.array_equal(bits(got - bk.ps.tangents[bk.geo.tt, 3:]), bits(a))
         tape = Tape(store)
         problem.evaluate(store, tape)
         assert np.array_equal(bits(tape.grad(POSES)), bits(oracles.pose_gradient(problem, store)))
@@ -671,7 +669,7 @@ class TestComposedStack:
         tangents = np.resize(tangents, (t, 6))
         tangents[:, 3:] *= translation_scale
         store.view(POSES)[:] = tangents
-        ps = _Pass(problem, store, Tape(store))
+        bk = oracles.one_block(problem, store, Tape(store))
         eps = np.finfo(np.float64).eps
 
         def scale(frames, pts):
@@ -679,10 +677,10 @@ class TestComposedStack:
                     + np.linalg.norm(problem.base.translation, axis=1)[frames]
                     + np.linalg.norm(tangents[frames, 3:], axis=1))
 
-        for pts in (ps.tracked, ps.samples):
-            y, _ = two_stage(ps, pts)
-            got = transform_samples(ps.current, ps.geo.tt, pts)
-            assert np.all(np.abs(got - y) <= 16 * eps * scale(ps.geo.tt, pts)[:, None])
+        for pts in (bk.tracked, bk.samples):
+            y, _ = two_stage(bk.ps, pts)
+            got = transform_samples(bk.ps.current, bk.geo.tt, pts)
+            assert np.all(np.abs(got - y) <= 16 * eps * scale(bk.geo.tt, pts)[:, None])
         # The pose block: |dy| above moves each a x g and, the Huber gradient
         # being 1-Lipschitz, each g; ||J_l|| <= 1, and summing a frame's
         # partials before J_l^T rounds within eps of their absolute sum.  The
@@ -691,15 +689,15 @@ class TestComposedStack:
         bound = np.zeros(t)
         for term in ("cam_pose", "anchor"):
             if term == "cam_pose":
-                _, pos, gvec, _ = ps.cam_pose
-                pts, w = ps.tracked, ps.geo.w.take(pos)
+                _, pos, gvec, _ = bk.cam_pose
+                pts, w = bk.tracked, bk.geo.w.take(pos)
             else:
-                _, pos, candidates, _, gvec, _ = ps.anchor
-                pts, w = ps.samples, ps.geo.a_w.take(candidates)
+                _, pos, candidates, _, gvec, _ = bk.anchor
+                pts, w = bk.samples, bk.geo.a_w.take(candidates)
             if pos.size:
-                frames, p = ps.geo.tt.take(pos), pts.take(pos, axis=0)
+                frames, p = bk.geo.tt.take(pos), pts.take(pos, axis=0)
                 s = scale(frames, p)
-                a = np.linalg.norm(two_stage(ps, pts)[1].take(pos, axis=0), axis=1)
+                a = np.linalg.norm(two_stage(bk.ps, pts)[1].take(pos, axis=0), axis=1)
                 g = np.linalg.norm(gvec, axis=1)
                 np.add.at(bound, frames, s * (w + g + w * a) + a * g)
         tape = Tape(store)
@@ -836,18 +834,18 @@ class TestGridGradientOrder:
             geo = problem.geometry(store)
             if state == "zero_residuals":
                 even = geo.flat // t % 2 == 0
-                samples = _Pass(problem, store, None).samples
+                samples = oracles.one_block(problem, store).samples
                 store.view(TRACKS).reshape(-1, 3)[geo.flat[even]] = samples[even]
             for ablation in ("selfsup", "full"):
                 problem.config = replace(problem.config, **ABLATIONS[ablation])
-                ps = _Pass(problem, store, Tape(store))
-                _, pos, _, _, gvec, _ = ps.anchor
+                bk = oracles.one_block(problem, store, Tape(store))
+                _, pos, _, _, gvec, _ = bk.anchor
                 assert not np.asarray(problem.static_mask).reshape(-1)[geo.a_flat].all()
                 assert np.unique(geo.anchor_ref[pos]).size < pos.size
                 if state == "slack":
                     assert geo.sampler.weights.min() < 0.0
                 if state == "zero_residuals":
-                    for coeff in (-gvec, -ps.cons[1]):
+                    for coeff in (-gvec, -bk.cons[1]):
                         assert np.any((coeff == 0.0) & np.signbit(coeff))
                 tape = Tape(store)
                 problem.evaluate(store, tape)

@@ -2,8 +2,8 @@
 
 tests/make_reference.py wrote tests/reference/*.json; see it for what each
 file holds.  Strings, booleans and integers (termination, epoch counts, the
-accepted steps, sample counts, metadata) must match exactly.  A float
-matches when |got - ref| <= RTOL * max(|ref|, FLOOR).
+accepted steps, sample counts, metadata, the gradcheck rows) must match
+exactly.  A float matches when |got - ref| <= RTOL * max(|ref|, FLOOR).
 
 Why RTOL = 1e-10 and FLOOR = 1e-3.  Perturbing every input entry by up to
 2 ulp (the fixtures' stores, the scenes' initial stores, the evaluated
@@ -61,12 +61,14 @@ def recompute(name, work_dir):
         doc = make_reference.evaluate_reference()
     elif name == "optimize":
         doc = make_reference.optimize_reference()
+    elif name == "gradcheck":
+        doc = make_reference.gradcheck_reference(str(work_dir))
     else:
         doc = make_reference.eval_reference(str(work_dir))
     return json.loads(json.dumps(doc))  # the types the reference file holds
 
 
-@pytest.mark.parametrize("name", ["evaluate", "optimize", "eval"])
+@pytest.mark.parametrize("name", ["evaluate", "optimize", "eval", "gradcheck"])
 def test_matches_committed_reference(name, tmp_path):
     with open(os.path.join(make_reference.REFERENCE_DIR, f"{name}.json")) as fh:
         ref = json.load(fh)
