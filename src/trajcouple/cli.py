@@ -339,11 +339,7 @@ def cmd_gradcheck(args):
     print(f"{len(rows) - n_failed}/{len(rows)} checks passed (h={args.h}, tol={args.tol})")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_csv(
-            os.path.join(args.out, "gradcheck.csv"),
-            ["fixture", "mode", "term", "block", "max_rel_err", "status"],
-            rows,
-        )
+        _write_csv(os.path.join(args.out, "gradcheck.csv"), header, rows)
     return EXIT_GRADCHECK if failed else EXIT_OK
 
 

@@ -18,6 +18,8 @@ from .grad import GRIDS, POSES, TRACKS, ParamStore, finite_diff_check
 from .losses import TERMS, CouplingProblem, LossConfig, _Block, _Pass
 from .pose import exp_map
 
+_CHECK_INDICES = 6  # finite-difference probes per (term, block) pair
+
 
 def _pick_safe_delta(norms, guard=1e-3):
     """Pick a Huber delta at least `guard` away from every residual norm."""
@@ -86,8 +88,8 @@ def random_coupling_fixture(
     return problem, store
 
 
-def pick_indices(problem, store, term, block, rng, count=6):
-    """Sample indices of `block` that the given term may legitimately touch.
+def pick_indices(problem, store, term, block, rng):
+    """_CHECK_INDICES indices of `block` that the given term may legitimately touch.
 
     The anchor term's grid indices lie in the anchor frame, the live side of
     the term.
@@ -95,11 +97,11 @@ def pick_indices(problem, store, term, block, rng, count=6):
     if term == "anchor" and block == GRIDS:
         frame_size = store.view(GRIDS)[0].size
         lo = problem.anchor * frame_size
-        return rng.integers(lo, lo + frame_size, size=count)
-    return rng.integers(0, store[block].size, size=count)
+        return rng.integers(lo, lo + frame_size, size=_CHECK_INDICES)
+    return rng.integers(0, store[block].size, size=_CHECK_INDICES)
 
 
-def gradcheck_sweep(problem, store, h=1e-5, tol=1e-4, n_indices=6, seed=0):
+def gradcheck_sweep(problem, store, h=1e-5, tol=1e-4, seed=0):
     """Finite-difference verification rows for every active (term, block) pair.
 
     Returns a list of dicts with keys term, block, max_rel_err, passed.
@@ -108,7 +110,7 @@ def gradcheck_sweep(problem, store, h=1e-5, tol=1e-4, n_indices=6, seed=0):
     rows = []
     for term in problem.active_terms():
         for block in TERMS[term].writes:
-            indices = pick_indices(problem, store, term, block, rng, n_indices)
+            indices = pick_indices(problem, store, term, block, rng)
 
             def loss_fn(s, tape=None, _term=term):
                 return problem.evaluate_term(s, _term, tape)

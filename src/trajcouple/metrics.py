@@ -412,10 +412,10 @@ class MetricReport:
             raise ValueError(f"metric {name!r} is not finite: {value}")
         self.values[name] = value
 
-    def to_json(self, indent=2):
+    def to_json(self):
         return json.dumps(
             {"values": self.values, "metadata": self.metadata},
-            indent=indent, sort_keys=True,
+            indent=2, sort_keys=True,
         )
 
     def to_csv(self):

@@ -4,8 +4,8 @@ A grid stores one 3D point per pixel, expressed in the owning frame's
 camera coordinates.  The sampling domain is [0, W-1] x [0, H-1] in
 (x, y) pixel coordinates; locations on the boundary use clamped corner
 indices, and anything farther than 1e-9 outside raises OutOfDomain.
-The operator S of a sample set is one CSR matrix from samples to grid
-pixels; sampling is S @ grids and the grid gradient is S^T @ coeff.
+The operator S of a sample set is four corner rows and weights per sample;
+sampling is S @ grids and the grid gradient is S^T @ coeff.
 """
 
 from __future__ import annotations
@@ -79,13 +79,13 @@ class BilinearSampler:
     and pixel locations (x, y); the domain check runs here.  Each sample
     keeps the rows of its four corners, ordered (y0,x0), (y0,x1), (y1,x0),
     (y1,x1), in the ``(T*H*W, 3)`` view of the stack, and their weights
-    (non-negative up to the domain slack, summing to 1).  ``matrix`` is S
-    as an (M, T*H*W) CSR matrix over those arrays, four entries per row in
-    corner order; a grid 1 pixel wide or high repeats a corner within a
-    row, and S keeps both entries unsummed.  ``gather`` applies S and
-    ``adjoint`` S^T, over the samples or over the samples followed by a
-    column list compiled with them, whose corner arrays begin with the
-    samples' own; either writes into a given array, so a caller that
+    (non-negative up to the domain slack, summing to 1).  These corner
+    arrays are S: row i of S holds sample i's four entries in corner order,
+    which is also column i of S^T.  A grid 1 pixel wide or high repeats a
+    corner within a row, and S keeps both entries unsummed.  ``gather``
+    applies S and ``adjoint`` S^T, over the samples or over the samples
+    followed by a column list compiled with them, whose corner arrays follow
+    the samples' own; either writes into a given array, so a caller that
     holds its buffers allocates nothing.  This is the single sampling path of the package
     (generator, losses and static masks), so equal inputs give bitwise
     equal samples.
@@ -114,72 +114,62 @@ class BilinearSampler:
             weights = np.concatenate([weights, weights[columns]])
         # the samples' own corners are the head of the arrays of every column
         self.rows, self.weights = rows[:m], weights[:m]
-        self._transpose = self._transposed(self.rows, self.weights)
-        self._columns_transpose = (self._transpose if columns is None
-                                   else self._transposed(rows, weights))
-        self.matrix = self._transpose.T  # CSR over the same three arrays
-        from scipy.sparse import _sparsetools
+        # S's CSR arrays, which are also S^T's CSC ones: four entries per sample
+        self._indices, self._data = rows.reshape(-1), weights.reshape(-1)
+        self._indptr = np.arange(0, rows.size + 1, 4, dtype=index)
+        from scipy.sparse import _sparsetools  # loads with the first sampler, not the package
 
         self._kernels = _sparsetools.csr_matvecs, _sparsetools.csc_matvecs
-
-    def _transposed(self, rows, weights):
-        """S^T of the columns with these corner rows and weights, as a CSC matrix.
-
-        Built from data, indices and indptr as they are, sharing memory with
-        rows and weights; a COO pass would sum a sample's repeated corners.
-        gather takes a block's entries at four per sample, so the matrix must
-        keep them so.  scipy.sparse loads with the first sampler, not with
-        the package.
-        """
-        from scipy.sparse import csc_matrix
-
-        indptr = np.arange(0, rows.size + 1, 4, dtype=rows.dtype)
-        op = csc_matrix(
-            (weights.reshape(-1), rows.reshape(-1), indptr), shape=(self.n_points, len(rows))
-        )
-        if not np.array_equal(op.indptr, indptr):
-            raise RuntimeError("scipy.sparse did not keep four entries per sample of S")
-        return op
 
     def gather(self, grids, out=None, start=0):
         """S @ grids: the (M, 3) samples of a (T, H, W, 3) stack.
 
         With out (C-contiguous), rows [start, start + len(out)) of it are
-        written there instead.  The product is scipy's own for ``matrix @
-        grids``: its csr_matvecs kernel over S's arrays, accumulating into
-        zeros.  A row's sum reads only that row's entries, so a block of
-        rows equals those rows of the whole product bit for bit.
+        written there instead.  The product is scipy's own for S as a CSR
+        matrix times grids: its csr_matvecs kernel over S's arrays,
+        accumulating into zeros.  A row's sum reads only that row's entries,
+        so a block of rows equals those rows of the whole product bit for bit.
         """
+        grids = np.asarray(grids, dtype=np.float64)
         if out is None:
             out = np.empty((len(self.rows), 3))
+        m = len(out)
+        _check_fit("grids", grids, grids.size == 3 * self.n_points)
+        _check_fit("out", out, out.shape == (m, 3) and 0 <= start <= len(self.rows) - m)
         _check_out(out)
-        m, csr = len(out), self.matrix
         entries = slice(4 * start, 4 * (start + m))
         out.fill(0.0)
-        self._kernels[0](m, self.n_points, 3, csr.indptr[:m + 1], csr.indices[entries],
-                         csr.data[entries], np.asarray(grids, dtype=np.float64).ravel(),
-                         out.reshape(-1))
+        self._kernels[0](m, self.n_points, 3, self._indptr[:m + 1], self._indices[entries],
+                         self._data[entries], grids.ravel(), out.reshape(-1))
         return out
 
-    def adjoint(self, coeff, out=None):
-        """S^T @ coeff as the dense (T*H*W*3,) grid-block gradient, in out if given.
+    def adjoint(self, coeff, out):
+        """S^T @ coeff as the dense (T*H*W*3,) grid-block gradient, written into out.
 
         coeff is (M, 3), one row per sample, or (M + C, 3), followed by one
-        row per entry of the C compiled ``columns``.  S^T is a CSC matrix,
-        whose product adds column by column, then corner, then component:
-        each grid value accumulates in column order, as a per-sample
-        ``np.add.at`` scatter would.  The product is scipy's csc_matvecs
-        kernel, accumulating into zeros, as ``S^T @ coeff`` computes it.
+        row per entry of the C compiled ``columns``.  The product reads the
+        entries of the first len(coeff) columns as a CSC matrix, S^T, and
+        adds column by column, then corner, then component: each grid
+        value accumulates in column order, as a per-sample ``np.add.at``
+        scatter would.  It is scipy's csc_matvecs kernel, accumulating into
+        zeros, as ``S^T @ coeff`` computes it.
         """
         coeff = np.asarray(coeff, dtype=np.float64)
-        op = self._transpose if len(coeff) == len(self.rows) else self._columns_transpose
-        if out is None:
-            out = np.empty(self.n_points * 3)
+        n = len(coeff)
+        _check_fit("coeff", coeff,
+                   coeff.shape in ((len(self.rows), 3), (len(self._indptr) - 1, 3)))
+        _check_fit("out", out, out.size == 3 * self.n_points)
         _check_out(out)
         out.fill(0.0)
-        self._kernels[1](self.n_points, op.shape[1], 3, op.indptr, op.indices, op.data,
-                         coeff.ravel(), out.reshape(-1))
+        self._kernels[1](self.n_points, n, 3, self._indptr[:n + 1], self._indices[:4 * n],
+                         self._data[:4 * n], coeff.ravel(), out.reshape(-1))
         return out
+
+
+def _check_fit(name, array, fits):
+    """The kernels index raw buffers unchecked, so an operand that does not fit S raises here."""
+    if not fits:
+        raise ValueError(f"{name} of shape {array.shape} does not fit the sampling operator")
 
 
 def _check_out(out):

@@ -16,9 +16,11 @@ import numpy as np
 from .errors import FileFormatError, open_text
 
 MIN_VISIBLE_WEIGHT = 1e-3
+_MEDIAN_MAX_ITER = 100
+_MEDIAN_TOL = 1e-14  # relative to the point set's extent
 
 
-def _geometric_medians(pts, visible, max_iter=100, tol=1e-14):
+def _geometric_medians(pts, visible):
     """Weiszfeld geometric median of each (N, T, 3) track's visible frames.
 
     A track with no visible frame uses all of its frames.  Unlike the
@@ -35,11 +37,11 @@ def _geometric_medians(pts, visible, max_iter=100, tol=1e-14):
     for k in np.flatnonzero(np.bincount(counts)):
         rows = np.flatnonzero(counts == k)
         group = pts[rows][visible[rows]].reshape(rows.size, k, 3)
-        ref[rows] = _weiszfeld(group, max_iter, tol)
+        ref[rows] = _weiszfeld(group)
     return ref
 
 
-def _weiszfeld(pts, max_iter, tol):
+def _weiszfeld(pts):
     """Geometric medians of (m, k, 3) point sets; each set stops at its own step test.
 
     Identical points are their own median and skip the iteration; their
@@ -51,7 +53,7 @@ def _weiszfeld(pts, max_iter, tol):
     scale = np.abs(pts - y[:, None]).max(axis=(1, 2))
     live = np.flatnonzero(scale > 0.0)
     pts, scale = pts[live], scale[live]
-    for _ in range(max_iter):
+    for _ in range(_MEDIAN_MAX_ITER):
         if live.size == 0:
             break
         d = np.linalg.norm(pts - y[live, None], axis=2)
@@ -60,7 +62,7 @@ def _weiszfeld(pts, max_iter, tol):
         step = y_new - y[live]
         y[live] = y_new
         # matmul rounds like the BLAS dot in np.linalg.norm of one vector; einsum does not
-        moving = ~(np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0]) <= tol * scale)
+        moving = ~(np.sqrt((step[:, None, :] @ step[:, :, None])[:, 0, 0]) <= _MEDIAN_TOL * scale)
         live, pts, scale = live[moving], pts[moving], scale[moving]
     return y
 

@@ -9,7 +9,8 @@ below are the package's earlier per-call formulations, kept to pin the
 compiled and batched paths bit for bit.  forbid_anchor_targets guards the
 tests that must run without 3D labels.  pass_huber, pass_cross and
 one_block give tests the pass's kernels on fresh arrays and its per-sample
-intermediates.
+intermediates; sampling_matrix gives them a sampler's S as a public scipy
+matrix.
 """
 
 import math
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from trajcouple import synthetic
@@ -88,6 +90,18 @@ def bilinear_gather(stack, frames, x, y):
     rows, cols, weights = corner_data(stack.shape[1], stack.shape[2], x, y)
     corners = stack[frames[:, None], rows, cols, :]
     return np.einsum("mk,mkc->mc", weights, corners), rows, cols, weights
+
+
+def sampling_matrix(op):
+    """S of a BilinearSampler as a public scipy CSR matrix over its corner arrays.
+
+    Built from data, indices and indptr as they are, four entries per row in
+    corner order; a COO pass would sum a sample's repeated corners.
+    """
+    m = len(op.rows)
+    indptr = np.arange(0, 4 * m + 1, 4)
+    return csr_matrix((op.weights.reshape(-1), op.rows.reshape(-1), indptr),
+                      shape=(m, op.n_points))
 
 
 def sample(grid, u):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import PixelLocation, bilinear_gather, init_query, sample, sample_with_grad
+from oracles import (PixelLocation, bilinear_gather, init_query, sample, sample_with_grad,
+                     sampling_matrix)
 from trajcouple.errors import FileFormatError, OutOfDomain
 from trajcouple.pointmap import (
     BilinearSampler,
@@ -172,10 +173,11 @@ class TestBilinearSampler:
         rng = np.random.default_rng(sum(shape))
         frames, xs, ys = random_queries(rng, shape, 60)
         op = BilinearSampler(shape, frames, xs, ys)
-        assert op.matrix.shape == (60, int(np.prod(shape)))
-        assert np.array_equal(op.matrix.indptr, np.arange(0, 241, 4))
-        assert np.array_equal(op.matrix.indices, op.rows.reshape(-1))
-        assert np.array_equal(op.matrix.data, op.weights.reshape(-1))
+        matrix = sampling_matrix(op)
+        assert matrix.shape == (60, int(np.prod(shape)))
+        assert np.array_equal(matrix.indptr, np.arange(0, 241, 4))
+        assert np.array_equal(matrix.indices, op.rows.reshape(-1))
+        assert np.array_equal(matrix.data, op.weights.reshape(-1))
 
     def test_subsets_gather_bitwise_equal(self):
         rng = np.random.default_rng(21)
@@ -198,7 +200,8 @@ class TestBilinearSampler:
             g = rng.standard_normal(shape + (3,))
             rows = op.gather(g) if index is None else op.gather(g)[index]
             c = rng.standard_normal(rows.shape)
-            st_c = op.adjoint(c if index is None else np.concatenate([np.zeros((120, 3)), c]))
+            st_c = op.adjoint(c if index is None else np.concatenate([np.zeros((120, 3)), c]),
+                              np.empty(g.size))
             assert st_c.shape == (g.size,)
             lhs = float(np.sum(rows * c))
             rhs = float(g.reshape(-1) @ st_c)
@@ -240,7 +243,7 @@ class TestBilinearSampler:
 
             samples = np.arange(m)
             coeff = signed_coeff(m)
-            got, ref = op.adjoint(coeff), scatter(samples, coeff)
+            got, ref = op.adjoint(coeff, np.empty(t * h * w * 3)), scatter(samples, coeff)
             assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
 
             for with_samples in (True, False):
@@ -250,7 +253,7 @@ class TestBilinearSampler:
                 if with_samples:
                     full[:m] = sample_coeff
                 full[m + kept] = anchor_coeff
-                got = op.adjoint(full)
+                got = op.adjoint(full, np.empty(t * h * w * 3))
                 picks, coeffs = anchors[kept], anchor_coeff
                 if with_samples:
                     picks = np.concatenate([samples, picks])
@@ -275,7 +278,8 @@ class TestBilinearSampler:
         columns = rng.integers(0, m, size=k)
         op = BilinearSampler(shape, frames, xs, ys, columns=columns)
         stack = rng.standard_normal(shape + (3,))
-        whole = op.matrix @ stack.reshape(-1, 3)
+        matrix = sampling_matrix(op)
+        whole = matrix @ stack.reshape(-1, 3)
         assert np.array_equal(bits(op.gather(stack)), bits(whole))
         buffer = np.full((m + 10, 3), np.nan)
         for lo, hi in ((0, 30), (30, 31), (31, 97), (50, 50)):
@@ -283,13 +287,27 @@ class TestBilinearSampler:
             assert got.base is buffer and np.array_equal(bits(got), bits(whole[lo:hi]))
         coeff = rng.standard_normal((m, 3))
         coeff[rng.random((m, 3)) < 0.2] = -0.0
-        ref = (op.matrix.T @ coeff).reshape(-1)
-        assert np.array_equal(bits(op.adjoint(coeff)), bits(ref))
+        ref = (matrix.T @ coeff).reshape(-1)
+        assert np.array_equal(bits(op.adjoint(coeff, np.empty(ref.size))), bits(ref))
         extended = np.concatenate([coeff, rng.standard_normal((k, 3))])
-        columns_op = hstack([op.matrix.T, op.matrix[columns].T], format="csc")
+        columns_op = hstack([matrix.T, matrix[columns].T], format="csc")
         assert columns_op.nnz == 4 * (m + k)  # repeated corners kept unsummed
         ref = (columns_op @ extended).reshape(-1)
         assert np.array_equal(bits(op.adjoint(extended, np.empty(ref.size))), bits(ref))
+
+    # the products' C kernels check no bounds: an operand that does not fit S
+    # raises before they run, instead of reading or writing past its buffer
+    @pytest.mark.parametrize("product", [
+        lambda op: op.gather(np.zeros((2, 3))),
+        lambda op: op.gather(np.zeros((2, 4, 5, 3)), np.empty((3, 2))),
+        lambda op: op.gather(np.zeros((2, 4, 5, 3)), np.empty((2, 3)), start=2),
+        lambda op: op.adjoint(np.zeros((2, 3)), np.empty(120)),
+        lambda op: op.adjoint(np.zeros((3, 3)), np.empty(10)),
+    ], ids=["grids", "gather_out", "gather_start", "coeff", "adjoint_out"])
+    def test_operands_that_do_not_fit_raise(self, product):
+        op = BilinearSampler((2, 4, 5), [0, 1, 1], [1.0, 2.5, 4.0], [0.5, 3.0, 2.0])
+        with pytest.raises(ValueError, match="does not fit"):
+            product(op)
 
     # a non-finite pixel is outside too, though NaN compares false with every bound
     @pytest.mark.parametrize("x,y", [(-0.5, 1.0), (1.0, -0.5), (4.2, 1.0), (1.0, 3.5),
